@@ -11,13 +11,24 @@ A hyper-dual number stores, next to its value, three arrays of length k:
 ``d1[i]`` and ``d2[i]`` are directional derivatives along the i-th pair of
 seed directions and ``d12[i]`` is the mixed second derivative along that
 pair.  One evaluation therefore yields k second derivatives at once; no
-truncation error is involved.
+truncation error is involved.  A :class:`Dual` keeps only the first slot
+and serves first-order sweeps.
+
+The ``block_*`` sweeps differentiate one model at B points in a single
+evaluation: the values are then (B, 1) arrays and the slots (B, k) arrays,
+so arithmetic runs as numpy array operations and the primitives apply
+math's functions element by element; the results equal B evaluations at
+one point each, bit for bit.  Model code must therefore be array-safe: a
+branch on a value tests it with :func:`anywhere` (or an element-wise
+``np.where``), and a table lookup indexes with arrays.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,11 +36,15 @@ from .errors import DomainError, ParameterError, UnsupportedPrimitiveError
 
 __all__ = [
     "HyperDual",
+    "Dual",
     "DerivativeRequest",
+    "anywhere",
     "jacobian",
     "gradient",
     "hessian",
     "value_gradient_hessian",
+    "block_jacobian",
+    "block_value_gradient_hessian",
     "vector_hessian",
     "lambda_hessian",
     "sin",
@@ -50,11 +65,17 @@ class HyperDual:
     """Scalar with two first-order and one mixed second-order slot.
 
     The derivative slots are numpy arrays of a common length k so that k
-    direction pairs are propagated per evaluation.  Instances are treated
-    as immutable; the slot arrays must never be mutated in place.
+    direction pairs are propagated per evaluation.  In a block sweep the
+    value is a (B, 1) array and the slots broadcast to (B, k).  Instances
+    are treated as immutable; the slot arrays must never be mutated in
+    place.
     """
 
     __slots__ = ("value", "d1", "d2", "d12")
+
+    # ndarray (op) HyperDual returns NotImplemented, so Python calls the
+    # reflected HyperDual method instead of looping over the array.
+    __array_ufunc__ = None
 
     def __init__(self, value, d1, d2, d12):
         self.value = value
@@ -118,7 +139,11 @@ class HyperDual:
     def _reciprocal(self):
         v = self.value
         iv = 1.0 / v
-        return _unary(self, iv, -iv * iv, 2.0 * iv * iv * iv)
+        return self._chain(iv, -iv * iv, 2.0 * iv * iv * iv)
+
+    def _chain(self, f, fp, fpp):
+        """Chain rule for a scalar primitive with value f and derivatives fp, fpp."""
+        return HyperDual(f, fp * self.d1, fp * self.d2, fp * self.d12 + fpp * (self.d1 * self.d2))
 
     def __pow__(self, p):
         return power(self, p)
@@ -148,62 +173,170 @@ class HyperDual:
         return f"HyperDual({self.value!r}, d1={self.d1!r}, d2={self.d2!r}, d12={self.d12!r})"
 
 
+class Dual(HyperDual):
+    """First-order number: a value and one slot of directional derivatives.
+
+    The hyper-dual number whose second-direction and mixed slots are
+    identically zero, stored without them; first-order sweeps seed these.
+    Arithmetic with any hyper-dual operand keeps only the first slot, which
+    is exact to first order.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, value, d1):
+        self.value = value
+        self.d1 = d1
+
+    def __add__(self, other):
+        if isinstance(other, HyperDual):
+            return Dual(self.value + other.value, self.d1 + other.d1)
+        return Dual(self.value + other, self.d1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, HyperDual):
+            return Dual(self.value - other.value, self.d1 - other.d1)
+        return Dual(self.value - other, self.d1)
+
+    def __rsub__(self, other):
+        if isinstance(other, HyperDual):
+            return Dual(other.value - self.value, other.d1 - self.d1)
+        return Dual(other - self.value, -self.d1)
+
+    def __neg__(self):
+        return Dual(-self.value, -self.d1)
+
+    def __mul__(self, other):
+        if isinstance(other, HyperDual):
+            return Dual(self.value * other.value, self.value * other.d1 + self.d1 * other.value)
+        return Dual(self.value * other, self.d1 * other)
+
+    __rmul__ = __mul__
+
+    def _chain(self, f, fp, fpp):
+        return Dual(f, fp * self.d1)
+
+    def __repr__(self):
+        return f"Dual({self.value!r}, d1={self.d1!r})"
+
+
 def _val(x):
     return x.value if isinstance(x, HyperDual) else x
 
 
-def _unary(x: HyperDual, f: float, fp: float, fpp: float) -> HyperDual:
-    """Chain rule for a scalar primitive with derivatives fp, fpp at x.value."""
-    return HyperDual(f, fp * x.d1, fp * x.d2, fp * x.d12 + fpp * (x.d1 * x.d2))
+def _elementwise(fn, nin: int = 1):
+    """The float function ``fn`` over arrays, applied element by element.
+
+    numpy's own tan, arctan, exp, log, log1p and arctan2 differ from math's
+    in the last bit on a few percent of inputs.  Taking math's on every
+    element keeps a block of stages bitwise equal to the same stages
+    evaluated one at a time, so blocking cannot change a solver's path.
+    """
+    ufunc = np.frompyfunc(fn, nin, 1)
+    return lambda *args: ufunc(*args).astype(float)
+
+
+_SIN, _COS, _TAN, _ATAN, _EXP, _LOG, _SQRT = (
+    _elementwise(fn)
+    for fn in (math.sin, math.cos, math.tan, math.atan, math.exp, math.log, math.sqrt)
+)
+_ATAN2 = _elementwise(math.atan2, 2)
+_POW = _elementwise(operator.pow, 2)
+
+
+# Type of the values of a block; compared by identity, which is cheaper
+# than isinstance on the hot plain-float path.
+_ARRAY = np.ndarray
+
+
+def anywhere(cond) -> bool:
+    """Whether a comparison of model values holds, at any point of a block.
+
+    Model branches on values go through this so they accept the boolean
+    arrays that comparisons yield when a block of points is evaluated.
+    """
+    return bool(cond.any()) if type(cond) is _ARRAY else cond
 
 
 # -- primitives ------------------------------------------------------------
+#
+# Each primitive takes math's function on a float and its element-by-element
+# form on an array, whether the argument is a plain value or the value of
+# a hyper-dual number.  Plain floats, the order-0 passes, are tested first.
 
 
 def sin(x):
+    if type(x) is float:
+        return math.sin(x)
     if isinstance(x, HyperDual):
-        s, c = math.sin(x.value), math.cos(x.value)
-        return _unary(x, s, c, -s)
-    return math.sin(x)
+        v = x.value
+        s, c = (_SIN(v), _COS(v)) if type(v) is _ARRAY else (math.sin(v), math.cos(v))
+        return x._chain(s, c, -s)
+    return _SIN(x) if type(x) is _ARRAY else math.sin(x)
 
 
 def cos(x):
+    if type(x) is float:
+        return math.cos(x)
     if isinstance(x, HyperDual):
-        s, c = math.sin(x.value), math.cos(x.value)
-        return _unary(x, c, -s, -c)
-    return math.cos(x)
+        v = x.value
+        s, c = (_SIN(v), _COS(v)) if type(v) is _ARRAY else (math.sin(v), math.cos(v))
+        return x._chain(c, -s, -c)
+    return _COS(x) if type(x) is _ARRAY else math.cos(x)
 
 
 def tan(x):
+    if type(x) is float:
+        return math.tan(x)
     if isinstance(x, HyperDual):
-        t = math.tan(x.value)
+        v = x.value
+        t = _TAN(v) if type(v) is _ARRAY else math.tan(v)
         fp = 1.0 + t * t
-        return _unary(x, t, fp, 2.0 * t * fp)
-    return math.tan(x)
+        return x._chain(t, fp, 2.0 * t * fp)
+    return _TAN(x) if type(x) is _ARRAY else math.tan(x)
 
 
 def arctan(x):
+    if type(x) is float:
+        return math.atan(x)
     if isinstance(x, HyperDual):
         v = x.value
         fp = 1.0 / (1.0 + v * v)
-        return _unary(x, math.atan(v), fp, -2.0 * v * fp * fp)
-    return math.atan(x)
+        f = _ATAN(v) if type(v) is _ARRAY else math.atan(v)
+        return x._chain(f, fp, -2.0 * v * fp * fp)
+    return _ATAN(x) if type(x) is _ARRAY else math.atan(x)
 
 
 def arctan2(y, x):
     """Two-argument arctangent, differentiable away from the origin."""
-    yv, xv = _val(y), _val(x)
-    if yv == 0.0 and xv == 0.0:
-        raise DomainError("arctan2", (yv, xv))
-    if not isinstance(y, HyperDual) and not isinstance(x, HyperDual):
+    if type(y) is float and type(x) is float:
+        if y == 0.0 and x == 0.0:
+            raise DomainError("arctan2", (y, x))
         return math.atan2(y, x)
+    yv, xv = _val(y), _val(x)
+    if type(yv) is _ARRAY or type(xv) is _ARRAY:
+        if np.any((yv == 0.0) & (xv == 0.0)):
+            raise DomainError("arctan2", (yv, xv))
+        value = _ATAN2(yv, xv)
+    else:
+        if yv == 0.0 and xv == 0.0:
+            raise DomainError("arctan2", (yv, xv))
+        value = math.atan2(yv, xv)
+    if not isinstance(y, HyperDual) and not isinstance(x, HyperDual):
+        return value
+    r2 = xv * xv + yv * yv
+    gy = xv / r2
+    gx = -yv / r2
+    if isinstance(y, Dual) or isinstance(x, Dual):
+        yd1 = y.d1 if isinstance(y, HyperDual) else 0.0
+        xd1 = x.d1 if isinstance(x, HyperDual) else 0.0
+        return Dual(value, gy * yd1 + gx * xd1)
     k = y.d1.shape if isinstance(y, HyperDual) else x.d1.shape
     zeros = np.zeros(k)
     yd = y if isinstance(y, HyperDual) else HyperDual(yv, zeros, zeros, zeros)
     xd = x if isinstance(x, HyperDual) else HyperDual(xv, zeros, zeros, zeros)
-    r2 = xv * xv + yv * yv
-    gy = xv / r2
-    gx = -yv / r2
     r4 = r2 * r2
     hyy = -2.0 * xv * yv / r4
     hxx = 2.0 * xv * yv / r4
@@ -217,37 +350,43 @@ def arctan2(y, x):
         + hyx * (yd.d1 * xd.d2 + xd.d1 * yd.d2)
         + hxx * xd.d1 * xd.d2
     )
-    return HyperDual(math.atan2(yv, xv), d1, d2, d12)
+    return HyperDual(value, d1, d2, d12)
 
 
 def exp(x):
+    if type(x) is float:
+        return math.exp(x)
     if isinstance(x, HyperDual):
-        e = math.exp(x.value)
-        return _unary(x, e, e, e)
-    return math.exp(x)
+        v = x.value
+        e = _EXP(v) if type(v) is _ARRAY else math.exp(v)
+        return x._chain(e, e, e)
+    return _EXP(x) if type(x) is _ARRAY else math.exp(x)
 
 
 def log(x):
     v = _val(x)
-    if v <= 0.0:
+    if anywhere(v <= 0.0):
         raise DomainError("log", v)
+    f = _LOG(v) if type(v) is _ARRAY else math.log(v)
     if isinstance(x, HyperDual):
         iv = 1.0 / v
-        return _unary(x, math.log(v), iv, -iv * iv)
-    return math.log(x)
+        return x._chain(f, iv, -iv * iv)
+    return f
 
 
 def sqrt(x):
     v = _val(x)
-    if v < 0.0:
+    if anywhere(v < 0.0):
         raise DomainError("sqrt", v)
+    r = _SQRT(v) if type(v) is _ARRAY else math.sqrt(v)
     if isinstance(x, HyperDual):
-        r = math.sqrt(v)
-        return _unary(x, r, 0.5 / r, -0.25 / (r * v))
-    return math.sqrt(x)
+        return x._chain(r, 0.5 / r, -0.25 / (r * v))
+    return r
 
 
-def _sigmoid_value(v: float) -> float:
+def _sigmoid_value(v):
+    if type(v) is _ARRAY:
+        return _SIGMOID(v)
     if v >= 0.0:
         return 1.0 / (1.0 + math.exp(-v))
     e = math.exp(v)
@@ -258,14 +397,21 @@ def sigmoid(x):
     if isinstance(x, HyperDual):
         s = _sigmoid_value(x.value)
         fp = s * (1.0 - s)
-        return _unary(x, s, fp, fp * (1.0 - 2.0 * s))
+        return x._chain(s, fp, fp * (1.0 - 2.0 * s))
     return _sigmoid_value(x)
 
 
-def _softplus_value(v: float) -> float:
+def _softplus_value(v):
+    if type(v) is _ARRAY:
+        return _SOFTPLUS(v)
     if v > 0.0:
         return v + math.log1p(math.exp(-v))
     return math.log1p(math.exp(v))
+
+
+# the elements are floats, so these take the branches above
+_SIGMOID = _elementwise(_sigmoid_value)
+_SOFTPLUS = _elementwise(_softplus_value)
 
 
 def smoothmax(x, sharpness: float = 0.01):
@@ -279,7 +425,7 @@ def smoothmax(x, sharpness: float = 0.01):
     if isinstance(x, HyperDual):
         z = x.value / sharpness
         s = _sigmoid_value(z)
-        return _unary(x, sharpness * _softplus_value(z), s, s * (1.0 - s) / sharpness)
+        return x._chain(sharpness * _softplus_value(z), s, s * (1.0 - s) / sharpness)
     return sharpness * _softplus_value(x / sharpness)
 
 
@@ -287,15 +433,16 @@ def power(x, p):
     """x**p for a constant real exponent p."""
     if isinstance(p, HyperDual):
         raise UnsupportedPrimitiveError("power supports constant exponents only")
+    v = _val(x)
+    pw = _POW if type(v) is _ARRAY else operator.pow
     if not isinstance(x, HyperDual):
-        return x**p
-    v = x.value
-    if v < 0.0 and p != round(p):
+        return pw(x, p)
+    if p != round(p) and anywhere(v < 0.0):
         raise DomainError("power", v)
-    f = v**p
-    fp = p * v ** (p - 1) if p != 0 else 0.0
-    fpp = p * (p - 1) * v ** (p - 2) if p not in (0, 1) else 0.0
-    return _unary(x, f, fp, fpp)
+    f = pw(v, p)
+    fp = p * pw(v, p - 1) if p != 0 else 0.0
+    fpp = p * (p - 1) * pw(v, p - 2) if p not in (0, 1) else 0.0
+    return x._chain(f, fp, fpp)
 
 
 # -- derivative extraction --------------------------------------------------
@@ -319,27 +466,47 @@ class DerivativeRequest:
             raise ParameterError("a contraction vector requires order 2")
 
 
-def _seed_first_order(z: np.ndarray) -> list[HyperDual]:
-    m = z.size
-    eye = np.eye(m)
-    zeros = np.zeros(m)
-    return [HyperDual(float(z[a]), eye[a], zeros, zeros) for a in range(m)]
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
-def _pair_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
+# Seeds depend only on the input size; the cached arrays are read-only
+# because every seeded input of every sweep shares their rows.
+@lru_cache(maxsize=64)
+def _first_order_seeds(m: int) -> np.ndarray:
+    return _read_only(np.eye(m))[0]
+
+
+@lru_cache(maxsize=64)
+def _second_order_seeds(m: int):
+    """(d1 rows, d2 rows, zero slot, pi, pj) over the m(m+1)/2 pairs i <= j."""
     pi, pj = np.triu_indices(m)
-    return pi, pj
+    rows = np.arange(m)[:, None]
+    d1 = (pi[None, :] == rows).astype(float)
+    d2 = (pj[None, :] == rows).astype(float)
+    return _read_only(d1, d2, np.zeros(pi.size), pi, pj)
 
 
-def _seed_second_order(z: np.ndarray) -> tuple[list[HyperDual], np.ndarray, np.ndarray]:
-    m = z.size
-    pi, pj = _pair_indices(m)
-    k = pi.size
-    d1 = (pi[None, :] == np.arange(m)[:, None]).astype(float)
-    d2 = (pj[None, :] == np.arange(m)[:, None]).astype(float)
-    zeros = np.zeros(k)
-    inputs = [HyperDual(float(z[a]), d1[a], d2[a], zeros) for a in range(m)]
+def _values(zs: np.ndarray) -> list:
+    """Input values of one sweep: floats at one point, (B, 1) columns at B > 1."""
+    if zs.shape[0] == 1:
+        return zs[0].tolist()
+    return list(zs.T[:, :, None])
+
+
+def _second_order_inputs(zs: np.ndarray) -> tuple[list[HyperDual], np.ndarray, np.ndarray]:
+    d1, d2, zeros, pi, pj = _second_order_seeds(zs.shape[1])
+    inputs = [HyperDual(v, d1[a], d2[a], zeros) for a, v in enumerate(_values(zs))]
     return inputs, pi, pj
+
+
+def _points(zs) -> np.ndarray:
+    zs = np.asarray(zs, dtype=float)
+    if zs.ndim != 2 or zs.shape[0] < 1:
+        raise ParameterError(f"a block of points must have shape (B, m), got {zs.shape}")
+    return zs
 
 
 def _as_output_list(out) -> list:
@@ -348,16 +515,52 @@ def _as_output_list(out) -> list:
     return [out]
 
 
+def block_jacobian(g, zs) -> np.ndarray:
+    """Jacobians of ``g`` at each row of ``zs`` (B, m), shape (B, n, m).
+
+    One first-order sweep evaluates ``g`` once on the whole block.
+    """
+    zs = _points(zs)
+    b, m = zs.shape
+    seeds = _first_order_seeds(m)
+    out = _as_output_list(g([Dual(v, seeds[a]) for a, v in enumerate(_values(zs))]))
+    jac = np.zeros((b, len(out), m))
+    for i, o in enumerate(out):
+        if isinstance(o, HyperDual):
+            jac[:, i] = o.d1
+    return jac
+
+
+def block_value_gradient_hessian(g, zs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values (B,), gradients (B, m) and Hessians (B, m, m) of scalar ``g`` at each row of ``zs``.
+
+    One second-order sweep over the m(m+1)/2 direction pairs evaluates
+    ``g`` once on the whole block.
+    """
+    zs = _points(zs)
+    b, m = zs.shape
+    inputs, pi, pj = _second_order_inputs(zs)
+    out = g(inputs)
+    values = np.empty(b)
+    grad = np.zeros((b, m))
+    hess = np.zeros((b, m, m))
+    if not isinstance(out, HyperDual):
+        values[:] = out
+        return values, grad, hess
+    values[:] = np.ravel(out.value)
+    hess[:, pi, pj] = out.d12
+    hess[:, pj, pi] = out.d12
+    grad[:, pi[pi == pj]] = out.d1[..., pi == pj]
+    return values, grad, hess
+
+
 def jacobian(g, z) -> np.ndarray:
     """Exact Jacobian of ``g`` at ``z`` via one batched forward sweep.
 
     ``g`` maps a sequence of m scalars to a scalar or a sequence of n
     scalars; the result has shape (n, m).
     """
-    z = np.asarray(z, dtype=float).ravel()
-    out = _as_output_list(g(_seed_first_order(z)))
-    rows = [o.d1 if isinstance(o, HyperDual) else np.zeros(z.size) for o in out]
-    return np.array(rows, dtype=float)
+    return block_jacobian(g, np.asarray(z, dtype=float).reshape(1, -1))[0]
 
 
 def gradient(g, z) -> np.ndarray:
@@ -367,19 +570,8 @@ def gradient(g, z) -> np.ndarray:
 
 def value_gradient_hessian(g, z) -> tuple[float, np.ndarray, np.ndarray]:
     """Value, gradient and symmetric Hessian of scalar ``g`` in one sweep batch."""
-    z = np.asarray(z, dtype=float).ravel()
-    m = z.size
-    inputs, pi, pj = _seed_second_order(z)
-    out = g(inputs)
-    if not isinstance(out, HyperDual):
-        return float(out), np.zeros(m), np.zeros((m, m))
-    hess = np.zeros((m, m))
-    hess[pi, pj] = out.d12
-    hess[pj, pi] = out.d12
-    grad = np.zeros(m)
-    diag = pi == pj
-    grad[pi[diag]] = out.d1[diag]
-    return out.value, grad, hess
+    values, grad, hess = block_value_gradient_hessian(g, np.asarray(z, dtype=float).reshape(1, -1))
+    return float(values[0]), grad[0], hess[0]
 
 
 def hessian(g, z) -> np.ndarray:
@@ -389,9 +581,9 @@ def hessian(g, z) -> np.ndarray:
 
 def vector_hessian(f, z) -> np.ndarray:
     """Per-output Hessians of ``f`` at ``z``, shape (n, m, m)."""
-    z = np.asarray(z, dtype=float).ravel()
-    m = z.size
-    inputs, pi, pj = _seed_second_order(z)
+    z = np.asarray(z, dtype=float).reshape(1, -1)
+    m = z.shape[1]
+    inputs, pi, pj = _second_order_inputs(z)
     out = _as_output_list(f(inputs))
     hess = np.zeros((len(out), m, m))
     for i, o in enumerate(out):
@@ -408,12 +600,12 @@ def lambda_hessian(f, z, lam) -> np.ndarray:
     the output dimension of ``f``; the full second-derivative tensor of
     ``f`` is never materialized.
     """
-    z = np.asarray(z, dtype=float).ravel()
+    z = np.asarray(z, dtype=float).reshape(1, -1)
     lam = np.asarray(lam, dtype=float).ravel()
     if not np.all(np.isfinite(lam)):
         raise ParameterError("contraction vector must be finite")
-    m = z.size
-    inputs, pi, pj = _seed_second_order(z)
+    m = z.shape[1]
+    inputs, pi, pj = _second_order_inputs(z)
     out = _as_output_list(f(inputs))
     if len(out) != lam.size:
         raise ParameterError(

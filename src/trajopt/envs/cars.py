@@ -88,8 +88,8 @@ def simple_car_dynamics(x, u, p: SimpleCarParams | None = None):
     p = p or _SIMPLE
     theta, v = x[2], x[3]
     accel, steer = u[0], u[1]
-    steer_val = steer.value if isinstance(steer, ad.HyperDual) else float(steer)
-    if abs(steer_val) >= math.pi / 2:
+    steer_val = steer.value if isinstance(steer, ad.HyperDual) else steer
+    if ad.anywhere(abs(steer_val) >= math.pi / 2):
         raise DomainError("tan", steer_val)
     return [
         v * ad.cos(theta),
@@ -108,8 +108,8 @@ def bicycle_dynamics(x, u, p: BicycleParams | None = None):
     p = p or _BICYCLE
     theta, vx, vy, omega = x[2], x[3], x[4], x[5]
     accel, steer = u[0], u[1]
-    vx_val = vx.value if isinstance(vx, ad.HyperDual) else float(vx)
-    if vx_val <= 0.0:
+    vx_val = vx.value if isinstance(vx, ad.HyperDual) else vx
+    if ad.anywhere(vx_val <= 0.0):
         raise DomainError("arctan2", f"longitudinal speed must stay positive, got {vx_val}")
 
     f_rx = (p.c_m1 - p.c_m2 * vx) * accel - p.c_r0 - p.c_rd * vx * vx

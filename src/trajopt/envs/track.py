@@ -123,19 +123,29 @@ def bundled_track(name: str) -> Track:
         raise ShapeError(f"no bundled track named {name!r}") from None
 
 
-def _segment(track: Track, s) -> tuple[int, object]:
-    s_val = s.value if isinstance(s, ad.HyperDual) else float(s)
+def _segment(track: Track, s) -> tuple:
+    """Segment index of s and the local parameter; an index array for a block of s."""
+    s_val = s.value if isinstance(s, ad.HyperDual) else s
+    if isinstance(s_val, np.ndarray):
+        idx = np.clip(np.floor(s_val), 0, track.knots - 2).astype(int)
+        return idx, s - idx
     idx = min(max(int(math.floor(s_val)), 0), track.knots - 2)
     return idx, s - float(idx)
 
 
-def _cubic(coeffs, idx: int, local):
-    c0, c1, c2, c3 = (float(coeffs[k, idx]) for k in range(4))
+def _coeffs(coeffs, idx, n: int) -> list:
+    """The n leading cubic coefficients of segment idx: floats, or arrays for an index array."""
+    c = coeffs[:n, idx]
+    return list(c) if isinstance(idx, np.ndarray) else c.tolist()
+
+
+def _cubic(coeffs, idx, local):
+    c0, c1, c2, c3 = _coeffs(coeffs, idx, 4)
     return ((c0 * local + c1) * local + c2) * local + c3
 
 
-def _cubic_deriv(coeffs, idx: int, local):
-    c0, c1, c2 = (float(coeffs[k, idx]) for k in range(3))
+def _cubic_deriv(coeffs, idx, local):
+    c0, c1, c2 = _coeffs(coeffs, idx, 3)
     return (3.0 * c0 * local + 2.0 * c1) * local + c2
 
 

@@ -27,6 +27,7 @@ from .oracles import (
     ORACLE_ROLLS_ORIGINAL,
     ExpansionBundle,
     bundle_gradient,
+    checked_controls,
     forward,
     objective_value,
     rollout,
@@ -284,6 +285,7 @@ def solve(
     Row 0 of the returned trace records the initial point; each further row
     one accepted step.  Costs are non-increasing across rows.  Divergence
     of an accepted iterate re-raises with the partial trace attached.
+    ``u0`` must be a finite (horizon, n_u) array, else :class:`ShapeError`.
     """
     if kind not in ORACLE_KINDS:
         raise ParameterError(f"unknown oracle kind {kind!r}; expected one of {ORACLE_KINDS}")
@@ -293,7 +295,7 @@ def solve(
     rolls_original = ORACLE_ROLLS_ORIGINAL[kind]
     backward_kind = kind
 
-    u = np.asarray(u0, dtype=float).reshape(problem.horizon, problem.n_u).copy()
+    u = checked_controls(problem, u0, "u0").copy()
     trace = SolveTrace()
 
     def _forward_timed(controls):

@@ -24,7 +24,7 @@ from .core import (
     TrajectoryProblem,
     finite_difference_dynamic,
 )
-from .errors import DivergenceError, InfeasibleStageError, ParameterError
+from .errors import DivergenceError, InfeasibleStageError, ParameterError, ShapeError
 from .lqsolve import LqStageProblem, check_subproblem, lbp, lqbp
 
 __all__ = [
@@ -57,6 +57,15 @@ ORACLE_ORDERS = {
 # original dynamics instead of the linearized ones.
 ORACLE_BACKWARD = {"gd": "gd", "gn": "gn", "ne": "ne", "ddp-lq": "gn", "ddp-q": "ddp-q"}
 ORACLE_ROLLS_ORIGINAL = {"gd": False, "gn": False, "ne": False, "ddp-lq": True, "ddp-q": True}
+
+# Direction slots one blocked derivative sweep carries in total: a block
+# holds at most max(1, SLOT_BUDGET // k) stages of k slots each.  Longer
+# blocks run faster but hold larger temporaries.  On the bicycle-car racing
+# cell (11 inputs: cost Hessians over 66 slots, dynamics Jacobians over 11),
+# one ddp-lq oracle call peaked at 285 KiB of traced memory with 264 (cost
+# blocks of 4 stages, dynamics blocks of 24) and at 304 KiB with 330 (cost
+# blocks of 5), against 303 KiB for stage-by-stage sweeps.
+SLOT_BUDGET = 264
 
 
 @dataclass(frozen=True)
@@ -140,66 +149,39 @@ def _scalars(vec: np.ndarray) -> list:
     return [float(v) for v in vec]
 
 
+def checked_controls(problem: TrajectoryProblem, u, name: str) -> np.ndarray:
+    """Controls given to a public entry point as a finite (horizon, n_u) array.
+
+    Runs before any model, so bad input is named here instead of failing
+    inside a cost or dynamics evaluation.
+    """
+    u = np.asarray(u, dtype=float)
+    shape = (problem.horizon, problem.n_u)
+    if u.size != shape[0] * shape[1]:
+        raise ShapeError(f"{name} has shape {u.shape}, expected {shape}")
+    u = u.reshape(shape)
+    finite = np.isfinite(u).all(axis=1)
+    if not finite.all():
+        raise ShapeError(f"{name} must be finite; step t={int(np.argmin(finite))} is not")
+    return u
+
+
 def objective_value(problem: TrajectoryProblem, u: np.ndarray) -> float:
     """Total cost of rolling controls u through the problem (order-0 forward)."""
     return forward(problem, u, o_f=0, o_h=0).cost
 
 
-def forward(problem: TrajectoryProblem, u, o_f: int = 1, o_h: int = 2) -> ExpansionBundle:
-    """Roll the trajectory for controls ``u`` and record expansions.
-
-    ``u`` has shape (horizon, n_u).  Raises :class:`DivergenceError` when a
-    state or cost turns non-finite, carrying the offending step.
-    """
-    autodiff.DerivativeRequest(o_f)
-    autodiff.DerivativeRequest(o_h)
-    tau, n_x, n_u = problem.horizon, problem.n_x, problem.n_u
-    u = np.asarray(u, dtype=float).reshape(tau, n_u)
-
+def _roll(problem: TrajectoryProblem, u: np.ndarray) -> tuple[list, list, float]:
+    """States, step costs (final cost last) and total cost, on plain floats."""
     xs = [problem.x0.copy()]
     step_costs = []
-    lin = [] if o_f >= 1 else None
-    cost_p = [] if o_h >= 1 else None
-    cost_q = [] if o_h >= 1 else None
-    cost_quads = [] if o_h == 2 else None
-    handles = [] if o_f == 2 else None
-
     total = 0.0
     x = xs[0]
-    for t in range(tau):
-        f, h = problem.dynamics[t], problem.running_costs[t]
-        xu = np.concatenate([x, u[t]])
+    for t in range(problem.horizon):
         x_list, u_list = _scalars(x), _scalars(u[t])
         try:
-            if o_h == 2:
-                joint_h = lambda z, h=h: h(z[:n_x], z[n_x:])
-                h_val, grad, hess = autodiff.value_gradient_hessian(joint_h, xu)
-                cost_quads.append(
-                    QuadraticCostModel(
-                        hess[:n_x, :n_x], hess[n_x:, n_x:], hess[:n_x, n_x:],
-                        grad[:n_x], grad[n_x:],
-                    )
-                )
-                cost_p.append(grad[:n_x])
-                cost_q.append(grad[n_x:])
-            elif o_h == 1:
-                joint_h = lambda z, h=h: h(z[:n_x], z[n_x:])
-                jac = autodiff.jacobian(joint_h, xu)[0]
-                h_val = float(h(x_list, u_list))
-                cost_p.append(jac[:n_x])
-                cost_q.append(jac[n_x:])
-            else:
-                h_val = float(h(x_list, u_list))
-
-            if o_f >= 1:
-                joint_f = lambda z, f=f: f(z[:n_x], z[n_x:])
-                jac_f = autodiff.jacobian(joint_f, xu)
-                lin.append(LinearMap(jac_f[:, :n_x], jac_f[:, n_x:]))
-                if o_f == 2:
-                    handles.append(
-                        lambda lam, f=joint_f, z=xu: autodiff.lambda_hessian(f, z, lam)
-                    )
-            x_next = np.asarray(f(x_list, u_list), dtype=float).ravel()
+            h_val = float(problem.running_costs[t](x_list, u_list))
+            x_next = np.asarray(problem.dynamics[t](x_list, u_list), dtype=float).ravel()
         except ArithmeticError as err:
             raise DivergenceError(t, f"model evaluation failed at t={t}: {err}") from err
         if not (math.isfinite(h_val) and np.all(np.isfinite(x_next))):
@@ -208,39 +190,146 @@ def forward(problem: TrajectoryProblem, u, o_f: int = 1, o_h: int = 2) -> Expans
         total += h_val
         xs.append(x_next)
         x = x_next
-
-    final_slope = final_quad = None
+    tau = problem.horizon
     try:
-        if o_h == 2:
-            h_val, final_slope, final_quad = autodiff.value_gradient_hessian(
-                problem.final_cost, x
-            )
-        elif o_h == 1:
-            final_slope = autodiff.gradient(problem.final_cost, x)
-            h_val = float(problem.final_cost(_scalars(x)))
-        else:
-            h_val = float(problem.final_cost(_scalars(x)))
+        h_val = float(problem.final_cost(_scalars(x)))
     except ArithmeticError as err:
         raise DivergenceError(tau, f"final cost evaluation failed: {err}") from err
     if not math.isfinite(h_val):
         raise DivergenceError(tau)
-    total += h_val
+    step_costs.append(h_val)
+    return xs, step_costs, total + h_val
 
+
+def _joint(fn, n_x: int):
+    """A stage model (x, u) -> ... as a function of the joint point z = (x, u)."""
+    return lambda z: fn(z[:n_x], z[n_x:])
+
+
+def _jacobian_sweep(g, zs):
+    return (autodiff.block_jacobian(g, zs),)
+
+
+def _expand(sweep, fns, zs: np.ndarray, n_x: int, slots: int) -> tuple:
+    """Results of ``sweep`` at every stage's point, stacked over the stages.
+
+    A block is a run of consecutive stages that share one callable, at most
+    max(1, SLOT_BUDGET // slots) long; ``sweep`` evaluates it once on all
+    of the block's points.  A block of one stage runs on plain floats.
+    """
+    cap = max(1, SLOT_BUDGET // slots)
+    results = None
+    start = 0
+    while start < len(fns):
+        fn = fns[start]
+        stop = start + 1
+        while stop < len(fns) and stop - start < cap and fns[stop] is fn:
+            stop += 1
+        try:
+            parts = sweep(_joint(fn, n_x), zs[start:stop])
+        except ArithmeticError as err:
+            raise DivergenceError(
+                start, f"model differentiation failed in steps {start}..{stop - 1}: {err}"
+            ) from err
+        if results is None:
+            results = tuple(np.empty((len(fns),) + p.shape[1:]) for p in parts)
+        for out, part in zip(results, parts):
+            out[start:stop] = part
+        start = stop
+    return results
+
+
+def _finite_rows(stack: np.ndarray) -> np.ndarray:
+    """Per stage of a stacked derivative: whether all its entries are finite."""
+    return np.isfinite(stack.reshape(stack.shape[0], -1)).all(axis=1)
+
+
+def _expansions(problem: TrajectoryProblem, xs: list, u: np.ndarray, o_f: int, o_h: int) -> dict:
+    """Bundle fields holding the derivatives at the visited points.
+
+    Raises :class:`DivergenceError` at the first stage whose derivatives
+    are not finite; stage ``horizon`` is the final cost.
+    """
+    tau, n_x = problem.horizon, problem.n_x
+    m = n_x + problem.n_u
+    zs = np.hstack([np.array(xs[:-1]), u])
+    ok = np.ones(tau + 1, dtype=bool)
+    if o_f >= 1:
+        (jac,) = _expand(_jacobian_sweep, problem.dynamics, zs, n_x, m)
+        ok[:tau] &= _finite_rows(jac)
+    if o_h == 2:
+        _, grad, hess = _expand(
+            autodiff.block_value_gradient_hessian, problem.running_costs, zs, n_x,
+            m * (m + 1) // 2,
+        )
+        ok[:tau] &= _finite_rows(grad) & _finite_rows(hess)
+    elif o_h == 1:
+        (cost_jac,) = _expand(_jacobian_sweep, problem.running_costs, zs, n_x, m)
+        grad = cost_jac[:, 0]
+        ok[:tau] &= _finite_rows(grad)
+    try:
+        if o_h == 2:
+            _, final_slope, final_quad = autodiff.value_gradient_hessian(
+                problem.final_cost, xs[-1]
+            )
+            ok[tau] = np.isfinite(final_slope).all() and np.isfinite(final_quad).all()
+        elif o_h == 1:
+            final_slope = autodiff.gradient(problem.final_cost, xs[-1])
+            ok[tau] = np.isfinite(final_slope).all()
+    except ArithmeticError as err:
+        raise DivergenceError(tau, f"final cost differentiation failed: {err}") from err
+    if not ok.all():
+        t = int(np.argmin(ok))
+        raise DivergenceError(t, f"non-finite derivative at t={t}")
+
+    fields = {}
+    if o_f >= 1:
+        fields["lin"] = tuple(LinearMap(j[:, :n_x], j[:, n_x:]) for j in jac)
+    if o_f == 2:
+        fields["f_handles"] = tuple(
+            lambda lam, f=_joint(f, n_x), z=z: autodiff.lambda_hessian(f, z, lam)
+            for f, z in zip(problem.dynamics, zs)
+        )
+    if o_h >= 1:
+        fields["cost_p"] = tuple(grad[:, :n_x])
+        fields["cost_q"] = tuple(grad[:, n_x:])
+        fields["final_slope"] = final_slope
+    if o_h == 2:
+        fields["cost_quads"] = tuple(
+            QuadraticCostModel(h[:n_x, :n_x], h[n_x:, n_x:], h[:n_x, n_x:], g[:n_x], g[n_x:])
+            for g, h in zip(grad, hess)
+        )
+        fields["final_quad"] = final_quad
+    return fields
+
+
+def forward(problem: TrajectoryProblem, u, o_f: int = 1, o_h: int = 2) -> ExpansionBundle:
+    """Roll the trajectory for controls ``u`` and record expansions.
+
+    ``u`` has shape (horizon, n_u).  The states and costs come from one
+    sequential pass on plain floats.  The expansions at the visited points
+    are independent of each other and are taken block by block (see
+    :func:`_expand`).  Raises :class:`DivergenceError` when a state, cost
+    or derivative turns non-finite, carrying the offending step.
+    """
+    autodiff.DerivativeRequest(o_f)
+    autodiff.DerivativeRequest(o_h)
+    u = np.asarray(u, dtype=float).reshape(problem.horizon, problem.n_u)
+    xs, step_costs, total = _roll(problem, u)
+    fields = {}
+    if o_f or o_h:
+        # overflow shows as a non-finite derivative, which _expansions reports
+        with np.errstate(all="ignore"):
+            fields = _expansions(problem, xs, u, o_f, o_h)
     return ExpansionBundle(
         problem=problem,
         u=u,
         xs=tuple(xs),
-        step_costs=tuple(step_costs) + (h_val,),
+        step_costs=tuple(step_costs),
         cost=total,
         o_f=o_f,
         o_h=o_h,
-        lin=tuple(lin) if lin is not None else None,
-        cost_p=tuple(cost_p) if cost_p is not None else None,
-        cost_q=tuple(cost_q) if cost_q is not None else None,
-        cost_quads=tuple(cost_quads) if cost_quads is not None else None,
-        final_slope=final_slope,
-        final_quad=final_quad,
-        f_handles=tuple(handles) if handles is not None else None,
+        **fields,
     )
 
 
@@ -400,10 +489,12 @@ def oracle(
 
     The gradient oracle's constant policies make its roll-out a no-op, so
     by default it returns the stacked offsets directly; ``gd_rollout``
-    forces the roll-out for equivalence testing.
+    forces the roll-out for equivalence testing.  ``u`` must be a finite
+    (horizon, n_u) array, else :class:`ShapeError`.
     """
     if kind not in ORACLE_KINDS:
         raise ParameterError(f"unknown oracle kind {kind!r}; expected one of {ORACLE_KINDS}")
+    u = checked_controls(problem, u, "u")
     o_f, o_h = ORACLE_ORDERS[kind]
     bundle = forward(problem, u, o_f=o_f, o_h=o_h)
     result = run_backward(bundle, kind, nu)

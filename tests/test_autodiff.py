@@ -156,6 +156,72 @@ class TestLambdaHessian:
         )
 
 
+class TestSeeds:
+    def test_jacobian_seeds_carry_only_the_first_slot(self):
+        seen = []
+        ad.jacobian(lambda z: seen.append(z[0]) or z[0] * z[1], [1.0, 2.0])
+        assert isinstance(seen[0], ad.Dual)
+        assert not hasattr(seen[0], "d2") and not hasattr(seen[0], "d12")
+
+    def test_second_order_seed_rows_are_shared_and_read_only(self):
+        seen = []
+        ad.hessian(lambda z: seen.append(z[0]) or z[0] * z[1], [1.0, 2.0])
+        ad.lambda_hessian(lambda z: seen.append(z[0]) or [z[0] * z[1]], [3.0, 4.0], [1.0])
+        assert np.shares_memory(seen[0].d1, seen[1].d1)
+        with pytest.raises(ValueError):
+            seen[0].d1[0] = 5.0
+
+    def test_mixed_orders_keep_the_first_slot(self):
+        a = ad.Dual(2.0, np.array([1.0, 0.0]))
+        b = ad.HyperDual(3.0, np.array([0.5, 1.0]), np.ones(2), np.ones(2))
+        for out, d1 in ((a * b, [4.0, 2.0]), (b * a, [4.0, 2.0]), (b - a, [-0.5, 1.0]),
+                        (a - b, [0.5, -1.0]), (b + a, [1.5, 1.0])):
+            assert isinstance(out, ad.Dual)
+            np.testing.assert_array_equal(out.d1, d1)
+
+
+BLOCK_MODELS = [
+    lambda z: ad.sin(z[0]) * ad.cos(z[1]) + ad.tan(z[0] * 0.3) * ad.arctan(z[1]),
+    lambda z: ad.exp(z[0]) * ad.log(2.0 + z[1]) + ad.sqrt(3.0 + z[0]) / (2.0 + z[1]),
+    lambda z: ad.sigmoid(40.0 * z[0]) + ad.smoothmax(z[0] - z[1], 0.05),
+    lambda z: ad.arctan2(z[0], 1.0 + z[1] * z[1]) + ad.power(1.5 + z[0], 2.5) * z[1],
+    lambda z: ad.arctan2(z[1], z[0] - 3.0) - ad.arctan2(0.5, 2.0 + z[0]),
+]
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("fn", BLOCK_MODELS)
+    def test_block_matches_point_by_point(self, fn, rng):
+        # both branches of sigmoid and softplus occur among the points; the
+        # block takes math's functions element by element, so it matches bitwise
+        zs = rng.uniform(-1.0, 1.0, (6, 2))
+        jac = ad.block_jacobian(lambda z: [fn(z), z[0] * z[1]], zs)
+        values, grad, hess = ad.block_value_gradient_hessian(fn, zs)
+        for b, z in enumerate(zs):
+            v, g, h = ad.value_gradient_hessian(fn, z)
+            assert values[b] == v
+            np.testing.assert_array_equal(grad[b], g)
+            np.testing.assert_array_equal(hess[b], h)
+            np.testing.assert_array_equal(jac[b], ad.jacobian(lambda zz: [fn(zz), zz[0] * zz[1]], z))
+
+    def test_one_row_block_runs_on_floats(self):
+        seen = []
+        ad.block_value_gradient_hessian(lambda z: seen.append(z[0].value) or z[0], [[0.5, 1.0]])
+        assert type(seen[0]) is float
+
+    def test_array_times_hyperdual_defers_to_hyperdual(self):
+        x = ad.HyperDual(np.array([[1.0], [2.0]]), np.ones(1), np.ones(1), np.zeros(1))
+        out = np.array([[3.0], [4.0]]) * x
+        assert isinstance(out, ad.HyperDual)
+        np.testing.assert_array_equal(out.d1, [[3.0], [4.0]])
+
+    def test_domain_check_covers_every_point(self):
+        with pytest.raises(DomainError):
+            ad.block_jacobian(lambda z: ad.log(z[0]), [[1.0], [-1.0], [2.0]])
+        with pytest.raises(DomainError):
+            ad.block_jacobian(lambda z: ad.arctan2(z[0], z[1]), [[1.0, 1.0], [0.0, 0.0]])
+
+
 class TestPrimitives:
     @pytest.mark.parametrize(
         "fn,point",

@@ -3,10 +3,15 @@
 import numpy as np
 import pytest
 
+from trajopt import autodiff
 from trajopt.core import AffinePolicy, LinearMap, TrajectoryProblem
 from trajopt.dense import dense_costates, dense_gauss_newton_matrix, dense_gradient, dense_hessian
-from trajopt.errors import DivergenceError, ParameterError
+from trajopt.envs import build_problem
+from trajopt.envs.build import _ALLOWED
+from trajopt.errors import DivergenceError, ParameterError, ShapeError
+from trajopt.linesearch import solve
 from trajopt.oracles import (
+    SLOT_BUDGET,
     backward_gd,
     backward_gn,
     bundle_gradient,
@@ -69,6 +74,126 @@ class TestForward:
         for t in range(3):
             x_next = problem.dynamics[t]([float(v) for v in bundle.xs[t]], list(u[t]))
             np.testing.assert_array_equal(bundle.xs[t + 1], np.asarray(x_next, dtype=float))
+
+
+def _plain_costs(problem, u):
+    """Step costs (final cost last) from plain floats, stage by stage."""
+    x, costs = [float(v) for v in problem.x0], []
+    for t in range(problem.horizon):
+        u_t = [float(v) for v in u[t]]
+        costs.append(float(problem.running_costs[t](x, u_t)))
+        x = [float(v) for v in problem.dynamics[t](x, u_t)]
+    return costs + [float(problem.final_cost(x))]
+
+
+def _assert_same(new, ref, what):
+    # bitwise: a block evaluates math's transcendentals element by element
+    np.testing.assert_array_equal(np.asarray(new), ref, err_msg=what)
+
+
+def assert_expansion_matches_per_stage(problem, u):
+    """Blocked forward expansions against per-stage autodiff sweeps."""
+    n_x = problem.n_x
+    b2 = forward(problem, u, o_f=1, o_h=2)
+    b1 = forward(problem, u, o_f=1, o_h=1)
+    expected_costs = _plain_costs(problem, u)
+    for bundle in (b1, b2):
+        assert list(bundle.step_costs) == expected_costs  # bitwise
+        assert bundle.cost == objective_value(problem, u)
+    for t in range(problem.horizon):
+        z = np.concatenate([b2.xs[t], u[t]])
+        f, h = problem.dynamics[t], problem.running_costs[t]
+        jac = autodiff.jacobian(lambda zz: f(zz[:n_x], zz[n_x:]), z)
+        _, grad, hess = autodiff.value_gradient_hessian(lambda zz: h(zz[:n_x], zz[n_x:]), z)
+        cost_jac = autodiff.jacobian(lambda zz: h(zz[:n_x], zz[n_x:]), z)[0]
+        where = f"t={t}"
+        for bundle in (b1, b2):
+            _assert_same(np.hstack([bundle.lin[t].A, bundle.lin[t].B]), jac, where)
+        quad = b2.cost_quads[t]
+        _assert_same(np.concatenate([b2.cost_p[t], b2.cost_q[t]]), grad, where)
+        _assert_same(np.concatenate([quad.p, quad.q]), grad, where)
+        full = np.block([[quad.H, quad.R], [quad.R.T, quad.Q]])
+        _assert_same(full, hess, where)
+        _assert_same(np.concatenate([b1.cost_p[t], b1.cost_q[t]]), cost_jac, where)
+
+
+ENV_SCHEMES = [(env, scheme) for env, schemes in _ALLOWED.items() for scheme in schemes]
+
+
+class TestBlockedExpansion:
+    @pytest.mark.parametrize("env,scheme", ENV_SCHEMES)
+    def test_matches_per_stage_sweeps(self, env, scheme):
+        horizon = 91
+        problem = build_problem(env, horizon, scheme)
+        m = problem.n_x + problem.n_u
+        for slots in (m, m * (m + 1) // 2):
+            cap = max(1, SLOT_BUDGET // slots)
+            assert cap == 1 or horizon % cap != 0  # a block is cut short at the end
+        u = 0.05 * np.random.default_rng(7).standard_normal((horizon, problem.n_u))
+        assert_expansion_matches_per_stage(problem, u)
+
+    def test_stages_with_their_own_callables(self, rng):
+        # every stage has its own models, so every block holds one stage
+        problem = random_smooth_problem(rng, 7, 3, 2)
+        assert_expansion_matches_per_stage(problem, rng.standard_normal((7, 2)) * 0.3)
+
+    def test_non_finite_derivative_at_a_finite_point_diverges(self):
+        problem = TrajectoryProblem(
+            dynamics=(lambda x, u: [1e10 * (1e300 * x[0]) + u[0]],),
+            running_costs=(lambda x, u: 0.0 * u[0],),
+            final_cost=lambda x: 0.5 * x[0] * x[0],
+            x0=[1e-300],
+            n_x=1,
+            n_u=1,
+        )
+        assert np.isfinite(objective_value(problem, [[0.0]]))
+        with pytest.raises(DivergenceError) as err:
+            forward(problem, [[0.0]], 1, 2)
+        assert err.value.t == 0
+        with pytest.raises(DivergenceError) as err:
+            solve(problem, [[0.0]], "gn")
+        assert err.value.t == 0
+        assert err.value.trace.status == "diverged"
+
+    def test_divergence_names_the_first_bad_stage_of_a_block(self):
+        # x_2 = sqrt(x_1) + u_1 lands on 0, where sqrt has an infinite slope
+        problem = TrajectoryProblem(
+            dynamics=(lambda x, u: [autodiff.sqrt(x[0]) + u[0]],) * 3,
+            running_costs=(lambda x, u: 0.0 * u[0],) * 3,
+            final_cost=lambda x: x[0],
+            x0=[4.0],
+            n_x=1,
+            n_u=1,
+        )
+        u = [[-1.0], [-1.0], [0.0]]
+        with pytest.raises(DivergenceError) as err:
+            forward(problem, u, 1, 1)
+        assert err.value.t == 2
+
+
+class TestControlValidation:
+    @pytest.mark.parametrize("entry", ["solve", "oracle"])
+    def test_wrong_shape_names_the_expected_shape(self, entry):
+        problem = build_problem("pendulum", 20)
+        with pytest.raises(ShapeError, match=r"expected \(20, 1\)"):
+            _call(entry, problem, np.zeros((7, 1)))
+
+    @pytest.mark.parametrize("entry", ["solve", "oracle"])
+    def test_non_finite_controls_rejected_before_any_model(self, entry):
+        problem = build_problem("pendulum", 20)
+        with pytest.raises(ShapeError, match="must be finite; step t=0"):
+            _call(entry, problem, np.full((20, 1), np.nan))
+
+    def test_non_finite_trial_point_is_a_divergence(self):
+        problem = build_problem("pendulum", 20)
+        with pytest.raises(DivergenceError):
+            objective_value(problem, np.full((20, 1), np.nan))
+
+
+def _call(entry, problem, u):
+    if entry == "solve":
+        return solve(problem, u, "gn")
+    return oracle(problem, u, "gn")
 
 
 class TestBackwardGd:

@@ -15,26 +15,7 @@ import time
 import numpy as np
 
 from trajopt.envs import build_problem
-from trajopt.oracles import (
-    ORACLE_KINDS,
-    ORACLE_ORDERS,
-    ORACLE_ROLLS_ORIGINAL,
-    forward,
-    rollout,
-    run_backward,
-)
-
-
-def backward_and_roll(problem, bundle, kind):
-    result = run_backward(bundle, kind, 1.0 if kind == "gd" else 0.0)
-    if kind == "gd":
-        return np.array([p.k for p in result.policies])
-    maps = (
-        bundle.finite_difference_steps()
-        if ORACLE_ROLLS_ORIGINAL[kind]
-        else bundle.linear_steps()
-    )
-    return rollout(np.zeros(problem.n_x), result.policies, maps)
+from trajopt.oracles import ORACLE_KINDS, ORACLES, forward, oracle_step
 
 
 def main():
@@ -48,19 +29,21 @@ def main():
     for tau in horizons:
         problem = build_problem("pendulum", tau)
         u = np.zeros((tau, 1))
-        for orders in {(1, 1), (1, 2), (2, 2)}:
-            bundles[(tau, orders)] = (problem, forward(problem, u, *orders))
+        for orders in {(spec.o_f, spec.o_h) for spec in ORACLES.values()}:
+            bundles[(tau, orders)] = forward(problem, u, *orders)
 
     header = "kind    " + "".join(f"  tau={tau:<6d}" for tau in horizons)
     print(header)
     for kind in ORACLE_KINDS:
+        spec = ORACLES[kind]
+        nu = 1.0 if kind == "gd" else 0.0
         cells = []
         for tau in horizons:
-            problem, bundle = bundles[(tau, ORACLE_ORDERS[kind])]
+            bundle = bundles[(tau, (spec.o_f, spec.o_h))]
             times = []
             for _ in range(args.reps):
                 t0 = time.perf_counter()
-                backward_and_roll(problem, bundle, kind)
+                oracle_step(bundle, kind, nu)
                 times.append(time.perf_counter() - t0)
             cells.append(f"{statistics.median(times) * 1e3:8.1f}ms")
         print(f"{kind:8s}" + "  ".join(cells))

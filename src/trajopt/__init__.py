@@ -18,14 +18,13 @@ from .oracles import (
     ORACLE_KINDS,
     ExpansionBundle,
     OracleDirection,
-    backward_ddp_q,
     backward_gd,
-    backward_gn,
-    backward_ne,
     forward,
     objective_value,
     oracle,
+    oracle_step,
     rollout,
+    run_backward,
 )
 from .dense import (
     dense_gauss_newton_matrix,

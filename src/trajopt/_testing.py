@@ -1,9 +1,9 @@
-"""Test-support builders: random instances and independent reference solvers.
+"""Test-support builders, independent reference solvers and shared checks.
 
-Shared by the pytest suite and the CLI verify command.  Everything here is
-deliberately independent of the structured solver paths it is used to
-check: the KKT solver assembles one dense saddle system, and the
-finite-difference helpers never touch the derivative engine.
+Shared by the pytest suite and the CLI verify command.  The references
+are deliberately independent of the solver paths the checks run: the KKT
+solver assembles one dense saddle system, and the finite-difference
+helpers never touch the derivative engine.
 """
 
 from __future__ import annotations
@@ -17,6 +17,9 @@ from .core import (
     quadratic_cost,
     quadratic_state_cost,
 )
+from .dense import dense_gradient
+from .linesearch import stationarity_residual
+from .oracles import forward, rollout, run_backward
 
 __all__ = [
     "random_spd",
@@ -27,6 +30,8 @@ __all__ = [
     "fd_hessian",
     "env_interior_point",
     "concave_stage_problem",
+    "policy_scaling_deviation",
+    "stationarity_gap",
 ]
 
 
@@ -253,3 +258,47 @@ def concave_stage_problem(a: float = 500.0, tau: int = 10, delta: float = 0.1):
         n_u=1,
         meta={"a": a, "delta": delta},
     )
+
+
+def policy_scaling_deviation(rng, instances: int, offset: float = 0.0) -> float:
+    """Worst deviation from gamma times the unit roll-out of gamma-scaled GN
+    policies on linear maps, over ``instances`` feasible random instances.
+
+    ``offset`` is added to every scaled roll-out, for a self-test.
+    """
+    worst = 0.0
+    checked = 0
+    while checked < instances:
+        tau = int(rng.integers(3, 7))
+        n_x = int(rng.integers(1, 4))
+        n_u = int(rng.integers(1, 4))
+        problem = random_smooth_problem(rng, tau, n_x, n_u)
+        u = rng.standard_normal((tau, n_u)) * 0.3
+        bundle = forward(problem, u, 1, 2)
+        result = run_backward(bundle, "gn", 0.5)
+        if not result.feasible:
+            continue
+        base = rollout(np.zeros(n_x), result.policies, bundle.linear_steps())
+        for gamma in (0.5, 0.25, 0.1):
+            scaled = [p.scaled(gamma) for p in result.policies]
+            got = rollout(np.zeros(n_x), scaled, bundle.linear_steps()) + offset
+            worst = max(worst, float(np.max(np.abs(got - gamma * base))))
+        checked += 1
+    return worst
+
+
+def stationarity_gap(rng, instances: int, offset: float = 0.0) -> float:
+    """Worst relative gap between the stationarity residual and the dense
+    gradient max-norm, over ``instances`` random instances.
+
+    ``offset`` is added to the dense max-norm, for a self-test.
+    """
+    worst = 0.0
+    for _ in range(instances):
+        tau = int(rng.integers(2, 6))
+        problem = random_smooth_problem(rng, tau, 2, 2)
+        u = rng.standard_normal((tau, 2)) * 0.3
+        res = stationarity_residual(problem, u)
+        dense = float(np.max(np.abs(dense_gradient(problem, u)))) + offset
+        worst = max(worst, abs(res - dense) / (1.0 + dense))
+    return worst

@@ -404,26 +404,10 @@ def _check_finite_differences(trials: int, perturb: bool):
 
 def _check_policy_scaling(trials: int, perturb: bool):
     """Scaled-offset roll-outs on linear maps are exactly linear in gamma."""
-    from .oracles import backward_gn, forward, rollout
-    from ._testing import random_smooth_problem
+    from ._testing import policy_scaling_deviation
 
     rng = np.random.default_rng(13)
-    worst = 0.0
-    for _ in range(trials):
-        problem = random_smooth_problem(rng, 5, 2, 2)
-        u = rng.standard_normal((5, 2)) * 0.2
-        bundle = forward(problem, u, 1, 2)
-        result = backward_gn(bundle, nu=0.5)
-        if not result.feasible:
-            continue
-        base = rollout(np.zeros(2), result.policies, bundle.linear_steps())
-        for gamma in (0.5, 0.25, 0.1):
-            scaled = [p.scaled(gamma) for p in result.policies]
-            got = rollout(np.zeros(2), scaled, bundle.linear_steps())
-            if perturb:
-                got = got + 1e-6
-            worst = max(worst, float(np.max(np.abs(got - gamma * base))))
-    return worst, 1e-12
+    return policy_scaling_deviation(rng, trials, 1e-6 if perturb else 0.0), 1e-12
 
 
 def _check_step_acceptance(trials: int, perturb: bool):
@@ -450,21 +434,10 @@ def _check_step_acceptance(trials: int, perturb: bool):
 
 def _check_stationarity(trials: int, perturb: bool):
     """Hamiltonian residual equals the dense objective gradient max-norm."""
-    from .dense import dense_gradient
-    from .linesearch import stationarity_residual
-    from ._testing import random_smooth_problem
+    from ._testing import stationarity_gap
 
     rng = np.random.default_rng(17)
-    worst = 0.0
-    for _ in range(trials):
-        problem = random_smooth_problem(rng, 4, 2, 1)
-        u = rng.standard_normal((4, 1)) * 0.3
-        res = stationarity_residual(problem, u)
-        dense = float(np.max(np.abs(dense_gradient(problem, u))))
-        if perturb:
-            dense += 1e-3
-        worst = max(worst, abs(res - dense) / (1.0 + dense))
-    return worst, 1e-8
+    return stationarity_gap(rng, trials, 1e-3 if perturb else 0.0), 1e-8
 
 
 def _check_curvature_fixture(trials: int, perturb: bool):

@@ -22,14 +22,12 @@ import numpy as np
 from .core import TrajectoryProblem
 from .errors import DivergenceError, NumericError, ParameterError, StallError
 from .oracles import (
-    ORACLE_KINDS,
-    ORACLE_ORDERS,
-    ORACLE_ROLLS_ORIGINAL,
     ExpansionBundle,
     bundle_gradient,
     checked_controls,
     forward,
     objective_value,
+    oracle_spec,
     rollout,
     run_backward,
 )
@@ -196,21 +194,20 @@ def regularized_search(
     problem: TrajectoryProblem,
     u,
     bundle: ExpansionBundle,
-    backward_kind: str,
-    roll_maps,
+    kind: str,
     cfg: LineSearchConfig,
     gamma_prev: float,
-    check_mode: str = "descent",
     on_accept=None,
 ) -> tuple[np.ndarray, float]:
     """Step selection through the ridge: each trial reruns the backward pass.
 
     The trial stepsize starts at rho_inc times the previous accepted one
-    (optionally divided by the cost-slope norm), the backward pass runs
-    with ridge nu = 1/gamma, and the trial is accepted when the objective
-    decrease is at least the swept model value c0(0).  Returns the
-    accepted stepsize in unscaled units for warm-starting.
+    (optionally divided by the cost-slope norm), the backward pass of oracle
+    ``kind`` runs with ridge nu = 1/gamma and rolls out along its maps, and
+    the trial is accepted when the objective decrease is at least the swept
+    model value c0(0).  Returns the accepted stepsize in unscaled units.
     """
+    roll_maps = oracle_spec(kind).step_maps(bundle)
     u = np.asarray(u, dtype=float)
     j_current = bundle.cost
     scale = bundle.cost_slope_norm() if cfg.gradient_scaled else 1.0
@@ -221,7 +218,7 @@ def regularized_search(
     last_candidate = None
     last_cost = math.inf
     while True:
-        result = run_backward(bundle, backward_kind, 1.0 / gamma, check_mode)
+        result = run_backward(bundle, kind, 1.0 / gamma)
         if result.feasible and result.c0_zero < 0.0:
             try:
                 v = rollout(y0, result.policies, roll_maps)
@@ -245,7 +242,7 @@ def regularized_search(
             raise StallError(gamma, keep, last_cost if keep is not None else None)
 
 
-def _escalate_directional(bundle: ExpansionBundle, kind: str, cfg: LineSearchConfig, check_mode: str):
+def _escalate_directional(bundle: ExpansionBundle, kind: str, cfg: LineSearchConfig):
     """Backward pass at nu = 0, escalating nu until a usable descent model.
 
     Returns (result, nu) or (None, nu) when escalation gave up, which
@@ -253,7 +250,7 @@ def _escalate_directional(bundle: ExpansionBundle, kind: str, cfg: LineSearchCon
     cost-to-go.
     """
     nu = GD_DIRECTIONAL_NU if kind == "gd" else 0.0
-    result = run_backward(bundle, kind, nu, check_mode)
+    result = run_backward(bundle, kind, nu)
     stationary = -1e-18 * (1.0 + abs(bundle.cost))
     while not result.feasible or not result.c0_zero < 0.0:
         if result.feasible and result.c0_zero >= stationary:
@@ -261,7 +258,7 @@ def _escalate_directional(bundle: ExpansionBundle, kind: str, cfg: LineSearchCon
         nu = cfg.nu_init if nu == 0.0 else nu * cfg.rho_inc
         if kind == "gd" or nu > NU_MAX:
             return None, nu
-        result = run_backward(bundle, kind, nu, check_mode)
+        result = run_backward(bundle, kind, nu)
     return result, nu
 
 
@@ -277,7 +274,6 @@ def solve(
     kind: str,
     cfg: LineSearchConfig | None = None,
     stop: StopCriteria | None = None,
-    check_mode: str = "descent",
     callback=None,
 ) -> tuple[np.ndarray, SolveTrace]:
     """Full iteration loop for one oracle kind under one step rule.
@@ -287,20 +283,16 @@ def solve(
     of an accepted iterate re-raises with the partial trace attached.
     ``u0`` must be a finite (horizon, n_u) array, else :class:`ShapeError`.
     """
-    if kind not in ORACLE_KINDS:
-        raise ParameterError(f"unknown oracle kind {kind!r}; expected one of {ORACLE_KINDS}")
+    spec = oracle_spec(kind)
     cfg = cfg or LineSearchConfig()
     stop = stop or StopCriteria()
-    o_f, o_h = ORACLE_ORDERS[kind]
-    rolls_original = ORACLE_ROLLS_ORIGINAL[kind]
-    backward_kind = kind
 
     u = checked_controls(problem, u0, "u0").copy()
     trace = SolveTrace()
 
     def _forward_timed(controls):
         t0 = time.perf_counter()
-        b = forward(problem, controls, o_f=o_f, o_h=o_h)
+        b = forward(problem, controls, o_f=spec.o_f, o_h=spec.o_h)
         return b, (time.perf_counter() - t0)
 
     try:
@@ -320,19 +312,13 @@ def solve(
         t0 = time.perf_counter()
         accepted = None
         if cfg.rule == "directional":
-            result, nu = _escalate_directional(bundle, kind, cfg, check_mode)
+            result, nu = _escalate_directional(bundle, kind, cfg)
             if result is None:
                 trace.status = _classify(residual, j_current)
                 break
-            if kind == "gd":
-                step_maps = bundle.linear_steps()  # constant policies: maps are inert
-            elif rolls_original:
-                step_maps = bundle.finite_difference_steps()
-            else:
-                step_maps = bundle.linear_steps()
             try:
                 u_next, gamma = directional_search(
-                    problem, u, result.policies, result.c0_zero, step_maps, cfg
+                    problem, u, result.policies, result.c0_zero, spec.step_maps(bundle), cfg
                 )
                 accepted = (u_next, gamma, nu, result.c0_zero)
             except StallError as stall:
@@ -341,14 +327,11 @@ def solve(
                     break
                 accepted = (stall.candidate, stall.gamma, nu, result.c0_zero)
         else:
-            roll_maps = (
-                bundle.finite_difference_steps() if rolls_original else bundle.linear_steps()
-            )
             holder = {}
             try:
                 u_next, gamma_bar = regularized_search(
-                    problem, u, bundle, backward_kind, roll_maps, cfg, gamma_prev,
-                    check_mode, on_accept=lambda **kw: holder.update(kw),
+                    problem, u, bundle, kind, cfg, gamma_prev,
+                    on_accept=lambda **kw: holder.update(kw),
                 )
                 gamma_prev = gamma_bar
                 accepted = (u_next, holder["gamma"], holder["nu"], holder["c0"])

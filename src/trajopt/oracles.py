@@ -5,13 +5,14 @@ dynamics and costs along the visited trajectory, one backward Bellman
 sweep producing affine policies and the cost-to-go at time 0, and one
 roll-out of the policies along either the linearized step maps (gradient,
 Gauss-Newton, Newton) or the original-dynamics increment maps (the two
-DDP variants).
+DDP variants).  :data:`ORACLES` is the single description of the kinds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -28,35 +29,66 @@ from .errors import DivergenceError, InfeasibleStageError, ParameterError, Shape
 from .lqsolve import LqStageProblem, check_subproblem, lbp, lqbp
 
 __all__ = [
+    "ORACLES",
     "ORACLE_KINDS",
+    "OracleSpec",
     "ExpansionBundle",
     "OracleDirection",
+    "oracle_spec",
     "forward",
     "objective_value",
     "backward_gd",
-    "backward_gn",
-    "backward_ne",
-    "backward_ddp_q",
+    "run_backward",
     "bundle_gradient",
     "rollout",
+    "oracle_step",
     "oracle",
 ]
 
-ORACLE_KINDS = ("gd", "gn", "ne", "ddp-lq", "ddp-q")
 
-# Forward-pass orders (dynamics, costs) per oracle kind.
-ORACLE_ORDERS = {
-    "gd": (1, 1),
-    "gn": (1, 2),
-    "ne": (2, 2),
-    "ddp-lq": (1, 2),
-    "ddp-q": (2, 2),
-}
+@dataclass(frozen=True)
+class OracleSpec:
+    """What one oracle kind expands, folds into its sweep and rolls out along."""
 
-# Which backward pass each oracle runs and whether its roll-out follows the
-# original dynamics instead of the linearized ones.
-ORACLE_BACKWARD = {"gd": "gd", "gn": "gn", "ne": "ne", "ddp-lq": "gn", "ddp-q": "ddp-q"}
-ORACLE_ROLLS_ORIGINAL = {"gd": False, "gn": False, "ne": False, "ddp-lq": True, "ddp-q": True}
+    o_f: int
+    o_h: int
+    contraction: str | None
+    rolls_original: bool
+
+    def step_maps(self, bundle: ExpansionBundle) -> tuple:
+        """The maps this kind's roll-out follows around the bundle's trajectory."""
+        return bundle.finite_difference_steps() if self.rolls_original else bundle.linear_steps()
+
+
+# The oracle kinds.  ``o_f`` and ``o_h`` are the forward-pass orders of the
+# dynamics and the costs.  Order-1 costs make the sweep gradient
+# back-propagation (:func:`backward_gd`); order-2 costs make it one Bellman
+# sweep on linearized dynamics and quadratic costs, where each stage cost
+# gains the curvature of f_t contracted against the vector ``contraction``:
+#   None           none: the Gauss-Newton (ILQR) step;
+#   "adjoint"      the adjoint lam_{t+1}, run as lam_t = grad_x h_t + A_t' lam_{t+1}
+#                  from the final cost slope, which makes the swept subproblem
+#                  the exact second-order model of the objective (Newton);
+#   "value-slope"  the slope of the running cost-to-go at the origin (DDP-Q).
+# ``rolls_original``: the roll-out follows the original-dynamics increment
+# maps instead of the linearized ones.
+ORACLES = MappingProxyType({
+    "gd": OracleSpec(1, 1, None, False),
+    "gn": OracleSpec(1, 2, None, False),
+    "ne": OracleSpec(2, 2, "adjoint", False),
+    "ddp-lq": OracleSpec(1, 2, None, True),
+    "ddp-q": OracleSpec(2, 2, "value-slope", True),
+})
+
+ORACLE_KINDS = tuple(ORACLES)
+
+
+def oracle_spec(kind: str) -> OracleSpec:
+    """The table entry of an oracle kind; unknown kinds raise :class:`ParameterError`."""
+    if kind not in ORACLE_KINDS:
+        raise ParameterError(f"unknown oracle kind {kind!r}; expected one of {ORACLE_KINDS}")
+    return ORACLES[kind]
+
 
 # Direction slots one blocked derivative sweep carries in total: a block
 # holds at most max(1, SLOT_BUDGET // k) stages of k slots each.  Longer
@@ -149,17 +181,22 @@ def _scalars(vec: np.ndarray) -> list:
     return [float(v) for v in vec]
 
 
+def _shaped_controls(problem: TrajectoryProblem, u, name: str) -> np.ndarray:
+    """Controls as a (horizon, n_u) float array, else :class:`ShapeError`."""
+    u = np.asarray(u, dtype=float)
+    shape = (problem.horizon, problem.n_u)
+    if u.size != shape[0] * shape[1]:
+        raise ShapeError(f"{name} has shape {u.shape}, expected {shape}")
+    return u.reshape(shape)
+
+
 def checked_controls(problem: TrajectoryProblem, u, name: str) -> np.ndarray:
     """Controls given to a public entry point as a finite (horizon, n_u) array.
 
     Runs before any model, so bad input is named here instead of failing
     inside a cost or dynamics evaluation.
     """
-    u = np.asarray(u, dtype=float)
-    shape = (problem.horizon, problem.n_u)
-    if u.size != shape[0] * shape[1]:
-        raise ShapeError(f"{name} has shape {u.shape}, expected {shape}")
-    u = u.reshape(shape)
+    u = _shaped_controls(problem, u, name)
     finite = np.isfinite(u).all(axis=1)
     if not finite.all():
         raise ShapeError(f"{name} must be finite; step t={int(np.argmin(finite))} is not")
@@ -306,15 +343,15 @@ def _expansions(problem: TrajectoryProblem, xs: list, u: np.ndarray, o_f: int, o
 def forward(problem: TrajectoryProblem, u, o_f: int = 1, o_h: int = 2) -> ExpansionBundle:
     """Roll the trajectory for controls ``u`` and record expansions.
 
-    ``u`` has shape (horizon, n_u).  The states and costs come from one
-    sequential pass on plain floats.  The expansions at the visited points
-    are independent of each other and are taken block by block (see
+    ``u`` has shape (horizon, n_u), else :class:`ShapeError`.  The states and
+    costs come from one sequential pass on plain floats; the expansions at
+    the visited points are independent and taken block by block (see
     :func:`_expand`).  Raises :class:`DivergenceError` when a state, cost
     or derivative turns non-finite, carrying the offending step.
     """
     autodiff.DerivativeRequest(o_f)
     autodiff.DerivativeRequest(o_h)
-    u = np.asarray(u, dtype=float).reshape(problem.horizon, problem.n_u)
+    u = _shaped_controls(problem, u, "u")
     xs, step_costs, total = _roll(problem, u)
     fields = {}
     if o_f or o_h:
@@ -360,17 +397,9 @@ def backward_gd(bundle: ExpansionBundle, nu: float) -> OracleDirection:
 
 
 def _backward_quadratic(
-    bundle: ExpansionBundle,
-    nu: float,
-    contraction: str | None,
-    check_mode: str,
+    bundle: ExpansionBundle, nu: float, contraction: str | None
 ) -> OracleDirection:
-    """Shared Bellman sweep for the GN / Newton / DDP-Q backward passes.
-
-    ``contraction`` selects the vector the dynamics curvature is folded
-    against: None (no curvature, Gauss-Newton), "adjoint" (Newton) or
-    "value-slope" (DDP with quadratic models).
-    """
+    """The Bellman sweep of every order-2-cost oracle (see :data:`ORACLES`)."""
     if nu < 0.0:
         raise ParameterError(f"regularization must be >= 0, got {nu}")
     if bundle.o_h != 2:
@@ -400,7 +429,7 @@ def _backward_quadratic(
             value,
             t=t,
         )
-        if not check_subproblem(stage, check_mode).valid:
+        if not check_subproblem(stage).valid:
             return _infeasible(bundle)
         try:
             value, policies[t] = lqbp(stage)
@@ -409,41 +438,12 @@ def _backward_quadratic(
     return OracleDirection(tuple(policies), value, True)
 
 
-def backward_gn(bundle: ExpansionBundle, nu: float = 0.0, check_mode: str = "descent") -> OracleDirection:
-    """Backward sweep on linearized dynamics and quadratic costs (ILQR step)."""
-    return _backward_quadratic(bundle, nu, None, check_mode)
-
-
-def backward_ne(bundle: ExpansionBundle, nu: float = 0.0, check_mode: str = "descent") -> OracleDirection:
-    """Backward sweep with dynamics curvature folded against the adjoint states.
-
-    The adjoints follow lam_t = grad_x h_t + A_t' lam_{t+1} from the final
-    cost slope, and each stage cost gains the curvature of f_t contracted
-    against lam_{t+1}, making the swept subproblem the exact second-order
-    model of the objective.
-    """
-    return _backward_quadratic(bundle, nu, "adjoint", check_mode)
-
-
-def backward_ddp_q(bundle: ExpansionBundle, nu: float = 0.0, check_mode: str = "descent") -> OracleDirection:
-    """Backward sweep with dynamics curvature folded against the cost-to-go slope.
-
-    Identical to the Newton sweep except the contraction vector is the
-    slope of the running cost-to-go at the origin instead of the adjoint
-    state.
-    """
-    return _backward_quadratic(bundle, nu, "value-slope", check_mode)
-
-
-_BACKWARD_FNS = {"gd": backward_gd, "gn": backward_gn, "ne": backward_ne, "ddp-q": backward_ddp_q}
-
-
-def run_backward(bundle: ExpansionBundle, kind: str, nu: float, check_mode: str = "descent") -> OracleDirection:
-    """Dispatch to the backward pass an oracle kind uses."""
-    name = ORACLE_BACKWARD[kind]
-    if name == "gd":
+def run_backward(bundle: ExpansionBundle, kind: str, nu: float) -> OracleDirection:
+    """The backward pass of one oracle kind, as :data:`ORACLES` describes it."""
+    spec = oracle_spec(kind)
+    if spec.o_h == 1:  # linear cost models: gradient back-propagation
         return backward_gd(bundle, nu)
-    return _BACKWARD_FNS[name](bundle, nu, check_mode)
+    return _backward_quadratic(bundle, nu, spec.contraction)
 
 
 def bundle_gradient(bundle: ExpansionBundle) -> np.ndarray:
@@ -477,36 +477,29 @@ def rollout(y0, policies, step_maps) -> np.ndarray:
     return np.array(controls)
 
 
-def oracle(
-    problem: TrajectoryProblem,
-    u,
-    kind: str,
-    nu: float = 0.0,
-    check_mode: str = "descent",
-    gd_rollout: bool = False,
-) -> OracleDirection:
-    """One oracle evaluation: forward pass, backward pass and roll-out.
+def oracle_step(bundle: ExpansionBundle, kind: str, nu: float) -> OracleDirection:
+    """Backward pass on ``bundle``, then the roll-out along the kind's maps.
 
     The gradient oracle's constant policies make its roll-out a no-op, so
-    by default it returns the stacked offsets directly; ``gd_rollout``
-    forces the roll-out for equivalence testing.  ``u`` must be a finite
-    (horizon, n_u) array, else :class:`ShapeError`.
+    it returns the stacked offsets directly.  An infeasible sweep returns
+    without a roll-out.
     """
-    if kind not in ORACLE_KINDS:
-        raise ParameterError(f"unknown oracle kind {kind!r}; expected one of {ORACLE_KINDS}")
-    u = checked_controls(problem, u, "u")
-    o_f, o_h = ORACLE_ORDERS[kind]
-    bundle = forward(problem, u, o_f=o_f, o_h=o_h)
+    spec = oracle_spec(kind)
     result = run_backward(bundle, kind, nu)
     if not result.feasible:
         return result
-    if kind == "gd" and not gd_rollout:
+    if spec.o_h == 1:  # constant policies
         direction = np.array([p.k for p in result.policies])
     else:
-        maps = (
-            bundle.finite_difference_steps()
-            if ORACLE_ROLLS_ORIGINAL[kind]
-            else bundle.linear_steps()
-        )
-        direction = rollout(np.zeros(problem.n_x), result.policies, maps)
+        direction = rollout(np.zeros(bundle.problem.n_x), result.policies, spec.step_maps(bundle))
     return replace(result, direction=direction)
+
+
+def oracle(problem: TrajectoryProblem, u, kind: str, nu: float = 0.0) -> OracleDirection:
+    """One oracle evaluation: forward pass, backward pass and roll-out.
+
+    ``u`` must be a finite (horizon, n_u) array, else :class:`ShapeError`.
+    """
+    spec = oracle_spec(kind)
+    u = checked_controls(problem, u, "u")
+    return oracle_step(forward(problem, u, o_f=spec.o_f, o_h=spec.o_h), kind, nu)

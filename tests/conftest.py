@@ -11,9 +11,11 @@ from trajopt._testing import (  # noqa: F401  (re-exported for the test modules)
     fd_hessian,
     fd_jacobian,
     kkt_solve_lq,
+    policy_scaling_deviation,
     random_lq_problem,
     random_smooth_problem,
     random_spd,
+    stationarity_gap,
 )
 
 

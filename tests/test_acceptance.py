@@ -33,16 +33,7 @@ from trajopt.linesearch import (
     stationarity_residual,
 )
 from trajopt.lqsolve import dynprog
-from trajopt.oracles import (
-    ORACLE_ORDERS,
-    ORACLE_ROLLS_ORIGINAL,
-    backward_gn,
-    bundle_gradient,
-    forward,
-    oracle,
-    rollout,
-    run_backward,
-)
+from trajopt.oracles import ORACLES, bundle_gradient, forward, oracle, oracle_step
 from trajopt import autodiff
 from trajopt.core import TrajectoryProblem, quadratic_cost, quadratic_state_cost
 
@@ -52,8 +43,10 @@ from conftest import (
     fd_hessian,
     fd_jacobian,
     kkt_solve_lq,
+    policy_scaling_deviation,
     random_lq_problem,
     random_smooth_problem,
+    stationarity_gap,
 )
 
 
@@ -177,18 +170,6 @@ def test_criterion_02_lq_exactness(rng):
     )
 
 
-def _backward_and_roll(problem, bundle, kind):
-    result = run_backward(bundle, kind, 1.0 if kind == "gd" else 0.0)
-    if kind == "gd":
-        return np.array([p.k for p in result.policies])
-    maps = (
-        bundle.finite_difference_steps()
-        if ORACLE_ROLLS_ORIGINAL[kind]
-        else bundle.linear_steps()
-    )
-    return rollout(np.zeros(problem.n_x), result.policies, maps)
-
-
 def test_criterion_03_linear_horizon_complexity():
     """Backward+roll-out time scales linearly in the horizon; function storage
     keeps second-order passes at first-order memory."""
@@ -197,7 +178,7 @@ def test_criterion_03_linear_horizon_complexity():
     reps = 20
     by_orders = {}
     for kind in ("gd", "gn", "ne", "ddp-lq", "ddp-q"):
-        by_orders.setdefault(ORACLE_ORDERS[kind], []).append(kind)
+        by_orders.setdefault((ORACLES[kind].o_f, ORACLES[kind].o_h), []).append(kind)
     ratios = {}
     for orders, kinds in by_orders.items():
         # keep only this order group's bundles alive: cyclic-GC pauses scale
@@ -210,9 +191,10 @@ def test_criterion_03_linear_horizon_complexity():
             # interleave the two horizons so slow system phases (scheduler,
             # frequency scaling) hit both batches alike and cancel in the ratio
             times = {1000: [], 2000: []}
+            nu = 1.0 if kind == "gd" else 0.0
             for tau in (1000, 2000):
                 problem, bundle = bundles[tau]
-                _backward_and_roll(problem, bundle, kind)  # warm-up
+                oracle_step(bundle, kind, nu)  # warm-up
             gc.collect()
             gc.disable()
             try:
@@ -220,7 +202,7 @@ def test_criterion_03_linear_horizon_complexity():
                     for tau in (1000, 2000):
                         problem, bundle = bundles[tau]
                         t0 = time.perf_counter()
-                        _backward_and_roll(problem, bundle, kind)
+                        oracle_step(bundle, kind, nu)
                         times[tau].append(time.perf_counter() - t0)
             finally:
                 gc.enable()
@@ -251,24 +233,7 @@ def test_criterion_03_linear_horizon_complexity():
 
 def test_criterion_04_policy_scaling(rng):
     """Offset-scaled roll-outs on linear maps are exactly linear in the stepsize."""
-    worst = 0.0
-    checked = 0
-    while checked < 20:
-        tau = int(rng.integers(3, 7))
-        n_x = int(rng.integers(1, 4))
-        n_u = int(rng.integers(1, 4))
-        problem = random_smooth_problem(rng, tau, n_x, n_u)
-        u = rng.standard_normal((tau, n_u)) * 0.3
-        bundle = forward(problem, u, 1, 2)
-        result = backward_gn(bundle, nu=0.5)
-        if not result.feasible:
-            continue
-        base = rollout(np.zeros(n_x), result.policies, bundle.linear_steps())
-        for gamma in (0.5, 0.25, 0.1):
-            scaled = [p.scaled(gamma) for p in result.policies]
-            got = rollout(np.zeros(n_x), scaled, bundle.linear_steps())
-            worst = max(worst, float(np.max(np.abs(got - gamma * base))))
-        checked += 1
+    worst = policy_scaling_deviation(rng, 20)
     assert worst <= 1e-12
     report("criterion 4 (policy scaling)", f"max deviation {worst:.2e} over 20 instances")
 
@@ -301,11 +266,12 @@ def test_criterion_05_linesearch_contracts(bench):
             if k >= len(rows) or math.isnan(rows[k].regularization):
                 continue
             u_before, nu = points[k - 1], rows[k].regularization
-            bundle = forward(run.problem, u_before, *ORACLE_ORDERS[run.kind])
-            result = run_backward(bundle, run.kind, nu)
+            spec = ORACLES[run.kind]
+            bundle = forward(run.problem, u_before, spec.o_f, spec.o_h)
+            result = oracle_step(bundle, run.kind, nu)
             if not result.feasible:
                 continue
-            v = rollout(np.zeros(run.problem.n_x), result.policies, bundle.linear_steps())
+            v = result.direction
             grad = bundle_gradient(bundle)
             expected = 0.5 * float(np.sum(grad * v))
             worst_identity = max(
@@ -435,14 +401,7 @@ def test_criterion_08_derivative_engine(rng):
 
 
 def test_criterion_09_stationarity_certificate(rng, bench):
-    worst = 0.0
-    for _ in range(20):
-        tau = int(rng.integers(2, 6))
-        problem = random_smooth_problem(rng, tau, 2, 2)
-        u = rng.standard_normal((tau, 2)) * 0.3
-        res = stationarity_residual(problem, u)
-        dense = float(np.max(np.abs(dense_gradient(problem, u))))
-        worst = max(worst, abs(res - dense) / (1.0 + dense))
+    worst = stationarity_gap(rng, 20)
     assert worst <= 1e-8
 
     converged = 0

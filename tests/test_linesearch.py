@@ -18,7 +18,7 @@ from trajopt.linesearch import (
     stationarity_residual,
 )
 from trajopt.lqsolve import dynprog
-from trajopt.oracles import backward_gn, forward, objective_value, oracle
+from trajopt.oracles import forward, objective_value, oracle, run_backward
 
 from conftest import random_lq_problem, random_smooth_problem
 
@@ -40,7 +40,7 @@ class TestDirectionalSearch:
         problem = quadratic_scalar_problem()
         u = np.array([[1.0]])
         bundle = forward(problem, u, 1, 2)
-        result = backward_gn(bundle, nu=0.0)
+        result = run_backward(bundle, "gn", 0.0)
         u_next, gamma = directional_search(
             problem, u, result.policies, result.c0_zero, bundle.linear_steps(),
             LineSearchConfig(),
@@ -58,7 +58,7 @@ class TestDirectionalSearch:
         problem = quadratic_scalar_problem()
         u = np.array([[1.0]])
         bundle = forward(problem, u, 1, 2)
-        result = backward_gn(bundle, nu=0.0)
+        result = run_backward(bundle, "gn", 0.0)
         uphill = tuple(p.scaled(-1.0) for p in result.policies)
         with pytest.raises(StallError):
             directional_search(
@@ -69,7 +69,7 @@ class TestDirectionalSearch:
         problem = random_smooth_problem(rng, 4, 2, 1)
         u = rng.standard_normal((4, 1)) * 0.3
         bundle = forward(problem, u, 1, 2)
-        result = backward_gn(bundle, nu=0.5)
+        result = run_backward(bundle, "gn", 0.5)
         j0 = objective_value(problem, u)
         u_next, gamma = directional_search(
             problem, u, result.policies, result.c0_zero, bundle.linear_steps(),
@@ -87,7 +87,7 @@ class TestRegularizedSearch:
         cfg = LineSearchConfig(rule="regularized", gradient_scaled=False)
         trials = []
         u_next, gamma_bar = regularized_search(
-            problem, u, bundle, "gn", bundle.linear_steps(), cfg, gamma_prev=0.1,
+            problem, u, bundle, "gn", cfg, gamma_prev=0.1,
             on_accept=lambda **kw: trials.append(kw),
         )
         # warm-start arithmetic: first trial is rho_inc * gamma_prev = 1.0
@@ -101,7 +101,7 @@ class TestRegularizedSearch:
         cfg = LineSearchConfig(rule="regularized")
         info = {}
         u_next, _ = regularized_search(
-            problem, u, bundle, "gn", bundle.linear_steps(), cfg, gamma_prev=1.0,
+            problem, u, bundle, "gn", cfg, gamma_prev=1.0,
             on_accept=lambda **kw: info.update(kw),
         )
         j0, j1 = bundle.cost, objective_value(problem, u_next)
@@ -122,11 +122,11 @@ class TestRegularizedSearch:
         cfg = LineSearchConfig(rule="regularized", gradient_scaled=False)
         info = {}
         u_next, gamma_bar = regularized_search(
-            problem, u, bundle, "gn", bundle.linear_steps(), cfg, gamma_prev=1.0,
+            problem, u, bundle, "gn", cfg, gamma_prev=1.0,
             on_accept=lambda **kw: info.update(kw),
         )
         # independent scan over the same geometric stepsize grid
-        from trajopt.oracles import rollout, run_backward
+        from trajopt.oracles import rollout
 
         gamma = cfg.rho_inc * 1.0
         while True:
@@ -209,7 +209,7 @@ class TestSolve:
         cfg = LineSearchConfig(rule="regularized", gradient_scaled=False)
         info = {}
         regularized_search(
-            problem, u, bundle, "gn", bundle.linear_steps(), cfg, gamma_prev=1.0,
+            problem, u, bundle, "gn", cfg, gamma_prev=1.0,
             on_accept=lambda **kw: info.update(kw),
         )
         ratio = info["gamma"] / (cfg.rho_inc * 1.0)

@@ -9,16 +9,19 @@ from trajopt.dense import dense_costates, dense_gauss_newton_matrix, dense_gradi
 from trajopt.envs import build_problem
 from trajopt.envs.build import _ALLOWED
 from trajopt.errors import DivergenceError, ParameterError, ShapeError
-from trajopt.linesearch import solve
+from trajopt.linesearch import solve, stationarity_residual
 from trajopt.oracles import (
+    ORACLE_KINDS,
+    ORACLES,
     SLOT_BUDGET,
     backward_gd,
-    backward_gn,
     bundle_gradient,
     forward,
     objective_value,
     oracle,
+    oracle_step,
     rollout,
+    run_backward,
 )
 
 from conftest import random_lq_problem, random_smooth_problem
@@ -184,6 +187,14 @@ class TestControlValidation:
         with pytest.raises(ShapeError, match="must be finite; step t=0"):
             _call(entry, problem, np.full((20, 1), np.nan))
 
+    @pytest.mark.parametrize(
+        "entry", [forward, objective_value, stationarity_residual], ids=lambda f: f.__name__
+    )
+    def test_wrong_shape_reaching_forward_names_the_expected_shape(self, entry):
+        problem = build_problem("pendulum", 20)
+        with pytest.raises(ShapeError, match=r"expected \(20, 1\)"):
+            entry(problem, np.zeros((7, 1)))
+
     def test_non_finite_trial_point_is_a_divergence(self):
         problem = build_problem("pendulum", 20)
         with pytest.raises(DivergenceError):
@@ -223,9 +234,10 @@ class TestBackwardGd:
     def test_rollout_equals_stacked_offsets(self, rng):
         problem = random_smooth_problem(rng, 3, 2, 1)
         u = rng.standard_normal((3, 1)) * 0.1
-        with_roll = oracle(problem, u, "gd", nu=1.0, gd_rollout=True)
         without = oracle(problem, u, "gd", nu=1.0)
-        np.testing.assert_allclose(with_roll.direction, without.direction)
+        bundle = forward(problem, u, 1, 1)
+        with_roll = rollout(np.zeros(problem.n_x), without.policies, bundle.linear_steps())
+        np.testing.assert_allclose(with_roll, without.direction)
 
     def test_matches_dense_gradient(self, rng):
         problem = random_smooth_problem(rng, 4, 2, 2)
@@ -333,9 +345,7 @@ class TestBackwardDdpQ:
         u = rng.standard_normal((2, 1)) * 0.3
         nu = 0.3
         bundle = forward(problem, u, 2, 2)
-        from trajopt.oracles import backward_ddp_q
-
-        result = backward_ddp_q(bundle, nu)
+        result = run_backward(bundle, "ddp-q", nu)
         assert result.feasible
 
         # independent scalar recursion: J, j, j0 and curvature folded by hand
@@ -360,10 +370,8 @@ class TestBackwardDdpQ:
         problem = random_smooth_problem(rng, 3, 2, 1)
         u = rng.standard_normal((3, 1)) * 0.2
         bundle = forward(problem, u, 2, 2)
-        from trajopt.oracles import backward_ddp_q
-
         nu = 1e12
-        result = backward_ddp_q(bundle, nu)
+        result = run_backward(bundle, "ddp-q", nu)
         grad = bundle_gradient(bundle)
         for t, pol in enumerate(result.policies):
             np.testing.assert_allclose(pol.k, -grad[t] / nu, rtol=1e-6)
@@ -385,7 +393,7 @@ class TestRollout:
         problem = random_smooth_problem(rng, 5, 2, 2)
         u = rng.standard_normal((5, 2)) * 0.2
         bundle = forward(problem, u, 1, 2)
-        result = backward_gn(bundle, nu=0.5)
+        result = run_backward(bundle, "gn", 0.5)
         assert result.feasible
         base = rollout(np.zeros(2), result.policies, bundle.linear_steps())
         for gamma in (0.5, 0.25, 0.1):
@@ -413,11 +421,30 @@ class TestOracleDispatch:
         problem = random_smooth_problem(rng, 4, 2, 1)
         u = rng.standard_normal((4, 1)) * 0.2
         bundle = forward(problem, u, 1, 2)
-        a = backward_gn(bundle, nu=0.4)
-        b = backward_gn(bundle, nu=0.4)  # ddp-lq runs the same sweep
+        a = run_backward(bundle, "gn", 0.4)
+        b = run_backward(bundle, "ddp-lq", 0.4)
         for pa, pb in zip(a.policies, b.policies):
             np.testing.assert_array_equal(pa.K, pb.K)
             np.testing.assert_array_equal(pa.k, pb.k)
+
+    @pytest.mark.parametrize("kind", ORACLE_KINDS)
+    def test_oracle_is_forward_then_oracle_step(self, kind):
+        """The roll-out follows the increment maps for the DDP kinds, linear maps otherwise."""
+        problem = build_problem("pendulum", 20)  # nonlinear dynamics: the maps differ
+        u = 0.3 * np.random.default_rng(3).standard_normal((20, 1))
+        spec = ORACLES[kind]
+        bundle = forward(problem, u, spec.o_f, spec.o_h)
+        step = oracle_step(bundle, kind, 1.0)
+        assert step.feasible
+        np.testing.assert_array_equal(oracle(problem, u, kind, 1.0).direction, step.direction)
+
+        y0 = np.zeros(problem.n_x)
+        linear = rollout(y0, step.policies, bundle.linear_steps())
+        original = rollout(y0, step.policies, bundle.finite_difference_steps())
+        if kind != "gd":  # constant gradient policies never read the state
+            assert np.max(np.abs(linear - original)) > 1e-6
+        expected = original if kind in ("ddp-lq", "ddp-q") else linear
+        np.testing.assert_array_equal(step.direction, expected)
 
     def test_gd_direction_matches_finite_difference_gradient(self, rng):
         problem = random_smooth_problem(rng, 4, 2, 1)

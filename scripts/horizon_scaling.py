@@ -36,14 +36,13 @@ def main():
     print(header)
     for kind in ORACLE_KINDS:
         spec = ORACLES[kind]
-        nu = 1.0 if kind == "gd" else 0.0
         cells = []
         for tau in horizons:
             bundle = bundles[(tau, (spec.o_f, spec.o_h))]
             times = []
             for _ in range(args.reps):
                 t0 = time.perf_counter()
-                oracle_step(bundle, kind, nu)
+                oracle_step(bundle, kind, spec.start_nu)
                 times.append(time.perf_counter() - t0)
             cells.append(f"{statistics.median(times) * 1e3:8.1f}ms")
         print(f"{kind:8s}" + "  ".join(cells))

@@ -45,6 +45,8 @@ __all__ = [
     "value_gradient_hessian",
     "block_jacobian",
     "block_value_gradient_hessian",
+    "block_jacobian_curvature",
+    "contract_curvature",
     "vector_hessian",
     "lambda_hessian",
     "sin",
@@ -531,6 +533,19 @@ def block_jacobian(g, zs) -> np.ndarray:
     return jac
 
 
+@lru_cache(maxsize=64)
+def _pair_index(m: int) -> np.ndarray:
+    """(m, m) positions of the pairs (min(i, j), max(i, j)) in the packed order.
+
+    ``packed[..., _pair_index(m)]`` unpacks values over the pairs i <= j
+    into symmetric (m, m) matrices.
+    """
+    _, _, _, pi, pj = _second_order_seeds(m)
+    index = np.empty((m, m), dtype=np.intp)
+    index[pi, pj] = index[pj, pi] = np.arange(pi.size)
+    return _read_only(index)[0]
+
+
 def block_value_gradient_hessian(g, zs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Values (B,), gradients (B, m) and Hessians (B, m, m) of scalar ``g`` at each row of ``zs``.
 
@@ -552,6 +567,44 @@ def block_value_gradient_hessian(g, zs) -> tuple[np.ndarray, np.ndarray, np.ndar
     hess[:, pj, pi] = out.d12
     grad[:, pi[pi == pj]] = out.d1[..., pi == pj]
     return values, grad, hess
+
+
+def block_jacobian_curvature(g, zs) -> tuple[np.ndarray, np.ndarray]:
+    """Jacobians (B, n, m) and packed second derivatives (B, n, m(m+1)/2) of ``g``.
+
+    One second-order sweep over the m(m+1)/2 direction pairs (i, j), i <= j,
+    in the order of ``np.triu_indices(m)``, evaluates ``g`` once at all
+    rows of ``zs`` (B, m).  ``[b, k, p]`` of the second result is the
+    second derivative of output k along pair p at point b; the Jacobian is
+    the first slot of the diagonal pairs.  The packed form stores each
+    output's Hessian without its repeated lower triangle, and
+    :func:`contract_curvature` folds it against a vector.
+    """
+    zs = _points(zs)
+    b, m = zs.shape
+    inputs, pi, pj = _second_order_inputs(zs)
+    out = _as_output_list(g(inputs))
+    diagonal = pi == pj
+    jac = np.zeros((b, len(out), m))
+    d12 = np.zeros((b, len(out), pi.size))
+    for k, o in enumerate(out):
+        if isinstance(o, HyperDual):
+            jac[:, k] = o.d1[..., diagonal]
+            d12[:, k] = o.d12
+    return jac, d12
+
+
+def contract_curvature(d12: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """The (m, m) Hessian of z -> f(z)^T lam from f's packed second derivatives.
+
+    ``d12`` (n, m(m+1)/2) holds one point's rows of
+    :func:`block_jacobian_curvature` and ``lam`` is an (n,) array.  The
+    products lam_k * d12[k] are summed from 0.0 in output order (a
+    reduction over the slow axis of a fresh array runs row by row), so
+    every result is bitwise the same however its point was blocked.
+    """
+    w = np.add.reduce(lam[:, None] * d12, axis=0, initial=0.0)
+    return w[_pair_index((math.isqrt(8 * w.size + 1) - 1) // 2)]
 
 
 def jacobian(g, z) -> np.ndarray:
@@ -582,40 +635,23 @@ def hessian(g, z) -> np.ndarray:
 def vector_hessian(f, z) -> np.ndarray:
     """Per-output Hessians of ``f`` at ``z``, shape (n, m, m)."""
     z = np.asarray(z, dtype=float).reshape(1, -1)
-    m = z.shape[1]
-    inputs, pi, pj = _second_order_inputs(z)
-    out = _as_output_list(f(inputs))
-    hess = np.zeros((len(out), m, m))
-    for i, o in enumerate(out):
-        if isinstance(o, HyperDual):
-            hess[i][pi, pj] = o.d12
-            hess[i][pj, pi] = o.d12
-    return hess
+    return block_jacobian_curvature(f, z)[1][0][:, _pair_index(z.shape[1])]
 
 
 def lambda_hessian(f, z, lam) -> np.ndarray:
     """Hessian of the scalar z -> f(z)^T lam, shape (m, m).
 
-    Costs one batched sweep over the m(m+1)/2 direction pairs regardless of
-    the output dimension of ``f``; the full second-derivative tensor of
-    ``f`` is never materialized.
+    Costs one sweep over the m(m+1)/2 direction pairs regardless of the
+    output dimension of ``f``; the solvers take the same sweep once per
+    forward pass and contract its stored result instead.
     """
     z = np.asarray(z, dtype=float).reshape(1, -1)
     lam = np.asarray(lam, dtype=float).ravel()
     if not np.all(np.isfinite(lam)):
         raise ParameterError("contraction vector must be finite")
-    m = z.shape[1]
-    inputs, pi, pj = _second_order_inputs(z)
-    out = _as_output_list(f(inputs))
-    if len(out) != lam.size:
+    d12 = block_jacobian_curvature(f, z)[1][0]
+    if len(d12) != lam.size:
         raise ParameterError(
-            f"contraction vector has size {lam.size}, expected {len(out)} outputs"
+            f"contraction vector has size {lam.size}, expected {len(d12)} outputs"
         )
-    d12 = np.zeros(pi.size)
-    for li, o in zip(lam, out):
-        if isinstance(o, HyperDual):
-            d12 = d12 + li * o.d12
-    hess = np.zeros((m, m))
-    hess[pi, pj] = d12
-    hess[pj, pi] = d12
-    return hess
+    return contract_curvature(d12, lam)

@@ -58,11 +58,6 @@ CONVERGED_RESIDUAL_RTOL = 1e-6
 # classified by its stationarity residual.
 NU_MAX = 1e40
 
-# Fixed regularization for the gradient oracle under the directional rule,
-# making the search direction exactly the negative gradient.
-GD_DIRECTIONAL_NU = 1.0
-
-
 @dataclass(frozen=True)
 class LineSearchConfig:
     """Step-rule selection and its constants."""
@@ -243,13 +238,13 @@ def regularized_search(
 
 
 def _escalate_directional(bundle: ExpansionBundle, kind: str, cfg: LineSearchConfig):
-    """Backward pass at nu = 0, escalating nu until a usable descent model.
+    """Backward pass at the kind's starting ridge, escalating nu until a usable descent model.
 
     Returns (result, nu) or (None, nu) when escalation gave up, which
     happens at stationary points where no stage strictly decreases the
     cost-to-go.
     """
-    nu = GD_DIRECTIONAL_NU if kind == "gd" else 0.0
+    nu = oracle_spec(kind).start_nu
     result = run_backward(bundle, kind, nu)
     stationary = -1e-18 * (1.0 + abs(bundle.cost))
     while not result.feasible or not result.c0_zero < 0.0:

@@ -54,6 +54,7 @@ class OracleSpec:
     o_h: int
     contraction: str | None
     rolls_original: bool
+    start_nu: float
 
     def step_maps(self, bundle: ExpansionBundle) -> tuple:
         """The maps this kind's roll-out follows around the bundle's trajectory."""
@@ -71,13 +72,15 @@ class OracleSpec:
 #                  the exact second-order model of the objective (Newton);
 #   "value-slope"  the slope of the running cost-to-go at the origin (DDP-Q).
 # ``rolls_original``: the roll-out follows the original-dynamics increment
-# maps instead of the linearized ones.
+# maps instead of the linearized ones.  ``start_nu`` is the ridge a search
+# starts from: the gradient sweep needs nu > 0, and at nu = 1 its
+# direction is exactly the negative gradient.
 ORACLES = MappingProxyType({
-    "gd": OracleSpec(1, 1, None, False),
-    "gn": OracleSpec(1, 2, None, False),
-    "ne": OracleSpec(2, 2, "adjoint", False),
-    "ddp-lq": OracleSpec(1, 2, None, True),
-    "ddp-q": OracleSpec(2, 2, "value-slope", True),
+    "gd": OracleSpec(1, 1, None, False, 1.0),
+    "gn": OracleSpec(1, 2, None, False, 0.0),
+    "ne": OracleSpec(2, 2, "adjoint", False, 0.0),
+    "ddp-lq": OracleSpec(1, 2, None, True, 0.0),
+    "ddp-q": OracleSpec(2, 2, "value-slope", True, 0.0),
 })
 
 ORACLE_KINDS = tuple(ORACLES)
@@ -106,10 +109,11 @@ class ExpansionBundle:
 
     Orders 0/1/2 control what is stored: nothing beyond the trajectory and
     cost, first derivatives, or second derivatives.  For order-2 dynamics
-    the bundle keeps re-differentiation handles instead of full
-    second-derivative tensors; the backward sweep contracts them against
-    whatever vector it needs, which keeps the storage of a Newton or DDP
-    pass at the Gauss-Newton level.
+    ``curvature`` (horizon, n_x, m(m+1)/2), m = n_x + n_u, holds each
+    stage's per-output second derivatives in the joint point (x_t, u_t),
+    packed over the pairs of ``np.triu_indices(m)`` (see
+    :func:`autodiff.block_jacobian_curvature`); the backward sweep
+    contracts a stage's rows against whatever vector it needs.
     """
 
     problem: TrajectoryProblem
@@ -125,7 +129,7 @@ class ExpansionBundle:
     cost_quads: tuple | None = None
     final_slope: np.ndarray | None = None
     final_quad: np.ndarray | None = None
-    f_handles: tuple | None = None
+    curvature: np.ndarray | None = None
 
     @property
     def horizon(self) -> int:
@@ -291,7 +295,12 @@ def _expansions(problem: TrajectoryProblem, xs: list, u: np.ndarray, o_f: int, o
     m = n_x + problem.n_u
     zs = np.hstack([np.array(xs[:-1]), u])
     ok = np.ones(tau + 1, dtype=bool)
-    if o_f >= 1:
+    if o_f == 2:
+        jac, curvature = _expand(
+            autodiff.block_jacobian_curvature, problem.dynamics, zs, n_x, m * (m + 1) // 2
+        )
+        ok[:tau] &= _finite_rows(jac) & _finite_rows(curvature)
+    elif o_f == 1:
         (jac,) = _expand(_jacobian_sweep, problem.dynamics, zs, n_x, m)
         ok[:tau] &= _finite_rows(jac)
     if o_h == 2:
@@ -323,10 +332,7 @@ def _expansions(problem: TrajectoryProblem, xs: list, u: np.ndarray, o_f: int, o
     if o_f >= 1:
         fields["lin"] = tuple(LinearMap(j[:, :n_x], j[:, n_x:]) for j in jac)
     if o_f == 2:
-        fields["f_handles"] = tuple(
-            lambda lam, f=_joint(f, n_x), z=z: autodiff.lambda_hessian(f, z, lam)
-            for f, z in zip(problem.dynamics, zs)
-        )
+        fields["curvature"] = curvature
     if o_h >= 1:
         fields["cost_p"] = tuple(grad[:, :n_x])
         fields["cost_q"] = tuple(grad[:, n_x:])
@@ -346,8 +352,10 @@ def forward(problem: TrajectoryProblem, u, o_f: int = 1, o_h: int = 2) -> Expans
     ``u`` has shape (horizon, n_u), else :class:`ShapeError`.  The states and
     costs come from one sequential pass on plain floats; the expansions at
     the visited points are independent and taken block by block (see
-    :func:`_expand`).  Raises :class:`DivergenceError` when a state, cost
-    or derivative turns non-finite, carrying the offending step.
+    :func:`_expand`).  At ``o_f == 2`` one second-order sweep per block
+    gives both the dynamics Jacobians and the stacked curvature.  Raises
+    :class:`DivergenceError` when a state, cost or derivative turns
+    non-finite, carrying the offending step.
     """
     autodiff.DerivativeRequest(o_f)
     autodiff.DerivativeRequest(o_h)
@@ -404,7 +412,7 @@ def _backward_quadratic(
         raise ParameterError(f"regularization must be >= 0, got {nu}")
     if bundle.o_h != 2:
         raise ParameterError("quadratic backward passes need order-2 cost information")
-    if contraction is not None and bundle.f_handles is None:
+    if contraction is not None and bundle.curvature is None:
         raise ParameterError("curvature contraction needs order-2 dynamics information")
     tau, n_x, n_u = bundle.horizon, bundle.problem.n_x, bundle.problem.n_u
     ridge = nu * np.eye(n_u)
@@ -417,7 +425,7 @@ def _backward_quadratic(
         H, Q, R = quad.H, quad.Q + ridge, quad.R
         if contraction is not None:
             vec = lam if contraction == "adjoint" else value.j
-            w = bundle.f_handles[t](vec)
+            w = autodiff.contract_curvature(bundle.curvature[t], vec)
             H = H + w[:n_x, :n_x]
             Q = Q + w[n_x:, n_x:]
             R = R + w[:n_x, n_x:]
@@ -495,11 +503,14 @@ def oracle_step(bundle: ExpansionBundle, kind: str, nu: float) -> OracleDirectio
     return replace(result, direction=direction)
 
 
-def oracle(problem: TrajectoryProblem, u, kind: str, nu: float = 0.0) -> OracleDirection:
+def oracle(problem: TrajectoryProblem, u, kind: str, nu: float | None = None) -> OracleDirection:
     """One oracle evaluation: forward pass, backward pass and roll-out.
 
     ``u`` must be a finite (horizon, n_u) array, else :class:`ShapeError`.
+    ``nu`` defaults to the kind's ``start_nu`` in :data:`ORACLES`.
     """
     spec = oracle_spec(kind)
     u = checked_controls(problem, u, "u")
+    if nu is None:
+        nu = spec.start_nu
     return oracle_step(forward(problem, u, o_f=spec.o_f, o_h=spec.o_h), kind, nu)

@@ -191,7 +191,7 @@ def test_criterion_03_linear_horizon_complexity():
             # interleave the two horizons so slow system phases (scheduler,
             # frequency scaling) hit both batches alike and cancel in the ratio
             times = {1000: [], 2000: []}
-            nu = 1.0 if kind == "gd" else 0.0
+            nu = ORACLES[kind].start_nu
             for tau in (1000, 2000):
                 problem, bundle = bundles[tau]
                 oracle_step(bundle, kind, nu)  # warm-up

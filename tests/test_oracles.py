@@ -9,7 +9,7 @@ from trajopt.dense import dense_costates, dense_gauss_newton_matrix, dense_gradi
 from trajopt.envs import build_problem
 from trajopt.envs.build import _ALLOWED
 from trajopt.errors import DivergenceError, ParameterError, ShapeError
-from trajopt.linesearch import solve, stationarity_residual
+from trajopt.linesearch import StopCriteria, solve, stationarity_residual
 from trajopt.oracles import (
     ORACLE_KINDS,
     ORACLES,
@@ -172,6 +172,59 @@ class TestBlockedExpansion:
         with pytest.raises(DivergenceError) as err:
             forward(problem, u, 1, 1)
         assert err.value.t == 2
+
+
+def assert_curvature_matches_per_stage(problem, u, rng):
+    """The stored curvature against per-stage lambda_hessian, bitwise.
+
+    Also checks that the Jacobians the second-order sweep reads from its
+    diagonal pairs equal the first-order sweep's.
+    """
+    n_x = problem.n_x
+    b2 = forward(problem, u, o_f=2, o_h=2)
+    b1 = forward(problem, u, o_f=1, o_h=2)
+    m = n_x + problem.n_u
+    assert b2.curvature.shape == (problem.horizon, n_x, m * (m + 1) // 2)
+    for t in range(problem.horizon):
+        where = f"t={t}"
+        _assert_same(b2.lin[t].A, b1.lin[t].A, where)
+        _assert_same(b2.lin[t].B, b1.lin[t].B, where)
+        f = problem.dynamics[t]
+        z = np.concatenate([b2.xs[t], u[t]])
+        lam = rng.standard_normal(n_x)
+        expected = autodiff.lambda_hessian(lambda zz: f(zz[:n_x], zz[n_x:]), z, lam)
+        _assert_same(autodiff.contract_curvature(b2.curvature[t], lam), expected, where)
+
+
+class TestStoredCurvature:
+    @pytest.mark.parametrize("env,scheme", ENV_SCHEMES)
+    def test_matches_per_stage_lambda_hessian(self, env, scheme):
+        horizon = 91
+        problem = build_problem(env, horizon, scheme)
+        m = problem.n_x + problem.n_u
+        cap = max(1, SLOT_BUDGET // (m * (m + 1) // 2))
+        assert cap == 1 or horizon % cap != 0  # a block is cut short at the end
+        rng = np.random.default_rng(11)
+        u = 0.05 * rng.standard_normal((horizon, problem.n_u))
+        assert_curvature_matches_per_stage(problem, u, rng)
+
+    def test_stages_with_their_own_callables(self, rng):
+        # every stage has its own dynamics, so every block holds one stage
+        problem = random_smooth_problem(rng, 7, 3, 2)
+        assert_curvature_matches_per_stage(problem, rng.standard_normal((7, 2)) * 0.3, rng)
+
+    @pytest.mark.parametrize("kind", ["ne", "ddp-q"])
+    def test_solve_does_not_re_differentiate(self, kind, monkeypatch):
+        calls = []
+        real = autodiff.lambda_hessian
+        monkeypatch.setattr(
+            autodiff, "lambda_hessian", lambda *args: calls.append(1) or real(*args)
+        )
+        problem = build_problem("pendulum", 20)
+        u = 0.3 * np.random.default_rng(3).standard_normal((20, 1))
+        _, trace = solve(problem, u, kind, stop=StopCriteria(max_iters=5))
+        assert trace.iterations > 0
+        assert calls == []
 
 
 class TestControlValidation:
@@ -352,7 +405,9 @@ class TestBackwardDdpQ:
         Jv, jv, j0 = float(bundle.final_quad[0, 0]), float(bundle.final_slope[0]), 0.0
         for t in (1, 0):
             quad = bundle.cost_quads[t]
-            w = bundle.f_handles[t](np.array([jv]))
+            f = problem.dynamics[t]
+            z = np.concatenate([bundle.xs[t], u[t]])
+            w = autodiff.lambda_hessian(lambda zz: f(zz[:1], zz[1:]), z, [jv])
             H = quad.H[0, 0] + w[0, 0]
             Q = quad.Q[0, 0] + nu + w[1, 1]
             R = quad.R[0, 0] + w[0, 1]
@@ -458,6 +513,15 @@ class TestOracleDispatch:
             um[t, 0] -= h
             fd[t, 0] = (objective_value(problem, up) - objective_value(problem, um)) / (2 * h)
         np.testing.assert_allclose(-direction, fd, rtol=1e-5, atol=1e-7)
+
+    @pytest.mark.parametrize("kind", ORACLE_KINDS)
+    def test_default_ridge_is_the_kinds_start(self, kind):
+        problem = build_problem("pendulum", 20)
+        u = np.zeros((20, 1))
+        step = oracle(problem, u, kind)
+        assert step.feasible
+        expected = oracle(problem, u, kind, nu=ORACLES[kind].start_nu)
+        np.testing.assert_array_equal(step.direction, expected.direction)
 
     def test_unknown_kind_rejected(self, rng):
         problem = random_smooth_problem(rng, 2, 1, 1)

@@ -1,19 +1,13 @@
 """Iterative linear-quadratic solvers for discrete-time optimal control."""
 
 from .core import (
-    AffinePolicy,
-    DynTensor,
-    LinearMap,
-    QuadraticCostModel,
-    QuadraticValueFunction,
     TrajectoryProblem,
-    evaluate_quadratic,
     finite_difference_dynamic,
     linear_dynamics,
     quadratic_cost,
     quadratic_state_cost,
 )
-from .lqsolve import LqStageProblem, ValidityReport, check_subproblem, dynprog, lbp, lqbp
+from .lqsolve import check_subproblem, dynprog, lbp, lqbp
 from .oracles import (
     ORACLE_KINDS,
     ExpansionBundle,

@@ -278,10 +278,9 @@ def policy_scaling_deviation(rng, instances: int, offset: float = 0.0) -> float:
         result = run_backward(bundle, "gn", 0.5)
         if not result.feasible:
             continue
-        base = rollout(np.zeros(n_x), result.policies, bundle.linear_steps())
+        base = rollout(np.zeros(n_x), result.K, result.k, bundle.linear_step)
         for gamma in (0.5, 0.25, 0.1):
-            scaled = [p.scaled(gamma) for p in result.policies]
-            got = rollout(np.zeros(n_x), scaled, bundle.linear_steps()) + offset
+            got = rollout(np.zeros(n_x), result.K, gamma * result.k, bundle.linear_step) + offset
             worst = max(worst, float(np.max(np.abs(got - gamma * base))))
         checked += 1
     return worst

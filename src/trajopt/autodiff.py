@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -37,7 +36,6 @@ from .errors import DomainError, ParameterError, UnsupportedPrimitiveError
 __all__ = [
     "HyperDual",
     "Dual",
-    "DerivativeRequest",
     "anywhere",
     "jacobian",
     "gradient",
@@ -448,24 +446,6 @@ def power(x, p):
 
 
 # -- derivative extraction --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DerivativeRequest:
-    """Order of derivative information to collect for one model.
-
-    ``lam`` is a contraction vector for second-order dynamics information;
-    it is only meaningful at order 2.
-    """
-
-    order: int
-    lam: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.order not in (0, 1, 2):
-            raise ParameterError(f"derivative order must be 0, 1 or 2, got {self.order}")
-        if self.lam is not None and self.order != 2:
-            raise ParameterError("a contraction vector requires order 2")
 
 
 def _read_only(*arrays):

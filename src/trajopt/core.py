@@ -1,9 +1,12 @@
-"""Problem statement and the dense value types every other module consumes.
+"""Problem statement and the model-building helpers at the API boundary.
 
 States and controls are plain 1-D float64 numpy arrays.  Matrices follow
 the Jacobian convention throughout: for a dynamic f, ``A = d f / d x`` has
 shape (n_x, n_x) and ``B = d f / d u`` has shape (n_x, n_u), so a linear
-step reads ``y_next = A @ y + B @ v``.
+step reads ``y_next = A @ y + B @ v``.  The solver paths hold these
+matrices stacked over the stages as raw arrays (see
+:class:`trajopt.oracles.ExpansionBundle`); user-given matrices are
+validated here, once, by the helpers that turn them into models.
 """
 
 from __future__ import annotations
@@ -18,13 +21,7 @@ from .errors import NumericError, ShapeError
 __all__ = [
     "StateVec",
     "CtrlVec",
-    "LinearMap",
-    "QuadraticCostModel",
-    "QuadraticValueFunction",
-    "AffinePolicy",
-    "DynTensor",
     "TrajectoryProblem",
-    "evaluate_quadratic",
     "finite_difference_dynamic",
     "linear_dynamics",
     "quadratic_cost",
@@ -52,194 +49,8 @@ def _matrix(a, name: str) -> np.ndarray:
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
-
-
-@dataclass(frozen=True)
-class LinearMap:
-    """First-order model of one dynamic: y_next = A @ y + B @ v."""
-
-    A: np.ndarray
-    B: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "A", _matrix(self.A, "A"))
-        object.__setattr__(self, "B", _matrix(self.B, "B"))
-        if self.A.shape[0] != self.A.shape[1]:
-            raise ShapeError(f"A must be square, got {self.A.shape}")
-        if self.B.shape[0] != self.A.shape[0]:
-            raise ShapeError(f"A and B row counts differ: {self.A.shape} vs {self.B.shape}")
-
-    @property
-    def n_x(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def n_u(self) -> int:
-        return self.B.shape[1]
-
-    def apply(self, y: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return self.A @ y + self.B @ v
-
-
-@dataclass(frozen=True)
-class QuadraticCostModel:
-    """Quadratic stage cost 0.5 y'Hy + 0.5 v'Qv + y'Rv + p'y + q'v.
-
-    H and Q are symmetrized on construction to absorb round-off from the
-    derivative engine.
-    """
-
-    H: np.ndarray
-    Q: np.ndarray
-    R: np.ndarray
-    p: np.ndarray
-    q: np.ndarray
-
-    def __post_init__(self):
-        H = _sym(_matrix(self.H, "H"))
-        Q = _sym(_matrix(self.Q, "Q"))
-        R = _matrix(self.R, "R")
-        p = _vector(self.p, "p")
-        q = _vector(self.q, "q")
-        n_x, n_u = p.size, q.size
-        if H.shape != (n_x, n_x) or Q.shape != (n_u, n_u) or R.shape != (n_x, n_u):
-            raise ShapeError(
-                f"inconsistent quadratic model shapes: H{H.shape} Q{Q.shape} R{R.shape} "
-                f"p({n_x},) q({n_u},)"
-            )
-        object.__setattr__(self, "H", H)
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-
-    @property
-    def n_x(self) -> int:
-        return self.p.size
-
-    @property
-    def n_u(self) -> int:
-        return self.q.size
-
-
-def evaluate_quadratic(model: QuadraticCostModel, y, v) -> float:
-    """Evaluate the quadratic stage model at (y, v)."""
-    y = np.asarray(y, dtype=float).ravel()
-    v = np.asarray(v, dtype=float).ravel()
-    if y.size != model.n_x or v.size != model.n_u:
-        raise ShapeError(
-            f"argument sizes ({y.size}, {v.size}) do not match model "
-            f"({model.n_x}, {model.n_u})"
-        )
-    return float(
-        0.5 * y @ model.H @ y
-        + 0.5 * v @ model.Q @ v
-        + y @ model.R @ v
-        + model.p @ y
-        + model.q @ v
-    )
-
-
-@dataclass(frozen=True)
-class QuadraticValueFunction:
-    """Cost-to-go c(y) = 0.5 y'Jy + j'y + j0; J is symmetrized on construction."""
-
-    J: np.ndarray
-    j: np.ndarray
-    j0: float = 0.0
-
-    def __post_init__(self):
-        J = _sym(_matrix(self.J, "J"))
-        j = _vector(self.j, "j")
-        if J.shape != (j.size, j.size):
-            raise ShapeError(f"J{J.shape} does not match j({j.size},)")
-        object.__setattr__(self, "J", J)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "j0", float(self.j0))
-
-    def __call__(self, y) -> float:
-        y = np.asarray(y, dtype=float).ravel()
-        return float(0.5 * y @ self.J @ y + self.j @ y + self.j0)
-
-    @classmethod
-    def affine(cls, j, j0: float = 0.0) -> "QuadraticValueFunction":
-        j = _vector(j, "j")
-        return cls(np.zeros((j.size, j.size)), j, j0)
-
-
-@dataclass(frozen=True)
-class AffinePolicy:
-    """State-feedback policy v = K @ y + k."""
-
-    K: np.ndarray
-    k: np.ndarray
-
-    def __post_init__(self):
-        K = _matrix(self.K, "K")
-        k = _vector(self.k, "k")
-        if K.shape[0] != k.size:
-            raise ShapeError(f"K{K.shape} does not match k({k.size},)")
-        object.__setattr__(self, "K", K)
-        object.__setattr__(self, "k", k)
-
-    def __call__(self, y) -> np.ndarray:
-        return self.K @ np.asarray(y, dtype=float).ravel() + self.k
-
-    def scaled(self, gamma: float) -> "AffinePolicy":
-        """Offset-scaled policy y -> gamma*k + K@y used by stepsize searches."""
-        return AffinePolicy(self.K, gamma * self.k)
-
-    @classmethod
-    def zero(cls, n_u: int, n_x: int) -> "AffinePolicy":
-        return cls(np.zeros((n_u, n_x)), np.zeros(n_u))
-
-
-@dataclass(frozen=True)
-class DynTensor:
-    """Second-derivative blocks of one dynamic, per output coordinate.
-
-    ``xx[i]``, ``xu[i]`` and ``uu[i]`` are the second-derivative blocks of
-    output i.  Materialized only by the dense test oracles; solver backward
-    passes obtain the lambda-contraction directly from the derivative
-    engine.
-    """
-
-    xx: np.ndarray  # (n_out, n_x, n_x)
-    xu: np.ndarray  # (n_out, n_x, n_u)
-    uu: np.ndarray  # (n_out, n_u, n_u)
-
-    def __post_init__(self):
-        xx = np.asarray(self.xx, dtype=float)
-        xu = np.asarray(self.xu, dtype=float)
-        uu = np.asarray(self.uu, dtype=float)
-        if xx.ndim != 3 or xu.ndim != 3 or uu.ndim != 3:
-            raise ShapeError("DynTensor blocks must be 3-D (n_out, :, :)")
-        if not (xx.shape[0] == xu.shape[0] == uu.shape[0]):
-            raise ShapeError("DynTensor blocks disagree on the output dimension")
-        object.__setattr__(self, "xx", 0.5 * (xx + xx.transpose(0, 2, 1)))
-        object.__setattr__(self, "xu", xu)
-        object.__setattr__(self, "uu", 0.5 * (uu + uu.transpose(0, 2, 1)))
-
-    @property
-    def n_x(self) -> int:
-        return self.xx.shape[1]
-
-    @property
-    def n_u(self) -> int:
-        return self.uu.shape[1]
-
-    def contract(self, lam) -> np.ndarray:
-        """Contraction against a vector: one symmetric (n_x+n_u) square matrix."""
-        lam = _vector(lam, "lam")
-        if lam.size != self.xx.shape[0]:
-            raise ShapeError(f"lam has size {lam.size}, expected {self.xx.shape[0]}")
-        wxx = np.einsum("i,ijk->jk", lam, self.xx)
-        wxu = np.einsum("i,ijk->jk", lam, self.xu)
-        wuu = np.einsum("i,ijk->jk", lam, self.uu)
-        top = np.hstack([wxx, wxu])
-        bot = np.hstack([wxu.T, wuu])
-        return _sym(np.vstack([top, bot]))
+    """Symmetric part of a matrix, or of each matrix of a stack."""
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
 @dataclass(frozen=True)
@@ -325,10 +136,19 @@ def linear_dynamics(A, B):
 
 
 def quadratic_cost(H, Q, R, p, q):
-    """Stage cost 0.5 x'Hx + 0.5 u'Qu + x'Ru + p'x + q'u as a generic callable."""
-    model = QuadraticCostModel(H, Q, R, p, q)
-    Hl, Ql, Rl = model.H.tolist(), model.Q.tolist(), model.R.tolist()
-    pl, ql = model.p.tolist(), model.q.tolist()
+    """Stage cost 0.5 x'Hx + 0.5 u'Qu + x'Ru + p'x + q'u as a generic callable.
+
+    H and Q are symmetrized; inconsistent block shapes raise :class:`ShapeError`.
+    """
+    H, Q, R = _sym(_matrix(H, "H")), _sym(_matrix(Q, "Q")), _matrix(R, "R")
+    p, q = _vector(p, "p"), _vector(q, "q")
+    n_x, n_u = p.size, q.size
+    if H.shape != (n_x, n_x) or Q.shape != (n_u, n_u) or R.shape != (n_x, n_u):
+        raise ShapeError(
+            f"inconsistent quadratic model shapes: H{H.shape} Q{Q.shape} R{R.shape} "
+            f"p({n_x},) q({n_u},)"
+        )
+    Hl, Ql, Rl, pl, ql = H.tolist(), Q.tolist(), R.tolist(), p.tolist(), q.tolist()
 
     def h(x, u):
         acc = 0.0

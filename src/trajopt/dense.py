@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff
-from .core import DynTensor, TrajectoryProblem
+from .core import TrajectoryProblem
 from .errors import ParameterError
 
 __all__ = [
@@ -43,7 +43,7 @@ class _DenseData:
         self.tau, self.n_x, self.n_u = tau, n_x, n_u
 
         xs = [problem.x0.copy()]
-        self.A, self.B, self.tensors = [], [], []
+        self.A, self.B, self.curvatures = [], [], []
         self.hp, self.hq = [], []
         self.hxx, self.huu, self.hxu = [], [], []
         x = xs[0]
@@ -61,13 +61,8 @@ class _DenseData:
             self.hxx.append(hess[:n_x, :n_x])
             self.huu.append(hess[n_x:, n_x:])
             self.hxu.append(hess[:n_x, n_x:])
-            if order == 2:
-                blocks = autodiff.vector_hessian(joint_f, z)
-                self.tensors.append(
-                    DynTensor(
-                        blocks[:, :n_x, :n_x], blocks[:, :n_x, n_x:], blocks[:, n_x:, n_x:]
-                    )
-                )
+            if order == 2:  # per-output (m, m) Hessians of f_t in (x_t, u_t)
+                self.curvatures.append(autodiff.vector_hessian(joint_f, z))
             x = np.asarray(f([float(v) for v in x], [float(v) for v in u[t]]), dtype=float)
             xs.append(x)
         self.xs = xs
@@ -168,7 +163,8 @@ def dense_hessian(problem: TrajectoryProblem, u) -> np.ndarray:
     lam = np.linalg.solve((np.eye(tau * n_x) - Fx).T, data.state_cost_slope())
     for t in range(tau):
         lam_next = lam[t * n_x : (t + 1) * n_x]
-        w = data.tensors[t].contract(lam_next)
+        w = np.einsum("i,ijk->jk", lam_next, data.curvatures[t])
+        w = 0.5 * (w + w.T)
         wxx, wxu, wuu = w[:n_x, :n_x], w[:n_x, n_x:], w[n_x:, n_x:]
         cols = slice(t * n_u, (t + 1) * n_u)
         if t >= 1:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-
 from .. import autodiff as ad
 from ..core import TrajectoryProblem
 from ..errors import ConfigError
@@ -92,12 +91,12 @@ def _ctrl_blocks(scheme: str) -> int:
 def _build_pendulum(horizon, scheme, p: PendulumParams) -> TrajectoryProblem:
     dt = p.total_time / horizon
     f = _discretize(lambda z, u: pendulum_dynamics(z, u, p), scheme, dt)
-    costs = tuple(
-        (lambda x, u, t=t: pendulum_cost(t, x, u, horizon, p)) for t in range(horizon)
-    )
+    # the running cost reads t only to tell it from the final cost, so one
+    # callable serves every stage and its expansion runs in blocks
+    running = lambda x, u: pendulum_cost(0, x, u, horizon, p)
     return TrajectoryProblem(
         dynamics=(f,) * horizon,
-        running_costs=costs,
+        running_costs=(running,) * horizon,
         final_cost=lambda x: pendulum_cost(horizon, x, (), horizon, p),
         x0=[0.0, 0.0],
         n_x=2,
@@ -110,9 +109,10 @@ def _build_cartpole(horizon, scheme, p: CartPoleParams) -> TrajectoryProblem:
     dt = p.total_time / horizon
     tbar = stay_put_start(horizon, p)
     f = _discretize(lambda z, u: cartpole_dynamics(z, u, p), scheme, dt)
-    costs = tuple(
-        (lambda x, u, t=t: cartpole_cost(t, x, u, horizon, tbar, p)) for t in range(horizon)
-    )
+    # the running cost takes two forms, split at tbar: one callable each
+    early = lambda x, u: cartpole_cost(0, x, u, horizon, tbar, p)
+    late = lambda x, u: cartpole_cost(horizon - 1, x, u, horizon, tbar, p)
+    costs = tuple(late if t >= tbar else early for t in range(horizon))
     return TrajectoryProblem(
         dynamics=(f,) * horizon,
         running_costs=costs,

@@ -139,19 +139,21 @@ def _trial_value(problem: TrajectoryProblem, u) -> float:
 def directional_search(
     problem: TrajectoryProblem,
     u,
-    policies,
+    K: np.ndarray,
+    k: np.ndarray,
     c0_zero: float,
-    step_maps,
+    step,
     cfg: LineSearchConfig,
     on_accept=None,
 ) -> tuple[np.ndarray, float]:
     """Backtracking on the scaled-offset policy family, starting at gamma = 1.
 
-    Accepts the first gamma with J(u + v_gamma) <= J(u) + gamma * c0(0);
-    on the linearized step maps v_gamma is exactly gamma times the unit
-    roll-out.  Raises :class:`StallError` when gamma falls below the
-    configured minimum, carrying the last candidate if it still decreased
-    the objective.
+    The policies v_t = K[t] y_t + gamma k[t] roll out along the step map
+    ``step`` (see :func:`rollout`).  Accepts the first gamma with
+    J(u + v_gamma) <= J(u) + gamma * c0(0); on the linearized step maps
+    v_gamma is exactly gamma times the unit roll-out.  Raises
+    :class:`StallError` when gamma falls below the configured minimum,
+    carrying the last candidate if it still decreased the objective.
     """
     if not c0_zero < 0.0:
         raise ParameterError(f"directional step needs a negative model value, got {c0_zero}")
@@ -162,9 +164,8 @@ def directional_search(
     last_candidate = None
     last_cost = math.inf
     while True:
-        scaled = tuple(p.scaled(gamma) for p in policies)
         try:
-            v = rollout(y0, scaled, step_maps)
+            v = rollout(y0, K, gamma * k, step)
         except (DivergenceError, NumericError):
             v = None
         if v is not None:
@@ -202,7 +203,7 @@ def regularized_search(
     the trial is accepted when the objective decrease is at least the swept
     model value c0(0).  Returns the accepted stepsize in unscaled units.
     """
-    roll_maps = oracle_spec(kind).step_maps(bundle)
+    step = oracle_spec(kind).step_map(bundle)
     u = np.asarray(u, dtype=float)
     j_current = bundle.cost
     scale = bundle.cost_slope_norm() if cfg.gradient_scaled else 1.0
@@ -216,7 +217,7 @@ def regularized_search(
         result = run_backward(bundle, kind, 1.0 / gamma)
         if result.feasible and result.c0_zero < 0.0:
             try:
-                v = rollout(y0, result.policies, roll_maps)
+                v = rollout(y0, result.K, result.k, step)
             except (DivergenceError, NumericError):
                 v = None
             if v is not None:
@@ -313,7 +314,7 @@ def solve(
                 break
             try:
                 u_next, gamma = directional_search(
-                    problem, u, result.policies, result.c0_zero, spec.step_maps(bundle), cfg
+                    problem, u, result.K, result.k, result.c0_zero, spec.step_map(bundle), cfg
                 )
                 accepted = (u_next, gamma, nu, result.c0_zero)
             except StallError as stall:
@@ -380,9 +381,8 @@ def stationarity_residual(problem: TrajectoryProblem, u) -> float:
     lam = -bundle.final_slope  # multiplier of the last step constraint
     worst = 0.0
     for t in range(tau - 1, -1, -1):
-        A_inc = bundle.lin[t].A - eye  # Jacobian of the increment map
-        B_inc = bundle.lin[t].B
-        grad_u = B_inc.T @ lam - bundle.cost_q[t]
+        A_inc = bundle.A[t] - eye  # Jacobian of the increment map
+        grad_u = bundle.B[t].T @ lam - bundle.q[t]
         worst = max(worst, float(np.max(np.abs(grad_u))))
-        lam = lam + A_inc.T @ lam - bundle.cost_p[t]
+        lam = lam + A_inc.T @ lam - bundle.p[t]
     return worst

@@ -1,38 +1,24 @@
-"""Exact dynamic programming for linear-quadratic stages.
+"""Exact dynamic programming for linear-quadratic stages, on raw arrays.
 
-``lqbp`` solves one Bellman stage with linear dynamics and quadratic costs
-in closed form, ``lbp`` is its degenerate linear-cost counterpart used by
-the gradient oracle, ``check_subproblem`` validates a stage before solving
-it, and ``dynprog`` chains the stage solutions into the global solution of
-a convex linear-quadratic problem.
+A stage is the linear step ``y_next = A y + B v``, the stage cost
+0.5 y'Hy + 0.5 v'Qv + y'Rv + p'y + q'v and the next cost-to-go
+0.5 y'Jy + j'y + j0.  ``check_subproblem`` factors the stage's control
+Hessian once and runs the descent test, ``lqbp`` solves the stage in
+closed form from that factor, ``lbp`` is the degenerate linear-cost
+counterpart used by the gradient oracle, and ``dynprog`` chains the stage
+solutions into the global solution of a convex linear-quadratic problem.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from . import autodiff
-from .core import (
-    AffinePolicy,
-    LinearMap,
-    QuadraticCostModel,
-    QuadraticValueFunction,
-    TrajectoryProblem,
-    _sym,
-)
-from .errors import InfeasibleStageError, ParameterError, ShapeError
+from .core import TrajectoryProblem, _sym
+from .errors import InfeasibleStageError, ParameterError
 
-__all__ = [
-    "LqStageProblem",
-    "ValidityReport",
-    "lqbp",
-    "lbp",
-    "check_subproblem",
-    "dynprog",
-]
+__all__ = ["lqbp", "lbp", "check_subproblem", "dynprog"]
 
 # Round-off allowance for the descent check: a stage whose cost-to-go
 # offset decrement is zero up to this relative level (a zero-slope stage)
@@ -41,127 +27,57 @@ __all__ = [
 DESCENT_STRICTNESS = 1e-14
 
 
-@dataclass(frozen=True)
-class LqStageProblem:
-    """One Bellman stage: linear step, quadratic stage cost, next cost-to-go."""
+def check_subproblem(B, Q, q, J, j, j0: float):
+    """Factor a stage's control Hessian and run the descent test.
 
-    lin: LinearMap
-    cost: QuadraticCostModel
-    next_value: QuadraticValueFunction
-    t: int | None = None
-
-    def __post_init__(self):
-        if self.cost.n_x != self.lin.n_x or self.cost.n_u != self.lin.n_u:
-            raise ShapeError("stage cost dimensions do not match the linear map")
-        if self.next_value.j.size != self.lin.n_x:
-            raise ShapeError("next cost-to-go dimension does not match the linear map")
-
-    def control_hessian(self) -> np.ndarray:
-        """M = Q + B' J_next B, the Schur block the stage inverts."""
-        B = self.lin.B
-        return _sym(self.cost.Q + B.T @ self.next_value.J @ B)
-
-    def control_slope(self) -> np.ndarray:
-        """m = q + B' j_next."""
-        return self.cost.q + self.lin.B.T @ self.next_value.j
-
-
-@dataclass(frozen=True)
-class ValidityReport:
-    """Outcome of a stage check.
-
-    In strong-convexity mode the witness is the minimum eigenvalue of the
-    control Hessian; in descent mode it is the cost-to-go offset decrement
-    (NaN when the factorization itself failed).
-    """
-
-    valid: bool
-    mode: str
-    witness: float
-
-
-def _cho_factor(M: np.ndarray):
-    return scipy.linalg.cho_factor(M, lower=True, check_finite=False)
-
-
-def check_subproblem(stage: LqStageProblem, mode: str = "descent") -> ValidityReport:
-    """Check that a stage is solvable before running ``lqbp`` on it.
-
-    Strong-convexity mode tests the minimum eigenvalue of the control
-    Hessian.  Descent mode is the cheap check the solver loops branch on:
-    it factors the control Hessian and computes the cost-to-go offset
-    decrement, rejecting the stage when the factorization fails or the
-    decrement comes out positive beyond round-off.  A zero-slope stage
+    The control Hessian is M = Q + B'JB and the control slope m = q + B'j.
+    Returns ``(factor, m, Minv_m)`` for :func:`lqbp`, or None when the
+    Cholesky factorization fails or the cost-to-go offset decrement
+    -0.5 m'M^-1 m comes out positive beyond round-off.  A zero-slope stage
     (decrement zero, e.g. the last step of a problem started at a rest
     state) is solvable and passes; the overall descent test is the sign of
     the swept cost-to-go at time 0, which the caller owns.
     """
-    if mode not in ("strong-convexity", "descent"):
-        raise ParameterError(f"unknown check mode {mode!r}")
-    M = stage.control_hessian()
-    if mode == "strong-convexity":
-        eig_min = float(np.linalg.eigvalsh(M)[0])
-        return ValidityReport(eig_min > 0.0, mode, eig_min)
     try:
-        factor = _cho_factor(M)
+        factor = scipy.linalg.cho_factor(_sym(Q + B.T @ J @ B), lower=True, check_finite=False)
     except scipy.linalg.LinAlgError:
-        return ValidityReport(False, mode, float("nan"))
-    m = stage.control_slope()
-    decrement = -0.5 * float(m @ scipy.linalg.cho_solve(factor, m, check_finite=False))
-    threshold = DESCENT_STRICTNESS * (1.0 + abs(stage.next_value.j0))
-    return ValidityReport(decrement < threshold, mode, decrement)
+        return None
+    m = q + B.T @ j
+    Minv_m = scipy.linalg.cho_solve(factor, m, check_finite=False)
+    decrement = -0.5 * float(m @ Minv_m)
+    if not decrement < DESCENT_STRICTNESS * (1.0 + abs(j0)):
+        return None
+    return factor, m, Minv_m
 
 
-def lqbp(stage: LqStageProblem) -> tuple[QuadraticValueFunction, AffinePolicy]:
+def lqbp(A, B, H, R, p, J, j, j0: float, checked) -> tuple:
     """Closed-form solution of one linear-quadratic Bellman stage.
 
-    Returns the cost-to-go at time t and the minimizing affine policy.
-    The control Hessian must be positive definite; a failed factorization
-    raises :class:`InfeasibleStageError` so solver loops can raise their
-    regularization instead of falling back to a pseudo-inverse.
+    ``checked`` is the stage's :func:`check_subproblem` result, whose
+    factor and M^-1 m are reused.  Returns ``(J_t, j_t, j0_t, K, k)``: the
+    cost-to-go at time t and the minimizing policy v = K y + k.
     """
-    A, B = stage.lin.A, stage.lin.B
-    cost, nxt = stage.cost, stage.next_value
-    M = stage.control_hessian()
-    try:
-        factor = _cho_factor(M)
-    except scipy.linalg.LinAlgError as err:
-        raise InfeasibleStageError(stage.t) from err
-    m = stage.control_slope()
+    factor, m, Minv_m = checked
     # Cross term between state and control of the stage-plus-to-go quadratic.
-    N = cost.R + A.T @ nxt.J @ B  # (n_x, n_u)
+    N = R + A.T @ J @ B  # (n_x, n_u)
     Minv_NT = scipy.linalg.cho_solve(factor, np.ascontiguousarray(N.T), check_finite=False)
-    Minv_m = scipy.linalg.cho_solve(factor, m, check_finite=False)
-    K = -Minv_NT
-    k = -Minv_m
-    J_t = _sym(cost.H + A.T @ nxt.J @ A - N @ Minv_NT)
-    j_t = cost.p + A.T @ nxt.j - N @ Minv_m
-    j0_t = nxt.j0 - 0.5 * float(m @ Minv_m)
-    value = QuadraticValueFunction(J_t, j_t, j0_t)
-    return value, AffinePolicy(K, k)
+    J_t = _sym(H + A.T @ J @ A - N @ Minv_NT)
+    j_t = p + A.T @ j - N @ Minv_m
+    j0_t = j0 - 0.5 * float(m @ Minv_m)
+    return J_t, j_t, j0_t, -Minv_NT, -Minv_m
 
 
-def lbp(
-    lin: LinearMap,
-    p: np.ndarray,
-    q: np.ndarray,
-    next_value: QuadraticValueFunction,
-    nu: float,
-) -> tuple[QuadraticValueFunction, AffinePolicy]:
+def lbp(A, B, p, q, j, j0: float, nu: float) -> tuple:
     """Bellman stage with linear dynamics and linear costs ridge-regularized by nu.
 
     The cost-to-go stays affine and the policy is a constant offset; this
-    is the stage operation behind gradient back-propagation.
+    is the stage operation behind gradient back-propagation.  Returns
+    ``(j_t, j0_t, k)``.
     """
     if nu <= 0.0:
         raise ParameterError(f"lbp requires nu > 0, got {nu}")
-    p = np.asarray(p, dtype=float).ravel()
-    q = np.asarray(q, dtype=float).ravel()
-    g = q + lin.B.T @ next_value.j
-    j_t = p + lin.A.T @ next_value.j
-    j0_t = next_value.j0 - float(g @ g) / (2.0 * nu)
-    policy = AffinePolicy(np.zeros((lin.n_u, lin.n_x)), -g / nu)
-    return QuadraticValueFunction.affine(j_t, j0_t), policy
+    g = q + B.T @ j
+    return p + A.T @ j, j0 - float(g @ g) / (2.0 * nu), -g / nu
 
 
 def dynprog(problem: TrajectoryProblem) -> np.ndarray:
@@ -169,32 +85,31 @@ def dynprog(problem: TrajectoryProblem) -> np.ndarray:
 
     The caller guarantees linear dynamics and convex quadratic costs with
     strongly convex control blocks; the stage data is then recovered
-    exactly by differentiating the callables once at the origin.  Returns
-    the controls as an array of shape (horizon, n_u).
+    exactly by differentiating the callables once at the origin.  A stage
+    that fails :func:`check_subproblem` raises :class:`InfeasibleStageError`
+    with its index.  Returns the controls as an array of shape
+    (horizon, n_u).
     """
     tau, n_x, n_u = problem.horizon, problem.n_x, problem.n_u
-    zx, zu = np.zeros(n_x), np.zeros(n_u)
-    stages = []
-    for t in range(tau):
-        f, h = problem.dynamics[t], problem.running_costs[t]
-        joint_f = lambda z, f=f: f(z[:n_x], z[n_x:])
-        joint_h = lambda z, h=h: h(z[:n_x], z[n_x:])
-        jac = autodiff.jacobian(joint_f, np.concatenate([zx, zu]))
-        _, grad, hess = autodiff.value_gradient_hessian(joint_h, np.concatenate([zx, zu]))
-        lin = LinearMap(jac[:, :n_x], jac[:, n_x:])
-        cost = QuadraticCostModel(
-            hess[:n_x, :n_x], hess[n_x:, n_x:], hess[:n_x, n_x:], grad[:n_x], grad[n_x:]
-        )
-        stages.append((lin, cost))
-    _, fgrad, fhess = autodiff.value_gradient_hessian(problem.final_cost, zx)
-    value = QuadraticValueFunction(fhess, fgrad)
-    policies = [None] * tau
+    z = np.zeros(n_x + n_u)
+    _, j, J = autodiff.value_gradient_hessian(problem.final_cost, z[:n_x])
+    J, j0 = _sym(J), 0.0
+    K, k = np.empty((tau, n_u, n_x)), np.empty((tau, n_u))
     for t in range(tau - 1, -1, -1):
-        lin, cost = stages[t]
-        value, policies[t] = lqbp(LqStageProblem(lin, cost, value, t=t))
+        f, h = problem.dynamics[t], problem.running_costs[t]
+        jac = autodiff.jacobian(lambda zz: f(zz[:n_x], zz[n_x:]), z)
+        _, grad, hess = autodiff.value_gradient_hessian(lambda zz: h(zz[:n_x], zz[n_x:]), z)
+        A, B = jac[:, :n_x], jac[:, n_x:]
+        Q, q = _sym(hess[n_x:, n_x:]), grad[n_x:]
+        checked = check_subproblem(B, Q, q, J, j, j0)
+        if checked is None:
+            raise InfeasibleStageError(t)
+        J, j, j0, K[t], k[t] = lqbp(
+            A, B, _sym(hess[:n_x, :n_x]), hess[:n_x, n_x:], grad[:n_x], J, j, j0, checked
+        )
     controls = np.zeros((tau, n_u))
     x = problem.x0.copy()
     for t in range(tau):
-        controls[t] = policies[t](x)
+        controls[t] = K[t] @ x + k[t]
         x = np.asarray(problem.dynamics[t](x, controls[t]), dtype=float).ravel()
     return controls

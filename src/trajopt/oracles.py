@@ -6,6 +6,13 @@ sweep producing affine policies and the cost-to-go at time 0, and one
 roll-out of the policies along either the linearized step maps (gradient,
 Gauss-Newton, Newton) or the original-dynamics increment maps (the two
 DDP variants).  :data:`ORACLES` is the single description of the kinds.
+
+The forward pass stores the stage matrices stacked over the stages
+(:class:`ExpansionBundle`), and the sweeps run on those raw arrays: each
+stage's control Hessian is factored once (``check_subproblem``) and the
+factor is reused by the closed-form stage (``lqbp``).  The policies come
+out stacked as gains ``K`` (horizon, n_u, n_x) and offsets ``k``
+(horizon, n_u).
 """
 
 from __future__ import annotations
@@ -17,16 +24,9 @@ from types import MappingProxyType
 import numpy as np
 
 from . import autodiff
-from .core import (
-    AffinePolicy,
-    LinearMap,
-    QuadraticCostModel,
-    QuadraticValueFunction,
-    TrajectoryProblem,
-    finite_difference_dynamic,
-)
-from .errors import DivergenceError, InfeasibleStageError, ParameterError, ShapeError
-from .lqsolve import LqStageProblem, check_subproblem, lbp, lqbp
+from .core import TrajectoryProblem, _sym, finite_difference_dynamic
+from .errors import DivergenceError, ParameterError, ShapeError
+from .lqsolve import check_subproblem, lbp, lqbp
 
 __all__ = [
     "ORACLES",
@@ -56,9 +56,9 @@ class OracleSpec:
     rolls_original: bool
     start_nu: float
 
-    def step_maps(self, bundle: ExpansionBundle) -> tuple:
-        """The maps this kind's roll-out follows around the bundle's trajectory."""
-        return bundle.finite_difference_steps() if self.rolls_original else bundle.linear_steps()
+    def step_map(self, bundle: ExpansionBundle):
+        """The per-stage map ``(t, y, v) -> y_next`` this kind's roll-out follows."""
+        return bundle.increment_step if self.rolls_original else bundle.linear_step
 
 
 # The oracle kinds.  ``o_f`` and ``o_h`` are the forward-pass orders of the
@@ -105,15 +105,20 @@ SLOT_BUDGET = 264
 
 @dataclass(frozen=True)
 class ExpansionBundle:
-    """Per-step derivative information recorded by one forward pass.
+    """Derivative information recorded by one forward pass, stacked over the stages.
 
     Orders 0/1/2 control what is stored: nothing beyond the trajectory and
-    cost, first derivatives, or second derivatives.  For order-2 dynamics
-    ``curvature`` (horizon, n_x, m(m+1)/2), m = n_x + n_u, holds each
-    stage's per-output second derivatives in the joint point (x_t, u_t),
-    packed over the pairs of ``np.triu_indices(m)`` (see
-    :func:`autodiff.block_jacobian_curvature`); the backward sweep
-    contracts a stage's rows against whatever vector it needs.
+    cost, first derivatives, or second derivatives.  Order-1 dynamics give
+    ``A`` (horizon, n_x, n_x) and ``B`` (horizon, n_x, n_u), views of the
+    stacked Jacobians.  Order-1 costs give the slopes ``p`` (horizon, n_x)
+    and ``q`` (horizon, n_u) and the final slope; order-2 costs add the
+    blocks ``H``, ``Q`` (symmetrized once here), ``R`` (horizon, n_x, n_u)
+    and the final Hessian.  For order-2 dynamics ``curvature`` (horizon,
+    n_x, m(m+1)/2), m = n_x + n_u, holds each stage's per-output second
+    derivatives in the joint point (x_t, u_t), packed over the pairs of
+    ``np.triu_indices(m)`` (see :func:`autodiff.block_jacobian_curvature`);
+    the backward sweep contracts a stage's rows against whatever vector it
+    needs.
     """
 
     problem: TrajectoryProblem
@@ -123,10 +128,13 @@ class ExpansionBundle:
     cost: float
     o_f: int
     o_h: int
-    lin: tuple | None = None
-    cost_p: tuple | None = None
-    cost_q: tuple | None = None
-    cost_quads: tuple | None = None
+    A: np.ndarray | None = None
+    B: np.ndarray | None = None
+    H: np.ndarray | None = None
+    Q: np.ndarray | None = None
+    R: np.ndarray | None = None
+    p: np.ndarray | None = None
+    q: np.ndarray | None = None
     final_slope: np.ndarray | None = None
     final_quad: np.ndarray | None = None
     curvature: np.ndarray | None = None
@@ -135,27 +143,22 @@ class ExpansionBundle:
     def horizon(self) -> int:
         return self.problem.horizon
 
-    def linear_steps(self) -> tuple:
-        if self.lin is None:
-            raise ParameterError("bundle was built with o_f=0; no linearized steps stored")
-        return self.lin
+    def linear_step(self, t: int, y, v) -> np.ndarray:
+        """The linearized dynamics of stage t: A_t y + B_t v."""
+        return self.A[t] @ y + self.B[t] @ v
 
-    def finite_difference_steps(self) -> tuple:
-        """Increment maps of the original dynamics around the visited points."""
-        problem, u, xs = self.problem, self.u, self.xs
-
-        def step(t):
-            f, x_t, u_t = problem.dynamics[t], xs[t], u[t]
-            return lambda y, v: finite_difference_dynamic(f, x_t, u_t, y, v, t=t)
-
-        return tuple(step(t) for t in range(self.horizon))
+    def increment_step(self, t: int, y, v) -> np.ndarray:
+        """The original-dynamics increment of stage t around the visited point."""
+        return finite_difference_dynamic(
+            self.problem.dynamics[t], self.xs[t], self.u[t], y, v, t=t
+        )
 
     def cost_slope_norm(self) -> float:
         """Euclidean norm of all stage-cost gradients along the trajectory."""
-        if self.cost_p is None:
+        if self.p is None:
             raise ParameterError("bundle was built with o_h=0; no cost slopes stored")
         total = float(self.final_slope @ self.final_slope)
-        for p, q in zip(self.cost_p, self.cost_q):
+        for p, q in zip(self.p, self.q):
             total += float(p @ p) + float(q @ q)
         return math.sqrt(total)
 
@@ -164,21 +167,20 @@ class ExpansionBundle:
 class OracleDirection:
     """Result of one oracle evaluation.
 
-    ``feasible`` is False when a stage check failed during the backward
-    sweep; the cost-to-go value then reads as +inf so line-search loops can
-    branch on it without exception handling.
+    ``K`` (horizon, n_u, n_x) and ``k`` (horizon, n_u) are the policies
+    v_t = K_t y_t + k_t and ``c0_zero`` the swept cost-to-go at time 0.
+    ``feasible`` is False when a stage failed its factorization or descent
+    test, or the sweep's output was not finite; ``failed_stage`` then names
+    that stage, the policies are None and ``c0_zero`` reads +inf, so
+    line-search loops can branch on it without exception handling.
     """
 
-    policies: tuple
-    c0: QuadraticValueFunction | None
+    K: np.ndarray | None
+    k: np.ndarray | None
+    c0_zero: float
     feasible: bool
     direction: np.ndarray | None = None
-
-    @property
-    def c0_zero(self) -> float:
-        if not self.feasible or self.c0 is None:
-            return math.inf
-        return self.c0.j0
+    failed_stage: int | None = None
 
 
 def _scalars(vec: np.ndarray) -> list:
@@ -328,21 +330,21 @@ def _expansions(problem: TrajectoryProblem, xs: list, u: np.ndarray, o_f: int, o
         t = int(np.argmin(ok))
         raise DivergenceError(t, f"non-finite derivative at t={t}")
 
+    # A, B and R stay strided views: with contiguous copies the sweep's
+    # matmuls take other BLAS paths, and the offsets and c0 of cart-pole
+    # and bicycle-car sweeps change in their last bits
     fields = {}
     if o_f >= 1:
-        fields["lin"] = tuple(LinearMap(j[:, :n_x], j[:, n_x:]) for j in jac)
+        fields.update(A=jac[:, :, :n_x], B=jac[:, :, n_x:])
     if o_f == 2:
         fields["curvature"] = curvature
     if o_h >= 1:
-        fields["cost_p"] = tuple(grad[:, :n_x])
-        fields["cost_q"] = tuple(grad[:, n_x:])
-        fields["final_slope"] = final_slope
+        fields.update(p=grad[:, :n_x], q=grad[:, n_x:], final_slope=final_slope)
     if o_h == 2:
-        fields["cost_quads"] = tuple(
-            QuadraticCostModel(h[:n_x, :n_x], h[n_x:, n_x:], h[:n_x, n_x:], g[:n_x], g[n_x:])
-            for g, h in zip(grad, hess)
+        fields.update(
+            H=_sym(hess[:, :n_x, :n_x]), Q=_sym(hess[:, n_x:, n_x:]), R=hess[:, :n_x, n_x:],
+            final_quad=_sym(final_quad),
         )
-        fields["final_quad"] = final_quad
     return fields
 
 
@@ -357,8 +359,9 @@ def forward(problem: TrajectoryProblem, u, o_f: int = 1, o_h: int = 2) -> Expans
     :class:`DivergenceError` when a state, cost or derivative turns
     non-finite, carrying the offending step.
     """
-    autodiff.DerivativeRequest(o_f)
-    autodiff.DerivativeRequest(o_h)
+    for order in (o_f, o_h):
+        if order not in (0, 1, 2):
+            raise ParameterError(f"derivative order must be 0, 1 or 2, got {order}")
     u = _shaped_controls(problem, u, "u")
     xs, step_costs, total = _roll(problem, u)
     fields = {}
@@ -378,11 +381,22 @@ def forward(problem: TrajectoryProblem, u, o_f: int = 1, o_h: int = 2) -> Expans
     )
 
 
-def _infeasible(bundle: ExpansionBundle) -> OracleDirection:
-    zero = AffinePolicy.zero(bundle.problem.n_u, bundle.problem.n_x)
-    return OracleDirection(
-        policies=tuple(zero for _ in range(bundle.horizon)), c0=None, feasible=False
-    )
+def _infeasible(t: int) -> OracleDirection:
+    return OracleDirection(K=None, k=None, c0_zero=math.inf, feasible=False, failed_stage=t)
+
+
+def _swept(K: np.ndarray, k: np.ndarray, c0_zero: float) -> OracleDirection:
+    """The sweep's result after one finiteness check of its stacked output.
+
+    A stage whose policy overflowed names itself; of several, the last
+    (the first swept).  A non-finite c0 alone names stage 0.
+    """
+    bad = ~(np.isfinite(K).all(axis=(1, 2)) & np.isfinite(k).all(axis=1))
+    if bad.any():
+        return _infeasible(int(np.flatnonzero(bad)[-1]))
+    if not math.isfinite(c0_zero):
+        return _infeasible(0)
+    return OracleDirection(K, k, c0_zero, True)
 
 
 def backward_gd(bundle: ExpansionBundle, nu: float) -> OracleDirection:
@@ -395,13 +409,13 @@ def backward_gd(bundle: ExpansionBundle, nu: float) -> OracleDirection:
         raise ParameterError(f"gradient backward pass requires nu > 0, got {nu}")
     if bundle.o_h < 1 or bundle.o_f < 1:
         raise ParameterError("gradient backward pass needs order-1 information")
-    value = QuadraticValueFunction.affine(bundle.final_slope)
-    policies = [None] * bundle.horizon
-    for t in range(bundle.horizon - 1, -1, -1):
-        value, policies[t] = lbp(
-            bundle.lin[t], bundle.cost_p[t], bundle.cost_q[t], value, nu
-        )
-    return OracleDirection(tuple(policies), value, True)
+    tau, n_x, n_u = bundle.horizon, bundle.problem.n_x, bundle.problem.n_u
+    A, B, p, q = bundle.A, bundle.B, bundle.p, bundle.q
+    k = np.empty((tau, n_u))
+    j, j0 = bundle.final_slope, 0.0
+    for t in range(tau - 1, -1, -1):
+        j, j0, k[t] = lbp(A[t], B[t], p[t], q[t], j, j0, nu)
+    return _swept(np.zeros((tau, n_u, n_x)), k, j0)
 
 
 def _backward_quadratic(
@@ -415,43 +429,40 @@ def _backward_quadratic(
     if contraction is not None and bundle.curvature is None:
         raise ParameterError("curvature contraction needs order-2 dynamics information")
     tau, n_x, n_u = bundle.horizon, bundle.problem.n_x, bundle.problem.n_u
+    A, B, p, q = bundle.A, bundle.B, bundle.p, bundle.q
     ridge = nu * np.eye(n_u)
+    # each K[t] Fortran-ordered like cho_solve's output: with C-ordered rows
+    # the roll-out's K[t] @ y takes another BLAS path, and bicycle-car
+    # directions change in their last bits
+    K = np.empty((tau, n_x, n_u)).transpose(0, 2, 1)
+    k = np.empty((tau, n_u))
 
-    value = QuadraticValueFunction(bundle.final_quad, bundle.final_slope)
+    J, j, j0 = bundle.final_quad, bundle.final_slope, 0.0
     lam = bundle.final_slope
-    policies = [None] * tau
     for t in range(tau - 1, -1, -1):
-        quad = bundle.cost_quads[t]
-        H, Q, R = quad.H, quad.Q + ridge, quad.R
+        H, Q, R = bundle.H[t], bundle.Q[t] + ridge, bundle.R[t]
         if contraction is not None:
-            vec = lam if contraction == "adjoint" else value.j
+            vec = lam if contraction == "adjoint" else j
             w = autodiff.contract_curvature(bundle.curvature[t], vec)
             H = H + w[:n_x, :n_x]
             Q = Q + w[n_x:, n_x:]
             R = R + w[:n_x, n_x:]
         if contraction == "adjoint":
-            lam = bundle.cost_p[t] + bundle.lin[t].A.T @ lam
-        stage = LqStageProblem(
-            bundle.lin[t],
-            QuadraticCostModel(H, Q, R, quad.p, quad.q),
-            value,
-            t=t,
-        )
-        if not check_subproblem(stage).valid:
-            return _infeasible(bundle)
-        try:
-            value, policies[t] = lqbp(stage)
-        except InfeasibleStageError:
-            return _infeasible(bundle)
-    return OracleDirection(tuple(policies), value, True)
+            lam = p[t] + A[t].T @ lam
+        checked = check_subproblem(B[t], Q, q[t], J, j, j0)
+        if checked is None:
+            return _infeasible(t)
+        J, j, j0, K[t], k[t] = lqbp(A[t], B[t], H, R, p[t], J, j, j0, checked)
+    return _swept(K, k, j0)
 
 
 def run_backward(bundle: ExpansionBundle, kind: str, nu: float) -> OracleDirection:
     """The backward pass of one oracle kind, as :data:`ORACLES` describes it."""
     spec = oracle_spec(kind)
-    if spec.o_h == 1:  # linear cost models: gradient back-propagation
-        return backward_gd(bundle, nu)
-    return _backward_quadratic(bundle, nu, spec.contraction)
+    with np.errstate(all="ignore"):  # overflow ends as an infeasible result
+        if spec.o_h == 1:  # linear cost models: gradient back-propagation
+            return backward_gd(bundle, nu)
+        return _backward_quadratic(bundle, nu, spec.contraction)
 
 
 def bundle_gradient(bundle: ExpansionBundle) -> np.ndarray:
@@ -459,30 +470,32 @@ def bundle_gradient(bundle: ExpansionBundle) -> np.ndarray:
     if bundle.o_h < 1 or bundle.o_f < 1:
         raise ParameterError("gradient recovery needs order-1 information")
     tau = bundle.horizon
+    A, B, p, q = bundle.A, bundle.B, bundle.p, bundle.q
     g = np.zeros((tau, bundle.problem.n_u))
     j = bundle.final_slope
     for t in range(tau - 1, -1, -1):
-        g[t] = bundle.cost_q[t] + bundle.lin[t].B.T @ j
-        j = bundle.cost_p[t] + bundle.lin[t].A.T @ j
+        g[t] = q[t] + B[t].T @ j
+        j = p[t] + A[t].T @ j
     return g
 
 
-def rollout(y0, policies, step_maps) -> np.ndarray:
-    """Apply policies along step maps; returns the controls (horizon, n_u).
+def rollout(y0, K: np.ndarray, k: np.ndarray, step) -> np.ndarray:
+    """Apply the policies v_t = K[t] y_t + k[t] along a step map.
 
-    Step maps are either :class:`LinearMap` objects or callables
-    ``(y, v) -> y_next``.  A non-finite state raises
-    :class:`DivergenceError` with the offending step.
+    ``step(t, y, v)`` gives the next state, for example
+    :meth:`ExpansionBundle.linear_step`.  Returns the controls (horizon,
+    n_u); a non-finite state raises :class:`DivergenceError` with the
+    offending step.
     """
     y = np.asarray(y0, dtype=float).ravel()
-    controls = []
-    for t, (policy, step) in enumerate(zip(policies, step_maps)):
-        v = policy(y)
-        controls.append(v)
-        y = step.apply(y, v) if isinstance(step, LinearMap) else np.asarray(step(y, v), dtype=float).ravel()
+    controls = np.empty(k.shape)
+    for t in range(len(k)):
+        v = K[t] @ y + k[t]
+        controls[t] = v
+        y = np.asarray(step(t, y, v), dtype=float).ravel()
         if not np.all(np.isfinite(y)):
             raise DivergenceError(t)
-    return np.array(controls)
+    return controls
 
 
 def oracle_step(bundle: ExpansionBundle, kind: str, nu: float) -> OracleDirection:
@@ -497,9 +510,9 @@ def oracle_step(bundle: ExpansionBundle, kind: str, nu: float) -> OracleDirectio
     if not result.feasible:
         return result
     if spec.o_h == 1:  # constant policies
-        direction = np.array([p.k for p in result.policies])
+        direction = result.k.copy()
     else:
-        direction = rollout(np.zeros(bundle.problem.n_x), result.policies, spec.step_maps(bundle))
+        direction = rollout(np.zeros(bundle.problem.n_x), result.K, result.k, spec.step_map(bundle))
     return replace(result, direction=direction)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from trajopt._testing import (  # noqa: F401  (re-exported for the test modules)
     concave_stage_problem,
@@ -22,3 +23,22 @@ from trajopt._testing import (  # noqa: F401  (re-exported for the test modules)
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def cholesky_spy(monkeypatch):
+    """Outcomes ("ok" or "failed") of every scipy Cholesky factorization made."""
+    outcomes = []
+    real = scipy.linalg.cho_factor
+
+    def spy(*args, **kwargs):
+        try:
+            factor = real(*args, **kwargs)
+        except scipy.linalg.LinAlgError:
+            outcomes.append("failed")
+            raise
+        outcomes.append("ok")
+        return factor
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", spy)
+    return outcomes

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trajopt import autodiff as ad
+from trajopt.core import TrajectoryProblem
 from trajopt.errors import DomainError, ParameterError, UnsupportedPrimitiveError
+from trajopt.oracles import forward
 
 from conftest import fd_hessian, fd_jacobian
 
@@ -265,7 +267,15 @@ class TestPrimitives:
         assert np.isfinite(g).all()
 
     def test_derivative_request_validation(self):
-        with pytest.raises(ParameterError):
-            ad.DerivativeRequest(3)
-        with pytest.raises(ParameterError):
-            ad.DerivativeRequest(1, lam=np.ones(2))
+        problem = TrajectoryProblem(
+            dynamics=(lambda x, u: [x[0] + u[0]],),
+            running_costs=(lambda x, u: u[0] * u[0],),
+            final_cost=lambda x: x[0],
+            x0=[0.0],
+            n_x=1,
+            n_u=1,
+        )
+        with pytest.raises(ParameterError, match="order must be 0, 1 or 2"):
+            forward(problem, [[0.0]], o_f=3)
+        with pytest.raises(ParameterError, match="order must be 0, 1 or 2"):
+            forward(problem, [[0.0]], o_h=3)

@@ -1,60 +1,56 @@
-"""Core value types: quadratic evaluation, increment maps, tensor contraction."""
+"""Model-building helpers, increment maps, curvature contraction, problem checks."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trajopt import autodiff
 from trajopt.core import (
-    AffinePolicy,
-    DynTensor,
-    LinearMap,
-    QuadraticCostModel,
-    QuadraticValueFunction,
     TrajectoryProblem,
-    evaluate_quadratic,
     finite_difference_dynamic,
     linear_dynamics,
+    quadratic_cost,
 )
 from trajopt.errors import ShapeError
+from trajopt.oracles import forward
 
 small = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
 
 class TestEvaluateQuadratic:
+    """A stage cost built by ``quadratic_cost``, evaluated on floats."""
+
     def test_zero_model(self):
-        model = QuadraticCostModel(np.zeros((2, 2)), np.zeros((1, 1)), np.zeros((2, 1)),
-                                   np.zeros(2), np.zeros(1))
-        assert evaluate_quadratic(model, [1.3, -0.2], [0.7]) == 0.0
+        h = quadratic_cost(np.zeros((2, 2)), np.zeros((1, 1)), np.zeros((2, 1)),
+                           np.zeros(2), np.zeros(1))
+        assert h([1.3, -0.2], [0.7]) == 0.0
 
     def test_identity_blocks(self):
         # 0.5*1 + 0.5*4 = 2.5
-        model = QuadraticCostModel(np.eye(2), np.eye(1), np.zeros((2, 1)),
-                                   np.zeros(2), np.zeros(1))
-        assert evaluate_quadratic(model, [1.0, 0.0], [2.0]) == pytest.approx(2.5)
+        h = quadratic_cost(np.eye(2), np.eye(1), np.zeros((2, 1)), np.zeros(2), np.zeros(1))
+        assert h([1.0, 0.0], [2.0]) == pytest.approx(2.5)
 
     def test_linear_part_only(self):
-        model = QuadraticCostModel(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)),
-                                   [1.0], [1.0])
-        assert evaluate_quadratic(model, [3.0], [4.0]) == pytest.approx(7.0)
+        h = quadratic_cost(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)), [1.0], [1.0])
+        assert h([3.0], [4.0]) == pytest.approx(7.0)
 
     def test_shape_error(self):
-        model = QuadraticCostModel(np.eye(2), np.eye(1), np.zeros((2, 1)),
-                                   np.zeros(2), np.zeros(1))
-        with pytest.raises(ShapeError):
-            evaluate_quadratic(model, [1.0], [2.0])
+        # H is 2x2 but p has one entry
+        with pytest.raises(ShapeError, match="inconsistent quadratic model shapes"):
+            quadratic_cost(np.eye(2), np.eye(1), np.zeros((2, 1)), np.zeros(1), np.zeros(1))
+        with pytest.raises(ShapeError, match="H must be finite"):
+            quadratic_cost([[np.inf]], np.eye(1), np.zeros((1, 1)), np.zeros(1), np.zeros(1))
 
     @given(small, small, small, small)
     @settings(max_examples=30, deadline=None)
     def test_invariant_under_symmetrization(self, a, b, y0, y1):
         asym = np.array([[1.0, a], [b, 2.0]])
-        model = QuadraticCostModel(asym, np.eye(1), np.zeros((2, 1)), np.zeros(2), np.zeros(1))
-        model_sym = QuadraticCostModel(0.5 * (asym + asym.T), np.eye(1), np.zeros((2, 1)),
-                                       np.zeros(2), np.zeros(1))
+        h = quadratic_cost(asym, np.eye(1), np.zeros((2, 1)), np.zeros(2), np.zeros(1))
+        h_sym = quadratic_cost(0.5 * (asym + asym.T), np.eye(1), np.zeros((2, 1)),
+                               np.zeros(2), np.zeros(1))
         y, v = [y0, y1], [0.3]
-        assert evaluate_quadratic(model, y, v) == pytest.approx(
-            evaluate_quadratic(model_sym, y, v)
-        )
+        assert h(y, v) == pytest.approx(h_sym(y, v))
 
 
 class TestFiniteDifferenceDynamic:
@@ -83,42 +79,35 @@ class TestFiniteDifferenceDynamic:
 
 
 class TestDynTensor:
+    """The packed dynamics curvature of one stage, contracted against a vector."""
+
     @given(small, small)
     @settings(max_examples=25, deadline=None)
     def test_contraction_linear_in_lambda(self, l1, l2):
         rng = np.random.default_rng(3)
-        tensor = DynTensor(rng.standard_normal((2, 3, 3)), rng.standard_normal((2, 3, 2)),
-                           rng.standard_normal((2, 2, 2)))
-        a = tensor.contract([l1, 0.0]) + tensor.contract([l2, 1.0])
-        b = tensor.contract([l1 + l2, 1.0])
+        d12 = rng.standard_normal((2, 15))  # two outputs, m = 5
+        contract = autodiff.contract_curvature
+        a = contract(d12, np.array([l1, 0.0])) + contract(d12, np.array([l2, 1.0]))
+        b = contract(d12, np.array([l1 + l2, 1.0]))
         np.testing.assert_allclose(a, b, atol=1e-10)
 
     def test_zero_tensor_contracts_to_zero(self):
-        tensor = DynTensor(np.zeros((1, 2, 2)), np.zeros((1, 2, 1)), np.zeros((1, 1, 1)))
-        np.testing.assert_allclose(tensor.contract([2.0]), np.zeros((3, 3)))
+        w = autodiff.contract_curvature(np.zeros((1, 6)), np.array([2.0]))
+        np.testing.assert_array_equal(w, np.zeros((3, 3)))
 
     def test_contraction_is_symmetric(self):
         rng = np.random.default_rng(4)
-        tensor = DynTensor(rng.standard_normal((2, 2, 2)), rng.standard_normal((2, 2, 1)),
-                           rng.standard_normal((2, 1, 1)))
-        w = tensor.contract([0.3, -1.2])
-        np.testing.assert_allclose(w, w.T)
+        w = autodiff.contract_curvature(rng.standard_normal((2, 6)), np.array([0.3, -1.2]))
+        np.testing.assert_array_equal(w, w.T)
 
 
 class TestValueTypes:
-    def test_value_function_evaluation_is_exact(self):
-        c = QuadraticValueFunction([[2.0]], [1.0], 0.5)
-        assert c([3.0]) == pytest.approx(0.5 * 9 * 2 + 3 + 0.5)
-
-    def test_policy_scaling_scales_offset_only(self):
-        pol = AffinePolicy([[1.0, 0.0]], [2.0])
-        scaled = pol.scaled(0.25)
-        np.testing.assert_allclose(scaled.K, pol.K)
-        np.testing.assert_allclose(scaled.k, [0.5])
-
     def test_linear_map_apply(self):
-        lin = LinearMap([[1.0, 1.0], [0.0, 1.0]], [[0.0], [1.0]])
-        np.testing.assert_allclose(lin.apply([1.0, 2.0], [3.0]), [3.0, 5.0])
+        f = linear_dynamics([[1.0, 1.0], [0.0, 1.0]], [[0.0], [1.0]])
+        problem = TrajectoryProblem((f,), (lambda x, u: u[0] * u[0],), lambda x: x[0],
+                                    [0.0, 0.0], 2, 1)
+        bundle = forward(problem, [[0.0]], o_f=1, o_h=0)
+        np.testing.assert_allclose(bundle.linear_step(0, [1.0, 2.0], [3.0]), [3.0, 5.0])
 
     def test_problem_validation(self):
         f = lambda x, u: [x[0]]

@@ -35,7 +35,7 @@ class TestDenseGradientHessian:
         from trajopt.oracles import forward
 
         bundle = forward(problem, u, 1, 0)
-        np.testing.assert_allclose(T, bundle.lin[0].B)
+        np.testing.assert_allclose(T, bundle.B[0])
 
     def test_gradient_matches_finite_differences(self, rng):
         for _ in range(3):

@@ -1,5 +1,6 @@
 """Benchmark models: hand-computed dynamics values, costs, integrators, builds."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -28,6 +29,7 @@ from trajopt.envs import (
     track_eval,
 )
 from trajopt.errors import ConfigError, DomainError
+from trajopt.oracles import forward
 
 from conftest import fd_hessian, fd_jacobian
 
@@ -231,6 +233,31 @@ class TestBuildProblem:
     def test_varying_controls_triple_the_control_dim(self):
         p = build_problem("pendulum", 10, discretizer="rk4-varying")
         assert p.n_u == 3
+
+    @pytest.mark.parametrize("env,distinct", [("pendulum", 1), ("cartpole", 2)])
+    def test_running_costs_share_callables(self, env, distinct):
+        horizon = 25
+        problem = build_problem(env, horizon)
+        assert len({id(h) for h in problem.running_costs}) == distinct
+        params = problem.meta["params"]
+        if env == "pendulum":
+            per_stage = tuple(
+                (lambda x, u, t=t: pendulum_cost(t, x, u, horizon, params))
+                for t in range(horizon)
+            )
+        else:
+            tbar = problem.meta["stay_put_from"]
+            assert 0 < tbar < horizon  # both forms occur
+            per_stage = tuple(
+                (lambda x, u, t=t: cartpole_cost(t, x, u, horizon, tbar, params))
+                for t in range(horizon)
+            )
+        reference = dataclasses.replace(problem, running_costs=per_stage)
+        u = 0.3 * np.random.default_rng(5).standard_normal((horizon, problem.n_u))
+        shared, own = forward(problem, u, 2, 2), forward(reference, u, 2, 2)
+        assert shared.step_costs == own.step_costs and shared.cost == own.cost
+        for name in ("A", "B", "H", "Q", "R", "p", "q", "final_slope", "final_quad", "curvature"):
+            np.testing.assert_array_equal(getattr(shared, name), getattr(own, name), err_msg=name)
 
     def test_all_env_derivatives_match_finite_differences(self, rng):
         """Spot check; the acceptance suite sweeps 100 points per model."""

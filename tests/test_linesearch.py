@@ -42,7 +42,7 @@ class TestDirectionalSearch:
         bundle = forward(problem, u, 1, 2)
         result = run_backward(bundle, "gn", 0.0)
         u_next, gamma = directional_search(
-            problem, u, result.policies, result.c0_zero, bundle.linear_steps(),
+            problem, u, result.K, result.k, result.c0_zero, bundle.linear_step,
             LineSearchConfig(),
         )
         assert gamma == 1.0
@@ -51,7 +51,7 @@ class TestDirectionalSearch:
     def test_rejects_non_descent_model_value(self):
         problem = quadratic_scalar_problem()
         with pytest.raises(ParameterError):
-            directional_search(problem, np.zeros((1, 1)), (), 0.0, (), LineSearchConfig())
+            directional_search(problem, np.zeros((1, 1)), None, None, 0.0, None, LineSearchConfig())
 
     def test_stall_on_pathological_objective(self):
         # a direction that increases the objective stalls the search
@@ -59,10 +59,10 @@ class TestDirectionalSearch:
         u = np.array([[1.0]])
         bundle = forward(problem, u, 1, 2)
         result = run_backward(bundle, "gn", 0.0)
-        uphill = tuple(p.scaled(-1.0) for p in result.policies)
         with pytest.raises(StallError):
             directional_search(
-                problem, u, uphill, result.c0_zero, bundle.linear_steps(), LineSearchConfig()
+                problem, u, result.K, -result.k, result.c0_zero, bundle.linear_step,
+                LineSearchConfig(),
             )
 
     def test_accepted_step_satisfies_sufficient_decrease(self, rng):
@@ -72,7 +72,7 @@ class TestDirectionalSearch:
         result = run_backward(bundle, "gn", 0.5)
         j0 = objective_value(problem, u)
         u_next, gamma = directional_search(
-            problem, u, result.policies, result.c0_zero, bundle.linear_steps(),
+            problem, u, result.K, result.k, result.c0_zero, bundle.linear_step,
             LineSearchConfig(),
         )
         j1 = objective_value(problem, u_next)
@@ -132,7 +132,7 @@ class TestRegularizedSearch:
         while True:
             result = run_backward(bundle, "gn", 1.0 / gamma)
             if result.feasible and result.c0_zero < 0.0:
-                v = rollout(np.zeros(1), result.policies, bundle.linear_steps())
+                v = rollout(np.zeros(1), result.K, result.k, bundle.linear_step)
                 j_trial = objective_value(problem, u + v)
                 if j_trial - bundle.cost <= result.c0_zero + 1e-12 * (1 + abs(bundle.cost)):
                     break

@@ -3,135 +3,142 @@
 import numpy as np
 import pytest
 
-from trajopt.core import (
-    LinearMap,
-    QuadraticCostModel,
-    QuadraticValueFunction,
-)
+import trajopt.core as core
 from trajopt.errors import InfeasibleStageError, ParameterError
-from trajopt.lqsolve import LqStageProblem, check_subproblem, dynprog, lbp, lqbp
+from trajopt.lqsolve import check_subproblem, dynprog, lbp, lqbp
 from trajopt.oracles import oracle
 
 from conftest import kkt_solve_lq, random_lq_problem
 
 
 def scalar_stage(A, B, H, Q, R, p, q, J, j, j0):
-    return LqStageProblem(
-        LinearMap([[A]], [[B]]),
-        QuadraticCostModel([[H]], [[Q]], [[R]], [p], [q]),
-        QuadraticValueFunction([[J]], [j], j0),
-        t=0,
-    )
+    """One stage's raw arrays: A, B, H, Q, R, p, q and the next cost-to-go J, j, j0."""
+    m = lambda v: np.array([[float(v)]])
+    return dict(A=m(A), B=m(B), H=m(H), Q=m(Q), R=m(R), p=np.array([float(p)]),
+                q=np.array([float(q)]), J=m(J), j=np.array([float(j)]), j0=float(j0))
+
+
+def check(s):
+    return check_subproblem(s["B"], s["Q"], s["q"], s["J"], s["j"], s["j0"])
+
+
+def solve_stage(s):
+    """check_subproblem then lqbp on one stage: (J_t, j_t, j0_t, K, k)."""
+    return lqbp(s["A"], s["B"], s["H"], s["R"], s["p"], s["J"], s["j"], s["j0"], check(s))
+
+
+def cost_to_go(J, j, j0, y):
+    return 0.5 * y @ J @ y + j @ y + j0
 
 
 class TestLqbp:
     def test_hand_evaluated_scalar_stage(self):
-        value, policy = lqbp(scalar_stage(A=1, B=1, H=0, Q=1, R=0, p=0, q=0, J=0, j=1, j0=0))
-        assert value.J[0, 0] == pytest.approx(0.0)
-        assert value.j[0] == pytest.approx(1.0)
-        assert value.j0 == pytest.approx(-0.5)
-        assert policy.K[0, 0] == pytest.approx(0.0)
-        assert policy.k[0] == pytest.approx(-1.0)
+        J, j, j0, K, k = solve_stage(scalar_stage(A=1, B=1, H=0, Q=1, R=0, p=0, q=0, J=0, j=1, j0=0))
+        assert J[0, 0] == pytest.approx(0.0)
+        assert j[0] == pytest.approx(1.0)
+        assert j0 == pytest.approx(-0.5)
+        assert K[0, 0] == pytest.approx(0.0)
+        assert k[0] == pytest.approx(-1.0)
 
     def test_nothing_to_control(self):
-        value, policy = lqbp(scalar_stage(A=0.7, B=1, H=2.0, Q=1, R=0, p=0, q=0, J=0, j=0, j0=0.3))
-        assert value.J[0, 0] == pytest.approx(2.0)
-        assert value.j[0] == pytest.approx(0.0)
-        assert value.j0 == pytest.approx(0.3)
-        np.testing.assert_allclose(policy.K, [[0.0]])
-        np.testing.assert_allclose(policy.k, [0.0])
+        J, j, j0, K, k = solve_stage(
+            scalar_stage(A=0.7, B=1, H=2.0, Q=1, R=0, p=0, q=0, J=0, j=0, j0=0.3)
+        )
+        assert J[0, 0] == pytest.approx(2.0)
+        assert j[0] == pytest.approx(0.0)
+        assert j0 == pytest.approx(0.3)
+        np.testing.assert_allclose(K, [[0.0]])
+        np.testing.assert_allclose(k, [0.0])
 
     def test_matches_one_step_kkt_minimization(self, rng):
         """The policy minimizes stage cost plus cost-to-go of the stepped state."""
-        n_x, n_u = 2, 1
-        lin = LinearMap(rng.standard_normal((2, 2)), rng.standard_normal((2, 1)))
+        A, B = rng.standard_normal((2, 2)), rng.standard_normal((2, 1))
         G = rng.standard_normal((3, 3))
         joint = G @ G.T + 0.2 * np.eye(3)
-        cost = QuadraticCostModel(joint[:2, :2], joint[2:, 2:], joint[:2, 2:],
-                                  rng.standard_normal(2), rng.standard_normal(1))
-        nxt = QuadraticValueFunction(np.eye(2) * 0.5, rng.standard_normal(2), 0.1)
-        value, policy = lqbp(LqStageProblem(lin, cost, nxt))
+        H, Q, R = joint[:2, :2], joint[2:, 2:], joint[:2, 2:]
+        p, q = rng.standard_normal(2), rng.standard_normal(1)
+        Jn, jn, j0n = np.eye(2) * 0.5, rng.standard_normal(2), 0.1
+        checked = check_subproblem(B, Q, q, Jn, jn, j0n)
+        J, j, j0, K, k = lqbp(A, B, H, R, p, Jn, jn, j0n, checked)
         for _ in range(5):
             y = rng.standard_normal(2)
             # dense one-step minimization over v
-            M = cost.Q + lin.B.T @ nxt.J @ lin.B
-            rhs = cost.q + cost.R.T @ y + lin.B.T @ (nxt.J @ (lin.A @ y) + nxt.j)
+            M = Q + B.T @ Jn @ B
+            rhs = q + R.T @ y + B.T @ (Jn @ (A @ y) + jn)
             v_star = np.linalg.solve(M, -rhs)
-            np.testing.assert_allclose(policy(y), v_star, atol=1e-10)
+            np.testing.assert_allclose(K @ y + k, v_star, atol=1e-10)
             direct = (
-                0.5 * y @ cost.H @ y + 0.5 * v_star @ cost.Q @ v_star + y @ cost.R @ v_star
-                + cost.p @ y + cost.q @ v_star + nxt(lin.apply(y, v_star))
+                0.5 * y @ H @ y + 0.5 * v_star @ Q @ v_star + y @ R @ v_star
+                + p @ y + q @ v_star + cost_to_go(Jn, jn, j0n, A @ y + B @ v_star)
             )
-            assert value(y) == pytest.approx(direct, abs=1e-10)
-
-    def test_infeasible_stage_raises_with_index(self):
-        stage = scalar_stage(A=1, B=1, H=0, Q=-1, R=0, p=0, q=0, J=0, j=0, j0=0)
-        with pytest.raises(InfeasibleStageError) as err:
-            lqbp(stage)
-        assert err.value.t == 0
+            assert cost_to_go(J, j, j0, y) == pytest.approx(direct, abs=1e-10)
 
 
 class TestLbp:
     def test_zero_slope_keeps_value(self):
-        lin = LinearMap([[1.0]], [[1.0]])
-        value, policy = lbp(lin, [0.0], [0.0], QuadraticValueFunction.affine([0.0], 0.7), nu=2.0)
-        assert value.j0 == pytest.approx(0.7)
-        np.testing.assert_allclose(policy.k, [0.0])
+        j, j0, k = lbp(np.eye(1), np.eye(1), np.zeros(1), np.zeros(1), np.zeros(1), 0.7, nu=2.0)
+        assert j0 == pytest.approx(0.7)
+        np.testing.assert_allclose(k, [0.0])
 
     def test_hand_evaluated_stage(self):
-        lin = LinearMap([[1.0]], [[1.0]])
-        value, policy = lbp(lin, [0.0], [1.0], QuadraticValueFunction.affine([2.0], 0.0), nu=2.0)
-        assert value.j[0] == pytest.approx(2.0)
-        assert value.j0 == pytest.approx(-2.25)
-        assert policy.k[0] == pytest.approx(-1.5)
+        j, j0, k = lbp(np.eye(1), np.eye(1), np.zeros(1), np.ones(1), np.array([2.0]), 0.0,
+                       nu=2.0)
+        assert j[0] == pytest.approx(2.0)
+        assert j0 == pytest.approx(-2.25)
+        assert k[0] == pytest.approx(-1.5)
 
     def test_requires_positive_nu(self):
-        lin = LinearMap([[1.0]], [[1.0]])
         with pytest.raises(ParameterError):
-            lbp(lin, [0.0], [1.0], QuadraticValueFunction.affine([0.0]), nu=0.0)
+            lbp(np.eye(1), np.eye(1), np.zeros(1), np.ones(1), np.zeros(1), 0.0, nu=0.0)
 
 
 class TestCheckSubproblem:
     def test_valid_identity_block(self):
-        report = check_subproblem(
-            scalar_stage(A=1, B=0, H=0, Q=1, R=0, p=0, q=0, J=0, j=0, j0=0),
-            mode="strong-convexity",
-        )
-        assert report.valid and report.witness == pytest.approx(1.0)
+        checked = check(scalar_stage(A=1, B=0, H=0, Q=1, R=0, p=0, q=0, J=0, j=0, j0=0))
+        assert checked is not None
+        factor, _, _ = checked
+        np.testing.assert_allclose(factor[0], [[1.0]])  # Cholesky factor of M = 1
 
     def test_invalid_negative_block(self):
-        report = check_subproblem(
-            scalar_stage(A=1, B=0, H=0, Q=-1, R=0, p=0, q=0, J=0, j=0, j0=0),
-            mode="strong-convexity",
-        )
-        assert not report.valid and report.witness == pytest.approx(-1.0)
+        assert check(scalar_stage(A=1, B=0, H=0, Q=-1, R=0, p=0, q=0, J=0, j=0, j0=0)) is None
 
     def test_descent_witness_is_offset_decrement(self):
-        report = check_subproblem(
-            scalar_stage(A=1, B=1, H=0, Q=1, R=0, p=0, q=0, J=0, j=1, j0=0),
-            mode="descent",
-        )
-        assert report.valid and report.witness == pytest.approx(-0.5)
+        checked = check(scalar_stage(A=1, B=1, H=0, Q=1, R=0, p=0, q=0, J=0, j=1, j0=0))
+        assert checked is not None
+        _, m, Minv_m = checked
+        assert -0.5 * float(m @ Minv_m) == pytest.approx(-0.5)
 
     def test_descent_accepts_solvable_zero_slope_stage(self):
-        report = check_subproblem(
-            scalar_stage(A=1, B=1, H=0, Q=1, R=0, p=0, q=0, J=0, j=0, j0=0),
-            mode="descent",
-        )
-        assert report.valid and report.witness == pytest.approx(0.0)
+        checked = check(scalar_stage(A=1, B=1, H=0, Q=1, R=0, p=0, q=0, J=0, j=0, j0=0))
+        assert checked is not None
+        _, m, Minv_m = checked
+        assert float(m @ Minv_m) == 0.0
 
-    def test_descent_reports_failed_factorization(self):
-        report = check_subproblem(
-            scalar_stage(A=1, B=0, H=0, Q=-2, R=0, p=0, q=0, J=0, j=1, j0=0),
-            mode="descent",
-        )
-        assert not report.valid and np.isnan(report.witness)
+    def test_descent_reports_failed_factorization(self, cholesky_spy):
+        assert check(scalar_stage(A=1, B=0, H=0, Q=-2, R=0, p=0, q=0, J=0, j=1, j0=0)) is None
+        assert cholesky_spy == ["failed"]
 
 
 class TestDynProg:
-    def test_pure_control_penalty(self):
-        import trajopt.core as core
+    def test_infeasible_stage_raises_with_index(self):
+        # stage 1 of 3 has a concave control cost and moves nothing
+        convex = core.quadratic_cost([[0.0]], [[1.0]], [[0.0]], [0.0], [0.0])
+        concave = core.quadratic_cost([[0.0]], [[-1.0]], [[0.0]], [0.0], [0.0])
+        problem = core.TrajectoryProblem(
+            dynamics=(core.linear_dynamics([[1.0]], [[1.0]]),
+                      core.linear_dynamics([[1.0]], [[0.0]]),
+                      core.linear_dynamics([[1.0]], [[1.0]])),
+            running_costs=(convex, concave, convex),
+            final_cost=core.quadratic_state_cost([[1.0]], [0.0]),
+            x0=[1.0],
+            n_x=1,
+            n_u=1,
+        )
+        with pytest.raises(InfeasibleStageError) as err:
+            dynprog(problem)
+        assert err.value.t == 1
 
+    def test_pure_control_penalty(self):
         tau = 4
         problem = core.TrajectoryProblem(
             dynamics=tuple(core.linear_dynamics([[1.0]], [[1.0]]) for _ in range(tau)),
@@ -148,8 +155,6 @@ class TestDynProg:
         np.testing.assert_allclose(controls, np.zeros((tau, 1)), atol=1e-12)
 
     def test_single_step_average(self):
-        import trajopt.core as core
-
         # minimize 0.5 u^2 + 0.5 (u - 1)^2 at u = 0.5 with f(x, u) = u
         problem = core.TrajectoryProblem(
             dynamics=(core.linear_dynamics([[0.0]], [[1.0]]),),

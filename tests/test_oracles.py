@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from trajopt import autodiff
-from trajopt.core import AffinePolicy, LinearMap, TrajectoryProblem
+from trajopt.core import TrajectoryProblem, linear_dynamics, quadratic_cost, quadratic_state_cost
 from trajopt.dense import dense_costates, dense_gauss_newton_matrix, dense_gradient, dense_hessian
 from trajopt.envs import build_problem
 from trajopt.envs.build import _ALLOWED
@@ -111,13 +111,11 @@ def assert_expansion_matches_per_stage(problem, u):
         cost_jac = autodiff.jacobian(lambda zz: h(zz[:n_x], zz[n_x:]), z)[0]
         where = f"t={t}"
         for bundle in (b1, b2):
-            _assert_same(np.hstack([bundle.lin[t].A, bundle.lin[t].B]), jac, where)
-        quad = b2.cost_quads[t]
-        _assert_same(np.concatenate([b2.cost_p[t], b2.cost_q[t]]), grad, where)
-        _assert_same(np.concatenate([quad.p, quad.q]), grad, where)
-        full = np.block([[quad.H, quad.R], [quad.R.T, quad.Q]])
+            _assert_same(np.hstack([bundle.A[t], bundle.B[t]]), jac, where)
+        _assert_same(np.concatenate([b2.p[t], b2.q[t]]), grad, where)
+        full = np.block([[b2.H[t], b2.R[t]], [b2.R[t].T, b2.Q[t]]])
         _assert_same(full, hess, where)
-        _assert_same(np.concatenate([b1.cost_p[t], b1.cost_q[t]]), cost_jac, where)
+        _assert_same(np.concatenate([b1.p[t], b1.q[t]]), cost_jac, where)
 
 
 ENV_SCHEMES = [(env, scheme) for env, schemes in _ALLOWED.items() for scheme in schemes]
@@ -187,8 +185,8 @@ def assert_curvature_matches_per_stage(problem, u, rng):
     assert b2.curvature.shape == (problem.horizon, n_x, m * (m + 1) // 2)
     for t in range(problem.horizon):
         where = f"t={t}"
-        _assert_same(b2.lin[t].A, b1.lin[t].A, where)
-        _assert_same(b2.lin[t].B, b1.lin[t].B, where)
+        _assert_same(b2.A[t], b1.A[t], where)
+        _assert_same(b2.B[t], b1.B[t], where)
         f = problem.dynamics[t]
         z = np.concatenate([b2.xs[t], u[t]])
         lam = rng.standard_normal(n_x)
@@ -264,7 +262,7 @@ class TestBackwardGd:
     def test_hand_chain_rule(self):
         bundle = forward(tiny_problem(), [[3.0]], 1, 1)
         result = backward_gd(bundle, nu=1.0)
-        np.testing.assert_allclose(result.policies[0].k, [-3.0])
+        np.testing.assert_allclose(result.k[0], [-3.0])
         assert result.c0_zero == pytest.approx(-4.5)  # -|grad|^2 / 2
 
     def test_zero_direction_at_lq_minimizer(self, rng):
@@ -281,15 +279,14 @@ class TestBackwardGd:
         bundle = forward(problem, u, 1, 1)
         d1 = backward_gd(bundle, nu=1.0)
         d2 = backward_gd(bundle, nu=2.0)
-        for p1, p2 in zip(d1.policies, d2.policies):
-            np.testing.assert_allclose(p2.k, 0.5 * p1.k)
+        np.testing.assert_allclose(d2.k, 0.5 * d1.k)
 
     def test_rollout_equals_stacked_offsets(self, rng):
         problem = random_smooth_problem(rng, 3, 2, 1)
         u = rng.standard_normal((3, 1)) * 0.1
         without = oracle(problem, u, "gd", nu=1.0)
         bundle = forward(problem, u, 1, 1)
-        with_roll = rollout(np.zeros(problem.n_x), without.policies, bundle.linear_steps())
+        with_roll = rollout(np.zeros(problem.n_x), without.K, without.k, bundle.linear_step)
         np.testing.assert_allclose(with_roll, without.direction)
 
     def test_matches_dense_gradient(self, rng):
@@ -378,7 +375,7 @@ class TestBackwardNe:
         lam = bundle.final_slope
         rec = [lam]
         for t in range(3, 0, -1):
-            lam = bundle.cost_p[t] + bundle.lin[t].A.T @ lam
+            lam = bundle.p[t] + bundle.A[t].T @ lam
             rec.append(lam)
         rec = np.array(rec[::-1])
         np.testing.assert_allclose(rec, dense_costates(problem, u), rtol=1e-8, atol=1e-10)
@@ -404,15 +401,14 @@ class TestBackwardDdpQ:
         # independent scalar recursion: J, j, j0 and curvature folded by hand
         Jv, jv, j0 = float(bundle.final_quad[0, 0]), float(bundle.final_slope[0]), 0.0
         for t in (1, 0):
-            quad = bundle.cost_quads[t]
             f = problem.dynamics[t]
             z = np.concatenate([bundle.xs[t], u[t]])
             w = autodiff.lambda_hessian(lambda zz: f(zz[:1], zz[1:]), z, [jv])
-            H = quad.H[0, 0] + w[0, 0]
-            Q = quad.Q[0, 0] + nu + w[1, 1]
-            R = quad.R[0, 0] + w[0, 1]
-            A, B = bundle.lin[t].A[0, 0], bundle.lin[t].B[0, 0]
-            p, q = quad.p[0], quad.q[0]
+            H = bundle.H[t, 0, 0] + w[0, 0]
+            Q = bundle.Q[t, 0, 0] + nu + w[1, 1]
+            R = bundle.R[t, 0, 0] + w[0, 1]
+            A, B = bundle.A[t, 0, 0], bundle.B[t, 0, 0]
+            p, q = bundle.p[t, 0], bundle.q[t, 0]
             M = Q + B * Jv * B
             m = q + B * jv
             j0 = j0 - 0.5 * m * m / M
@@ -428,20 +424,21 @@ class TestBackwardDdpQ:
         nu = 1e12
         result = run_backward(bundle, "ddp-q", nu)
         grad = bundle_gradient(bundle)
-        for t, pol in enumerate(result.policies):
-            np.testing.assert_allclose(pol.k, -grad[t] / nu, rtol=1e-6)
+        for t in range(3):
+            np.testing.assert_allclose(result.k[t], -grad[t] / nu, rtol=1e-6)
+
+
+def _integrator_step(t, y, v):
+    return y + v  # A = B = 1 at every stage
 
 
 class TestRollout:
     def test_zero_policies_roll_zero_controls(self):
-        maps = [LinearMap([[1.0]], [[1.0]])] * 3
-        policies = [AffinePolicy.zero(1, 1)] * 3
-        np.testing.assert_allclose(rollout([0.0], policies, maps), np.zeros((3, 1)))
+        controls = rollout([0.0], np.zeros((3, 1, 1)), np.zeros((3, 1)), _integrator_step)
+        np.testing.assert_allclose(controls, np.zeros((3, 1)))
 
     def test_hand_rolled_constant_policies(self):
-        maps = [LinearMap([[1.0]], [[1.0]])] * 2
-        policies = [AffinePolicy([[0.0]], [1.0])] * 2
-        controls = rollout([0.0], policies, maps)
+        controls = rollout([0.0], np.zeros((2, 1, 1)), np.ones((2, 1)), _integrator_step)
         np.testing.assert_allclose(controls, [[1.0], [1.0]])
 
     def test_gamma_scaling_on_linear_maps(self, rng):
@@ -450,10 +447,9 @@ class TestRollout:
         bundle = forward(problem, u, 1, 2)
         result = run_backward(bundle, "gn", 0.5)
         assert result.feasible
-        base = rollout(np.zeros(2), result.policies, bundle.linear_steps())
+        base = rollout(np.zeros(2), result.K, result.k, bundle.linear_step)
         for gamma in (0.5, 0.25, 0.1):
-            scaled = [p.scaled(gamma) for p in result.policies]
-            got = rollout(np.zeros(2), scaled, bundle.linear_steps())
+            got = rollout(np.zeros(2), result.K, gamma * result.k, bundle.linear_step)
             np.testing.assert_allclose(got, gamma * base, atol=1e-12)
 
 
@@ -478,9 +474,8 @@ class TestOracleDispatch:
         bundle = forward(problem, u, 1, 2)
         a = run_backward(bundle, "gn", 0.4)
         b = run_backward(bundle, "ddp-lq", 0.4)
-        for pa, pb in zip(a.policies, b.policies):
-            np.testing.assert_array_equal(pa.K, pb.K)
-            np.testing.assert_array_equal(pa.k, pb.k)
+        np.testing.assert_array_equal(a.K, b.K)
+        np.testing.assert_array_equal(a.k, b.k)
 
     @pytest.mark.parametrize("kind", ORACLE_KINDS)
     def test_oracle_is_forward_then_oracle_step(self, kind):
@@ -494,8 +489,8 @@ class TestOracleDispatch:
         np.testing.assert_array_equal(oracle(problem, u, kind, 1.0).direction, step.direction)
 
         y0 = np.zeros(problem.n_x)
-        linear = rollout(y0, step.policies, bundle.linear_steps())
-        original = rollout(y0, step.policies, bundle.finite_difference_steps())
+        linear = rollout(y0, step.K, step.k, bundle.linear_step)
+        original = rollout(y0, step.K, step.k, bundle.increment_step)
         if kind != "gd":  # constant gradient policies never read the state
             assert np.max(np.abs(linear - original)) > 1e-6
         expected = original if kind in ("ddp-lq", "ddp-q") else linear
@@ -538,3 +533,66 @@ class TestOracleDispatch:
             g = dense_gradient(problem, u)
             expected = 0.5 * g @ step.direction.ravel()
             assert step.c0_zero == pytest.approx(expected, rel=1e-8)
+
+
+def overflowing_problem():
+    """Finite data whose cost-to-go overflows within three stages."""
+    return TrajectoryProblem(
+        dynamics=(linear_dynamics([[1e200]], [[1.0]]),) * 3,
+        running_costs=(quadratic_cost([[0.0]], [[1.0]], [[0.0]], [0.0], [0.0]),) * 3,
+        final_cost=quadratic_state_cost([[0.0]], [1e200]),
+        x0=[0.0],
+        n_x=1,
+        n_u=1,
+    )
+
+
+def one_concave_stage_problem(concave_at: int, horizon: int = 5):
+    """x' = x + u with control weight 1, except -4 at one stage; final cost x^2/2."""
+    convex = quadratic_cost([[0.0]], [[1.0]], [[0.0]], [0.0], [0.0])
+    concave = quadratic_cost([[0.0]], [[-4.0]], [[0.0]], [0.0], [0.0])
+    return TrajectoryProblem(
+        dynamics=(linear_dynamics([[1.0]], [[1.0]]),) * horizon,
+        running_costs=tuple(concave if t == concave_at else convex for t in range(horizon)),
+        final_cost=quadratic_state_cost([[1.0]], [1.0]),
+        x0=[1.0],
+        n_x=1,
+        n_u=1,
+    )
+
+
+class TestSweepFailures:
+    @pytest.mark.parametrize("kind", ORACLE_KINDS)
+    def test_overflow_is_an_infeasible_result(self, kind):
+        step = oracle(overflowing_problem(), np.zeros((3, 1)), kind, nu=1.0)
+        assert not step.feasible
+        assert step.failed_stage in (0, 1, 2)
+        assert step.c0_zero == np.inf
+        assert step.direction is None and step.K is None and step.k is None
+
+    @pytest.mark.parametrize("kind", ORACLE_KINDS)
+    def test_overflow_ends_solve_with_a_status(self, kind):
+        _, trace = solve(overflowing_problem(), np.zeros((3, 1)), kind)
+        assert trace.status in ("converged", "stalled", "max-iters", "diverged")
+
+    @pytest.mark.parametrize("kind", ["gn", "ne", "ddp-lq", "ddp-q"])
+    @pytest.mark.parametrize("concave_at", [0, 2, 4])
+    def test_failed_stage_is_the_non_convex_stage(self, kind, concave_at):
+        problem = one_concave_stage_problem(concave_at)
+        step = oracle(problem, np.zeros((5, 1)), kind, nu=0.0)
+        assert not step.feasible
+        assert step.failed_stage == concave_at
+        assert oracle(one_concave_stage_problem(None), np.zeros((5, 1)), kind, nu=0.0).feasible
+
+
+class TestFactorOnce:
+    @pytest.mark.parametrize("kind", ["gn", "ne", "ddp-lq", "ddp-q"])
+    def test_one_cholesky_factorization_per_stage(self, kind, cholesky_spy):
+        horizon = 50
+        problem = build_problem("bicycle-car", horizon)
+        spec = ORACLES[kind]
+        bundle = forward(problem, np.zeros((horizon, problem.n_u)), spec.o_f, spec.o_h)
+        cholesky_spy.clear()
+        result = run_backward(bundle, kind, 1.0)
+        assert result.feasible
+        assert cholesky_spy == ["ok"] * horizon

@@ -17,9 +17,9 @@ from .core import (
     quadratic_cost,
     quadratic_state_cost,
 )
-from .dense import dense_gradient
-from .linesearch import stationarity_residual
-from .oracles import forward, rollout, run_backward
+from .dense import dense_gauss_newton_matrix, dense_gradient, dense_hessian
+from .linesearch import LineSearchConfig, StopCriteria, solve, stationarity_residual
+from .oracles import forward, oracle, rollout, run_backward
 
 __all__ = [
     "random_spd",
@@ -30,6 +30,8 @@ __all__ = [
     "fd_hessian",
     "env_interior_point",
     "concave_stage_problem",
+    "concave_fixture",
+    "oracle_equivalence_error",
     "policy_scaling_deviation",
     "stationarity_gap",
 ]
@@ -258,6 +260,49 @@ def concave_stage_problem(a: float = 500.0, tau: int = 10, delta: float = 0.1):
         n_u=1,
         meta={"a": a, "delta": delta},
     )
+
+
+def concave_fixture() -> tuple[float, float, int]:
+    """(dense Hessian eig_min, final residual, iterations) of the concave-stage
+    instance, solved by at most three Newton steps from u = 1."""
+    problem = concave_stage_problem()
+    hess = dense_hessian(problem, np.zeros((problem.horizon, 1)))
+    eig_min = float(np.linalg.eigvalsh(hess)[0])
+    u0 = np.ones((problem.horizon, 1))
+    _, trace = solve(problem, u0, "ne", LineSearchConfig(), StopCriteria(max_iters=3))
+    return eig_min, trace.rows[-1].residual, trace.iterations
+
+
+def _rel_err(got, want) -> float:
+    return float(np.max(np.abs(got - want))) / (1.0 + float(np.max(np.abs(want))))
+
+
+def oracle_equivalence_error(rng, instances: int, offset: float = 0.0) -> float:
+    """Worst error of the gd, gn and ne directions against the dense normal
+    equations (nu I + M) d = -g, over ``instances`` random instances.
+
+    M is zero, the Gauss-Newton matrix and the Hessian; gn and ne escalate
+    nu tenfold from 1 until their sweep is feasible.  Errors are relative to
+    1 + max|g|.  ``offset`` is added to the dense gradient, for a self-test.
+    """
+    worst = 0.0
+    for _ in range(instances):
+        tau = int(rng.choice([3, 5]))
+        n_x = int(rng.integers(1, 4))
+        n_u = int(rng.integers(1, 4))
+        problem = random_smooth_problem(rng, tau, n_x, n_u)
+        u = rng.standard_normal((tau, n_u)) * 0.3
+        g = dense_gradient(problem, u) + offset
+        worst = max(worst, _rel_err(-oracle(problem, u, "gd", nu=1.0).direction.ravel(), g))
+        for kind, dense in (("gn", dense_gauss_newton_matrix), ("ne", dense_hessian)):
+            nu = 1.0
+            step = oracle(problem, u, kind, nu=nu)
+            while not step.feasible:
+                nu *= 10.0
+                step = oracle(problem, u, kind, nu=nu)
+            lhs = (dense(problem, u) + nu * np.eye(g.size)) @ step.direction.ravel()
+            worst = max(worst, _rel_err(lhs, -g))
+    return worst
 
 
 def policy_scaling_deviation(rng, instances: int, offset: float = 0.0) -> float:

@@ -352,32 +352,10 @@ def _read_config_file(path: str | None) -> str | None:
 
 def _check_dense_oracles(trials: int, perturb: bool):
     """Gradient/Gauss-Newton/Newton directions against dense assemblies."""
-    from .dense import dense_gauss_newton_matrix, dense_gradient, dense_hessian
-    from .oracles import oracle
-    from ._testing import random_smooth_problem
+    from ._testing import oracle_equivalence_error
 
     rng = np.random.default_rng(7)
-    worst = 0.0
-    for _ in range(trials):
-        tau = int(rng.integers(3, 6))
-        problem = random_smooth_problem(rng, tau, 2, 1)
-        u = rng.standard_normal((tau, 1)) * 0.3
-        nu = 1.0
-        g = dense_gradient(problem, u)
-        if perturb:
-            g = g + 1e-3
-        scale = 1.0 + float(np.linalg.norm(g))
-        gd = oracle(problem, u, "gd", nu=nu).direction.ravel()
-        worst = max(worst, float(np.max(np.abs(gd * nu + g))) / scale)
-        gn = oracle(problem, u, "gn", nu=nu)
-        if gn.feasible:
-            lhs = (dense_gauss_newton_matrix(problem, u) + nu * np.eye(g.size)) @ gn.direction.ravel()
-            worst = max(worst, float(np.max(np.abs(lhs + g))) / scale)
-        ne = oracle(problem, u, "ne", nu=nu)
-        if ne.feasible:
-            lhs = (dense_hessian(problem, u) + nu * np.eye(g.size)) @ ne.direction.ravel()
-            worst = max(worst, float(np.max(np.abs(lhs + g))) / scale)
-    return worst, 1e-8
+    return oracle_equivalence_error(rng, trials, 1e-3 if perturb else 0.0), 1e-8
 
 
 def _check_finite_differences(trials: int, perturb: bool):
@@ -442,19 +420,12 @@ def _check_stationarity(trials: int, perturb: bool):
 
 def _check_curvature_fixture(trials: int, perturb: bool):
     """Concave-stage instance: dense Hessian PD, Newton solves it in <= 3 steps."""
-    from .dense import dense_hessian
-    from ._testing import concave_stage_problem
+    from ._testing import concave_fixture
 
-    problem = concave_stage_problem()
-    hess = dense_hessian(problem, np.zeros((problem.horizon, 1)))
-    eig_min = float(np.linalg.eigvalsh(hess)[0])
+    eig_min, residual, _ = concave_fixture()
     if perturb:
         eig_min -= 1e3
-    if eig_min <= 0.0:
-        return math.inf, 1e-9
-    u0 = np.ones((problem.horizon, 1))
-    _, trace = solve(problem, u0, "ne", LineSearchConfig(), StopCriteria(max_iters=3))
-    return trace.rows[-1].residual, 1e-9
+    return (residual if eig_min > 0.0 else math.inf), 1e-9
 
 
 VERIFY_CHECKS = {

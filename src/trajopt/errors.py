@@ -66,12 +66,11 @@ class InfeasibleStageError(TrajoptError):
 class StallError(TrajoptError):
     """A line search exhausted its stepsizes without acceptance.
 
-    ``candidate`` holds the last tried iterate if it still decreased the
+    ``candidate`` holds the best tried iterate if it still decreased the
     objective (the caller may keep it), else None.
     """
 
-    def __init__(self, gamma: float, candidate=None, candidate_cost: float | None = None):
+    def __init__(self, gamma: float, candidate=None):
         super().__init__(f"line search stalled (last stepsize {gamma:.3e})")
         self.gamma = gamma
         self.candidate = candidate
-        self.candidate_cost = candidate_cost

@@ -1,14 +1,16 @@
 """Stepsize selection, the full solver iteration loop, and the stationarity check.
 
-Two step rules are provided.  The directional rule fixes the policies from
-one backward pass, scales their offsets by a stepsize gamma and accepts the
-first gamma whose objective decrease beats gamma times the model decrease
-(a sufficient-decrease test starting at gamma = 1).  The regularized rule
-reruns the backward pass per trial with ridge 1/gamma and accepts when the
-objective decrease beats the model value itself; its stepsize warm-starts
-across iterations and is by default measured in units of the cost-slope
-norm, which keeps acceptable raw stepsizes bounded as the iterates
-approach stationarity.
+Two step rules pick a stepsize gamma for the same oracle, and both run the
+same backtracking loop (:func:`_backtrack`): a trial rolls out a policy,
+is accepted when the objective decrease meets its bound, and otherwise
+gamma shrinks by ``rho_dec``.  The directional rule fixes the policies from
+one backward pass, scales their offsets by gamma and starts at gamma = 1;
+its bound is gamma times the model decrease (a sufficient-decrease test).
+The regularized rule reruns the backward pass per trial with ridge
+1/gamma; its bound is the swept model value itself.  :func:`solve`
+warm-starts the regularized stepsize across iterations and measures it in
+units of the cost-slope norm, which keeps acceptable raw stepsizes bounded
+as the iterates approach stationarity.
 """
 
 from __future__ import annotations
@@ -67,7 +69,6 @@ class LineSearchConfig:
     rho_inc: float = 10.0
     gamma_min: float = 1e-12
     nu_init: float = 1e-6
-    gradient_scaled: bool = True
 
     def __post_init__(self):
         if self.rule not in ("directional", "regularized"):
@@ -124,16 +125,37 @@ class SolveTrace:
         return len(self.rows) - 1
 
 
-def _tie(j: float) -> float:
-    return ACCEPT_TIE_RTOL * (1.0 + abs(j))
+def _backtrack(problem: TrajectoryProblem, u, j_current: float, gamma: float,
+               cfg: LineSearchConfig, step, trial) -> tuple[np.ndarray, float, float]:
+    """The trial loop both step rules share, from stepsize ``gamma`` down.
 
-
-def _trial_value(problem: TrajectoryProblem, u) -> float:
-    """Objective at a trial point; model failures read as +inf (rejection)."""
-    try:
-        return objective_value(problem, u)
-    except (DivergenceError, NumericError):
-        return math.inf
+    ``trial(gamma)`` gives the policies (K, k) to roll out along ``step``
+    and the bound the objective decrease must meet, or None to reject the
+    stepsize outright.  Returns (candidate, gamma, bound) of the first
+    accepted trial; a roll-out or trial value that fails reads as a
+    rejection.  Raises :class:`StallError` when gamma falls below the
+    configured minimum, carrying the best candidate if it still decreased
+    the objective.
+    """
+    u = np.asarray(u, dtype=float)
+    y0 = np.zeros(problem.n_x)
+    best, best_cost = None, math.inf
+    while True:
+        policy = trial(gamma)
+        if policy is not None:
+            K, k, bound = policy
+            try:
+                candidate = u + rollout(y0, K, k, step)
+                j_trial = objective_value(problem, candidate)
+            except (DivergenceError, NumericError):
+                j_trial = math.inf
+            if j_trial - j_current <= bound + ACCEPT_TIE_RTOL * (1.0 + abs(j_current)):
+                return candidate, gamma, bound
+            if j_trial < best_cost:
+                best, best_cost = candidate, j_trial
+        gamma *= cfg.rho_dec
+        if gamma < cfg.gamma_min:
+            raise StallError(gamma, best if best_cost < j_current else None)
 
 
 def directional_search(
@@ -144,46 +166,23 @@ def directional_search(
     c0_zero: float,
     step,
     cfg: LineSearchConfig,
-    on_accept=None,
 ) -> tuple[np.ndarray, float]:
     """Backtracking on the scaled-offset policy family, starting at gamma = 1.
 
     The policies v_t = K[t] y_t + gamma k[t] roll out along the step map
     ``step`` (see :func:`rollout`).  Accepts the first gamma with
     J(u + v_gamma) <= J(u) + gamma * c0(0); on the linearized step maps
-    v_gamma is exactly gamma times the unit roll-out.  Raises
-    :class:`StallError` when gamma falls below the configured minimum,
-    carrying the last candidate if it still decreased the objective.
+    v_gamma is exactly gamma times the unit roll-out.  Returns the accepted
+    point and stepsize; raises :class:`StallError` as :func:`_backtrack`
+    does.
     """
     if not c0_zero < 0.0:
         raise ParameterError(f"directional step needs a negative model value, got {c0_zero}")
-    u = np.asarray(u, dtype=float)
-    j_current = objective_value(problem, u)
-    gamma = 1.0
-    y0 = np.zeros(problem.n_x)
-    last_candidate = None
-    last_cost = math.inf
-    while True:
-        try:
-            v = rollout(y0, K, gamma * k, step)
-        except (DivergenceError, NumericError):
-            v = None
-        if v is not None:
-            candidate = u + v
-            j_trial = _trial_value(problem, candidate)
-            if j_trial - j_current <= gamma * c0_zero + _tie(j_current):
-                if on_accept is not None:
-                    on_accept(
-                        gamma=gamma, c0=c0_zero, cost=j_current,
-                        cost_next=j_trial, direction=v,
-                    )
-                return candidate, gamma
-            if j_trial < last_cost:
-                last_candidate, last_cost = candidate, j_trial
-        gamma *= cfg.rho_dec
-        if gamma < cfg.gamma_min:
-            keep = last_candidate if last_cost < j_current else None
-            raise StallError(gamma, keep, last_cost if keep is not None else None)
+    candidate, gamma, _ = _backtrack(
+        problem, u, objective_value(problem, u), 1.0, cfg, step,
+        lambda gamma: (K, gamma * k, gamma * c0_zero),
+    )
+    return candidate, gamma
 
 
 def regularized_search(
@@ -191,51 +190,27 @@ def regularized_search(
     u,
     bundle: ExpansionBundle,
     kind: str,
+    gamma: float,
     cfg: LineSearchConfig,
-    gamma_prev: float,
-    on_accept=None,
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float, float]:
     """Step selection through the ridge: each trial reruns the backward pass.
 
-    The trial stepsize starts at rho_inc times the previous accepted one
-    (optionally divided by the cost-slope norm), the backward pass of oracle
-    ``kind`` runs with ridge nu = 1/gamma and rolls out along its maps, and
-    the trial is accepted when the objective decrease is at least the swept
-    model value c0(0).  Returns the accepted stepsize in unscaled units.
+    From the first trial stepsize ``gamma`` down, the backward pass of
+    oracle ``kind`` runs with ridge nu = 1/gamma and its policies roll out
+    along the kind's maps; the trial is accepted when the objective
+    decrease is at least the swept model value c0(0).  Returns the accepted
+    point, stepsize and model value; raises :class:`StallError` as
+    :func:`_backtrack` does.
     """
-    step = oracle_spec(kind).step_map(bundle)
-    u = np.asarray(u, dtype=float)
-    j_current = bundle.cost
-    scale = bundle.cost_slope_norm() if cfg.gradient_scaled else 1.0
-    if scale <= 0.0 or not math.isfinite(scale):
-        scale = 1.0
-    gamma = cfg.rho_inc * gamma_prev / scale
-    y0 = np.zeros(problem.n_x)
-    last_candidate = None
-    last_cost = math.inf
-    while True:
+
+    def trial(gamma):
         result = run_backward(bundle, kind, 1.0 / gamma)
         if result.feasible and result.c0_zero < 0.0:
-            try:
-                v = rollout(y0, result.K, result.k, step)
-            except (DivergenceError, NumericError):
-                v = None
-            if v is not None:
-                candidate = u + v
-                j_trial = _trial_value(problem, candidate)
-                if j_trial - j_current <= result.c0_zero + _tie(j_current):
-                    if on_accept is not None:
-                        on_accept(
-                            gamma=gamma, nu=1.0 / gamma, c0=result.c0_zero,
-                            cost=j_current, cost_next=j_trial, direction=v,
-                        )
-                    return candidate, gamma * scale
-                if j_trial < last_cost:
-                    last_candidate, last_cost = candidate, j_trial
-        gamma *= cfg.rho_dec
-        if gamma < cfg.gamma_min:
-            keep = last_candidate if last_cost < j_current else None
-            raise StallError(gamma, keep, last_cost if keep is not None else None)
+            return result.K, result.k, result.c0_zero
+        return None
+
+    step = oracle_spec(kind).step_map(bundle)
+    return _backtrack(problem, u, bundle.cost, gamma, cfg, step, trial)
 
 
 def _escalate_directional(bundle: ExpansionBundle, kind: str, cfg: LineSearchConfig):
@@ -286,73 +261,63 @@ def solve(
     u = checked_controls(problem, u0, "u0").copy()
     trace = SolveTrace()
 
-    def _forward_timed(controls):
-        t0 = time.perf_counter()
-        b = forward(problem, controls, o_f=spec.o_f, o_h=spec.o_h)
-        return b, (time.perf_counter() - t0)
-
-    try:
-        bundle, spent = _forward_timed(u)
-    except DivergenceError as err:
-        trace.status = "diverged"
-        err.trace = trace
-        raise
-    j_current = bundle.cost
-    residual = float(np.max(np.abs(bundle_gradient(bundle))))
-    trace.rows.append(TraceRow(0, j_current, math.nan, math.nan, math.nan, residual, 0.0))
-    cum_ms = 0.0
-    carry = spent  # forward time attributed to the upcoming iteration
-    gamma_prev = 1.0 / cfg.nu_init
-
-    for k in range(1, stop.max_iters + 1):
-        t0 = time.perf_counter()
-        accepted = None
-        if cfg.rule == "directional":
-            result, nu = _escalate_directional(bundle, kind, cfg)
-            if result is None:
-                trace.status = _classify(residual, j_current)
-                break
-            try:
-                u_next, gamma = directional_search(
-                    problem, u, result.K, result.k, result.c0_zero, spec.step_map(bundle), cfg
-                )
-                accepted = (u_next, gamma, nu, result.c0_zero)
-            except StallError as stall:
-                if stall.candidate is None:
-                    trace.status = _classify(residual, j_current)
-                    break
-                accepted = (stall.candidate, stall.gamma, nu, result.c0_zero)
-        else:
-            holder = {}
-            try:
-                u_next, gamma_bar = regularized_search(
-                    problem, u, bundle, kind, cfg, gamma_prev,
-                    on_accept=lambda **kw: holder.update(kw),
-                )
-                gamma_prev = gamma_bar
-                accepted = (u_next, holder["gamma"], holder["nu"], holder["c0"])
-            except StallError as stall:
-                if stall.candidate is None:
-                    trace.status = _classify(residual, j_current)
-                    break
-                accepted = (stall.candidate, stall.gamma, math.nan, math.nan)
-
-        u_next, gamma, nu_used, c0_val = accepted
+    def expand(controls):
         try:
-            bundle, _ = _forward_timed(u_next)
+            return forward(problem, controls, o_f=spec.o_f, o_h=spec.o_h)
         except DivergenceError as err:
             trace.status = "diverged"
             err.trace = trace
             raise
+
+    t0 = time.perf_counter()
+    bundle = expand(u)
+    carry = time.perf_counter() - t0  # forward time attributed to the first iteration
+    j_current = bundle.cost
+    residual = float(np.max(np.abs(bundle_gradient(bundle))))
+    trace.rows.append(TraceRow(0, j_current, math.nan, math.nan, math.nan, residual, 0.0))
+    cum_ms = 0.0
+    gamma_prev = 1.0 / cfg.nu_init
+
+    for k in range(1, stop.max_iters + 1):
+        t0 = time.perf_counter()
+        try:
+            if cfg.rule == "directional":
+                result, nu = _escalate_directional(bundle, kind, cfg)
+                if result is None:
+                    trace.status = _classify(residual, j_current)
+                    break
+                c0 = result.c0_zero
+                u_next, gamma = directional_search(
+                    problem, u, result.K, result.k, c0, spec.step_map(bundle), cfg
+                )
+            else:
+                # the stepsize warm-starts in units of the cost-slope norm
+                scale = bundle.cost_slope_norm()
+                if scale <= 0.0 or not math.isfinite(scale):
+                    scale = 1.0
+                u_next, gamma, c0 = regularized_search(
+                    problem, u, bundle, kind, cfg.rho_inc * gamma_prev / scale, cfg
+                )
+                gamma_prev = gamma * scale
+                nu = 1.0 / gamma
+        except StallError as stall:
+            if stall.candidate is None:
+                trace.status = _classify(residual, j_current)
+                break
+            u_next, gamma = stall.candidate, stall.gamma
+            if cfg.rule == "regularized":  # no trial passed: no ridge or model value to report
+                nu = c0 = math.nan
+
+        bundle = expand(u_next)
         elapsed = time.perf_counter() - t0
         j_next = bundle.cost
         residual = float(np.max(np.abs(bundle_gradient(bundle))))
         cum_ms += (carry + elapsed) * 1e3
         carry = 0.0
-        trace.rows.append(TraceRow(k, j_next, gamma, nu_used, c0_val, residual, cum_ms))
+        trace.rows.append(TraceRow(k, j_next, gamma, nu, c0, residual, cum_ms))
         if callback is not None:
             callback(iteration=k, u=u_next, cost=j_next, stepsize=gamma,
-                     regularization=nu_used, model_decrease=c0_val, residual=residual)
+                     regularization=nu, model_decrease=c0, residual=residual)
 
         stop_small_cost = abs(j_current - j_next) <= stop.cost_rel_tol * (1.0 + abs(j_current))
         stop_small_step = gamma < stop.min_step
@@ -367,22 +332,10 @@ def solve(
 
 
 def stationarity_residual(problem: TrajectoryProblem, u) -> float:
-    """First-order optimality certificate via the per-step control conditions.
+    """First-order optimality certificate: the max-norm of the objective gradient.
 
-    Writes each step as x_next = x + increment(x, u), back-propagates the
-    multipliers of the step constraints from the final cost slope, and
-    returns the largest max-norm over steps of the control gradient of the
-    per-step function lam' increment(x, u) - h(x, u).  By construction this
-    equals the max-norm of the objective gradient.
+    The gradient comes from one order-1 forward pass and the adjoint
+    recursion of :func:`bundle_gradient`; it is zero exactly at stationary
+    points.
     """
-    bundle = forward(problem, u, o_f=1, o_h=1)
-    tau = problem.horizon
-    eye = np.eye(problem.n_x)
-    lam = -bundle.final_slope  # multiplier of the last step constraint
-    worst = 0.0
-    for t in range(tau - 1, -1, -1):
-        A_inc = bundle.A[t] - eye  # Jacobian of the increment map
-        grad_u = bundle.B[t].T @ lam - bundle.q[t]
-        worst = max(worst, float(np.max(np.abs(grad_u))))
-        lam = lam + A_inc.T @ lam - bundle.p[t]
-    return worst
+    return float(np.max(np.abs(bundle_gradient(forward(problem, u, o_f=1, o_h=1)))))

@@ -385,15 +385,21 @@ def _infeasible(t: int) -> OracleDirection:
     return OracleDirection(K=None, k=None, c0_zero=math.inf, feasible=False, failed_stage=t)
 
 
+def _overflowed(K: np.ndarray, k: np.ndarray) -> int | None:
+    """The last stage (the first swept) whose policy is not finite, else None."""
+    bad = np.flatnonzero(~(np.isfinite(K).all(axis=(1, 2)) & np.isfinite(k).all(axis=1)))
+    return int(bad[-1]) if bad.size else None
+
+
 def _swept(K: np.ndarray, k: np.ndarray, c0_zero: float) -> OracleDirection:
     """The sweep's result after one finiteness check of its stacked output.
 
-    A stage whose policy overflowed names itself; of several, the last
-    (the first swept).  A non-finite c0 alone names stage 0.
+    A stage whose policy overflowed names itself (see :func:`_overflowed`).
+    A non-finite c0 alone names stage 0.
     """
-    bad = ~(np.isfinite(K).all(axis=(1, 2)) & np.isfinite(k).all(axis=1))
-    if bad.any():
-        return _infeasible(int(np.flatnonzero(bad)[-1]))
+    t = _overflowed(K, k)
+    if t is not None:
+        return _infeasible(t)
     if not math.isfinite(c0_zero):
         return _infeasible(0)
     return OracleDirection(K, k, c0_zero, True)
@@ -450,8 +456,9 @@ def _backward_quadratic(
         if contraction == "adjoint":
             lam = p[t] + A[t].T @ lam
         checked = check_subproblem(B[t], Q, q[t], J, j, j0)
-        if checked is None:
-            return _infeasible(t)
+        if checked is None:  # an earlier overflow fails later checks: name the overflow
+            late = _overflowed(K[t + 1:], k[t + 1:])
+            return _infeasible(t if late is None else t + 1 + late)
         J, j, j0, K[t], k[t] = lqbp(A[t], B[t], H, R, p[t], J, j, j0, checked)
     return _swept(K, k, j0)
 
@@ -473,9 +480,10 @@ def bundle_gradient(bundle: ExpansionBundle) -> np.ndarray:
     A, B, p, q = bundle.A, bundle.B, bundle.p, bundle.q
     g = np.zeros((tau, bundle.problem.n_u))
     j = bundle.final_slope
-    for t in range(tau - 1, -1, -1):
-        g[t] = q[t] + B[t].T @ j
-        j = p[t] + A[t].T @ j
+    with np.errstate(all="ignore"):  # an overflow shows as a non-finite gradient
+        for t in range(tau - 1, -1, -1):
+            g[t] = q[t] + B[t].T @ j
+            j = p[t] + A[t].T @ j
     return g
 
 

@@ -7,11 +7,13 @@ import pytest
 import scipy.linalg
 
 from trajopt._testing import (  # noqa: F401  (re-exported for the test modules)
+    concave_fixture,
     concave_stage_problem,
     env_interior_point,
     fd_hessian,
     fd_jacobian,
     kkt_solve_lq,
+    oracle_equivalence_error,
     policy_scaling_deviation,
     random_lq_problem,
     random_smooth_problem,

@@ -16,13 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from trajopt.dense import (
-    dense_gauss_newton_matrix,
-    dense_gradient,
-    dense_hessian,
-    smoothness_bounds,
-    trajectory_jacobian,
-)
+from trajopt.dense import smoothness_bounds, trajectory_jacobian
 from trajopt.envs import build_problem
 from trajopt.envs.track import border_cost
 from trajopt.linesearch import (
@@ -38,26 +32,21 @@ from trajopt import autodiff
 from trajopt.core import TrajectoryProblem, quadratic_cost, quadratic_state_cost
 
 from conftest import (
+    concave_fixture,
     concave_stage_problem,
     env_interior_point,
     fd_hessian,
     fd_jacobian,
     kkt_solve_lq,
+    oracle_equivalence_error,
     policy_scaling_deviation,
     random_lq_problem,
-    random_smooth_problem,
     stationarity_gap,
 )
 
 
 def report(criterion: str, detail: str):
     print(f"[acceptance] {criterion}: PASS ({detail})")
-
-
-def rel_err(got, want) -> float:
-    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
-    scale = 1.0 + float(np.max(np.abs(want))) if want.size else 1.0
-    return float(np.max(np.abs(got - want))) / scale
 
 
 # -- shared benchmark runs (criteria 5, 7, 9) ---------------------------------
@@ -112,33 +101,7 @@ def bench():
 def test_criterion_01_oracle_equivalence(rng):
     """GD/GN/NE directions match the dense normal equations on random instances."""
     start = time.perf_counter()
-    worst = 0.0
-    for i in range(50):
-        tau = int(rng.choice([3, 5]))
-        n_x = int(rng.integers(1, 4))
-        n_u = int(rng.integers(1, 4))
-        problem = random_smooth_problem(rng, tau, n_x, n_u)
-        u = rng.standard_normal((tau, n_u)) * 0.3
-        g = dense_gradient(problem, u)
-        nu = 1.0
-
-        gd = oracle(problem, u, "gd", nu=nu)
-        worst = max(worst, rel_err(-nu * gd.direction.ravel(), g))
-
-        gn = oracle(problem, u, "gn", nu=nu)
-        while not gn.feasible:
-            nu *= 10.0
-            gn = oracle(problem, u, "gn", nu=nu)
-        lhs = (dense_gauss_newton_matrix(problem, u) + nu * np.eye(g.size)) @ gn.direction.ravel()
-        worst = max(worst, rel_err(lhs, -g))
-
-        nu = 1.0
-        ne = oracle(problem, u, "ne", nu=nu)
-        while not ne.feasible:
-            nu *= 10.0
-            ne = oracle(problem, u, "ne", nu=nu)
-        lhs = (dense_hessian(problem, u) + nu * np.eye(g.size)) @ ne.direction.ravel()
-        worst = max(worst, rel_err(lhs, -g))
+    worst = oracle_equivalence_error(rng, 50)
     elapsed = time.perf_counter() - start
     assert worst <= 1e-8
     assert elapsed < 30.0
@@ -287,19 +250,16 @@ def test_criterion_05_linesearch_contracts(bench):
 
 def test_criterion_06_concave_stage_fixture():
     """Strongly convex objective despite concave per-stage control costs."""
-    problem = concave_stage_problem(a=500.0, tau=10, delta=0.1)
+    problem = concave_stage_problem()
     assert problem.meta["a"] * problem.meta["delta"] ** 2 / 4 > 1
-    hess = dense_hessian(problem, np.zeros((10, 1)))
-    eig_min = float(np.linalg.eigvalsh(hess)[0])
+    eig_min, residual, iterations = concave_fixture()
     assert eig_min > 0.0
-    u0 = np.ones((10, 1))
-    _, trace = solve(problem, u0, "ne", LineSearchConfig(), StopCriteria(max_iters=3))
-    assert trace.iterations <= 3
-    assert trace.rows[-1].residual <= 1e-9
+    assert iterations <= 3
+    assert residual <= 1e-9
     report(
         "criterion 6 (concave-stage fixture)",
-        f"Hessian eig_min {eig_min:.3g} > 0, residual {trace.rows[-1].residual:.2e} "
-        f"after {trace.iterations} iterations",
+        f"Hessian eig_min {eig_min:.3g} > 0, residual {residual:.2e} "
+        f"after {iterations} iterations",
     )
 
 

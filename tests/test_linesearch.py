@@ -84,28 +84,21 @@ class TestRegularizedSearch:
         problem, _ = random_lq_problem(rng, 3, 2, 1)
         u = rng.standard_normal((3, 1))
         bundle = forward(problem, u, 1, 2)
-        cfg = LineSearchConfig(rule="regularized", gradient_scaled=False)
-        trials = []
-        u_next, gamma_bar = regularized_search(
-            problem, u, bundle, "gn", cfg, gamma_prev=0.1,
-            on_accept=lambda **kw: trials.append(kw),
-        )
+        cfg = LineSearchConfig(rule="regularized")
         # warm-start arithmetic: first trial is rho_inc * gamma_prev = 1.0
-        assert trials[0]["gamma"] == pytest.approx(1.0)
-        assert gamma_bar == pytest.approx(1.0)
+        u_next, gamma, _ = regularized_search(problem, u, bundle, "gn", cfg.rho_inc * 0.1, cfg)
+        assert gamma == pytest.approx(1.0)
 
     def test_accepted_step_satisfies_model_decrease(self, rng):
         problem = random_smooth_problem(rng, 4, 2, 1)
         u = rng.standard_normal((4, 1)) * 0.3
         bundle = forward(problem, u, 1, 2)
         cfg = LineSearchConfig(rule="regularized")
-        info = {}
-        u_next, _ = regularized_search(
-            problem, u, bundle, "gn", cfg, gamma_prev=1.0,
-            on_accept=lambda **kw: info.update(kw),
-        )
+        # the first trial solve() makes from gamma_prev = 1, in cost-slope units
+        first = cfg.rho_inc * 1.0 / bundle.cost_slope_norm()
+        u_next, _, c0 = regularized_search(problem, u, bundle, "gn", first, cfg)
         j0, j1 = bundle.cost, objective_value(problem, u_next)
-        assert j1 - j0 <= info["c0"] + ACCEPT_TIE_RTOL * (1 + abs(j0))
+        assert j1 - j0 <= c0 + ACCEPT_TIE_RTOL * (1 + abs(j0))
 
     def test_quartic_acceptance_matches_grid_search(self):
         """Accepted stepsize agrees with exhaustively scanning the same rule."""
@@ -119,12 +112,8 @@ class TestRegularizedSearch:
         )
         u = np.array([[1.0]])
         bundle = forward(problem, u, 1, 2)
-        cfg = LineSearchConfig(rule="regularized", gradient_scaled=False)
-        info = {}
-        u_next, gamma_bar = regularized_search(
-            problem, u, bundle, "gn", cfg, gamma_prev=1.0,
-            on_accept=lambda **kw: info.update(kw),
-        )
+        cfg = LineSearchConfig(rule="regularized")
+        u_next, gamma_bar, _ = regularized_search(problem, u, bundle, "gn", cfg.rho_inc * 1.0, cfg)
         # independent scan over the same geometric stepsize grid
         from trajopt.oracles import rollout
 
@@ -206,13 +195,9 @@ class TestSolve:
         )
         u = np.array([[2.0]])
         bundle = forward(problem, u, 1, 2)
-        cfg = LineSearchConfig(rule="regularized", gradient_scaled=False)
-        info = {}
-        regularized_search(
-            problem, u, bundle, "gn", cfg, gamma_prev=1.0,
-            on_accept=lambda **kw: info.update(kw),
-        )
-        ratio = info["gamma"] / (cfg.rho_inc * 1.0)
+        cfg = LineSearchConfig(rule="regularized")
+        _, gamma, _ = regularized_search(problem, u, bundle, "gn", cfg.rho_inc * 1.0, cfg)
+        ratio = gamma / (cfg.rho_inc * 1.0)
         k = math.log(ratio) / math.log(cfg.rho_dec)
         assert k == pytest.approx(round(k), abs=1e-9)
         assert round(k) >= 1  # at least one rejection before acceptance

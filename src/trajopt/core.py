@@ -90,21 +90,25 @@ class TrajectoryProblem:
         return len(self.dynamics)
 
 
-def finite_difference_dynamic(f, x, u, y, v, t: int | None = None) -> np.ndarray:
+def finite_difference_dynamic(f, x, u, y, v, t: int | None = None, base=None) -> np.ndarray:
     """Increment map of a dynamic around (x, u): f(x+y, u+v) - f(x, u).
 
-    This is the step map DDP roll-outs follow.  ``t`` is only used to label
-    the error when the dynamic returns a non-finite value.
+    This is the step map DDP roll-outs follow.  ``base`` is f(x, u) when
+    the caller already holds it, as the forward pass does for the states
+    it visited; otherwise f is evaluated at (x, u) here.  ``t`` is only
+    used to label the error when the dynamic returns a non-finite value.
     """
     x = np.asarray(x, dtype=float).ravel()
     u = np.asarray(u, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
     v = np.asarray(v, dtype=float).ravel()
     # plain-float inputs: models stay numpy-free and overflow to inf silently
-    base = np.asarray(f(x.tolist(), u.tolist()), dtype=float).ravel()
+    if base is None:
+        base = f(x.tolist(), u.tolist())
+    base = np.asarray(base, dtype=float).ravel()
     moved = np.asarray(f((x + y).tolist(), (u + v).tolist()), dtype=float).ravel()
     out = moved - base
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         where = "" if t is None else f" at t={t}"
         raise NumericError(f"dynamic returned a non-finite increment{where}")
     return out

@@ -7,12 +7,16 @@ Hessian once and runs the descent test, ``lqbp`` solves the stage in
 closed form from that factor, ``lbp`` is the degenerate linear-cost
 counterpart used by the gradient oracle, and ``dynprog`` chains the stage
 solutions into the global solution of a convex linear-quadratic problem.
+
+The stages call LAPACK's ``dpotrf``/``dpotrs`` directly, as
+``scipy.linalg.cho_factor``/``cho_solve`` do after argument checks that
+cost several times the factorization of a stage a few numbers wide.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from . import autodiff
 from .core import TrajectoryProblem, _sym
@@ -31,19 +35,20 @@ def check_subproblem(B, Q, q, J, j, j0: float):
     """Factor a stage's control Hessian and run the descent test.
 
     The control Hessian is M = Q + B'JB and the control slope m = q + B'j.
-    Returns ``(factor, m, Minv_m)`` for :func:`lqbp`, or None when the
-    Cholesky factorization fails or the cost-to-go offset decrement
+    Returns ``(factor, m, Minv_m)`` for :func:`lqbp`, where ``factor`` is
+    the lower Cholesky factor of M as LAPACK's ``dpotrf`` leaves it (a
+    Fortran-ordered array whose upper triangle still holds M's entries),
+    or None when the factorization fails or the cost-to-go offset decrement
     -0.5 m'M^-1 m comes out positive beyond round-off.  A zero-slope stage
     (decrement zero, e.g. the last step of a problem started at a rest
     state) is solvable and passes; the overall descent test is the sign of
     the swept cost-to-go at time 0, which the caller owns.
     """
-    try:
-        factor = scipy.linalg.cho_factor(_sym(Q + B.T @ J @ B), lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError:
+    factor, info = dpotrf(_sym(Q + B.T @ J @ B), lower=1, clean=0)
+    if info:
         return None
     m = q + B.T @ j
-    Minv_m = scipy.linalg.cho_solve(factor, m, check_finite=False)
+    Minv_m = dpotrs(factor, m, lower=1)[0]
     decrement = -0.5 * float(m @ Minv_m)
     if not decrement < DESCENT_STRICTNESS * (1.0 + abs(j0)):
         return None
@@ -55,13 +60,15 @@ def lqbp(A, B, H, R, p, J, j, j0: float, checked) -> tuple:
 
     ``checked`` is the stage's :func:`check_subproblem` result, whose
     factor and M^-1 m are reused.  Returns ``(J_t, j_t, j0_t, K, k)``: the
-    cost-to-go at time t and the minimizing policy v = K y + k.
+    cost-to-go at time t and the minimizing policy v = K y + k, with the
+    gain ``K`` Fortran-ordered as ``dpotrs`` returns it.
     """
     factor, m, Minv_m = checked
+    AtJ = A.T @ J
     # Cross term between state and control of the stage-plus-to-go quadratic.
-    N = R + A.T @ J @ B  # (n_x, n_u)
-    Minv_NT = scipy.linalg.cho_solve(factor, np.ascontiguousarray(N.T), check_finite=False)
-    J_t = _sym(H + A.T @ J @ A - N @ Minv_NT)
+    N = R + AtJ @ B  # (n_x, n_u)
+    Minv_NT = dpotrs(factor, N.T, lower=1)[0]
+    J_t = _sym(H + AtJ @ A - N @ Minv_NT)
     j_t = p + A.T @ j - N @ Minv_m
     j0_t = j0 - 0.5 * float(m @ Minv_m)
     return J_t, j_t, j0_t, -Minv_NT, -Minv_m

@@ -148,9 +148,13 @@ class ExpansionBundle:
         return self.A[t] @ y + self.B[t] @ v
 
     def increment_step(self, t: int, y, v) -> np.ndarray:
-        """The original-dynamics increment of stage t around the visited point."""
+        """The original-dynamics increment of stage t around the visited point.
+
+        The forward pass stored f_t(x_t, u_t) as ``xs[t + 1]``, evaluated on
+        the same floats, so only the moved point is evaluated here.
+        """
         return finite_difference_dynamic(
-            self.problem.dynamics[t], self.xs[t], self.u[t], y, v, t=t
+            self.problem.dynamics[t], self.xs[t], self.u[t], y, v, t=t, base=self.xs[t + 1]
         )
 
     def cost_slope_norm(self) -> float:
@@ -227,7 +231,7 @@ def _roll(problem: TrajectoryProblem, u: np.ndarray) -> tuple[list, list, float]
             x_next = np.asarray(problem.dynamics[t](x_list, u_list), dtype=float).ravel()
         except ArithmeticError as err:
             raise DivergenceError(t, f"model evaluation failed at t={t}: {err}") from err
-        if not (math.isfinite(h_val) and np.all(np.isfinite(x_next))):
+        if not (math.isfinite(h_val) and np.isfinite(x_next).all()):
             raise DivergenceError(t)
         step_costs.append(h_val)
         total += h_val
@@ -437,7 +441,7 @@ def _backward_quadratic(
     tau, n_x, n_u = bundle.horizon, bundle.problem.n_x, bundle.problem.n_u
     A, B, p, q = bundle.A, bundle.B, bundle.p, bundle.q
     ridge = nu * np.eye(n_u)
-    # each K[t] Fortran-ordered like cho_solve's output: with C-ordered rows
+    # each K[t] Fortran-ordered like dpotrs's output: with C-ordered rows
     # the roll-out's K[t] @ y takes another BLAS path, and bicycle-car
     # directions change in their last bits
     K = np.empty((tau, n_x, n_u)).transpose(0, 2, 1)
@@ -501,7 +505,7 @@ def rollout(y0, K: np.ndarray, k: np.ndarray, step) -> np.ndarray:
         v = K[t] @ y + k[t]
         controls[t] = v
         y = np.asarray(step(t, y, v), dtype=float).ravel()
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise DivergenceError(t)
     return controls
 

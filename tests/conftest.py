@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-import scipy.linalg
+
+import trajopt.lqsolve
 
 from trajopt._testing import (  # noqa: F401  (re-exported for the test modules)
     concave_fixture,
@@ -29,18 +30,14 @@ def rng():
 
 @pytest.fixture
 def cholesky_spy(monkeypatch):
-    """Outcomes ("ok" or "failed") of every scipy Cholesky factorization made."""
+    """Outcomes ("ok" or "failed") of every Cholesky factorization the stages make."""
     outcomes = []
-    real = scipy.linalg.cho_factor
+    real = trajopt.lqsolve.dpotrf
 
     def spy(*args, **kwargs):
-        try:
-            factor = real(*args, **kwargs)
-        except scipy.linalg.LinAlgError:
-            outcomes.append("failed")
-            raise
-        outcomes.append("ok")
-        return factor
+        factor, info = real(*args, **kwargs)
+        outcomes.append("failed" if info > 0 else "ok")
+        return factor, info
 
-    monkeypatch.setattr(scipy.linalg, "cho_factor", spy)
+    monkeypatch.setattr(trajopt.lqsolve, "dpotrf", spy)
     return outcomes

@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import trajopt.core as core
 from trajopt.errors import InfeasibleStageError, ParameterError
 from trajopt.lqsolve import check_subproblem, dynprog, lbp, lqbp
 from trajopt.oracles import oracle
 
-from conftest import kkt_solve_lq, random_lq_problem
+from conftest import kkt_solve_lq, random_lq_problem, random_spd
 
 
 def scalar_stage(A, B, H, Q, R, p, q, J, j, j0):
@@ -97,7 +98,7 @@ class TestCheckSubproblem:
         checked = check(scalar_stage(A=1, B=0, H=0, Q=1, R=0, p=0, q=0, J=0, j=0, j0=0))
         assert checked is not None
         factor, _, _ = checked
-        np.testing.assert_allclose(factor[0], [[1.0]])  # Cholesky factor of M = 1
+        np.testing.assert_allclose(factor, [[1.0]])  # Cholesky factor of M = 1
 
     def test_invalid_negative_block(self):
         assert check(scalar_stage(A=1, B=0, H=0, Q=-1, R=0, p=0, q=0, J=0, j=0, j0=0)) is None
@@ -117,6 +118,62 @@ class TestCheckSubproblem:
     def test_descent_reports_failed_factorization(self, cholesky_spy):
         assert check(scalar_stage(A=1, B=0, H=0, Q=-2, R=0, p=0, q=0, J=0, j=1, j0=0)) is None
         assert cholesky_spy == ["failed"]
+
+
+def _sym(a):
+    return 0.5 * (a + a.T)
+
+
+def random_stage(rng, n_x, n_u):
+    """A stage with jointly convex costs and a convex next cost-to-go."""
+    joint = random_spd(rng, n_x + n_u)
+    return dict(
+        A=rng.standard_normal((n_x, n_x)), B=rng.standard_normal((n_x, n_u)),
+        H=joint[:n_x, :n_x], Q=joint[n_x:, n_x:], R=joint[:n_x, n_x:],
+        p=rng.standard_normal(n_x), q=rng.standard_normal(n_u),
+        J=random_spd(rng, n_x), j=rng.standard_normal(n_x), j0=float(rng.standard_normal()),
+    )
+
+
+def scipy_reference(s):
+    """The stage solved with scipy.linalg.cho_factor / cho_solve: (factor, J_t, j_t, j0_t, K, k)."""
+    A, B, J, j = s["A"], s["B"], s["J"], s["j"]
+    factor = scipy.linalg.cho_factor(_sym(s["Q"] + B.T @ J @ B), lower=True, check_finite=False)
+    m = s["q"] + B.T @ j
+    Minv_m = scipy.linalg.cho_solve(factor, m, check_finite=False)
+    N = s["R"] + A.T @ J @ B
+    Minv_NT = scipy.linalg.cho_solve(factor, np.ascontiguousarray(N.T), check_finite=False)
+    J_t = _sym(s["H"] + A.T @ J @ A - N @ Minv_NT)
+    j_t = s["p"] + A.T @ j - N @ Minv_m
+    j0_t = s["j0"] - 0.5 * float(m @ Minv_m)
+    return factor[0], J_t, j_t, j0_t, -Minv_NT, -Minv_m
+
+
+class TestScipyReference:
+    """The direct LAPACK calls give cho_factor / cho_solve's results bit for bit."""
+
+    @pytest.mark.parametrize("n_u", [1, 2, 3])
+    @pytest.mark.parametrize("n_x", [1, 4, 9])
+    def test_stage_equals_cho_factor_cho_solve(self, rng, n_x, n_u):
+        for _ in range(5):
+            s = random_stage(rng, n_x, n_u)
+            checked = check(s)
+            assert checked is not None
+            factor, *expected = scipy_reference(s)
+            assert np.array_equal(checked[0], factor)
+            stage = solve_stage(s)
+            for got, want in zip(stage, expected):
+                assert np.array_equal(got, want)
+            assert stage[3].flags.f_contiguous  # the layout the roll-out's K[t] @ y relies on
+
+    @pytest.mark.parametrize("n_u", [1, 2, 3])
+    def test_indefinite_control_hessian_is_rejected(self, rng, n_u):
+        s = random_stage(rng, 4, n_u)
+        M = s["Q"] + s["B"].T @ s["J"] @ s["B"]
+        s["Q"] = s["Q"] - (np.linalg.eigvalsh(M)[0] + 1.0) * np.eye(n_u)  # M's least eigenvalue: -1
+        with pytest.raises(scipy.linalg.LinAlgError):
+            scipy_reference(s)
+        assert check(s) is None
 
 
 class TestDynProg:

@@ -1,12 +1,19 @@
 """Forward/backward passes, roll-outs and the five oracle directions."""
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
 from trajopt import autodiff
-from trajopt.core import TrajectoryProblem, linear_dynamics, quadratic_cost, quadratic_state_cost
+from trajopt.core import (
+    TrajectoryProblem,
+    finite_difference_dynamic,
+    linear_dynamics,
+    quadratic_cost,
+    quadratic_state_cost,
+)
 from trajopt.dense import dense_costates, dense_gauss_newton_matrix, dense_gradient, dense_hessian
 from trajopt.envs import build_problem
 from trajopt.envs.build import _ALLOWED
@@ -600,3 +607,47 @@ class TestFactorOnce:
         result = run_backward(bundle, kind, 1.0)
         assert result.feasible
         assert cholesky_spy == ["ok"] * horizon
+
+
+def counted_dynamics(problem):
+    """The problem with each distinct dynamic wrapped once, and the shared call counter."""
+    calls = [0]
+
+    def count(f):
+        def g(x, u):
+            calls[0] += 1
+            return f(x, u)
+        return g
+
+    wrapped = {f: count(f) for f in problem.dynamics}  # stages sharing f share its wrapper
+    dynamics = tuple(wrapped[f] for f in problem.dynamics)
+    return dataclasses.replace(problem, dynamics=dynamics), calls
+
+
+class TestIncrementStepBase:
+    """The DDP step map reuses the forward pass's stored f(x_t, u_t)."""
+
+    @pytest.mark.parametrize("env", ["bicycle-car", "cartpole"])
+    def test_increment_step_equals_fresh_finite_difference(self, env):
+        horizon = 30
+        problem = build_problem(env, horizon)
+        rng = np.random.default_rng(11)
+        u = 0.1 * rng.standard_normal((horizon, problem.n_u))
+        bundle = forward(problem, u, 1, 2)
+        for t in range(horizon):
+            y = 0.01 * rng.standard_normal(problem.n_x)
+            v = 0.01 * rng.standard_normal(problem.n_u)
+            fresh = finite_difference_dynamic(problem.dynamics[t], bundle.xs[t], u[t], y, v)
+            np.testing.assert_array_equal(bundle.increment_step(t, y, v), fresh)
+
+    @pytest.mark.parametrize("env", ["bicycle-car", "cartpole"])
+    def test_one_model_evaluation_per_rollout_step(self, env):
+        horizon = 30
+        problem, calls = counted_dynamics(build_problem(env, horizon))
+        u = 0.1 * np.random.default_rng(12).standard_normal((horizon, problem.n_u))
+        bundle = forward(problem, u, 1, 2)
+        result = run_backward(bundle, "ddp-lq", 1.0)
+        assert result.feasible
+        calls[0] = 0
+        rollout(np.zeros(problem.n_x), result.K, result.k, ORACLES["ddp-lq"].step_map(bundle))
+        assert calls[0] == horizon

@@ -578,13 +578,21 @@ def contract_curvature(d12: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """The (m, m) Hessian of z -> f(z)^T lam from f's packed second derivatives.
 
     ``d12`` (n, m(m+1)/2) holds one point's rows of
-    :func:`block_jacobian_curvature` and ``lam`` is an (n,) array.  The
-    products lam_k * d12[k] are summed from 0.0 in output order (a
-    reduction over the slow axis of a fresh array runs row by row), so
-    every result is bitwise the same however its point was blocked.
+    :func:`block_jacobian_curvature` and ``lam`` is an (n,) array; a stack
+    of T points, ``d12`` (T, n, m(m+1)/2) against ``lam`` (T, n), gives
+    (T, m, m).  The products lam_k * d12[k] are summed from 0.0 in output
+    order (a reduction over the slow axis of a fresh array runs row by
+    row; a stack accumulates output by output, so its temporaries stay
+    (T, m(m+1)/2)), so every result is bitwise the same however its point
+    was blocked or stacked.
     """
-    w = np.add.reduce(lam[:, None] * d12, axis=0, initial=0.0)
-    return w[_pair_index((math.isqrt(8 * w.size + 1) - 1) // 2)]
+    if d12.ndim == 2:
+        w = np.add.reduce(lam[:, None] * d12, axis=0, initial=0.0)
+    else:
+        w = np.zeros((len(d12), d12.shape[-1]))
+        for k in range(d12.shape[1]):
+            w += lam[:, k, None] * d12[:, k]
+    return w[..., _pair_index((math.isqrt(8 * w.shape[-1] + 1) - 1) // 2)]
 
 
 def jacobian(g, z) -> np.ndarray:

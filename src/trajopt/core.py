@@ -11,6 +11,7 @@ validated here, once, by the helpers that turn them into models.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -50,7 +51,7 @@ def _matrix(a, name: str) -> np.ndarray:
 
 def _sym(a: np.ndarray) -> np.ndarray:
     """Symmetric part of a matrix, or of each matrix of a stack."""
-    return 0.5 * (a + np.swapaxes(a, -1, -2))
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 @dataclass(frozen=True)
@@ -108,7 +109,7 @@ def finite_difference_dynamic(f, x, u, y, v, t: int | None = None, base=None) ->
     base = np.asarray(base, dtype=float).ravel()
     moved = np.asarray(f((x + y).tolist(), (u + v).tolist()), dtype=float).ravel()
     out = moved - base
-    if not np.isfinite(out).all():
+    if not all(map(math.isfinite, out.tolist())):
         where = "" if t is None else f" at t={t}"
         raise NumericError(f"dynamic returned a non-finite increment{where}")
     return out

@@ -10,15 +10,17 @@ DDP variants).  :data:`ORACLES` is the single description of the kinds.
 The forward pass stores the stage matrices stacked over the stages
 (:class:`ExpansionBundle`), and the sweeps run on those raw arrays: each
 stage's control Hessian is factored once (``check_subproblem``) and the
-factor is reused by the closed-form stage (``lqbp``).  The policies come
-out stacked as gains ``K`` (horizon, n_u, n_x) and offsets ``k``
-(horizon, n_u).
+factor is reused by the closed-form stage (``lqbp``).  The Newton sweep
+folds the dynamics curvature of every stage against the bundle's adjoints
+before its stage loop.  The policies come out stacked as gains ``K``
+(horizon, n_u, n_x) and offsets ``k`` (horizon, n_u).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -107,8 +109,10 @@ SLOT_BUDGET = 264
 class ExpansionBundle:
     """Derivative information recorded by one forward pass, stacked over the stages.
 
-    Orders 0/1/2 control what is stored: nothing beyond the trajectory and
-    cost, first derivatives, or second derivatives.  Order-1 dynamics give
+    ``xs`` (horizon + 1, n_x) holds the visited states, x_0 first, and
+    ``step_costs`` the stage costs, the final cost last.  Orders 0/1/2
+    control what is stored: nothing beyond the trajectory and cost, first
+    derivatives, or second derivatives.  Order-1 dynamics give
     ``A`` (horizon, n_x, n_x) and ``B`` (horizon, n_x, n_u), views of the
     stacked Jacobians.  Order-1 costs give the slopes ``p`` (horizon, n_x)
     and ``q`` (horizon, n_u) and the final slope; order-2 costs add the
@@ -123,7 +127,7 @@ class ExpansionBundle:
 
     problem: TrajectoryProblem
     u: np.ndarray
-    xs: tuple
+    xs: np.ndarray
     step_costs: tuple
     cost: float
     o_f: int
@@ -157,6 +161,24 @@ class ExpansionBundle:
             self.problem.dynamics[t], self.xs[t], self.u[t], y, v, t=t, base=self.xs[t + 1]
         )
 
+    @cached_property
+    def adjoints(self) -> np.ndarray:
+        """The adjoints lam_1 .. lam_tau of the objective, stacked (horizon, n_x).
+
+        Row t is lam_{t+1}, the slope of the cost-to-go at x_{t+1}: lam_tau
+        is the final cost slope and lam_t = p_t + A_t' lam_{t+1}.  Computed
+        once per bundle; :func:`bundle_gradient` and the Newton sweep both
+        read it.
+        """
+        if self.o_h < 1 or self.o_f < 1:
+            raise ParameterError("the adjoint recursion needs order-1 information")
+        A, p = self.A, self.p
+        lam = [self.final_slope]
+        with np.errstate(all="ignore"):  # an overflow shows as a non-finite adjoint
+            for t in range(self.horizon - 1, 0, -1):
+                lam.append(p[t] + A[t].T @ lam[-1])
+        return np.array(lam[::-1])
+
     def cost_slope_norm(self) -> float:
         """Euclidean norm of all stage-cost gradients along the trajectory."""
         if self.p is None:
@@ -187,10 +209,6 @@ class OracleDirection:
     failed_stage: int | None = None
 
 
-def _scalars(vec: np.ndarray) -> list:
-    return [float(v) for v in vec]
-
-
 def _shaped_controls(problem: TrajectoryProblem, u, name: str) -> np.ndarray:
     """Controls as a (horizon, n_u) float array, else :class:`ShapeError`."""
     u = np.asarray(u, dtype=float)
@@ -218,34 +236,37 @@ def objective_value(problem: TrajectoryProblem, u: np.ndarray) -> float:
     return forward(problem, u, o_f=0, o_h=0).cost
 
 
-def _roll(problem: TrajectoryProblem, u: np.ndarray) -> tuple[list, list, float]:
-    """States, step costs (final cost last) and total cost, on plain floats."""
-    xs = [problem.x0.copy()]
+def _roll(problem: TrajectoryProblem, u: np.ndarray) -> tuple[np.ndarray, list, float]:
+    """States (horizon + 1, n_x), step costs (final cost last) and total cost.
+
+    The pass runs on Python float lists, so the models see plain floats
+    and no stage wraps its few-entry vectors in numpy; the states are
+    stacked once at the end.
+    """
+    x = problem.x0.tolist()
+    xs = [x]
     step_costs = []
     total = 0.0
-    x = xs[0]
-    for t in range(problem.horizon):
-        x_list, u_list = _scalars(x), _scalars(u[t])
+    for t, u_t in enumerate(u.tolist()):
         try:
-            h_val = float(problem.running_costs[t](x_list, u_list))
-            x_next = np.asarray(problem.dynamics[t](x_list, u_list), dtype=float).ravel()
+            h_val = float(problem.running_costs[t](x, u_t))
+            x = [float(v) for v in problem.dynamics[t](x, u_t)]
         except ArithmeticError as err:
             raise DivergenceError(t, f"model evaluation failed at t={t}: {err}") from err
-        if not (math.isfinite(h_val) and np.isfinite(x_next).all()):
+        if not (math.isfinite(h_val) and all(map(math.isfinite, x))):
             raise DivergenceError(t)
         step_costs.append(h_val)
         total += h_val
-        xs.append(x_next)
-        x = x_next
+        xs.append(x)
     tau = problem.horizon
     try:
-        h_val = float(problem.final_cost(_scalars(x)))
+        h_val = float(problem.final_cost(x))
     except ArithmeticError as err:
         raise DivergenceError(tau, f"final cost evaluation failed: {err}") from err
     if not math.isfinite(h_val):
         raise DivergenceError(tau)
     step_costs.append(h_val)
-    return xs, step_costs, total + h_val
+    return np.array(xs), step_costs, total + h_val
 
 
 def _joint(fn, n_x: int):
@@ -291,7 +312,8 @@ def _finite_rows(stack: np.ndarray) -> np.ndarray:
     return np.isfinite(stack.reshape(stack.shape[0], -1)).all(axis=1)
 
 
-def _expansions(problem: TrajectoryProblem, xs: list, u: np.ndarray, o_f: int, o_h: int) -> dict:
+def _expansions(problem: TrajectoryProblem, xs: np.ndarray, u: np.ndarray, o_f: int,
+                o_h: int) -> dict:
     """Bundle fields holding the derivatives at the visited points.
 
     Raises :class:`DivergenceError` at the first stage whose derivatives
@@ -299,7 +321,7 @@ def _expansions(problem: TrajectoryProblem, xs: list, u: np.ndarray, o_f: int, o
     """
     tau, n_x = problem.horizon, problem.n_x
     m = n_x + problem.n_u
-    zs = np.hstack([np.array(xs[:-1]), u])
+    zs = np.hstack([xs[:-1], u])
     ok = np.ones(tau + 1, dtype=bool)
     if o_f == 2:
         jac, curvature = _expand(
@@ -376,7 +398,7 @@ def forward(problem: TrajectoryProblem, u, o_f: int = 1, o_h: int = 2) -> Expans
     return ExpansionBundle(
         problem=problem,
         u=u,
-        xs=tuple(xs),
+        xs=xs,
         step_costs=tuple(step_costs),
         cost=total,
         o_f=o_f,
@@ -440,7 +462,15 @@ def _backward_quadratic(
         raise ParameterError("curvature contraction needs order-2 dynamics information")
     tau, n_x, n_u = bundle.horizon, bundle.problem.n_x, bundle.problem.n_u
     A, B, p, q = bundle.A, bundle.B, bundle.p, bundle.q
-    ridge = nu * np.eye(n_u)
+    # the ridge goes on before any curvature, (Q + nu I) + W_uu: the other
+    # order moves the last bits of Newton directions at nu > 0
+    H, Q, R = bundle.H, bundle.Q + nu * np.eye(n_u), bundle.R
+    if contraction == "adjoint":
+        # the adjoints are known before the sweep: fold every stage at once
+        W = autodiff.contract_curvature(bundle.curvature, bundle.adjoints)
+        H = H + W[:, :n_x, :n_x]
+        Q = Q + W[:, n_x:, n_x:]
+        R = R + W[:, :n_x, n_x:]
     # each K[t] Fortran-ordered like dpotrs's output: with C-ordered rows
     # the roll-out's K[t] @ y takes another BLAS path, and bicycle-car
     # directions change in their last bits
@@ -448,22 +478,18 @@ def _backward_quadratic(
     k = np.empty((tau, n_u))
 
     J, j, j0 = bundle.final_quad, bundle.final_slope, 0.0
-    lam = bundle.final_slope
     for t in range(tau - 1, -1, -1):
-        H, Q, R = bundle.H[t], bundle.Q[t] + ridge, bundle.R[t]
-        if contraction is not None:
-            vec = lam if contraction == "adjoint" else j
-            w = autodiff.contract_curvature(bundle.curvature[t], vec)
-            H = H + w[:n_x, :n_x]
-            Q = Q + w[n_x:, n_x:]
-            R = R + w[:n_x, n_x:]
-        if contraction == "adjoint":
-            lam = p[t] + A[t].T @ lam
-        checked = check_subproblem(B[t], Q, q[t], J, j, j0)
+        H_t, Q_t, R_t = H[t], Q[t], R[t]
+        if contraction == "value-slope":  # the slope is only known here, stage by stage
+            w = autodiff.contract_curvature(bundle.curvature[t], j)
+            H_t = H_t + w[:n_x, :n_x]
+            Q_t = Q_t + w[n_x:, n_x:]
+            R_t = R_t + w[:n_x, n_x:]
+        checked = check_subproblem(B[t], Q_t, q[t], J, j, j0)
         if checked is None:  # an earlier overflow fails later checks: name the overflow
             late = _overflowed(K[t + 1:], k[t + 1:])
             return _infeasible(t if late is None else t + 1 + late)
-        J, j, j0, K[t], k[t] = lqbp(A[t], B[t], H, R, p[t], J, j, j0, checked)
+        J, j, j0, K[t], k[t] = lqbp(A[t], B[t], H_t, R_t, p[t], J, j, j0, checked)
     return _swept(K, k, j0)
 
 
@@ -477,35 +503,38 @@ def run_backward(bundle: ExpansionBundle, kind: str, nu: float) -> OracleDirecti
 
 
 def bundle_gradient(bundle: ExpansionBundle) -> np.ndarray:
-    """Objective gradient (horizon, n_u) recovered from order-1 bundle data."""
+    """Objective gradient (horizon, n_u) recovered from order-1 bundle data.
+
+    Stage t's gradient is q_t + B_t' lam_{t+1}, from the bundle's adjoint
+    stack (:attr:`ExpansionBundle.adjoints`), the one adjoint recursion
+    the package runs.
+    """
     if bundle.o_h < 1 or bundle.o_f < 1:
         raise ParameterError("gradient recovery needs order-1 information")
-    tau = bundle.horizon
-    A, B, p, q = bundle.A, bundle.B, bundle.p, bundle.q
-    g = np.zeros((tau, bundle.problem.n_u))
-    j = bundle.final_slope
+    B, q, lam = bundle.B, bundle.q, bundle.adjoints
+    g = np.empty((bundle.horizon, bundle.problem.n_u))
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite gradient
-        for t in range(tau - 1, -1, -1):
-            g[t] = q[t] + B[t].T @ j
-            j = p[t] + A[t].T @ j
+        for t in range(bundle.horizon):
+            g[t] = q[t] + B[t].T @ lam[t]
     return g
 
 
 def rollout(y0, K: np.ndarray, k: np.ndarray, step) -> np.ndarray:
     """Apply the policies v_t = K[t] y_t + k[t] along a step map.
 
-    ``step(t, y, v)`` gives the next state, for example
-    :meth:`ExpansionBundle.linear_step`.  Returns the controls (horizon,
-    n_u); a non-finite state raises :class:`DivergenceError` with the
-    offending step.
+    ``step(t, y, v)`` gives the next state as a sequence of n_x floats,
+    for example :meth:`ExpansionBundle.linear_step`.  Returns the controls
+    (horizon, n_u); a non-finite state raises :class:`DivergenceError`
+    with the offending step.  Finiteness is tested on the state's Python
+    floats, which costs less than numpy's test on a few entries.
     """
     y = np.asarray(y0, dtype=float).ravel()
     controls = np.empty(k.shape)
     for t in range(len(k)):
         v = K[t] @ y + k[t]
         controls[t] = v
-        y = np.asarray(step(t, y, v), dtype=float).ravel()
-        if not np.isfinite(y).all():
+        y = np.asarray(step(t, y, v), dtype=float)
+        if not all(map(math.isfinite, y.tolist())):
             raise DivergenceError(t)
     return controls
 

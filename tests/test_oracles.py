@@ -1,6 +1,7 @@
 """Forward/backward passes, roll-outs and the five oracle directions."""
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -17,8 +18,9 @@ from trajopt.core import (
 from trajopt.dense import dense_costates, dense_gauss_newton_matrix, dense_gradient, dense_hessian
 from trajopt.envs import build_problem
 from trajopt.envs.build import _ALLOWED
-from trajopt.errors import DivergenceError, ParameterError, ShapeError
+from trajopt.errors import DivergenceError, NumericError, ParameterError, ShapeError
 from trajopt.linesearch import StopCriteria, solve, stationarity_residual
+from trajopt.lqsolve import check_subproblem, lqbp
 from trajopt.oracles import (
     ORACLE_KINDS,
     ORACLES,
@@ -388,6 +390,7 @@ class TestBackwardNe:
             rec.append(lam)
         rec = np.array(rec[::-1])
         np.testing.assert_allclose(rec, dense_costates(problem, u), rtol=1e-8, atol=1e-10)
+        np.testing.assert_array_equal(bundle.adjoints, rec)  # the bundle runs this recursion
 
 
 class TestBackwardDdpQ:
@@ -651,3 +654,166 @@ class TestIncrementStepBase:
         calls[0] = 0
         rollout(np.zeros(problem.n_x), result.K, result.k, ORACLES["ddp-lq"].step_map(bundle))
         assert calls[0] == horizon
+
+
+def per_stage_ne_sweep(bundle, nu):
+    """The Newton sweep stage by stage: one ``contract_curvature`` per stage, ridge first.
+
+    Returns (K, k, c0) or None when a stage fails its check.
+    """
+    tau, n_x, n_u = bundle.horizon, bundle.problem.n_x, bundle.problem.n_u
+    A, B, p, q = bundle.A, bundle.B, bundle.p, bundle.q
+    K = np.empty((tau, n_x, n_u)).transpose(0, 2, 1)
+    k = np.empty((tau, n_u))
+    J, j, j0 = bundle.final_quad, bundle.final_slope, 0.0
+    lam = bundle.final_slope
+    with np.errstate(all="ignore"):
+        for t in range(tau - 1, -1, -1):
+            w = autodiff.contract_curvature(bundle.curvature[t], lam)
+            H = bundle.H[t] + w[:n_x, :n_x]
+            Q = (bundle.Q[t] + nu * np.eye(n_u)) + w[n_x:, n_x:]
+            R = bundle.R[t] + w[:n_x, n_x:]
+            lam = p[t] + A[t].T @ lam
+            checked = check_subproblem(B[t], Q, q[t], J, j, j0)
+            if checked is None:
+                return None
+            J, j, j0, K[t], k[t] = lqbp(A[t], B[t], H, R, p[t], J, j, j0, checked)
+    return K, k, j0
+
+
+def per_stage_gradient(bundle):
+    """The adjoint recursion and gradient stage by stage, from the final slope back."""
+    g = np.zeros((bundle.horizon, bundle.problem.n_u))
+    j = bundle.final_slope
+    with np.errstate(all="ignore"):
+        for t in range(bundle.horizon - 1, -1, -1):
+            g[t] = bundle.q[t] + bundle.B[t].T @ j
+            j = bundle.p[t] + bundle.A[t].T @ j
+    return g
+
+
+NE_CELLS = [
+    ("pendulum", None),
+    ("cartpole", "rk4"),
+    ("simple-car", None),
+    ("bicycle-car", None),
+    ("pendulum", "rk4-varying"),
+]
+
+
+class TestBatchedNeContraction:
+    """The Newton sweep folds the curvature of every stage at once, bit for bit."""
+
+    @pytest.mark.parametrize("env,scheme", NE_CELLS)
+    def test_sweep_equals_per_stage_contraction(self, env, scheme):
+        horizon = 40
+        problem = build_problem(env, horizon, scheme)
+        rng = np.random.default_rng(0)
+        starts = [np.zeros((horizon, problem.n_u))]
+        starts += [0.1 * rng.standard_normal((horizon, problem.n_u)) for _ in range(2)]
+        feasible = 0
+        for i, u in enumerate(starts):
+            bundle = forward(problem, u, 2, 2)
+            for nu in (0.0, 1e-3, 1.0):
+                result = run_backward(bundle, "ne", nu)
+                expected = per_stage_ne_sweep(bundle, nu)
+                where = f"start {i} nu={nu}"
+                if expected is None:
+                    assert not result.feasible, where
+                    continue
+                K, k, c0 = expected
+                assert result.feasible, where
+                feasible += 1
+                assert np.array_equal(result.K, K), where
+                assert np.array_equal(result.k, k), where
+                assert result.c0_zero == c0, where
+        assert feasible >= 3
+
+    @pytest.mark.parametrize("env,scheme", NE_CELLS)
+    def test_gradient_equals_per_stage_recursion(self, env, scheme):
+        horizon = 40
+        problem = build_problem(env, horizon, scheme)
+        u = 0.1 * np.random.default_rng(2).standard_normal((horizon, problem.n_u))
+        for o_f, o_h in ((1, 1), (1, 2), (2, 2)):
+            bundle = forward(problem, u, o_f, o_h)
+            assert np.array_equal(bundle_gradient(bundle), per_stage_gradient(bundle))
+
+    def test_stacked_contraction_equals_per_point(self, rng):
+        d12 = rng.standard_normal((9, 4, 15))
+        lam = rng.standard_normal((9, 4))
+        stacked = autodiff.contract_curvature(d12, lam)
+        assert stacked.shape == (9, 5, 5)
+        for t in range(9):
+            assert np.array_equal(stacked[t], autodiff.contract_curvature(d12[t], lam[t]))
+
+
+def exploding_problem(horizon=6):
+    """x' = 1e100 x + u from x0 = 0: a unit push at t=0 overflows at t=4."""
+    return TrajectoryProblem(
+        dynamics=(linear_dynamics([[1e100]], [[1.0]]),) * horizon,
+        running_costs=(quadratic_cost([[0.0]], [[1.0]], [[0.0]], [0.0], [0.0]),) * horizon,
+        final_cost=quadratic_state_cost([[0.0]], [0.0]),
+        x0=[0.0],
+        n_x=1,
+        n_u=1,
+    )
+
+
+class TestTrajectoryPasses:
+    """The float-list roll and roll-out: states, divergence steps and step maps."""
+
+    def test_roll_names_a_nan_state(self):
+        problem = TrajectoryProblem(
+            dynamics=(lambda x, u: [x[0] + u[0]],) * 2 + (lambda x, u: [x[0] * math.nan],),
+            running_costs=(lambda x, u: 0.0 * u[0],) * 3,
+            final_cost=lambda x: x[0],
+            x0=[1.0],
+            n_x=1,
+            n_u=1,
+        )
+        with pytest.raises(DivergenceError) as err:
+            forward(problem, np.zeros((3, 1)), 1, 2)
+        assert err.value.t == 2
+
+    @pytest.mark.parametrize("kind", ["gn", "ddp-lq"])
+    def test_rollout_names_the_overflowing_step(self, kind):
+        problem = exploding_problem()
+        bundle = forward(problem, np.zeros((6, 1)), 1, 2)
+        K, k = np.zeros((6, 1, 1)), np.zeros((6, 1))
+        k[0] = 1.0  # y_1 = 1, then y grows by 1e100 per step and overflows at t=4
+        step = ORACLES[kind].step_map(bundle)
+        if kind == "gn":
+            with pytest.raises(DivergenceError) as err, np.errstate(over="ignore"):
+                rollout(np.zeros(1), K, k, step)
+            assert err.value.t == 4
+        else:
+            with pytest.raises(NumericError, match="non-finite increment at t=4"):
+                rollout(np.zeros(1), K, k, step)
+
+    def test_rollout_accepts_a_sequence_returning_step(self):
+        K = np.full((4, 1, 1), -0.5)
+        k = np.ones((4, 1))
+
+        def as_list(t, y, v):
+            return [y[0] + v[0]]
+
+        def as_tuple(t, y, v):
+            return (y[0] + v[0],)
+
+        expected = rollout([0.0], K, k, _integrator_step)
+        for step in (as_list, as_tuple):
+            np.testing.assert_array_equal(rollout([0.0], K, k, step), expected)
+
+    @pytest.mark.parametrize("env,scheme", [("cartpole", "rk4"), ("bicycle-car", None)])
+    def test_states_are_one_stacked_array(self, env, scheme):
+        horizon = 12
+        problem = build_problem(env, horizon, scheme)
+        u = 0.1 * np.random.default_rng(5).standard_normal((horizon, problem.n_u))
+        for o_f, o_h in ((0, 0), (2, 2)):
+            xs = forward(problem, u, o_f, o_h).xs
+            assert isinstance(xs, np.ndarray)
+            assert xs.dtype == np.float64 and xs.shape == (horizon + 1, problem.n_x)
+            np.testing.assert_array_equal(xs[0], problem.x0)
+            for t in range(horizon):
+                x_next = problem.dynamics[t](xs[t].tolist(), u[t].tolist())
+                np.testing.assert_array_equal(xs[t + 1], np.asarray(x_next, dtype=float))

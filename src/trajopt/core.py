@@ -96,19 +96,24 @@ def finite_difference_dynamic(f, x, u, y, v, t: int | None = None, base=None) ->
 
     This is the step map DDP roll-outs follow.  ``base`` is f(x, u) when
     the caller already holds it, as the forward pass does for the states
-    it visited; otherwise f is evaluated at (x, u) here.  ``t`` is only
-    used to label the error when the dynamic returns a non-finite value.
+    it visited; otherwise f is evaluated at (x, u) here.  A dynamic that
+    raises an ``ArithmeticError`` (``math.exp`` overflowing, say) or
+    returns a non-finite value raises :class:`NumericError`, labelled
+    with ``t`` when given.
     """
     x = np.asarray(x, dtype=float).ravel()
     u = np.asarray(u, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
     v = np.asarray(v, dtype=float).ravel()
-    # plain-float inputs: models stay numpy-free and overflow to inf silently
-    if base is None:
-        base = f(x.tolist(), u.tolist())
-    base = np.asarray(base, dtype=float).ravel()
-    moved = np.asarray(f((x + y).tolist(), (u + v).tolist()), dtype=float).ravel()
-    out = moved - base
+    # plain-float inputs keep the models numpy-free
+    try:
+        if base is None:
+            base = f(x.tolist(), u.tolist())
+        moved = f((x + y).tolist(), (u + v).tolist())
+    except ArithmeticError as err:
+        where = "" if t is None else f" at t={t}"
+        raise NumericError(f"dynamic evaluation failed{where}: {err}") from err
+    out = np.asarray(moved, dtype=float).ravel() - np.asarray(base, dtype=float).ravel()
     if not all(map(math.isfinite, out.tolist())):
         where = "" if t is None else f" at t={t}"
         raise NumericError(f"dynamic returned a non-finite increment{where}")

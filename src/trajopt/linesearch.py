@@ -6,11 +6,13 @@ is accepted when the objective decrease meets its bound, and otherwise
 gamma shrinks by ``rho_dec``.  The directional rule fixes the policies from
 one backward pass, scales their offsets by gamma and starts at gamma = 1;
 its bound is gamma times the model decrease (a sufficient-decrease test).
-The regularized rule reruns the backward pass per trial with ridge
-1/gamma; its bound is the swept model value itself.  :func:`solve`
-warm-starts the regularized stepsize across iterations and measures it in
-units of the cost-slope norm, which keeps acceptable raw stepsizes bounded
-as the iterates approach stationarity.
+On the linearized step maps its roll-out is linear in the offsets, so one
+unit roll-out per search, scaled by each power-of-two gamma, stands in for
+the trials' roll-outs bit for bit.  The regularized rule reruns the
+backward pass per trial with ridge 1/gamma; its bound is the swept model
+value itself.  :func:`solve` warm-starts the regularized stepsize across
+iterations and measures it in units of the cost-slope norm, which keeps
+acceptable raw stepsizes bounded as the iterates approach stationarity.
 """
 
 from __future__ import annotations
@@ -126,29 +128,29 @@ class SolveTrace:
 
 
 def _backtrack(problem: TrajectoryProblem, u, j_current: float, gamma: float,
-               cfg: LineSearchConfig, step, trial) -> tuple[np.ndarray, float, float]:
+               cfg: LineSearchConfig, trial) -> tuple[np.ndarray, float, float]:
     """The trial loop both step rules share, from stepsize ``gamma`` down.
 
-    ``trial(gamma)`` gives the policies (K, k) to roll out along ``step``
-    and the bound the objective decrease must meet, or None to reject the
-    stepsize outright.  Returns (candidate, gamma, bound) of the first
-    accepted trial; a roll-out or trial value that fails reads as a
-    rejection.  Raises :class:`StallError` when gamma falls below the
-    configured minimum, carrying the best candidate if it still decreased
-    the objective.
+    ``trial(gamma)`` gives the control offset of stepsize gamma and the
+    bound the objective decrease must meet, or None to reject the stepsize
+    outright.  Returns (candidate, gamma, bound) of the first accepted
+    trial; a roll-out or trial value that fails reads as a rejection.
+    Raises :class:`StallError` when gamma falls below the configured
+    minimum, carrying the best candidate if it still decreased the
+    objective.
     """
     u = np.asarray(u, dtype=float)
-    y0 = np.zeros(problem.n_x)
     best, best_cost = None, math.inf
     while True:
-        policy = trial(gamma)
-        if policy is not None:
-            K, k, bound = policy
-            try:
-                candidate = u + rollout(y0, K, k, step)
+        try:
+            proposal = trial(gamma)
+            if proposal is not None:
+                offset, bound = proposal
+                candidate = u + offset
                 j_trial = objective_value(problem, candidate)
-            except (DivergenceError, NumericError):
-                j_trial = math.inf
+        except (DivergenceError, NumericError):
+            proposal = None
+        if proposal is not None:
             if j_trial - j_current <= bound + ACCEPT_TIE_RTOL * (1.0 + abs(j_current)):
                 return candidate, gamma, bound
             if j_trial < best_cost:
@@ -171,17 +173,35 @@ def directional_search(
 
     The policies v_t = K[t] y_t + gamma k[t] roll out along the step map
     ``step`` (see :func:`rollout`).  Accepts the first gamma with
-    J(u + v_gamma) <= J(u) + gamma * c0(0); on the linearized step maps
-    v_gamma is exactly gamma times the unit roll-out.  Returns the accepted
-    point and stepsize; raises :class:`StallError` as :func:`_backtrack`
-    does.
+    J(u + v_gamma) <= J(u) + gamma * c0(0).  Returns the accepted point
+    and stepsize; raises :class:`StallError` as :func:`_backtrack` does.
+
+    On the linearized step maps (:meth:`ExpansionBundle.linear_step`) the
+    roll-out is linear in the offsets, so the unit policy (K, k) rolls out
+    once and a trial takes gamma times that roll-out.  Above the subnormal
+    range, scaling by a power of two commutes with every rounding of the
+    roll-out's products and sums, so this is the per-trial roll-out bit
+    for bit.  Any other gamma,
+    any increment or user step map, and a unit roll-out that overflowed
+    leave each trial to roll out its own policy.
     """
     if not c0_zero < 0.0:
         raise ParameterError(f"directional step needs a negative model value, got {c0_zero}")
-    candidate, gamma, _ = _backtrack(
-        problem, u, objective_value(problem, u), 1.0, cfg, step,
-        lambda gamma: (K, gamma * k, gamma * c0_zero),
-    )
+    j_current = objective_value(problem, u)
+    y0 = np.zeros(problem.n_x)
+    unit = None
+    if getattr(step, "__func__", None) is ExpansionBundle.linear_step:
+        try:
+            unit = rollout(y0, K, k, step)
+        except (DivergenceError, NumericError):
+            pass  # a smaller gamma may stay finite: each trial rolls out
+
+    def trial(gamma):
+        if unit is not None and math.frexp(gamma)[0] == 0.5:
+            return gamma * unit, gamma * c0_zero
+        return rollout(y0, K, gamma * k, step), gamma * c0_zero
+
+    candidate, gamma, _ = _backtrack(problem, u, j_current, 1.0, cfg, trial)
     return candidate, gamma
 
 
@@ -202,15 +222,16 @@ def regularized_search(
     point, stepsize and model value; raises :class:`StallError` as
     :func:`_backtrack` does.
     """
+    y0 = np.zeros(problem.n_x)
+    step = oracle_spec(kind).step_map(bundle)
 
     def trial(gamma):
         result = run_backward(bundle, kind, 1.0 / gamma)
         if result.feasible and result.c0_zero < 0.0:
-            return result.K, result.k, result.c0_zero
+            return rollout(y0, result.K, result.k, step), result.c0_zero
         return None
 
-    step = oracle_spec(kind).step_map(bundle)
-    return _backtrack(problem, u, bundle.cost, gamma, cfg, step, trial)
+    return _backtrack(problem, u, bundle.cost, gamma, cfg, trial)
 
 
 def _escalate_directional(bundle: ExpansionBundle, kind: str, cfg: LineSearchConfig):

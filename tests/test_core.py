@@ -12,7 +12,7 @@ from trajopt.core import (
     linear_dynamics,
     quadratic_cost,
 )
-from trajopt.errors import ShapeError
+from trajopt.errors import NumericError, ShapeError
 from trajopt.oracles import forward
 
 small = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
@@ -68,6 +68,12 @@ class TestFiniteDifferenceDynamic:
         f = lambda x, u: [x[0] * x[0]]
         out = finite_difference_dynamic(f, [1.0], [0.0], [1.0], [0.0])
         np.testing.assert_allclose(out, [3.0])
+
+    @pytest.mark.parametrize("base", [None, [1.0]])
+    def test_model_arithmetic_error_is_a_numeric_error_naming_t(self, base):
+        f = lambda x, u: [x[0] + autodiff.exp(u[0])]
+        with pytest.raises(NumericError, match="dynamic evaluation failed at t=2"):
+            finite_difference_dynamic(f, [0.0], [5.0], [0.0], [1e3], t=2, base=base)
 
     @given(small, small, small, small)
     @settings(max_examples=30, deadline=None)

@@ -5,20 +5,24 @@ import math
 import numpy as np
 import pytest
 
-from trajopt.core import TrajectoryProblem
+import trajopt.linesearch
+from trajopt import autodiff as ad
+from trajopt.core import TrajectoryProblem, linear_dynamics
 from trajopt.dense import dense_gradient
-from trajopt.errors import ParameterError, StallError
+from trajopt.envs import build_problem
+from trajopt.errors import DivergenceError, NumericError, ParameterError, StallError
 from trajopt.linesearch import (
     ACCEPT_TIE_RTOL,
     LineSearchConfig,
     StopCriteria,
+    _escalate_directional,
     directional_search,
     regularized_search,
     solve,
     stationarity_residual,
 )
 from trajopt.lqsolve import dynprog
-from trajopt.oracles import forward, objective_value, oracle, run_backward
+from trajopt.oracles import forward, objective_value, oracle, oracle_spec, rollout, run_backward
 
 from conftest import random_lq_problem, random_smooth_problem
 
@@ -235,3 +239,178 @@ class TestStationarityResidual:
             res = stationarity_residual(problem, u)
             dense = float(np.max(np.abs(dense_gradient(problem, u))))
             assert res == pytest.approx(dense, rel=1e-8, abs=1e-12)
+
+
+def per_trial_search(problem, u, K, k, c0_zero, step, cfg):
+    """The directional rule with one roll-out per trial, as the loop read before scaling.
+
+    Returns (candidate, gamma), or the :class:`StallError` it would raise.
+    """
+    j_current = objective_value(problem, u)
+    gamma, best, best_cost = 1.0, None, math.inf
+    while True:
+        try:
+            candidate = u + rollout(np.zeros(problem.n_x), K, gamma * k, step)
+            j_trial = objective_value(problem, candidate)
+        except (DivergenceError, NumericError):
+            j_trial = math.inf
+        if j_trial - j_current <= gamma * c0_zero + ACCEPT_TIE_RTOL * (1.0 + abs(j_current)):
+            return candidate, gamma
+        if j_trial < best_cost:
+            best, best_cost = candidate, j_trial
+        gamma *= cfg.rho_dec
+        if gamma < cfg.gamma_min:
+            return StallError(gamma, best if best_cost < j_current else None)
+
+
+def search_outcome(search, *args):
+    """(candidate, gamma) of a search, or the StallError it raised."""
+    try:
+        return search(*args)
+    except StallError as stall:
+        return stall
+
+
+def assert_same_outcome(got, expected):
+    if isinstance(expected, StallError):
+        assert isinstance(got, StallError)
+        assert got.gamma == expected.gamma
+        if expected.candidate is None:
+            assert got.candidate is None
+        else:
+            np.testing.assert_array_equal(got.candidate, expected.candidate)
+    else:
+        assert not isinstance(got, StallError)
+        np.testing.assert_array_equal(got[0], expected[0])
+        assert got[1] == expected[1]
+
+
+UNIT_CELLS = [("pendulum", 50), ("cartpole", 25), ("bicycle-car", 30)]
+LINEAR_KINDS = ["gd", "gn", "ne"]
+
+
+def descent_policies(env, horizon, kind, seed=3):
+    """Problem, controls, bundle and the escalated descent policies one solve iteration uses."""
+    problem = build_problem(env, horizon)
+    u = 0.1 * np.random.default_rng(seed).standard_normal((horizon, problem.n_u))
+    spec = oracle_spec(kind)
+    bundle = forward(problem, u, spec.o_f, spec.o_h)
+    result, _ = _escalate_directional(bundle, kind, LineSearchConfig())
+    assert result is not None
+    return problem, u, bundle, result
+
+
+def counting(monkeypatch, name):
+    """Replace ``trajopt.linesearch.<name>`` by a wrapper; returns its call counter."""
+    calls = [0]
+    original = getattr(trajopt.linesearch, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(trajopt.linesearch, name, counted)
+    return calls
+
+
+class TestUnitRollout:
+    """On linear step maps one unit roll-out, scaled per trial, replaces a roll-out per trial."""
+
+    @pytest.mark.parametrize("kind", LINEAR_KINDS)
+    @pytest.mark.parametrize("env,horizon", UNIT_CELLS)
+    def test_scaled_unit_equals_per_trial_rollout(self, env, horizon, kind):
+        problem, u, bundle, result = descent_policies(env, horizon, kind)
+        y0 = np.zeros(problem.n_x)
+        unit = rollout(y0, result.K, result.k, bundle.linear_step)
+        for n in range(41):
+            gamma = 2.0 ** -n
+            per_trial = rollout(y0, result.K, gamma * result.k, bundle.linear_step)
+            np.testing.assert_array_equal(gamma * unit, per_trial)
+            np.testing.assert_array_equal(u + gamma * unit, u + per_trial)
+
+    @pytest.mark.parametrize("rho_dec", [0.5, 0.3])
+    @pytest.mark.parametrize("kind", LINEAR_KINDS)
+    @pytest.mark.parametrize("env,horizon", UNIT_CELLS)
+    def test_search_equals_per_trial_loop(self, env, horizon, kind, rho_dec):
+        problem, u, bundle, result = descent_policies(env, horizon, kind)
+        cfg = LineSearchConfig(rho_dec=rho_dec)
+        # inflated offsets make the first trials overshoot, so the search backtracks;
+        # reversed ones ascend, so it mostly stalls
+        for scale in (1.0, 64.0, 1e4, -1.0):
+            args = (problem, u, result.K, scale * result.k, result.c0_zero,
+                    bundle.linear_step, cfg)
+            with np.errstate(all="ignore"):
+                assert_same_outcome(search_outcome(directional_search, *args),
+                                    per_trial_search(*args))
+
+    @pytest.mark.parametrize("rho_dec", [0.5, 0.3])
+    def test_overflowing_unit_rollout_falls_back_per_trial(self, rho_dec, monkeypatch):
+        # J(u) = -(u_0 + u_1): the unit offsets of 1e308 overflow the state at t=1,
+        # while the half step stays finite and is accepted
+        problem = TrajectoryProblem(
+            dynamics=(linear_dynamics([[1.0]], [[1.0]]),) * 2,
+            running_costs=(lambda x, u: 0.0 * u[0],) * 2,
+            final_cost=lambda x: -x[0],
+            x0=[0.0],
+            n_x=1,
+            n_u=1,
+        )
+        u = np.zeros((2, 1))
+        bundle = forward(problem, u, 1, 2)
+        K, k = np.zeros((2, 1, 1)), np.full((2, 1), 1e308)
+        cfg = LineSearchConfig(rho_dec=rho_dec)
+        args = (problem, u, K, k, -1.0, bundle.linear_step, cfg)
+        with np.errstate(over="ignore"):
+            expected = per_trial_search(*args)
+            rollouts = counting(monkeypatch, "rollout")
+            got = search_outcome(directional_search, *args)
+        assert_same_outcome(got, expected)
+        assert got[1] == rho_dec
+        assert rollouts[0] == 3  # the unit roll-out, then one per trial
+
+    @pytest.mark.parametrize("kind", LINEAR_KINDS)
+    def test_one_rollout_per_search_on_linear_maps(self, kind, monkeypatch):
+        problem, u, bundle, result = descent_policies("cartpole", 25, kind)
+        rollouts = counting(monkeypatch, "rollout")
+        _, gamma = directional_search(problem, u, result.K, 64.0 * result.k, result.c0_zero,
+                                      bundle.linear_step, LineSearchConfig())
+        assert gamma < 1.0  # more than one trial
+        assert rollouts[0] == 1
+
+    @pytest.mark.parametrize("kind", ["ddp-lq", "ddp-q"])
+    def test_one_rollout_per_trial_on_increment_maps(self, kind, monkeypatch):
+        problem, u, bundle, result = descent_policies("cartpole", 25, kind)
+        rollouts = counting(monkeypatch, "rollout")
+        _, gamma = directional_search(problem, u, result.K, 64.0 * result.k, result.c0_zero,
+                                      oracle_spec(kind).step_map(bundle), LineSearchConfig())
+        trials = round(-math.log2(gamma)) + 1  # gamma halves per rejected trial
+        assert trials > 1
+        assert rollouts[0] == trials
+
+    def test_solve_rolls_out_once_per_directional_iteration(self, monkeypatch):
+        problem = build_problem("pendulum", 100)
+        u0 = 0.01 * np.random.default_rng(4).standard_normal((100, 1))
+        rollouts = counting(monkeypatch, "rollout")
+        searches = counting(monkeypatch, "directional_search")
+        _, trace = solve(problem, u0, "ne", LineSearchConfig(), StopCriteria(max_iters=5))
+        assert trace.iterations == 5
+        assert rollouts[0] == searches[0] == 5
+
+
+class TestModelArithmeticErrors:
+    def test_overflowing_model_ends_ddp_solves_with_a_status(self):
+        """A model's ``OverflowError`` in the increment map reads as a rejected trial."""
+        horizon = 3
+        problem = TrajectoryProblem(
+            dynamics=(lambda x, u: [x[0] + ad.exp(u[0])],) * horizon,
+            running_costs=(lambda x, u: 0.0 * u[0],) * horizon,
+            final_cost=lambda x: -x[0] + 0.5e-6 * x[0] * x[0],
+            x0=[0.0],
+            n_x=1,
+            n_u=1,
+        )
+        u0 = np.full((horizon, 1), 5.0)
+        for rule in ("directional", "regularized"):
+            for kind in ("gn", "ddp-lq", "ddp-q"):
+                _, trace = solve(problem, u0, kind, LineSearchConfig(rule=rule))
+                assert trace.status == "converged", (kind, rule)

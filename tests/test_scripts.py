@@ -24,3 +24,53 @@ def test_horizon_scaling_prints_one_row_per_oracle_kind():
     assert proc.returncode == 0, proc.stderr
     rows = proc.stdout.splitlines()[1:]
     assert [row.split()[0] for row in rows] == list(ORACLE_KINDS)
+
+
+def _compare_traces(dir_a, dir_b):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "compare_traces.py"), str(dir_a), str(dir_b)],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=False,
+    )
+
+
+def test_compare_traces_ignores_only_time_ms(tmp_path):
+    from trajopt.cli import main as cli_main
+
+    dirs = [tmp_path / "a", tmp_path / "b"]
+    for d in dirs:
+        code = cli_main(["benchmark", "--env", "pendulum", "--algo", "gn,ne",
+                         "--linesearch", "directional,regularized", "--horizon", "10",
+                         "--max-iters", "3", "--out", str(d / "pendulum")])
+        assert code == 0
+    same = _compare_traces(*dirs)
+    assert same.returncode == 0, same.stdout + same.stderr
+    assert "5 CSV files agree" in same.stdout
+
+    # a time_ms change is not a difference
+    cell = dirs[1] / "pendulum" / "pendulum_ne_directional_h10.csv"
+    lines = cell.read_text().splitlines()
+    header = lines[0].split(",")
+    row = lines[2].split(",")
+    row[header.index("time_ms")] = "123456.0"
+    lines[2] = ",".join(row)
+    cell.write_text("\n".join(lines) + "\n")
+    assert _compare_traces(*dirs).returncode == 0
+
+    # a last-bit change in a cost is, and the first differing row is printed
+    row[header.index("cost")] = repr(float(row[header.index("cost")]) * (1 + 2**-52))
+    lines[2] = ",".join(row)
+    cell.write_text("\n".join(lines) + "\n")
+    diff = _compare_traces(*dirs)
+    assert diff.returncode == 1
+    assert "pendulum_ne_directional_h10.csv line 3" in diff.stdout
+    assert row[header.index("cost")] in diff.stdout
+
+    # so is a cell present on one side only
+    cell.unlink()
+    missing = _compare_traces(*dirs)
+    assert missing.returncode == 1
+    assert "only under" in missing.stdout

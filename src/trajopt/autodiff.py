@@ -21,6 +21,14 @@ math's functions element by element; the results equal B evaluations at
 one point each, bit for bit.  Model code must therefore be array-safe: a
 branch on a value tests it with :func:`anywhere` (or an element-wise
 ``np.where``), and a table lookup indexes with arrays.
+
+The pairs are independent lanes of element-wise arithmetic, so a sweep may
+seed only some of them (the ``lanes`` argument of the second-order
+``block_*`` sweeps): the seeded lanes come out bit for bit as in the full
+sweep.  :func:`structural_lanes` finds the lanes a model needs by one
+evaluation on tracer numbers, which carry the real value (so branches take
+the same path as the sweep) and, as bit masks, the inputs the value
+depends on and the pairs whose second derivative can be nonzero.
 """
 
 from __future__ import annotations
@@ -44,6 +52,7 @@ __all__ = [
     "block_jacobian",
     "block_value_gradient_hessian",
     "block_jacobian_curvature",
+    "structural_lanes",
     "contract_curvature",
     "vector_hessian",
     "lambda_hessian",
@@ -222,6 +231,66 @@ class Dual(HyperDual):
         return f"Dual({self.value!r}, d1={self.d1!r})"
 
 
+class _Trace(HyperDual):
+    """A value and the structure of its derivatives over m inputs.
+
+    Bit a of ``deps`` is set when the value depends on input a, and bit
+    a*m of ``rows`` with it; bit i*m + j of ``pairs`` is set, in both
+    orders, when the second derivative along (i, j) can be nonzero.  The
+    value is computed as a hyper-dual sweep computes it, so the model
+    takes the same branches.  ``+`` and ``-`` take the unions, ``*`` adds
+    the cross pairs of its operands, and a nonlinear primitive
+    (``_chain``) adds every pair of its argument's inputs.
+    """
+
+    __slots__ = ("deps", "rows", "pairs")
+
+    def __init__(self, value, deps=0, rows=0, pairs=0):
+        self.value = value
+        self.deps = deps
+        self.rows = rows
+        self.pairs = pairs
+
+    def _like(self, value, pairs: int = 0):
+        return _Trace(value, self.deps, self.rows, self.pairs | pairs)
+
+    def _joined(self, other, value, pairs: int = 0):
+        return _Trace(value, self.deps | other.deps, self.rows | other.rows,
+                      self.pairs | other.pairs | pairs)
+
+    def __add__(self, other):
+        if isinstance(other, HyperDual):
+            return self._joined(other, self.value + other.value)
+        return self._like(self.value + other)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, HyperDual):
+            return self._joined(other, self.value - other.value)
+        return self._like(self.value - other)
+
+    def __rsub__(self, other):
+        return self._like(other - self.value)
+
+    def __neg__(self):
+        return self._like(-self.value)
+
+    def __mul__(self, other):
+        if isinstance(other, HyperDual):
+            cross = other.deps * self.rows | self.deps * other.rows
+            return self._joined(other, self.value * other.value, cross)
+        return self._like(self.value * other)
+
+    __rmul__ = __mul__
+
+    def _chain(self, f, fp, fpp):
+        return self._like(f, self.deps * self.rows)
+
+    def __repr__(self):
+        return f"_Trace({self.value!r}, deps={self.deps:#x}, pairs={self.pairs:#x})"
+
+
 def _val(x):
     return x.value if isinstance(x, HyperDual) else x
 
@@ -333,14 +402,18 @@ def arctan2(y, x):
         yd1 = y.d1 if isinstance(y, HyperDual) else 0.0
         xd1 = x.d1 if isinstance(x, HyperDual) else 0.0
         return Dual(value, gy * yd1 + gx * xd1)
-    k = y.d1.shape if isinstance(y, HyperDual) else x.d1.shape
-    zeros = np.zeros(k)
-    yd = y if isinstance(y, HyperDual) else HyperDual(yv, zeros, zeros, zeros)
-    xd = x if isinstance(x, HyperDual) else HyperDual(xv, zeros, zeros, zeros)
     r4 = r2 * r2
     hyy = -2.0 * xv * yv / r4
     hxx = 2.0 * xv * yv / r4
     hyx = (yv * yv - xv * xv) / r4
+    if isinstance(y, _Trace) or isinstance(x, _Trace):
+        # traced after the same value arithmetic, so it raises where a sweep does
+        y, x = (t if isinstance(t, _Trace) else _Trace(t) for t in (y, x))
+        return y._joined(x, value)._chain(value, None, None)
+    k = y.d1.shape if isinstance(y, HyperDual) else x.d1.shape
+    zeros = np.zeros(k)
+    yd = y if isinstance(y, HyperDual) else HyperDual(yv, zeros, zeros, zeros)
+    xd = x if isinstance(x, HyperDual) else HyperDual(xv, zeros, zeros, zeros)
     d1 = gy * yd.d1 + gx * xd.d1
     d2 = gy * yd.d2 + gx * xd.d2
     d12 = (
@@ -461,10 +534,19 @@ def _first_order_seeds(m: int) -> np.ndarray:
     return _read_only(np.eye(m))[0]
 
 
-@lru_cache(maxsize=64)
-def _second_order_seeds(m: int):
-    """(d1 rows, d2 rows, zero slot, pi, pj) over the m(m+1)/2 pairs i <= j."""
+@lru_cache(maxsize=256)
+def _second_order_seeds(m: int, lanes: tuple | None = None):
+    """(d1 rows, d2 rows, zero slot, pi, pj) over the m(m+1)/2 pairs i <= j.
+
+    ``lanes`` keeps only those positions of the pairs, which must include
+    every diagonal pair (i, i): the first-order results are read there.
+    """
     pi, pj = np.triu_indices(m)
+    if lanes is not None:
+        keep = np.asarray(lanes, dtype=np.intp)
+        pi, pj = pi[keep], pj[keep]
+        if np.unique(pi[pi == pj]).size != m:
+            raise ParameterError("seeded lanes must include every diagonal pair")
     rows = np.arange(m)[:, None]
     d1 = (pi[None, :] == rows).astype(float)
     d2 = (pj[None, :] == rows).astype(float)
@@ -478,8 +560,8 @@ def _values(zs: np.ndarray) -> list:
     return list(zs.T[:, :, None])
 
 
-def _second_order_inputs(zs: np.ndarray) -> tuple[list[HyperDual], np.ndarray, np.ndarray]:
-    d1, d2, zeros, pi, pj = _second_order_seeds(zs.shape[1])
+def _second_order_inputs(zs: np.ndarray, lanes) -> tuple[list[HyperDual], np.ndarray, np.ndarray]:
+    d1, d2, zeros, pi, pj = _second_order_seeds(zs.shape[1], lanes)
     inputs = [HyperDual(v, d1[a], d2[a], zeros) for a, v in enumerate(_values(zs))]
     return inputs, pi, pj
 
@@ -526,15 +608,19 @@ def _pair_index(m: int) -> np.ndarray:
     return _read_only(index)[0]
 
 
-def block_value_gradient_hessian(g, zs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def block_value_gradient_hessian(g, zs, lanes=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Values (B,), gradients (B, m) and Hessians (B, m, m) of scalar ``g`` at each row of ``zs``.
 
     One second-order sweep over the m(m+1)/2 direction pairs evaluates
-    ``g`` once on the whole block.
+    ``g`` once on the whole block.  ``lanes``, a tuple of positions in the
+    pair order of ``np.triu_indices(m)`` that holds every diagonal pair
+    (see :func:`structural_lanes`), seeds only those pairs: their entries
+    come out as in the full sweep, and every other Hessian entry is +0.0,
+    where the full sweep's is a structural zero (of either sign).
     """
     zs = _points(zs)
     b, m = zs.shape
-    inputs, pi, pj = _second_order_inputs(zs)
+    inputs, pi, pj = _second_order_inputs(zs, lanes)
     out = g(inputs)
     values = np.empty(b)
     grad = np.zeros((b, m))
@@ -549,7 +635,7 @@ def block_value_gradient_hessian(g, zs) -> tuple[np.ndarray, np.ndarray, np.ndar
     return values, grad, hess
 
 
-def block_jacobian_curvature(g, zs) -> tuple[np.ndarray, np.ndarray]:
+def block_jacobian_curvature(g, zs, lanes=None) -> tuple[np.ndarray, np.ndarray]:
     """Jacobians (B, n, m) and packed second derivatives (B, n, m(m+1)/2) of ``g``.
 
     One second-order sweep over the m(m+1)/2 direction pairs (i, j), i <= j,
@@ -558,20 +644,54 @@ def block_jacobian_curvature(g, zs) -> tuple[np.ndarray, np.ndarray]:
     second derivative of output k along pair p at point b; the Jacobian is
     the first slot of the diagonal pairs.  The packed form stores each
     output's Hessian without its repeated lower triangle, and
-    :func:`contract_curvature` folds it against a vector.
+    :func:`contract_curvature` folds it against a vector.  ``lanes`` seeds
+    only those pairs, as in :func:`block_value_gradient_hessian`; the
+    other packed entries are +0.0.
     """
     zs = _points(zs)
     b, m = zs.shape
-    inputs, pi, pj = _second_order_inputs(zs)
+    inputs, pi, pj = _second_order_inputs(zs, lanes)
     out = _as_output_list(g(inputs))
     diagonal = pi == pj
+    columns = slice(None) if lanes is None else list(lanes)
     jac = np.zeros((b, len(out), m))
-    d12 = np.zeros((b, len(out), pi.size))
+    d12 = np.zeros((b, len(out), m * (m + 1) // 2))
     for k, o in enumerate(out):
         if isinstance(o, HyperDual):
             jac[:, k] = o.d1[..., diagonal]
-            d12[:, k] = o.d12
+            d12[:, k, columns] = o.d12
     return jac, d12
+
+
+@lru_cache(maxsize=256)
+def _pattern_lanes(m: int, pairs: int) -> tuple:
+    pi, pj = np.triu_indices(m)
+    return tuple(
+        p for p, (i, j) in enumerate(zip(pi.tolist(), pj.tolist()))
+        if i == j or pairs >> (i * m + j) & 1
+    )
+
+
+def structural_lanes(g, zs) -> tuple:
+    """The pairs a second-order sweep of ``g`` at the rows of ``zs`` must seed.
+
+    One evaluation of ``g`` on tracer numbers finds, from the structure of
+    its arithmetic, the pairs (i, j) whose second derivative can be
+    nonzero at these points; a zero at the point itself is not dropped.
+    The result holds their positions in the pair order of
+    ``np.triu_indices(m)`` plus every diagonal pair, as the ``lanes`` of
+    :func:`block_value_gradient_hessian` and
+    :func:`block_jacobian_curvature`.  A model's branch may take another
+    path at other points, so the pattern holds for these points only.
+    """
+    zs = _points(zs)
+    m = zs.shape[1]
+    out = _as_output_list(g([_Trace(v, 1 << a, 1 << a * m) for a, v in enumerate(_values(zs))]))
+    pairs = 0
+    for o in out:
+        if isinstance(o, _Trace):
+            pairs |= o.pairs
+    return _pattern_lanes(m, pairs)
 
 
 def contract_curvature(d12: np.ndarray, lam: np.ndarray) -> np.ndarray:

@@ -20,18 +20,12 @@ import numpy as np
 from .errors import NumericError, ShapeError
 
 __all__ = [
-    "StateVec",
-    "CtrlVec",
     "TrajectoryProblem",
     "finite_difference_dynamic",
     "linear_dynamics",
     "quadratic_cost",
     "quadratic_state_cost",
 ]
-
-StateVec = np.ndarray
-CtrlVec = np.ndarray
-
 
 def _vector(a, name: str) -> np.ndarray:
     a = np.asarray(a, dtype=float).ravel()

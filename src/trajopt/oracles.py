@@ -95,13 +95,11 @@ def oracle_spec(kind: str) -> OracleSpec:
     return ORACLES[kind]
 
 
-# Direction slots one blocked derivative sweep carries in total: a block
-# holds at most max(1, SLOT_BUDGET // k) stages of k slots each.  Longer
-# blocks run faster but hold larger temporaries.  On the bicycle-car racing
-# cell (11 inputs: cost Hessians over 66 slots, dynamics Jacobians over 11),
-# one ddp-lq oracle call peaked at 285 KiB of traced memory with 264 (cost
-# blocks of 4 stages, dynamics blocks of 24) and at 304 KiB with 330 (cost
-# blocks of 5), against 303 KiB for stage-by-stage sweeps.
+# Lanes one blocked derivative sweep carries in total: a block holds at
+# most max(1, SLOT_BUDGET // lanes) stages, where a stage's lanes are what
+# its sweep seeds: the m inputs for a Jacobian, the direction pairs for
+# second derivatives (all m(m+1)/2, or the traced ones).  Longer blocks
+# run faster but hold larger temporaries.
 SLOT_BUDGET = 264
 
 
@@ -278,32 +276,84 @@ def _jacobian_sweep(g, zs):
     return (autodiff.block_jacobian(g, zs),)
 
 
-def _expand(sweep, fns, zs: np.ndarray, n_x: int, slots: int) -> tuple:
-    """Results of ``sweep`` at every stage's point, stacked over the stages.
-
-    A block is a run of consecutive stages that share one callable, at most
-    max(1, SLOT_BUDGET // slots) long; ``sweep`` evaluates it once on all
-    of the block's points.  A block of one stage runs on plain floats.
-    """
-    cap = max(1, SLOT_BUDGET // slots)
-    results = None
+def _runs(fns):
+    """(start, stop) of each run of consecutive stages that share one callable."""
     start = 0
     while start < len(fns):
-        fn = fns[start]
         stop = start + 1
-        while stop < len(fns) and stop - start < cap and fns[stop] is fn:
+        while stop < len(fns) and fns[stop] is fns[start]:
             stop += 1
-        try:
-            parts = sweep(_joint(fn, n_x), zs[start:stop])
-        except ArithmeticError as err:
-            raise DivergenceError(
-                start, f"model differentiation failed in steps {start}..{stop - 1}: {err}"
-            ) from err
-        if results is None:
-            results = tuple(np.empty((len(fns),) + p.shape[1:]) for p in parts)
-        for out, part in zip(results, parts):
-            out[start:stop] = part
+        yield start, stop
         start = stop
+
+
+def _store(results, parts, start: int, stop: int, n: int) -> tuple:
+    """``results`` (allocated for n stages on first use) with ``parts`` in rows start..stop-1.
+
+    Passing a sweep's result straight in frees it before the next sweep.
+    """
+    if results is None:
+        results = tuple(np.empty((n,) + p.shape[1:]) for p in parts)
+    for out, part in zip(results, parts):
+        out[start:stop] = part
+    return results
+
+
+def _traced_lanes(g, zs) -> tuple:
+    # a floating-point exception raises here, so the run falls back to full
+    # seeds and its sweeps fail, or not, exactly as an untraced run's do
+    with np.errstate(all="raise", under="ignore"):
+        return autodiff.structural_lanes(g, zs)
+
+
+def _expand_traced(sweep, g, zs: np.ndarray, start: int, stop: int, results, n: int) -> tuple:
+    """The second-order sweeps of one run, each block seeding only its traced pairs.
+
+    The run's pattern sizes its blocks; each block then seeds the pattern
+    traced at its own points, since a branch may go another way there.
+    """
+    lanes = _traced_lanes(g, zs[start:stop])
+    cap = max(1, SLOT_BUDGET // len(lanes))
+    for lo in range(start, stop, cap):
+        hi = min(lo + cap, stop)
+        if hi - lo < stop - start:
+            lanes = _traced_lanes(g, zs[lo:hi])
+        results = _store(results, sweep(g, zs[lo:hi], lanes), lo, hi, n)
+    return results
+
+
+def _expand(sweep, fns, zs: np.ndarray, n_x: int, order: int) -> tuple:
+    """Results of ``sweep`` of derivative ``order`` at every stage's point, stacked over the stages.
+
+    A run of consecutive stages that share one callable is cut into blocks
+    of at most max(1, SLOT_BUDGET // lanes) stages; ``sweep`` evaluates a
+    block once on all of its points, and a block of one stage runs on plain
+    floats.  A first-order sweep seeds the m inputs.  A second-order sweep
+    seeds all m(m+1)/2 pairs, unless its run would take more than two such
+    blocks: the run is then traced (:func:`autodiff.structural_lanes`) and
+    each block seeds only the pairs traced at its own points, which gives
+    the same results bit for bit.  A trace or a traced sweep that fails
+    sends its run back to full seeds, so errors name the same stage.
+    """
+    m, n = zs.shape[1], len(fns)
+    cap = max(1, SLOT_BUDGET // (m if order == 1 else m * (m + 1) // 2))
+    results = None
+    for start, stop in _runs(fns):
+        g = _joint(fns[start], n_x)
+        if order == 2 and stop - start > 2 * cap:
+            try:
+                results = _expand_traced(sweep, g, zs, start, stop, results, n)
+                continue
+            except ArithmeticError:
+                pass
+        for lo in range(start, stop, cap):
+            hi = min(lo + cap, stop)
+            try:
+                results = _store(results, sweep(g, zs[lo:hi]), lo, hi, n)
+            except ArithmeticError as err:
+                raise DivergenceError(
+                    lo, f"model differentiation failed in steps {lo}..{hi - 1}: {err}"
+                ) from err
     return results
 
 
@@ -320,25 +370,21 @@ def _expansions(problem: TrajectoryProblem, xs: np.ndarray, u: np.ndarray, o_f: 
     are not finite; stage ``horizon`` is the final cost.
     """
     tau, n_x = problem.horizon, problem.n_x
-    m = n_x + problem.n_u
     zs = np.hstack([xs[:-1], u])
     ok = np.ones(tau + 1, dtype=bool)
     if o_f == 2:
-        jac, curvature = _expand(
-            autodiff.block_jacobian_curvature, problem.dynamics, zs, n_x, m * (m + 1) // 2
-        )
+        jac, curvature = _expand(autodiff.block_jacobian_curvature, problem.dynamics, zs, n_x, 2)
         ok[:tau] &= _finite_rows(jac) & _finite_rows(curvature)
     elif o_f == 1:
-        (jac,) = _expand(_jacobian_sweep, problem.dynamics, zs, n_x, m)
+        (jac,) = _expand(_jacobian_sweep, problem.dynamics, zs, n_x, 1)
         ok[:tau] &= _finite_rows(jac)
     if o_h == 2:
         _, grad, hess = _expand(
-            autodiff.block_value_gradient_hessian, problem.running_costs, zs, n_x,
-            m * (m + 1) // 2,
+            autodiff.block_value_gradient_hessian, problem.running_costs, zs, n_x, 2
         )
         ok[:tau] &= _finite_rows(grad) & _finite_rows(hess)
     elif o_h == 1:
-        (cost_jac,) = _expand(_jacobian_sweep, problem.running_costs, zs, n_x, m)
+        (cost_jac,) = _expand(_jacobian_sweep, problem.running_costs, zs, n_x, 1)
         grad = cost_jac[:, 0]
         ok[:tau] &= _finite_rows(grad)
     try:

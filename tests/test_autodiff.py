@@ -224,6 +224,81 @@ class TestBlocks:
             ad.block_jacobian(lambda z: ad.arctan2(z[0], z[1]), [[1.0, 1.0], [0.0, 0.0]])
 
 
+def lane_pairs(m, lanes):
+    """The off-diagonal pairs (i, j), i < j, of packed lanes over m inputs."""
+    pi, pj = np.triu_indices(m)
+    return {(int(pi[p]), int(pj[p])) for p in lanes if pi[p] != pj[p]}
+
+
+class TestStructuralLanes:
+    @pytest.mark.parametrize(
+        "fn,pairs",
+        [
+            (lambda z: z[0] * z[1] + ad.sin(z[2]) + 2.0 * z[3], {(0, 1)}),
+            (lambda z: z[3] * 2.0 + z[0] - z[1] / 4.0, set()),
+            (lambda z: ad.exp(z[0] + z[1]) - z[3], {(0, 1)}),
+            (lambda z: z[0] / (1.0 + z[2]), {(0, 2)}),
+            (lambda z: ad.arctan2(z[1], z[3] + 1.0) * 3.0, {(1, 3)}),
+            (lambda z: ad.arctan2(0.5, z[2] * z[0]), {(0, 2)}),
+            (lambda z: [z[0] * z[3], -z[1], ad.power(z[1] + z[2], 2.0)], {(0, 3), (1, 2)}),
+        ],
+    )
+    def test_pattern_from_structure(self, fn, pairs):
+        # at the origin many second derivatives vanish; only structure counts
+        for zs in (np.zeros((1, 4)), np.full((3, 4), 0.5)):
+            lanes = ad.structural_lanes(fn, zs)
+            assert lane_pairs(4, lanes) == pairs
+            diagonal = [p for p, (i, j) in enumerate(zip(*np.triu_indices(4))) if i == j]
+            assert set(diagonal) <= set(lanes)
+
+    @pytest.mark.parametrize("fn", BLOCK_MODELS)
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_sparse_sweeps_equal_full_sweeps_bytewise(self, fn, rows, rng):
+        # two more inputs, one curved and one linear, leave pairs unseeded
+        def g(z):
+            return fn(z) + ad.sin(z[2]) - 0.5 * z[3]
+
+        def vec(z):
+            return [g(z), z[0] * z[3], z[2]]
+
+        zs = rng.uniform(-1.0, 1.0, (rows, 4))
+        lanes = ad.structural_lanes(g, zs)
+        assert len(lanes) < 10
+        for sparse, full in (
+            (ad.block_value_gradient_hessian(g, zs, lanes), ad.block_value_gradient_hessian(g, zs)),
+            (ad.block_jacobian_curvature(vec, zs, ad.structural_lanes(vec, zs)),
+             ad.block_jacobian_curvature(vec, zs)),
+        ):
+            for a, b in zip(sparse, full):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_unseeded_pairs_are_positive_zeros(self):
+        # the full sweep carries -0.0 along (0, 1) here: only the sign of a
+        # zero can differ from it, and none of the benchmark models shows one
+        def g(z):
+            return -z[0] - z[1]
+
+        lanes = ad.structural_lanes(g, [[1.0, 2.0]])
+        _, _, hess = ad.block_value_gradient_hessian(g, [[1.0, 2.0]], lanes)
+        _, _, full = ad.block_value_gradient_hessian(g, [[1.0, 2.0]])
+        assert lanes == (0, 2)
+        assert math.copysign(1.0, hess[0, 0, 1]) == 1.0 == -math.copysign(1.0, full[0, 0, 1])
+        assert np.array_equal(hess, full)
+
+    def test_lanes_must_hold_every_diagonal_pair(self):
+        with pytest.raises(ParameterError):
+            ad.block_value_gradient_hessian(lambda z: z[0] * z[1], [[1.0, 2.0]], (0, 1))
+
+    def test_trace_runs_the_model_on_the_real_values(self):
+        seen = []
+        ad.structural_lanes(lambda z: seen.append(z[0].value) or z[0] * z[1], [[0.5, 1.0], [2.0, 3.0]])
+        np.testing.assert_array_equal(seen[0], [[0.5], [2.0]])
+        with pytest.raises(DomainError):
+            ad.structural_lanes(lambda z: ad.log(z[0]), [[1.0], [-1.0]])
+        with pytest.raises(UnsupportedPrimitiveError):
+            ad.structural_lanes(lambda z: math.sin(z[0]), [[1.0]])
+
+
 class TestPrimitives:
     @pytest.mark.parametrize(
         "fn,point",

@@ -1,6 +1,7 @@
 """Forward/backward passes, roll-outs and the five oracle directions."""
 
 import dataclasses
+import itertools
 import math
 import warnings
 
@@ -25,6 +26,7 @@ from trajopt.oracles import (
     ORACLE_KINDS,
     ORACLES,
     SLOT_BUDGET,
+    _expand,
     backward_gd,
     bundle_gradient,
     forward,
@@ -132,16 +134,47 @@ def assert_expansion_matches_per_stage(problem, u):
 ENV_SCHEMES = [(env, scheme) for env, schemes in _ALLOWED.items() for scheme in schemes]
 
 
+def block_caps(problem, fns, u, order):
+    """(length, block cap, traced) of each run of stages sharing one callable.
+
+    The caps of the forward pass's sweeps of derivative ``order``: a
+    second-order run longer than two full-seed blocks takes its cap from
+    the lanes traced at the run's points.
+    """
+    n_x = problem.n_x
+    zs = np.hstack([forward(problem, u, 0, 0).xs[:-1], u])
+    m = zs.shape[1]
+    dense = max(1, SLOT_BUDGET // (m if order == 1 else m * (m + 1) // 2))
+    caps, start = [], 0
+    for _, run in itertools.groupby(fns, key=id):
+        stop = start + len(list(run))
+        traced = order == 2 and stop - start > 2 * dense
+        cap = dense
+        if traced:
+            fn = fns[start]
+            lanes = autodiff.structural_lanes(lambda z: fn(z[:n_x], z[n_x:]), zs[start:stop])
+            cap = max(1, SLOT_BUDGET // len(lanes))
+        caps.append((stop - start, cap, traced))
+        start = stop
+    return caps
+
+
+def assert_last_blocks_cut_short(problem, u, sweeps):
+    """Every run of the given (callables, order) sweeps ends on a short block."""
+    for fns, order in sweeps:
+        for length, cap, _ in block_caps(problem, fns, u, order):
+            assert cap == 1 or length % cap != 0
+
+
 class TestBlockedExpansion:
     @pytest.mark.parametrize("env,scheme", ENV_SCHEMES)
     def test_matches_per_stage_sweeps(self, env, scheme):
         horizon = 91
         problem = build_problem(env, horizon, scheme)
-        m = problem.n_x + problem.n_u
-        for slots in (m, m * (m + 1) // 2):
-            cap = max(1, SLOT_BUDGET // slots)
-            assert cap == 1 or horizon % cap != 0  # a block is cut short at the end
         u = 0.05 * np.random.default_rng(7).standard_normal((horizon, problem.n_u))
+        assert_last_blocks_cut_short(problem, u, [
+            (problem.dynamics, 1), (problem.running_costs, 1), (problem.running_costs, 2)
+        ])
         assert_expansion_matches_per_stage(problem, u)
 
     def test_stages_with_their_own_callables(self, rng):
@@ -208,13 +241,11 @@ def assert_curvature_matches_per_stage(problem, u, rng):
 class TestStoredCurvature:
     @pytest.mark.parametrize("env,scheme", ENV_SCHEMES)
     def test_matches_per_stage_lambda_hessian(self, env, scheme):
-        horizon = 91
+        horizon = 89  # traced bicycle-car euler dynamics run blocks of 13: 91 is 7 x 13
         problem = build_problem(env, horizon, scheme)
-        m = problem.n_x + problem.n_u
-        cap = max(1, SLOT_BUDGET // (m * (m + 1) // 2))
-        assert cap == 1 or horizon % cap != 0  # a block is cut short at the end
         rng = np.random.default_rng(11)
         u = 0.05 * rng.standard_normal((horizon, problem.n_u))
+        assert_last_blocks_cut_short(problem, u, [(problem.dynamics, 2)])
         assert_curvature_matches_per_stage(problem, u, rng)
 
     def test_stages_with_their_own_callables(self, rng):
@@ -234,6 +265,133 @@ class TestStoredCurvature:
         _, trace = solve(problem, u, kind, stop=StopCriteria(max_iters=5))
         assert trace.iterations > 0
         assert calls == []
+
+
+def _no_trace(g, zs):
+    raise ArithmeticError("tracing switched off")
+
+
+def full_seed_forward(problem, u, o_f, o_h, monkeypatch):
+    """``forward`` with every trace failing, so every run sweeps all pairs."""
+    with monkeypatch.context() as patch:
+        patch.setattr(autodiff, "structural_lanes", _no_trace)
+        return forward(problem, u, o_f, o_h)
+
+
+def assert_same_bytes(new, ref):
+    for field in dataclasses.fields(ref):
+        a, b = getattr(new, field.name), getattr(ref, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), field.name
+        elif field.name != "problem":
+            assert a == b, field.name
+
+
+def shared_callables(problem, horizon):
+    """The problem's stage-0 models repeated over ``horizon`` stages."""
+    return TrajectoryProblem(
+        dynamics=problem.dynamics[:1] * horizon,
+        running_costs=problem.running_costs[:1] * horizon,
+        final_cost=problem.final_cost,
+        x0=problem.x0,
+        n_x=problem.n_x,
+        n_u=problem.n_u,
+    )
+
+
+class TestTracedExpansion:
+    """Sweeps seeded with the traced pairs give the full-seed results byte for byte."""
+
+    @pytest.mark.parametrize("env,scheme", ENV_SCHEMES)
+    def test_bundles_equal_full_seed_bundles(self, env, scheme, monkeypatch):
+        horizon = 89
+        problem = build_problem(env, horizon, scheme)
+        u = 0.05 * np.random.default_rng(5).standard_normal((horizon, problem.n_u))
+        runs = [run for fns in (problem.dynamics, problem.running_costs)
+                for run in block_caps(problem, fns, u, 2) if run[2]]
+        assert runs and all(length % cap for length, cap, _ in runs)
+        for o_f in (1, 2):
+            traced = forward(problem, u, o_f, 2)
+            assert_same_bytes(traced, full_seed_forward(problem, u, o_f, 2, monkeypatch))
+
+    def test_random_smooth_problem(self, rng, monkeypatch):
+        problem = shared_callables(random_smooth_problem(rng, 1, 3, 2), 60)
+        u = 0.1 * rng.standard_normal((60, 2))
+        assert all(traced for fns in (problem.dynamics, problem.running_costs)
+                   for _, _, traced in block_caps(problem, fns, u, 2))
+        for o_f in (1, 2):
+            traced = forward(problem, u, o_f, 2)
+            assert_same_bytes(traced, full_seed_forward(problem, u, o_f, 2, monkeypatch))
+
+    def test_each_block_seeds_the_pattern_of_its_own_points(self, rng):
+        # the pair set changes with the branch: (0, 1) where some z0 > 0, else (0, 2)
+        def h(x, u):
+            return x[0] * x[1] if autodiff.anywhere(x[0] > 0.0) else x[0] * u[0]
+
+        horizon = 150
+        zs = rng.uniform(0.5, 1.5, (horizon, 3))
+        zs[:, 0] *= -1.0
+        zs[10, 0] = 1.0  # only the first block takes the z0 * z1 branch
+        got = _expand(autodiff.block_value_gradient_hessian, (h,) * horizon, zs, 2, 2)
+        g = lambda z: h(z[:2], z[2:])
+        cap = SLOT_BUDGET // len(autodiff.structural_lanes(g, zs))
+        assert 2 * max(1, SLOT_BUDGET // 6) < horizon and horizon % cap != 0
+        expected = [np.concatenate(parts) for parts in zip(*(
+            autodiff.block_value_gradient_hessian(g, zs[lo:lo + cap])
+            for lo in range(0, horizon, cap)
+        ))]
+        hess = got[2]
+        assert np.all(hess[:cap, 0, 1] != 0.0) and np.all(hess[cap:, 0, 2] != 0.0)
+        for a, b in zip(got, expected):
+            assert a.tobytes() == b.tobytes()
+
+    def test_failed_run_trace_names_the_full_seed_block(self):
+        # the run takes the log branch and fails at stage 120; full-seed
+        # blocks of 88 stages fail in the one starting at 88
+        def h(x, u):
+            return autodiff.log(u[0]) if autodiff.anywhere(x[0] > 0.0) else u[0] * u[0]
+
+        zs = np.tile([-1.0, 1.0], (200, 1))
+        zs[95, 0] = 1.0
+        zs[120, 1] = -1.0
+        with pytest.raises(DivergenceError) as err:
+            _expand(autodiff.block_value_gradient_hessian, (h,) * 200, zs, 1, 2)
+        assert err.value.t == 88
+
+    def test_failed_block_trace_names_the_full_seed_block(self):
+        # the run and the first traced block take the product branch; the
+        # second traced block (from 132) takes the log and fails at 150
+        def h(x, u):
+            return u[0] * u[0] if autodiff.anywhere(x[0] > 0.0) else autodiff.log(u[0])
+
+        zs = np.tile([-1.0, 1.0], (200, 1))
+        zs[5, 0] = 1.0
+        zs[150, 1] = -1.0
+        g = lambda z: h(z[:1], z[1:])
+        assert SLOT_BUDGET // len(autodiff.structural_lanes(g, zs)) == 132
+        with pytest.raises(DivergenceError) as err:
+            _expand(autodiff.block_value_gradient_hessian, (h,) * 200, zs, 1, 2)
+        assert err.value.t == 88
+
+    def test_division_by_zero_in_a_one_stage_block_names_it(self, monkeypatch):
+        # sqrt has an infinite slope at x = 0, reached at stages 10 and 176;
+        # full seeds sweep stage 176 alone on floats, where 0.5 / 0.0 raises
+        horizon = 177
+        problem = TrajectoryProblem(
+            dynamics=(lambda x, u: [u[0]],) * horizon,
+            running_costs=(lambda x, u: autodiff.sqrt(x[0]) + u[0] * u[0],) * horizon,
+            final_cost=lambda x: x[0],
+            x0=[1.0],
+            n_x=1,
+            n_u=1,
+        )
+        u = np.ones((horizon, 1))
+        u[9] = u[175] = 0.0
+        with pytest.raises(DivergenceError) as untraced:
+            full_seed_forward(problem, u, 1, 2, monkeypatch)
+        with pytest.raises(DivergenceError) as err:
+            forward(problem, u, 1, 2)
+        assert untraced.value.t == err.value.t == 176
 
 
 class TestControlValidation:

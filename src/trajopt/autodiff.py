@@ -3,9 +3,14 @@
 Models (dynamics and costs) are plain Python callables over sequences of
 scalar-like values.  Evaluated on floats they return floats; evaluated on
 :class:`HyperDual` numbers they carry exact first and second derivatives
-along a batch of direction pairs.  The math functions in this module
-(``sin``, ``exp``, ``arctan2``, ``smoothmax`` ...) dispatch on the argument
-type so the same model code serves both paths.
+along a batch of direction pairs.  Each unary primitive (``sin``, ``cos``,
+``tan``, ``arctan``, ``exp``, ``log``, ``sqrt``, ``sigmoid``) is built by one
+constructor from math's float function and its derivative rules, and
+dispatches on the argument type, so the same model code serves both paths;
+``arctan2``, ``smoothmax`` and ``power`` are written out.  A primitive
+evaluated outside its domain, ``log`` at 0 or ``sin`` at +-inf, raises
+:class:`~trajopt.errors.DomainError`, an ArithmeticError, which the
+solvers report as a rejected trial or a divergence.
 
 A hyper-dual number stores, next to its value, three arrays of length k:
 ``d1[i]`` and ``d2[i]`` are directional derivatives along the i-th pair of
@@ -307,10 +312,6 @@ def _elementwise(fn, nin: int = 1):
     return lambda *args: ufunc(*args).astype(float)
 
 
-_SIN, _COS, _TAN, _ATAN, _EXP, _LOG, _SQRT = (
-    _elementwise(fn)
-    for fn in (math.sin, math.cos, math.tan, math.atan, math.exp, math.log, math.sqrt)
-)
 _ATAN2 = _elementwise(math.atan2, 2)
 _POW = _elementwise(operator.pow, 2)
 
@@ -330,52 +331,71 @@ def anywhere(cond) -> bool:
 
 
 # -- primitives ------------------------------------------------------------
-#
-# Each primitive takes math's function on a float and its element-by-element
-# form on an array, whether the argument is a plain value or the value of
-# a hyper-dual number.  Plain floats, the order-0 passes, are tested first.
 
 
-def sin(x):
-    if type(x) is float:
-        return math.sin(x)
-    if isinstance(x, HyperDual):
-        v = x.value
-        s, c = (_SIN(v), _COS(v)) if type(v) is _ARRAY else (math.sin(v), math.cos(v))
-        return x._chain(s, c, -s)
-    return _SIN(x) if type(x) is _ARRAY else math.sin(x)
+def _primitive(name: str, fn, derivatives, outside=None):
+    """The differentiable primitive ``name`` of the float function ``fn``.
+
+    It takes ``fn`` on a float and its element-by-element form on an array,
+    whether the argument is a plain value or the value v of a hyper-dual
+    number; plain floats, the order-0 passes, are tested first.  On a
+    hyper-dual number it applies the chain rule with the first and second
+    derivatives ``derivatives(v, f)`` at v, given the value f there.  An
+    argument that fails the domain test (``outside(v)`` holds at any
+    point), or on which ``fn`` raises ValueError (as math's sin, cos and
+    tan do at +-inf), raises :class:`DomainError`, an ArithmeticError.
+    """
+    many = _elementwise(fn)
+
+    def primitive(x):
+        if type(x) is float and outside is None:  # the order-0 passes
+            try:
+                return fn(x)
+            except ValueError as err:
+                raise DomainError(name, x) from err
+        v = x.value if isinstance(x, HyperDual) else x
+        if outside is not None and anywhere(outside(v)):
+            raise DomainError(name, v)
+        try:
+            f = many(v) if type(v) is _ARRAY else fn(v)
+        except ValueError as err:
+            raise DomainError(name, v) from err
+        if v is x:  # a plain value
+            return f
+        return x._chain(f, *derivatives(v, f))
+
+    primitive.__name__ = primitive.__qualname__ = name
+    return primitive
 
 
-def cos(x):
-    if type(x) is float:
-        return math.cos(x)
-    if isinstance(x, HyperDual):
-        v = x.value
-        s, c = (_SIN(v), _COS(v)) if type(v) is _ARRAY else (math.sin(v), math.cos(v))
-        return x._chain(c, -s, -c)
-    return _COS(x) if type(x) is _ARRAY else math.cos(x)
+def _sigmoid_value(v: float) -> float:
+    if v >= 0.0:
+        return 1.0 / (1.0 + math.exp(-v))
+    e = math.exp(v)
+    return e / (1.0 + e)
 
 
-def tan(x):
-    if type(x) is float:
-        return math.tan(x)
-    if isinstance(x, HyperDual):
-        v = x.value
-        t = _TAN(v) if type(v) is _ARRAY else math.tan(v)
-        fp = 1.0 + t * t
-        return x._chain(t, fp, 2.0 * t * fp)
-    return _TAN(x) if type(x) is _ARRAY else math.tan(x)
+def _softplus_value(v: float) -> float:
+    if v > 0.0:
+        return v + math.log1p(math.exp(-v))
+    return math.log1p(math.exp(v))
 
 
-def arctan(x):
-    if type(x) is float:
-        return math.atan(x)
-    if isinstance(x, HyperDual):
-        v = x.value
-        fp = 1.0 / (1.0 + v * v)
-        f = _ATAN(v) if type(v) is _ARRAY else math.atan(v)
-        return x._chain(f, fp, -2.0 * v * fp * fp)
-    return _ATAN(x) if type(x) is _ARRAY else math.atan(x)
+sin = _primitive("sin", math.sin, lambda v, s: (cos(v), -s))
+cos = _primitive("cos", math.cos, lambda v, c: (-sin(v), -c))
+tan = _primitive("tan", math.tan, lambda v, t: (fp := 1.0 + t * t, 2.0 * t * fp))
+arctan = _primitive(
+    "arctan", math.atan, lambda v, f: (fp := 1.0 / (1.0 + v * v), -2.0 * v * fp * fp)
+)
+exp = _primitive("exp", math.exp, lambda v, e: (e, e))
+log = _primitive("log", math.log, lambda v, f: (iv := 1.0 / v, -iv * iv), lambda v: v <= 0.0)
+sqrt = _primitive("sqrt", math.sqrt, lambda v, r: (0.5 / r, -0.25 / (r * v)), lambda v: v < 0.0)
+sigmoid = _primitive(
+    "sigmoid", _sigmoid_value, lambda v, s: (fp := s * (1.0 - s), fp * (1.0 - 2.0 * s))
+)
+_softplus = _primitive(
+    "softplus", _softplus_value, lambda v, f: (s := sigmoid(v), s * (1.0 - s))
+)
 
 
 def arctan2(y, x):
@@ -426,67 +446,6 @@ def arctan2(y, x):
     return HyperDual(value, d1, d2, d12)
 
 
-def exp(x):
-    if type(x) is float:
-        return math.exp(x)
-    if isinstance(x, HyperDual):
-        v = x.value
-        e = _EXP(v) if type(v) is _ARRAY else math.exp(v)
-        return x._chain(e, e, e)
-    return _EXP(x) if type(x) is _ARRAY else math.exp(x)
-
-
-def log(x):
-    v = _val(x)
-    if anywhere(v <= 0.0):
-        raise DomainError("log", v)
-    f = _LOG(v) if type(v) is _ARRAY else math.log(v)
-    if isinstance(x, HyperDual):
-        iv = 1.0 / v
-        return x._chain(f, iv, -iv * iv)
-    return f
-
-
-def sqrt(x):
-    v = _val(x)
-    if anywhere(v < 0.0):
-        raise DomainError("sqrt", v)
-    r = _SQRT(v) if type(v) is _ARRAY else math.sqrt(v)
-    if isinstance(x, HyperDual):
-        return x._chain(r, 0.5 / r, -0.25 / (r * v))
-    return r
-
-
-def _sigmoid_value(v):
-    if type(v) is _ARRAY:
-        return _SIGMOID(v)
-    if v >= 0.0:
-        return 1.0 / (1.0 + math.exp(-v))
-    e = math.exp(v)
-    return e / (1.0 + e)
-
-
-def sigmoid(x):
-    if isinstance(x, HyperDual):
-        s = _sigmoid_value(x.value)
-        fp = s * (1.0 - s)
-        return x._chain(s, fp, fp * (1.0 - 2.0 * s))
-    return _sigmoid_value(x)
-
-
-def _softplus_value(v):
-    if type(v) is _ARRAY:
-        return _SOFTPLUS(v)
-    if v > 0.0:
-        return v + math.log1p(math.exp(-v))
-    return math.log1p(math.exp(v))
-
-
-# the elements are floats, so these take the branches above
-_SIGMOID = _elementwise(_sigmoid_value)
-_SOFTPLUS = _elementwise(_softplus_value)
-
-
 def smoothmax(x, sharpness: float = 0.01):
     """Smooth approximation of max(x, 0): sharpness * softplus(x / sharpness).
 
@@ -497,9 +456,9 @@ def smoothmax(x, sharpness: float = 0.01):
         raise ParameterError(f"smoothmax sharpness must be > 0, got {sharpness}")
     if isinstance(x, HyperDual):
         z = x.value / sharpness
-        s = _sigmoid_value(z)
-        return x._chain(sharpness * _softplus_value(z), s, s * (1.0 - s) / sharpness)
-    return sharpness * _softplus_value(x / sharpness)
+        s = sigmoid(z)
+        return x._chain(sharpness * _softplus(z), s, s * (1.0 - s) / sharpness)
+    return sharpness * _softplus(x / sharpness)
 
 
 def power(x, p):
@@ -507,11 +466,11 @@ def power(x, p):
     if isinstance(p, HyperDual):
         raise UnsupportedPrimitiveError("power supports constant exponents only")
     v = _val(x)
+    if p != round(p) and anywhere(v < 0.0):
+        raise DomainError("power", v)
     pw = _POW if type(v) is _ARRAY else operator.pow
     if not isinstance(x, HyperDual):
         return pw(x, p)
-    if p != round(p) and anywhere(v < 0.0):
-        raise DomainError("power", v)
     f = pw(v, p)
     fp = p * pw(v, p - 1) if p != 0 else 0.0
     fpp = p * (p - 1) * pw(v, p - 2) if p not in (0, 1) else 0.0

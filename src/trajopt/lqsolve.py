@@ -5,8 +5,9 @@ A stage is the linear step ``y_next = A y + B v``, the stage cost
 0.5 y'Jy + j'y + j0.  ``check_subproblem`` factors the stage's control
 Hessian once and runs the descent test, ``lqbp`` solves the stage in
 closed form from that factor, ``lbp`` is the degenerate linear-cost
-counterpart used by the gradient oracle, and ``dynprog`` chains the stage
-solutions into the global solution of a convex linear-quadratic problem.
+counterpart used by the gradient oracle, and ``dynprog`` solves a convex
+linear-quadratic problem globally by one Gauss-Newton step of
+:mod:`trajopt.oracles`, whose sweep chains these stage solutions.
 
 The stages call LAPACK's ``dpotrf``/``dpotrs`` directly, as
 ``scipy.linalg.cho_factor``/``cho_solve`` do after argument checks that
@@ -18,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from . import autodiff
 from .core import TrajectoryProblem, _sym
 from .errors import InfeasibleStageError, ParameterError
 
@@ -91,32 +91,15 @@ def dynprog(problem: TrajectoryProblem) -> np.ndarray:
     """Globally optimal controls for a convex linear-quadratic problem.
 
     The caller guarantees linear dynamics and convex quadratic costs with
-    strongly convex control blocks; the stage data is then recovered
-    exactly by differentiating the callables once at the origin.  A stage
-    that fails :func:`check_subproblem` raises :class:`InfeasibleStageError`
-    with its index.  Returns the controls as an array of shape
-    (horizon, n_u).
+    strongly convex control blocks; the expansion at zero controls is then
+    exact, and one unregularized Gauss-Newton step from there lands on the
+    optimum.  A stage that fails :func:`check_subproblem` raises
+    :class:`InfeasibleStageError` with its index.  Returns the controls as
+    an array of shape (horizon, n_u).
     """
-    tau, n_x, n_u = problem.horizon, problem.n_x, problem.n_u
-    z = np.zeros(n_x + n_u)
-    _, j, J = autodiff.value_gradient_hessian(problem.final_cost, z[:n_x])
-    J, j0 = _sym(J), 0.0
-    K, k = np.empty((tau, n_u, n_x)), np.empty((tau, n_u))
-    for t in range(tau - 1, -1, -1):
-        f, h = problem.dynamics[t], problem.running_costs[t]
-        jac = autodiff.jacobian(lambda zz: f(zz[:n_x], zz[n_x:]), z)
-        _, grad, hess = autodiff.value_gradient_hessian(lambda zz: h(zz[:n_x], zz[n_x:]), z)
-        A, B = jac[:, :n_x], jac[:, n_x:]
-        Q, q = _sym(hess[n_x:, n_x:]), grad[n_x:]
-        checked = check_subproblem(B, Q, q, J, j, j0)
-        if checked is None:
-            raise InfeasibleStageError(t)
-        J, j, j0, K[t], k[t] = lqbp(
-            A, B, _sym(hess[:n_x, :n_x]), hess[:n_x, n_x:], grad[:n_x], J, j, j0, checked
-        )
-    controls = np.zeros((tau, n_u))
-    x = problem.x0.copy()
-    for t in range(tau):
-        controls[t] = K[t] @ x + k[t]
-        x = np.asarray(problem.dynamics[t](x, controls[t]), dtype=float).ravel()
-    return controls
+    from .oracles import oracle  # oracles builds on this module
+
+    step = oracle(problem, np.zeros((problem.horizon, problem.n_u)), "gn", nu=0.0)
+    if not step.feasible:
+        raise InfeasibleStageError(step.failed_stage)
+    return step.direction

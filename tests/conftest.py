@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import trajopt.lqsolve
+from trajopt.envs.build import _ALLOWED
 
 from trajopt._testing import (  # noqa: F401  (re-exported for the test modules)
     concave_fixture,
@@ -21,6 +22,10 @@ from trajopt._testing import (  # noqa: F401  (re-exported for the test modules)
     random_spd,
     stationarity_gap,
 )
+
+
+# every env with each discretizer it allows
+ENV_SCHEMES = [(env, scheme) for env, schemes in _ALLOWED.items() for scheme in schemes]
 
 
 @pytest.fixture

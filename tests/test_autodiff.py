@@ -326,6 +326,42 @@ class TestPrimitives:
             ad.gradient(lambda z: ad.log(z[0]), [-1.0])
         assert err.value.primitive == "log"
 
+    @pytest.mark.parametrize("name", ["sin", "cos", "tan"])
+    @pytest.mark.parametrize("inf", [math.inf, -math.inf])
+    def test_trig_at_infinity_raises_domain_error(self, name, inf):
+        # math's sin, cos and tan raise ValueError at +-inf; every path of
+        # the primitive reports it as a DomainError naming the primitive
+        fn = getattr(ad, name)
+        column = np.array([[0.5], [inf]])
+        slot = np.ones((2, 1))
+        for arg in (
+            inf,
+            column,
+            ad.HyperDual(column, slot, slot, slot),
+            ad.Dual(inf, np.ones(1)),
+        ):
+            with pytest.raises(DomainError) as err:
+                fn(arg)
+            assert err.value.primitive == name
+        with pytest.raises(DomainError) as err:
+            ad.structural_lanes(lambda z: fn(z[0] * z[1]), [[1.0, 2.0], [inf, 1.0]])
+        assert err.value.primitive == name
+
+    def test_power_rejects_negative_bases_on_every_path(self):
+        # a fractional power of a negative float is complex in Python
+        for arg in (-1.0, np.array([[2.0], [-1.0]]), hd(-1.0, 1.0)):
+            with pytest.raises(DomainError) as err:
+                ad.power(arg, 0.5)
+            assert err.value.primitive == "power"
+        assert ad.power(-2.0, 2.0) == 4.0
+
+    def test_shape_errors_in_the_chain_rule_are_not_domain_errors(self):
+        # only the value's evaluation is wrapped: a broadcast bug surfaces as itself
+        x = ad.HyperDual(np.ones((3, 1)), np.ones((2, 4)), np.ones((2, 4)), np.ones((2, 4)))
+        with pytest.raises(ValueError) as err:
+            ad.sin(x)
+        assert not isinstance(err.value, DomainError)
+
     def test_arctan2_rejects_origin(self):
         with pytest.raises(DomainError):
             ad.gradient(lambda z: ad.arctan2(z[0], z[1]), [0.0, 0.0])

@@ -35,6 +35,16 @@ class TestSolveCommand:
         costs = [row[1] for row in trace.rows]
         assert all(b <= a + 1e-12 * (1 + abs(a)) for a, b in zip(costs, costs[1:]))
 
+    def test_cartpole_rk4_cell_ends_with_a_status(self, tmp_path, capsys):
+        # cart-pole's roll meets cos(inf) in a gradient trial of this cell
+        out = tmp_path / "trace.csv"
+        code = run_cli("solve", "--env", "cartpole", "--discretizer", "rk4", "--algo", "gd",
+                       "--linesearch", "regularized", "--horizon", "10", "--seed", "0",
+                       "--out", str(out))
+        assert code == EXIT_OK
+        assert "status=max-iters" in capsys.readouterr().out
+        assert TraceFile.read(str(out)).status == "max-iters"
+
     def test_unknown_env_exits_one(self, capsys):
         assert run_cli("solve", "--env", "foo") == EXIT_CONFIG
         assert "env" in capsys.readouterr().err
@@ -110,6 +120,17 @@ class TestBenchmarkCommand:
         assert len(rows) == 2
         rel = [float(r["rel_subopt"]) for r in rows]
         assert min(rel) == 0.0  # the winning cell defines the optimum estimate
+
+    def test_cartpole_rk4_grid_writes_a_status_for_every_cell(self, tmp_path):
+        out = tmp_path / "bench"
+        code = run_cli("benchmark", "--env", "cartpole", "--discretizer", "rk4",
+                       "--algo", "gn,gd", "--linesearch", "directional,regularized",
+                       "--horizon", "10", "--seed", "0", "--out", str(out))
+        assert code == EXIT_OK
+        with open(out / "summary.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 4
+        assert {r["status"] for r in rows} <= {"converged", "max-iters", "stalled", "diverged"}
 
     def test_empty_grid_exits_one(self, tmp_path):
         code = run_cli("benchmark", "--env", ",", "--out", str(tmp_path / "bench"))

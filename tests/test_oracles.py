@@ -18,8 +18,13 @@ from trajopt.core import (
 )
 from trajopt.dense import dense_costates, dense_gauss_newton_matrix, dense_gradient, dense_hessian
 from trajopt.envs import build_problem
-from trajopt.envs.build import _ALLOWED
-from trajopt.errors import DivergenceError, NumericError, ParameterError, ShapeError
+from trajopt.errors import (
+    DivergenceError,
+    DomainError,
+    NumericError,
+    ParameterError,
+    ShapeError,
+)
 from trajopt.linesearch import StopCriteria, solve, stationarity_residual
 from trajopt.lqsolve import check_subproblem, lqbp
 from trajopt.oracles import (
@@ -37,7 +42,7 @@ from trajopt.oracles import (
     run_backward,
 )
 
-from conftest import random_lq_problem, random_smooth_problem
+from conftest import ENV_SCHEMES, random_lq_problem, random_smooth_problem
 
 
 def tiny_problem():
@@ -131,9 +136,6 @@ def assert_expansion_matches_per_stage(problem, u):
         _assert_same(np.concatenate([b1.p[t], b1.q[t]]), cost_jac, where)
 
 
-ENV_SCHEMES = [(env, scheme) for env, schemes in _ALLOWED.items() for scheme in schemes]
-
-
 def block_caps(problem, fns, u, order):
     """(length, block cap, traced) of each run of stages sharing one callable.
 
@@ -199,6 +201,33 @@ class TestBlockedExpansion:
             solve(problem, [[0.0]], "gn")
         assert err.value.t == 0
         assert err.value.trace.status == "diverged"
+
+    @pytest.mark.parametrize("horizon", [10, 200])
+    def test_domain_error_in_a_sweep_names_the_block(self, horizon):
+        # the float pass takes 1e-10 / 1e-310 = 1e300; a sweep multiplies by
+        # the reciprocal, which overflows, and meets sin(inf) from stage 5 on
+        def benign(x, u):
+            return 0.5 * u[0] * u[0]
+
+        def swept_inf(x, u):
+            return autodiff.sin(1e-10 / x[0]) + u[0] * u[0]
+
+        problem = TrajectoryProblem(
+            dynamics=(lambda x, u: [x[0] + u[0]],) * horizon,
+            running_costs=(benign,) * 5 + (swept_inf,) * (horizon - 5),
+            final_cost=lambda x: 0.0 * x[0],
+            x0=[1e-310],
+            n_x=1,
+            n_u=1,
+        )
+        u = np.zeros((horizon, 1))
+        assert np.isfinite(objective_value(problem, u))
+        for o_f, o_h in ((1, 1), (1, 2), (2, 2)):
+            with pytest.raises(DivergenceError) as err:
+                forward(problem, u, o_f, o_h)
+            assert err.value.t == 5
+            assert isinstance(err.value.__cause__, DomainError)
+            assert err.value.__cause__.primitive == "sin"
 
     def test_divergence_names_the_first_bad_stage_of_a_block(self):
         # x_2 = sqrt(x_1) + u_1 lands on 0, where sqrt has an infinite slope

@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Run the full benchmark grid behind the convergence figures.
 
-Covers every environment with all applicable algorithms and both step
-rules at two horizons each.  Traces and the summary land in the output
-directory; plot log(rel_subopt) over iter or time_ms from the CSVs.
+Covers every environment under each discretizer it allows, with all
+applicable algorithms and both step rules at two horizons each.  Traces
+and the summary of each env and discretizer land in their own directory
+``outdir/<env>/<discretizer>``; plot log(rel_subopt) over iter or time_ms
+from the CSVs.
 
 Usage: python scripts/run_benchmarks.py [outdir] [--parallel N] [--quick]
 """
@@ -12,6 +14,7 @@ import argparse
 import sys
 
 from trajopt.cli import main as cli_main
+from trajopt.envs.build import _ALLOWED
 
 GRID = [
     # env, algos, horizons, iters
@@ -36,14 +39,16 @@ def main() -> int:
         if args.quick:
             horizons = horizons.split(",")[0]
             iters = min(iters, 40)
-        code = cli_main([
-            "benchmark", "--env", env, "--algo", algos,
-            "--linesearch", "directional,regularized",
-            "--horizon", horizons, "--max-iters", str(iters),
-            # one directory per env so each grid keeps its own summary.csv
-            "--out", f"{args.outdir}/{env}", "--parallel", str(args.parallel),
-        ])
-        worst = max(worst, code)
+        for scheme in _ALLOWED[env]:
+            code = cli_main([
+                "benchmark", "--env", env, "--algo", algos,
+                "--linesearch", "directional,regularized",
+                "--horizon", horizons, "--max-iters", str(iters), "--discretizer", scheme,
+                # one directory per env and discretizer: the cell names omit the
+                # discretizer, and each grid keeps its own summary.csv
+                "--out", f"{args.outdir}/{env}/{scheme}", "--parallel", str(args.parallel),
+            ])
+            worst = max(worst, code)
     return worst
 
 

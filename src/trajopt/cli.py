@@ -254,15 +254,18 @@ def _expand_grid(args) -> list[RunConfig]:
     for name in grid:
         setattr(args, name, None)  # grid axes are expanded below, not cast by the base
     base = config_from_sources(args, _read_config_file(args.config))
+    raw = grid["horizon"] if grid["horizon"] is not None else str(base.horizon)
+    try:
+        horizons = [int(horizon) for horizon in _split(raw)]
+    except ValueError as err:
+        raise ConfigError("horizon", f"cannot parse {raw!r}: {err}") from None
     cells = []
     for env in _split(grid["env"] or base.env):
         for algo in _split(grid["algo"] or base.algo):
             for ls in _split(grid["linesearch"] or base.linesearch):
-                horizons = _split(grid["horizon"] if grid["horizon"] is not None
-                                  else str(base.horizon))
                 for horizon in horizons:
                     cells.append(replace(
-                        base, env=env, algo=algo, linesearch=ls, horizon=int(horizon)
+                        base, env=env, algo=algo, linesearch=ls, horizon=horizon
                     ).validate())
     return cells
 

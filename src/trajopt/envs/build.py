@@ -139,9 +139,10 @@ def _build_simple_car(horizon, scheme, track: Track, p: SimpleCarParams) -> Traj
 
     f = _discretize(f_cont, scheme, dt)
 
+    refs = [track_eval(track, dt * p.v_ref * t) for t in range(horizon + 1)]
+
     def tracking(x, t):
-        ref = track_eval(track, dt * p.v_ref * t)
-        ex, ey = x[0] - float(ref.x), x[1] - float(ref.y)
+        ex, ey = x[0] - float(refs[t].x), x[1] - float(refs[t].y)
         return ex * ex + ey * ey
 
     def running(x, u, t):
@@ -184,20 +185,20 @@ def _build_bicycle(horizon, scheme, track: Track, p: BicycleParams) -> Trajector
         nxt = phys_step(phys, (accel, steer))
         return list(nxt) + [s + dt * s_rate, s_rate + dt * u[2]]
 
-    def stage_cost(x, u=None):
-        s, s_rate = x[6], x[7]
-        e_c, e_l = contouring_errors(track, x[0], x[1], s)
+    def stage_cost(x, u):
+        s_rate = x[7]
+        pt = track_eval(track, x[6])
+        e_c, e_l = contouring_errors(pt, x[0], x[1])
         dv = s_rate - p.v_ref
         acc = (
             p.contour_weight * e_c * e_c
             + p.lag_weight * e_l * e_l
             + p.speed_weight * dv * dv
             - p.barrier_eps * ad.log(s_rate)
-            + p.border_weight * border_cost(track, x[0], x[1], s, p.car_width)
+            + p.border_weight * border_cost(track, pt, x[0], x[1], p.car_width)
         )
-        if u is not None:
-            for uk in u:
-                acc = acc + p.ctrl_weight * uk * uk
+        for uk in u:
+            acc = acc + p.ctrl_weight * uk * uk
         return acc
 
     x0, y0, th0 = _start_pose(track)

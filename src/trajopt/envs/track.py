@@ -4,8 +4,9 @@ A track interpolates its waypoints with natural cubic splines parameterized
 by knot index, so one unit of the curve parameter advances one waypoint.
 Waypoints spaced roughly one length unit apart make the parameter behave
 like arc length; the reference speed of the racing costs is expressed in
-these units per second.  Evaluation is generic over scalar type so costs
-built on it can be differentiated through the curve parameter.
+these units per second.  ``track_eval`` is generic over scalar type so
+costs can differentiate through the curve parameter; the error terms take
+its ``TrackPoint``, so a cost evaluates the spline once for all of them.
 """
 
 from __future__ import annotations
@@ -37,18 +38,17 @@ BORDER_SHARPNESS = 0.01
 
 
 class TrackPoint(NamedTuple):
-    """Centerline point with tangent angle and border normals at parameter s.
+    """Centerline point, tangent angle and its sine and cosine at parameter s.
 
-    Both normals point from the inner border side toward the outer one;
-    the signed border distances flip the sign for the inner side so each
-    distance grows positive outside its border.
+    (sin_theta, -cos_theta) is the border normal, pointing from the inner
+    border side toward the outer one.
     """
 
     x: object
     y: object
     theta: object
-    normal_in: tuple
-    normal_out: tuple
+    sin_theta: object
+    cos_theta: object
 
 
 @dataclass(frozen=True)
@@ -150,7 +150,7 @@ def _cubic_deriv(coeffs, idx, local):
 
 
 def track_eval(track: Track, s) -> TrackPoint:
-    """Centerline point, tangent angle and border normals at parameter s.
+    """Centerline point and tangent frame at parameter s.
 
     The parameter is clamped to the spline domain at both ends; evaluation
     accepts hyper-dual parameters so costs can differentiate through s.
@@ -161,41 +161,37 @@ def track_eval(track: Track, s) -> TrackPoint:
     dx = _cubic_deriv(track.x_coeffs, idx, local)
     dy = _cubic_deriv(track.y_coeffs, idx, local)
     theta = ad.arctan2(dy, dx)
-    normal = (ad.sin(theta), -1.0 * ad.cos(theta))
-    return TrackPoint(x, y, theta, normal, normal)
+    return TrackPoint(x, y, theta, ad.sin(theta), ad.cos(theta))
 
 
-def contouring_errors(track: Track, x, y, s):
-    """Signed normal and tangential displacement from the curve point at s.
+def contouring_errors(pt: TrackPoint, x, y):
+    """Signed normal and tangential displacement from the curve point pt.
 
     The first component measures sideways deviation from the centerline,
     the second how far the position trails the reference point along the
     track direction.
     """
-    pt = track_eval(track, s)
-    sin_t, cos_t = ad.sin(pt.theta), ad.cos(pt.theta)
+    sin_t, cos_t = pt.sin_theta, pt.cos_theta
     ex, ey = x - pt.x, y - pt.y
     e_contour = sin_t * ex - cos_t * ey
     e_lag = -1.0 * cos_t * ex - sin_t * ey
     return e_contour, e_lag
 
 
-def border_cost(track: Track, x, y, s, w_car: float, sharpness: float = BORDER_SHARPNESS):
-    """Squared smooth-hinge penalty on crossing either track border.
+def border_cost(track: Track, pt: TrackPoint, x, y, w_car: float, sharpness=BORDER_SHARPNESS):
+    """Squared smooth-hinge penalty on crossing either border of track at pt.
 
     The signed distances grow positive once the car body (half-width
-    ``w_car``) passes a border; inside the track both hinges are
-    exponentially small.
+    ``w_car``) passes a border; the inner one flips the sign of the border
+    normal.  Inside the track both hinges are exponentially small.
     """
-    pt = track_eval(track, s)
     half = 0.5 * track.width
-    sin_t, cos_t = ad.sin(pt.theta), ad.cos(pt.theta)
+    sin_t, cos_t = pt.sin_theta, pt.cos_theta
     # borders offset from the centerline along the left normal (-sin, cos)
     in_x, in_y = pt.x - half * sin_t, pt.y + half * cos_t
     out_x, out_y = pt.x + half * sin_t, pt.y - half * cos_t
-    nx, ny = pt.normal_in
+    nx, ny = sin_t, -1.0 * cos_t
     d_in = -1.0 * ((x - in_x) * nx + (y - in_y) * ny)
-    nx, ny = pt.normal_out
     d_out = (x - out_x) * nx + (y - out_y) * ny
     hinge_in = ad.smoothmax(w_car + d_in, sharpness)
     hinge_out = ad.smoothmax(w_car + d_out, sharpness)

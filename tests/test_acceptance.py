@@ -18,7 +18,7 @@ import pytest
 
 from trajopt.dense import smoothness_bounds, trajectory_jacobian
 from trajopt.envs import build_problem
-from trajopt.envs.track import border_cost
+from trajopt.envs.track import border_cost, track_eval
 from trajopt.linesearch import (
     ACCEPT_TIE_RTOL,
     LineSearchConfig,
@@ -297,7 +297,7 @@ def test_criterion_07_benchmark_reproduction(bench):
     track = run.problem.meta["track"]
     width = run.problem.meta["params"].car_width
     border_total = sum(
-        float(border_cost(track, x[0], x[1], x[6], width)) for x in bundle.xs
+        float(border_cost(track, track_eval(track, x[6]), x[0], x[1], width)) for x in bundle.xs
     )
     assert border_total < 1e-3
     report(

@@ -132,6 +132,13 @@ class TestBenchmarkCommand:
         assert len(rows) == 4
         assert {r["status"] for r in rows} <= {"converged", "max-iters", "stalled", "diverged"}
 
+    @pytest.mark.parametrize("horizon", ["abc", "1.5"])
+    def test_unparsable_horizon_exits_one(self, tmp_path, capsys, horizon):
+        code = run_cli("benchmark", "--env", "pendulum", "--horizon", horizon,
+                       "--out", str(tmp_path / "grid"))
+        assert code == 1
+        assert "configuration error: horizon:" in capsys.readouterr().err
+
     def test_empty_grid_exits_one(self, tmp_path):
         code = run_cli("benchmark", "--env", ",", "--out", str(tmp_path / "bench"))
         assert code == EXIT_CONFIG

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trajopt import autodiff
 from trajopt.envs import (
     CartPoleParams,
     PendulumParams,
@@ -222,6 +223,24 @@ class TestBuildProblem:
         on_ref = [float(ref.x), float(ref.y), 0.0, 1.0]
         assert p.running_costs[t](on_ref, [0.0, 0.0]) == pytest.approx(0.0, abs=1e-12)
 
+    def test_bicycle_stage_cost_evaluates_the_track_once(self, spline_evaluations, rng):
+        problem = build_problem("bicycle-car", 10)
+        cost = problem.running_costs[0]
+        zs = np.array([_interior_point("bicycle-car", rng, problem) for _ in range(5)])
+        spline_evaluations.clear()  # the start pose
+        cost(list(zs[0, :8]), list(zs[0, 8:]))
+        assert len(spline_evaluations) == 1
+        autodiff.block_value_gradient_hessian(lambda z: cost(z[:8], z[8:]), zs)
+        assert len(spline_evaluations) == 2
+
+    def test_simple_car_costs_evaluate_no_track(self, spline_evaluations):
+        problem = build_problem("simple-car", 10)
+        spline_evaluations.clear()  # the start pose and the reference points
+        x = [0.1, 0.2, 0.3, 1.0]
+        problem.running_costs[3](x, [0.0, 0.0])
+        problem.final_cost(x)
+        assert spline_evaluations == []
+
     def test_unknown_env_rejected(self):
         with pytest.raises(ConfigError):
             build_problem("foo", 10)
@@ -284,6 +303,20 @@ class TestBuildProblem:
                     autodiff.hessian(joint_h, z), fd_hessian(joint_h, z),
                     rtol=1e-3, atol=1e-4,
                 )
+
+
+@pytest.fixture
+def spline_evaluations(monkeypatch):
+    """One entry per track evaluation: ``track_eval`` makes one ``arctan2`` call."""
+    calls = []
+    real = autodiff.arctan2
+
+    def spy(y, x):
+        calls.append(y)
+        return real(y, x)
+
+    monkeypatch.setattr(autodiff, "arctan2", spy)
+    return calls
 
 
 def _interior_point(env, rng, problem):

@@ -45,7 +45,7 @@ class TestTrackBuild:
         track = axis_track()
         pt = track_eval(track, 2.3)
         assert pt.theta == pytest.approx(0.0, abs=1e-12)
-        np.testing.assert_allclose(pt.normal_in, (0.0, -1.0), atol=1e-12)
+        np.testing.assert_allclose((pt.sin_theta, -1.0 * pt.cos_theta), (0.0, -1.0), atol=1e-12)
 
     def test_borders_at_half_width_at_knots(self):
         rng = np.random.default_rng(11)
@@ -71,21 +71,21 @@ class TestContouringErrors:
     def test_zero_on_the_curve(self):
         track = axis_track()
         pt = track_eval(track, 1.7)
-        e_c, e_l = contouring_errors(track, pt.x, pt.y, 1.7)
+        e_c, e_l = contouring_errors(pt, pt.x, pt.y)
         assert e_c == pytest.approx(0.0, abs=1e-12)
         assert e_l == pytest.approx(0.0, abs=1e-12)
 
     def test_sideways_displacement(self):
         track = axis_track()
         pt = track_eval(track, 2.0)
-        e_c, e_l = contouring_errors(track, pt.x, pt.y + 0.1, 2.0)
+        e_c, e_l = contouring_errors(pt, pt.x, pt.y + 0.1)
         assert e_c == pytest.approx(-0.1, abs=1e-12)
         assert e_l == pytest.approx(0.0, abs=1e-12)
 
     def test_lagging_displacement(self):
         track = axis_track()
         pt = track_eval(track, 2.0)
-        e_c, e_l = contouring_errors(track, pt.x + 0.2, pt.y, 2.0)
+        e_c, e_l = contouring_errors(pt, pt.x + 0.2, pt.y)
         assert e_c == pytest.approx(0.0, abs=1e-12)
         assert e_l == pytest.approx(-0.2, abs=1e-12)
 
@@ -94,28 +94,29 @@ class TestBorderCost:
     def test_negligible_on_centerline(self):
         track = axis_track(width=1.0)
         pt = track_eval(track, 2.0)
-        assert border_cost(track, pt.x, pt.y, 2.0, w_car=0.05) <= 1e-6
+        assert border_cost(track, pt, pt.x, pt.y, w_car=0.05) <= 1e-6
 
     def test_quadratic_beyond_border(self):
         track = axis_track(width=1.0)
         pt = track_eval(track, 2.0)
         # outer border sits at y = -0.5; 0.1 beyond it
-        val = border_cost(track, pt.x, pt.y - 0.6, 2.0, w_car=0.0)
+        val = border_cost(track, pt, pt.x, pt.y - 0.6, w_car=0.0)
         assert val == pytest.approx(0.01, abs=1e-4)
 
     def test_transition_value_on_border(self):
         track = axis_track(width=1.0)
         pt = track_eval(track, 2.0)
         sharp = 0.01
-        val = border_cost(track, pt.x, pt.y - 0.5, 2.0, w_car=0.0, sharpness=sharp)
+        val = border_cost(track, pt, pt.x, pt.y - 0.5, w_car=0.0, sharpness=sharp)
         assert val <= sharp * math.log(2.0)
 
     def test_differentiable_through_the_curve_parameter(self):
         track = bundled_track("simple")
 
         def cost(z):
-            return border_cost(track, z[0], z[1], z[2], w_car=0.05) + contouring_errors(
-                track, z[0], z[1], z[2]
+            pt = track_eval(track, z[2])
+            return border_cost(track, pt, z[0], z[1], w_car=0.05) + contouring_errors(
+                pt, z[0], z[1]
             )[0]
 
         z = np.array([0.6, 0.21, 0.55])

@@ -1,0 +1,103 @@
+#!/usr/bin/env python3
+"""Print one hash per problem of everything the forward pass and the oracles compute.
+
+A cell is one env under one discretizer it allows, at horizon 7 or 30 and
+seed 0 or 1.  Its hash covers, from the seeded controls
+``0.01 * N(0, 1)`` and from zero controls:
+
+- every ``ExpansionBundle`` field at derivative orders (1, 1), (1, 2) and
+  (2, 2), and the bundle's ``bundle_gradient``;
+- every ``OracleDirection`` field (``feasible``, ``failed_stage``,
+  ``c0_zero``, ``K``, ``k``, ``direction``) of each oracle kind at its
+  default ridge, 1 and 100.
+
+Arrays enter as their shape, dtype and bytes, so two checkouts that print
+the same lines compute the same derivatives and oracle directions bit for
+bit.  A forward pass or roll-out that raises a numeric error enters as
+that error.
+
+Usage: python scripts/oracle_hashes.py [env ...]   (default: every env)
+"""
+
+import argparse
+import dataclasses
+import hashlib
+import sys
+
+import numpy as np
+
+from trajopt.envs.build import _ALLOWED, ENV_KINDS, build_problem
+from trajopt.oracles import ORACLE_KINDS, ORACLES, bundle_gradient, forward, oracle_step
+
+HORIZONS = (7, 30)
+SEEDS = (0, 1)
+RIDGES = (None, 1.0, 100.0)  # None: the kind's start_nu
+ORDERS = ((1, 1), (1, 2), (2, 2))
+
+
+def _feed(digest, value) -> None:
+    if isinstance(value, np.ndarray):
+        digest.update(f"{value.shape}{value.dtype}".encode())
+        digest.update(np.ascontiguousarray(value).tobytes())
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            _feed(digest, item)
+    else:
+        digest.update(repr(value).encode())
+
+
+def _feed_fields(digest, record, skip=()) -> None:
+    for field in dataclasses.fields(record):
+        if field.name not in skip:
+            digest.update(field.name.encode())
+            _feed(digest, getattr(record, field.name))
+
+
+def cell_hash(problem, u) -> str:
+    digest = hashlib.sha256()
+    for controls in (u, np.zeros_like(u)):
+        bundles = {}
+        for o_f, o_h in ORDERS:
+            try:
+                bundles[o_f, o_h] = forward(problem, controls, o_f, o_h)
+            except ArithmeticError as err:
+                _feed(digest, f"forward({o_f}, {o_h}) {type(err).__name__}: {err}")
+                continue
+            _feed_fields(digest, bundles[o_f, o_h], skip=("problem",))
+            _feed(digest, bundle_gradient(bundles[o_f, o_h]))
+        for kind in ORACLE_KINDS:
+            spec = ORACLES[kind]
+            bundle = bundles.get((spec.o_f, spec.o_h))
+            if bundle is None:
+                continue
+            for nu in RIDGES:
+                try:
+                    step = oracle_step(bundle, kind, spec.start_nu if nu is None else nu)
+                except ArithmeticError as err:
+                    _feed(digest, f"{kind} nu={nu} {type(err).__name__}: {err}")
+                    continue
+                _feed_fields(digest, step)
+    return digest.hexdigest()
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("envs", nargs="*", metavar="env", help=f"any of {', '.join(ENV_KINDS)}")
+    args = parser.parse_args()
+    unknown = sorted(set(args.envs) - set(ENV_KINDS))
+    if unknown:
+        parser.error(f"unknown env {unknown[0]!r}; expected any of {', '.join(ENV_KINDS)}")
+    for env in args.envs or ENV_KINDS:
+        for scheme in _ALLOWED[env]:
+            for horizon in HORIZONS:
+                problem = build_problem(env, horizon, scheme)
+                for seed in SEEDS:
+                    rng = np.random.default_rng(seed)
+                    u = 0.01 * rng.standard_normal((horizon, problem.n_u))
+                    print(f"{env}/{scheme}/h{horizon}/seed{seed} {cell_hash(problem, u)}",
+                          flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

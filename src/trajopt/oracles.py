@@ -523,14 +523,17 @@ def _backward_quadratic(
     K = np.empty((tau, n_x, n_u)).transpose(0, 2, 1)
     k = np.empty((tau, n_u))
 
+    if contraction == "value-slope":  # where the H, Q and R blocks sit in a packed fold
+        pairs = autodiff._pair_index(n_x + n_u)
+        at_H, at_Q, at_R = pairs[:n_x, :n_x], pairs[n_x:, n_x:], pairs[:n_x, n_x:]
+
     J, j, j0 = bundle.final_quad, bundle.final_slope, 0.0
     for t in range(tau - 1, -1, -1):
         H_t, Q_t, R_t = H[t], Q[t], R[t]
         if contraction == "value-slope":  # the slope is only known here, stage by stage
-            w = autodiff.contract_curvature(bundle.curvature[t], j)
-            H_t = H_t + w[:n_x, :n_x]
-            Q_t = Q_t + w[n_x:, n_x:]
-            R_t = R_t + w[:n_x, n_x:]
+            # contract_curvature's sum for one point, gathered straight into the blocks
+            w = np.add.reduce(j[:, None] * bundle.curvature[t], axis=0, initial=0.0)
+            H_t, Q_t, R_t = H_t + w[at_H], Q_t + w[at_Q], R_t + w[at_R]
         checked = check_subproblem(B[t], Q_t, q[t], J, j, j0)
         if checked is None:  # an earlier overflow fails later checks: name the overflow
             late = _overflowed(K[t + 1:], k[t + 1:])
@@ -557,12 +560,9 @@ def bundle_gradient(bundle: ExpansionBundle) -> np.ndarray:
     """
     if bundle.o_h < 1 or bundle.o_f < 1:
         raise ParameterError("gradient recovery needs order-1 information")
-    B, q, lam = bundle.B, bundle.q, bundle.adjoints
-    g = np.empty((bundle.horizon, bundle.problem.n_u))
+    B, lam = bundle.B, bundle.adjoints
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite gradient
-        for t in range(bundle.horizon):
-            g[t] = q[t] + B[t].T @ lam[t]
-    return g
+        return bundle.q + (B.transpose(0, 2, 1) @ lam[:, :, None])[:, :, 0]
 
 
 def rollout(y0, K: np.ndarray, k: np.ndarray, step) -> np.ndarray:

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 import trajopt.core as core
 from trajopt.errors import InfeasibleStageError, ParameterError
-from trajopt.lqsolve import check_subproblem, dynprog, lbp, lqbp
+from trajopt.lqsolve import DESCENT_STRICTNESS, check_subproblem, dynprog, lbp, lqbp
 from trajopt.oracles import oracle
 
 from conftest import kkt_solve_lq, random_lq_problem, random_spd
@@ -97,7 +98,7 @@ class TestCheckSubproblem:
     def test_valid_identity_block(self):
         checked = check(scalar_stage(A=1, B=0, H=0, Q=1, R=0, p=0, q=0, J=0, j=0, j0=0))
         assert checked is not None
-        factor, _, _ = checked
+        factor, *_ = checked
         np.testing.assert_allclose(factor, [[1.0]])  # Cholesky factor of M = 1
 
     def test_invalid_negative_block(self):
@@ -106,17 +107,21 @@ class TestCheckSubproblem:
     def test_descent_witness_is_offset_decrement(self):
         checked = check(scalar_stage(A=1, B=1, H=0, Q=1, R=0, p=0, q=0, J=0, j=1, j0=0))
         assert checked is not None
-        _, m, Minv_m = checked
+        _, m, Minv_m, _ = checked
         assert -0.5 * float(m @ Minv_m) == pytest.approx(-0.5)
 
     def test_descent_accepts_solvable_zero_slope_stage(self):
         checked = check(scalar_stage(A=1, B=1, H=0, Q=1, R=0, p=0, q=0, J=0, j=0, j0=0))
         assert checked is not None
-        _, m, Minv_m = checked
+        _, m, Minv_m, _ = checked
         assert float(m @ Minv_m) == 0.0
 
     def test_descent_reports_failed_factorization(self, cholesky_spy):
         assert check(scalar_stage(A=1, B=0, H=0, Q=-2, R=0, p=0, q=0, J=0, j=1, j0=0)) is None
+        # a 2-control block goes through dpotrf; a 1x1 block is factored in closed form
+        two = dict(B=np.zeros((1, 2)), Q=np.diag([1.0, -2.0]), q=np.zeros(2), J=np.zeros((1, 1)),
+                   j=np.ones(1), j0=0.0)
+        assert check(two) is None
         assert cholesky_spy == ["failed"]
 
 
@@ -174,6 +179,53 @@ class TestScipyReference:
         with pytest.raises(scipy.linalg.LinAlgError):
             scipy_reference(s)
         assert check(s) is None
+
+
+# 1x1 control blocks and slopes at the edges of the double range
+EDGES = (0.0, -0.0, 5e-324, 1e-300, 1e300, np.inf, np.nan, -1e-300, -1.0, -np.inf, 0.3, 2.5)
+
+
+def lapack_reference(s):
+    """A stage through dpotrf/dpotrs, as stages with wider control blocks run.
+
+    Returns (factor, m, M^-1 m, decrement, K, k) or None when dpotrf or the
+    descent test rejects the stage.
+    """
+    A, B, J = s["A"], s["B"], s["J"]
+    factor, info = dpotrf(_sym(s["Q"] + B.T @ J @ B), lower=1, clean=0)
+    if info:
+        return None
+    m = s["q"] + B.T @ s["j"]
+    Minv_m = dpotrs(factor, m, lower=1)[0]
+    decrement = -0.5 * float(m @ Minv_m)
+    if not decrement < DESCENT_STRICTNESS * (1.0 + abs(s["j0"])):
+        return None
+    N = s["R"] + A.T @ J @ B
+    return factor, m, Minv_m, decrement, -dpotrs(factor, N.T, lower=1)[0], -Minv_m
+
+
+class TestClosedFormScalarBlock:
+    """A 1x1 control block is factored and solved in closed form, as dpotrf/dpotrs would."""
+
+    @pytest.mark.parametrize("block", EDGES)
+    def test_equals_dpotrf_dpotrs_bytes(self, block):
+        # B = 1 against J = j = -0.0 leaves M = Q, m = q and N = R exactly
+        for slope in EDGES:
+            for cross in (-0.0, 1e-300, 2.0, -1e300):
+                s = scalar_stage(A=1, B=1, H=0, Q=block, R=cross, p=0, q=slope, J=-0.0, j=-0.0,
+                                 j0=0)
+                with np.errstate(all="ignore"):
+                    want = lapack_reference(s)
+                    checked = check(s)
+                assert (checked is None) == (want is None), (block, slope)
+                if checked is None:
+                    continue
+                with np.errstate(all="ignore"):
+                    _, _, j0_t, K, k = solve_stage(s)
+                got = (*checked, K, k)
+                for g, w in zip(got, want):
+                    assert np.asarray(g).tobytes() == np.asarray(w).tobytes(), (block, slope, cross)
+                assert j0_t == want[3]
 
 
 class TestDynProg:

@@ -798,6 +798,18 @@ class TestFactorOnce:
         assert result.feasible
         assert cholesky_spy == ["ok"] * horizon
 
+    @pytest.mark.parametrize("env", ["pendulum", "cartpole"])
+    @pytest.mark.parametrize("kind", ["gn", "ne", "ddp-lq", "ddp-q"])
+    def test_one_control_sweeps_make_no_lapack_factorization(self, env, kind, cholesky_spy):
+        horizon = 30
+        problem = build_problem(env, horizon)
+        spec = ORACLES[kind]
+        u = 0.01 * np.random.default_rng(3).standard_normal((horizon, problem.n_u))
+        bundle = forward(problem, u, spec.o_f, spec.o_h)
+        cholesky_spy.clear()
+        assert run_backward(bundle, kind, 1.0).feasible
+        assert cholesky_spy == []  # 1x1 control blocks are factored in closed form
+
 
 def counted_dynamics(problem):
     """The problem with each distinct dynamic wrapped once, and the shared call counter."""
@@ -843,10 +855,11 @@ class TestIncrementStepBase:
         assert calls[0] == horizon
 
 
-def per_stage_ne_sweep(bundle, nu):
-    """The Newton sweep stage by stage: one ``contract_curvature`` per stage, ridge first.
+def per_stage_sweep(bundle, nu, kind="ne"):
+    """The ne or ddp-q sweep stage by stage: one ``contract_curvature`` per stage, ridge first.
 
-    Returns (K, k, c0) or None when a stage fails its check.
+    ne contracts against the adjoint, ddp-q against the running cost-to-go
+    slope.  Returns (K, k, c0) or None when a stage fails its check.
     """
     tau, n_x, n_u = bundle.horizon, bundle.problem.n_x, bundle.problem.n_u
     A, B, p, q = bundle.A, bundle.B, bundle.p, bundle.q
@@ -856,7 +869,7 @@ def per_stage_ne_sweep(bundle, nu):
     lam = bundle.final_slope
     with np.errstate(all="ignore"):
         for t in range(tau - 1, -1, -1):
-            w = autodiff.contract_curvature(bundle.curvature[t], lam)
+            w = autodiff.contract_curvature(bundle.curvature[t], lam if kind == "ne" else j)
             H = bundle.H[t] + w[:n_x, :n_x]
             Q = (bundle.Q[t] + nu * np.eye(n_u)) + w[n_x:, n_x:]
             R = bundle.R[t] + w[:n_x, n_x:]
@@ -888,33 +901,45 @@ NE_CELLS = [
 ]
 
 
+def assert_sweep_equals_per_stage(env, scheme, kind):
+    horizon = 40
+    problem = build_problem(env, horizon, scheme)
+    rng = np.random.default_rng(0)
+    starts = [np.zeros((horizon, problem.n_u))]
+    starts += [0.1 * rng.standard_normal((horizon, problem.n_u)) for _ in range(2)]
+    feasible = 0
+    for i, u in enumerate(starts):
+        bundle = forward(problem, u, 2, 2)
+        for nu in (0.0, 1e-3, 1.0, 100.0):
+            result = run_backward(bundle, kind, nu)
+            expected = per_stage_sweep(bundle, nu, kind)
+            where = f"start {i} nu={nu}"
+            if expected is None:
+                assert not result.feasible, where
+                continue
+            K, k, c0 = expected
+            assert result.feasible, where
+            feasible += 1
+            assert np.array_equal(result.K, K), where
+            assert np.array_equal(result.k, k), where
+            assert result.c0_zero == c0, where
+    assert feasible >= 3
+
+
 class TestBatchedNeContraction:
-    """The Newton sweep folds the curvature of every stage at once, bit for bit."""
+    """The Newton sweep folds the curvature of every stage at once, bit for bit.
+
+    The DDP-Q sweep folds stage by stage, gathering the packed sums straight
+    into its blocks; it equals the unpacked per-stage fold bit for bit too.
+    """
 
     @pytest.mark.parametrize("env,scheme", NE_CELLS)
     def test_sweep_equals_per_stage_contraction(self, env, scheme):
-        horizon = 40
-        problem = build_problem(env, horizon, scheme)
-        rng = np.random.default_rng(0)
-        starts = [np.zeros((horizon, problem.n_u))]
-        starts += [0.1 * rng.standard_normal((horizon, problem.n_u)) for _ in range(2)]
-        feasible = 0
-        for i, u in enumerate(starts):
-            bundle = forward(problem, u, 2, 2)
-            for nu in (0.0, 1e-3, 1.0):
-                result = run_backward(bundle, "ne", nu)
-                expected = per_stage_ne_sweep(bundle, nu)
-                where = f"start {i} nu={nu}"
-                if expected is None:
-                    assert not result.feasible, where
-                    continue
-                K, k, c0 = expected
-                assert result.feasible, where
-                feasible += 1
-                assert np.array_equal(result.K, K), where
-                assert np.array_equal(result.k, k), where
-                assert result.c0_zero == c0, where
-        assert feasible >= 3
+        assert_sweep_equals_per_stage(env, scheme, "ne")
+
+    @pytest.mark.parametrize("env,scheme", NE_CELLS)
+    def test_value_slope_fold_equals_per_stage_contraction(self, env, scheme):
+        assert_sweep_equals_per_stage(env, scheme, "ddp-q")
 
     @pytest.mark.parametrize("env,scheme", NE_CELLS)
     def test_gradient_equals_per_stage_recursion(self, env, scheme):

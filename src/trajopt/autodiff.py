@@ -20,20 +20,23 @@ truncation error is involved.  A :class:`Dual` keeps only the first slot
 and serves first-order sweeps.
 
 The ``block_*`` sweeps differentiate one model at B points in a single
-evaluation: the values are then (B, 1) arrays and the slots (B, k) arrays,
-so arithmetic runs as numpy array operations and the primitives apply
-math's functions element by element; the results equal B evaluations at
-one point each, bit for bit.  Model code must therefore be array-safe: a
-branch on a value tests it with :func:`anywhere` (or an element-wise
-``np.where``), and a table lookup indexes with arrays.
+evaluation, :func:`block_jacobian` to first order and
+:func:`block_jacobian_curvature` to second; a scalar model, such as a
+cost, is a model with one output.  The values are then (B, 1) arrays and
+the slots (B, k) arrays, so arithmetic runs as numpy array operations and
+the primitives apply math's functions element by element; the results
+equal B evaluations at one point each, bit for bit.  Model code must
+therefore be array-safe: a branch on a value tests it with
+:func:`anywhere` (or an element-wise ``np.where``), and a table lookup
+indexes with arrays.
 
 The pairs are independent lanes of element-wise arithmetic, so a sweep may
-seed only some of them (the ``lanes`` argument of the second-order
-``block_*`` sweeps): the seeded lanes come out bit for bit as in the full
-sweep.  :func:`structural_lanes` finds the lanes a model needs by one
-evaluation on tracer numbers, which carry the real value (so branches take
-the same path as the sweep) and, as bit masks, the inputs the value
-depends on and the pairs whose second derivative can be nonzero.
+seed only some of them (the ``lanes`` argument of
+:func:`block_jacobian_curvature`): the seeded lanes come out bit for bit
+as in the full sweep.  :func:`structural_lanes` finds the lanes a model
+needs by one evaluation on tracer numbers, which carry the real value (so
+branches take the same path as the sweep) and, as bit masks, the inputs
+the value depends on and the pairs whose second derivative can be nonzero.
 """
 
 from __future__ import annotations
@@ -55,7 +58,6 @@ __all__ = [
     "hessian",
     "value_gradient_hessian",
     "block_jacobian",
-    "block_value_gradient_hessian",
     "block_jacobian_curvature",
     "structural_lanes",
     "contract_curvature",
@@ -567,33 +569,6 @@ def _pair_index(m: int) -> np.ndarray:
     return _read_only(index)[0]
 
 
-def block_value_gradient_hessian(g, zs, lanes=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Values (B,), gradients (B, m) and Hessians (B, m, m) of scalar ``g`` at each row of ``zs``.
-
-    One second-order sweep over the m(m+1)/2 direction pairs evaluates
-    ``g`` once on the whole block.  ``lanes``, a tuple of positions in the
-    pair order of ``np.triu_indices(m)`` that holds every diagonal pair
-    (see :func:`structural_lanes`), seeds only those pairs: their entries
-    come out as in the full sweep, and every other Hessian entry is +0.0,
-    where the full sweep's is a structural zero (of either sign).
-    """
-    zs = _points(zs)
-    b, m = zs.shape
-    inputs, pi, pj = _second_order_inputs(zs, lanes)
-    out = g(inputs)
-    values = np.empty(b)
-    grad = np.zeros((b, m))
-    hess = np.zeros((b, m, m))
-    if not isinstance(out, HyperDual):
-        values[:] = out
-        return values, grad, hess
-    values[:] = np.ravel(out.value)
-    hess[:, pi, pj] = out.d12
-    hess[:, pj, pi] = out.d12
-    grad[:, pi[pi == pj]] = out.d1[..., pi == pj]
-    return values, grad, hess
-
-
 def block_jacobian_curvature(g, zs, lanes=None) -> tuple[np.ndarray, np.ndarray]:
     """Jacobians (B, n, m) and packed second derivatives (B, n, m(m+1)/2) of ``g``.
 
@@ -601,11 +576,15 @@ def block_jacobian_curvature(g, zs, lanes=None) -> tuple[np.ndarray, np.ndarray]
     in the order of ``np.triu_indices(m)``, evaluates ``g`` once at all
     rows of ``zs`` (B, m).  ``[b, k, p]`` of the second result is the
     second derivative of output k along pair p at point b; the Jacobian is
-    the first slot of the diagonal pairs.  The packed form stores each
-    output's Hessian without its repeated lower triangle, and
-    :func:`contract_curvature` folds it against a vector.  ``lanes`` seeds
-    only those pairs, as in :func:`block_value_gradient_hessian`; the
-    other packed entries are +0.0.
+    the first slot of the diagonal pairs.  A scalar ``g`` is a model with
+    one output: row 0 holds its gradient and packed Hessian.  The packed
+    form stores each output's Hessian without its repeated lower triangle;
+    :func:`vector_hessian` unpacks it and :func:`contract_curvature` folds
+    it against a vector.  ``lanes``, a tuple of pair positions that holds
+    every diagonal pair (see :func:`structural_lanes`), seeds only those
+    pairs: their entries come out as in the full sweep, and every other
+    packed entry is +0.0, where the full sweep's is a structural zero (of
+    either sign).
     """
     zs = _points(zs)
     b, m = zs.shape
@@ -639,7 +618,6 @@ def structural_lanes(g, zs) -> tuple:
     nonzero at these points; a zero at the point itself is not dropped.
     The result holds their positions in the pair order of
     ``np.triu_indices(m)`` plus every diagonal pair, as the ``lanes`` of
-    :func:`block_value_gradient_hessian` and
     :func:`block_jacobian_curvature`.  A model's branch may take another
     path at other points, so the pattern holds for these points only.
     """
@@ -689,14 +667,19 @@ def gradient(g, z) -> np.ndarray:
 
 
 def value_gradient_hessian(g, z) -> tuple[float, np.ndarray, np.ndarray]:
-    """Value, gradient and symmetric Hessian of scalar ``g`` in one sweep batch."""
-    values, grad, hess = block_value_gradient_hessian(g, np.asarray(z, dtype=float).reshape(1, -1))
-    return float(values[0]), grad[0], hess[0]
+    """Value, gradient and symmetric Hessian of scalar ``g`` at ``z``.
+
+    The derivatives come from one sweep of ``g`` as a one-output model, the
+    value from ``g`` on floats.
+    """
+    z = np.asarray(z, dtype=float).reshape(1, -1)
+    jac, d12 = block_jacobian_curvature(g, z)
+    return float(g(z[0].tolist())), jac[0, 0], d12[0, 0][_pair_index(z.shape[1])]
 
 
 def hessian(g, z) -> np.ndarray:
     """Exact symmetric Hessian of scalar-valued ``g`` at ``z``, shape (m, m)."""
-    return value_gradient_hessian(g, z)[2]
+    return vector_hessian(g, z)[0]
 
 
 def vector_hessian(f, z) -> np.ndarray:

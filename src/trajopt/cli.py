@@ -516,10 +516,6 @@ def main(argv=None) -> int:
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
-    # solve/benchmark share flag plumbing: normalize unset attributes
-    for name in _CONFIG_FIELDS:
-        if not hasattr(args, name):
-            setattr(args, name, None)
     try:
         return args.fn(args)
     except ConfigError as err:

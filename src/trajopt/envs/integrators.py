@@ -25,36 +25,10 @@ def euler_step(f_cont, z, u, dt: float):
     return [zi + dt * di for zi, di in zip(z, dz)]
 
 
-def rk4_step(f_cont, z, u, dt: float):
-    """Classical fourth-order Runge-Kutta step with piecewise-constant control."""
+def _rk4(f_cont, z, v0, v_mid, v_end, dt: float):
+    """Fourth-order step whose first, midpoint and last stages see v0, v_mid and v_end."""
     if dt <= 0.0:
         raise ParameterError(f"step size must be > 0, got {dt}")
-    k1 = f_cont(z, u)
-    k2 = f_cont(_shift(z, k1, dt / 2.0), u)
-    k3 = f_cont(_shift(z, k2, dt / 2.0), u)
-    k4 = f_cont(_shift(z, k3, dt), u)
-    w = dt / 6.0
-    return [
-        zi + w * (a + 2.0 * b + 2.0 * c + d)
-        for zi, a, b, c, d in zip(z, k1, k2, k3, k4)
-    ]
-
-
-def rk4_varying_step(f_cont, z, u_triplet, dt: float):
-    """Fourth-order step whose stages see different control blocks.
-
-    ``u_triplet`` concatenates three control blocks (v, v_mid, v_end); the
-    first stage uses v, the two midpoint stages v_mid and the last stage
-    v_end.
-    """
-    if dt <= 0.0:
-        raise ParameterError(f"step size must be > 0, got {dt}")
-    if len(u_triplet) % 3 != 0:
-        raise ParameterError(
-            f"varying-control step needs 3 stacked control blocks, got size {len(u_triplet)}"
-        )
-    m = len(u_triplet) // 3
-    v0, v_mid, v_end = u_triplet[:m], u_triplet[m : 2 * m], u_triplet[2 * m :]
     k1 = f_cont(z, v0)
     k2 = f_cont(_shift(z, k1, dt / 2.0), v_mid)
     k3 = f_cont(_shift(z, k2, dt / 2.0), v_mid)
@@ -64,3 +38,23 @@ def rk4_varying_step(f_cont, z, u_triplet, dt: float):
         zi + w * (a + 2.0 * b + 2.0 * c + d)
         for zi, a, b, c, d in zip(z, k1, k2, k3, k4)
     ]
+
+
+def rk4_step(f_cont, z, u, dt: float):
+    """Classical fourth-order Runge-Kutta step with piecewise-constant control."""
+    return _rk4(f_cont, z, u, u, u, dt)
+
+
+def rk4_varying_step(f_cont, z, u_triplet, dt: float):
+    """Fourth-order step whose stages see different control blocks.
+
+    ``u_triplet`` concatenates three control blocks (v, v_mid, v_end); the
+    first stage uses v, the two midpoint stages v_mid and the last stage
+    v_end.
+    """
+    if len(u_triplet) % 3 != 0:
+        raise ParameterError(
+            f"varying-control step needs 3 stacked control blocks, got size {len(u_triplet)}"
+        )
+    m = len(u_triplet) // 3
+    return _rk4(f_cont, z, u_triplet[:m], u_triplet[m : 2 * m], u_triplet[2 * m :], dt)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -171,11 +171,12 @@ class ExpansionBundle:
         if self.o_h < 1 or self.o_f < 1:
             raise ParameterError("the adjoint recursion needs order-1 information")
         A, p = self.A, self.p
-        lam = [self.final_slope]
+        lam = np.empty((self.horizon, self.problem.n_x))
+        lam[-1] = self.final_slope
         with np.errstate(all="ignore"):  # an overflow shows as a non-finite adjoint
             for t in range(self.horizon - 1, 0, -1):
-                lam.append(p[t] + A[t].T @ lam[-1])
-        return np.array(lam[::-1])
+                lam[t - 1] = p[t] + A[t].T @ lam[t]
+        return lam
 
     def cost_slope_norm(self) -> float:
         """Euclidean norm of all stage-cost gradients along the trajectory."""
@@ -357,65 +358,62 @@ def _expand(sweep, fns, zs: np.ndarray, n_x: int, order: int) -> tuple:
     return results
 
 
-def _finite_rows(stack: np.ndarray) -> np.ndarray:
-    """Per stage of a stacked derivative: whether all its entries are finite."""
-    return np.isfinite(stack.reshape(stack.shape[0], -1)).all(axis=1)
+def _finite_rows(*stacks: np.ndarray) -> np.ndarray:
+    """Per stage of stacked derivatives: whether all their entries are finite."""
+    return np.logical_and.reduce([np.isfinite(s.reshape(len(s), -1)).all(axis=1) for s in stacks])
+
+
+@lru_cache(maxsize=64)
+def _block_index(n_x: int, n_u: int) -> tuple:
+    """Where the H, Q and R blocks of a Hessian in z = (x, u) sit among its packed pairs."""
+    pairs = autodiff._pair_index(n_x + n_u)
+    return pairs[:n_x, :n_x], pairs[n_x:, n_x:], pairs[:n_x, n_x:]
+
+
+_SWEEPS = (None, _jacobian_sweep, autodiff.block_jacobian_curvature)  # by derivative order
 
 
 def _expansions(problem: TrajectoryProblem, xs: np.ndarray, u: np.ndarray, o_f: int,
                 o_h: int) -> dict:
     """Bundle fields holding the derivatives at the visited points.
 
-    Raises :class:`DivergenceError` at the first stage whose derivatives
+    One :func:`_expand` call expands the dynamics and one the costs: a
+    cost is a model with one output, and the final cost is cost stage
+    ``horizon``, at (x_tau, zero controls).  The cost Hessian blocks are
+    gathered straight from the packed pairs.  Raises
+    :class:`DivergenceError` at the first stage whose derivatives fail or
     are not finite; stage ``horizon`` is the final cost.
     """
-    tau, n_x = problem.horizon, problem.n_x
-    zs = np.hstack([xs[:-1], u])
+    tau, n_x, n_u = problem.horizon, problem.n_x, problem.n_u
+    zs = np.hstack([xs, np.vstack([u, np.zeros((1, n_u))])])
     ok = np.ones(tau + 1, dtype=bool)
-    if o_f == 2:
-        jac, curvature = _expand(autodiff.block_jacobian_curvature, problem.dynamics, zs, n_x, 2)
-        ok[:tau] &= _finite_rows(jac) & _finite_rows(curvature)
-    elif o_f == 1:
-        (jac,) = _expand(_jacobian_sweep, problem.dynamics, zs, n_x, 1)
-        ok[:tau] &= _finite_rows(jac)
-    if o_h == 2:
-        _, grad, hess = _expand(
-            autodiff.block_value_gradient_hessian, problem.running_costs, zs, n_x, 2
-        )
-        ok[:tau] &= _finite_rows(grad) & _finite_rows(hess)
-    elif o_h == 1:
-        (cost_jac,) = _expand(_jacobian_sweep, problem.running_costs, zs, n_x, 1)
-        grad = cost_jac[:, 0]
-        ok[:tau] &= _finite_rows(grad)
-    try:
-        if o_h == 2:
-            _, final_slope, final_quad = autodiff.value_gradient_hessian(
-                problem.final_cost, xs[-1]
-            )
-            ok[tau] = np.isfinite(final_slope).all() and np.isfinite(final_quad).all()
-        elif o_h == 1:
-            final_slope = autodiff.gradient(problem.final_cost, xs[-1])
-            ok[tau] = np.isfinite(final_slope).all()
-    except ArithmeticError as err:
-        raise DivergenceError(tau, f"final cost differentiation failed: {err}") from err
+    fields = {}
+    if o_f:
+        # A and B stay strided views: with contiguous copies the sweep's
+        # matmuls take other BLAS paths, and the offsets and c0 of cart-pole
+        # and bicycle-car sweeps change in their last bits
+        jac, *curvature = _expand(_SWEEPS[o_f], problem.dynamics, zs, n_x, o_f)
+        ok[:tau] = _finite_rows(jac, *curvature)
+        fields.update(A=jac[:, :, :n_x], B=jac[:, :, n_x:],
+                      curvature=curvature[0] if curvature else None)
+    if o_h:
+        costs = problem.running_costs + (lambda x, _: problem.final_cost(x),)
+        grad, *packed = _expand(_SWEEPS[o_h], costs, zs, n_x, o_h)
+        ok &= _finite_rows(grad, *packed)
+        grad = grad[:, 0]
+        fields.update(p=grad[:tau, :n_x], q=grad[:tau, n_x:], final_slope=grad[tau, :n_x])
     if not ok.all():
         t = int(np.argmin(ok))
         raise DivergenceError(t, f"non-finite derivative at t={t}")
-
-    # A, B and R stay strided views: with contiguous copies the sweep's
-    # matmuls take other BLAS paths, and the offsets and c0 of cart-pole
-    # and bicycle-car sweeps change in their last bits
-    fields = {}
-    if o_f >= 1:
-        fields.update(A=jac[:, :, :n_x], B=jac[:, :, n_x:])
-    if o_f == 2:
-        fields["curvature"] = curvature
-    if o_h >= 1:
-        fields.update(p=grad[:, :n_x], q=grad[:, n_x:], final_slope=final_slope)
     if o_h == 2:
+        # np.take gathers C-ordered; a fancy index on the last axis gives a
+        # transposed layout, on which the sweep runs slower
+        at_H, at_Q, at_R = _block_index(n_x, n_u)
+        pairs = packed[0][:, 0]
+        H = np.take(pairs, at_H, axis=-1)
         fields.update(
-            H=_sym(hess[:, :n_x, :n_x]), Q=_sym(hess[:, n_x:, n_x:]), R=hess[:, :n_x, n_x:],
-            final_quad=_sym(final_quad),
+            H=_sym(H[:tau]), Q=_sym(np.take(pairs[:tau], at_Q, axis=-1)),
+            R=np.take(pairs[:tau], at_R, axis=-1), final_quad=_sym(H[tau]),
         )
     return fields
 
@@ -523,10 +521,7 @@ def _backward_quadratic(
     K = np.empty((tau, n_x, n_u)).transpose(0, 2, 1)
     k = np.empty((tau, n_u))
 
-    if contraction == "value-slope":  # where the H, Q and R blocks sit in a packed fold
-        pairs = autodiff._pair_index(n_x + n_u)
-        at_H, at_Q, at_R = pairs[:n_x, :n_x], pairs[n_x:, n_x:], pairs[:n_x, n_x:]
-
+    at_H, at_Q, at_R = _block_index(n_x, n_u)  # where the blocks sit in a packed fold
     J, j, j0 = bundle.final_quad, bundle.final_slope, 0.0
     for t in range(tau - 1, -1, -1):
         H_t, Q_t, R_t = H[t], Q[t], R[t]

@@ -198,17 +198,19 @@ class TestBlocks:
         # block takes math's functions element by element, so it matches bitwise
         zs = rng.uniform(-1.0, 1.0, (6, 2))
         jac = ad.block_jacobian(lambda z: [fn(z), z[0] * z[1]], zs)
-        values, grad, hess = ad.block_value_gradient_hessian(fn, zs)
+        values = np.ravel(fn(list(zs.T[:, :, None])))  # the block's value path
+        grad, packed = ad.block_jacobian_curvature(fn, zs)
+        hess = packed[:, 0][:, ad._pair_index(2)]
         for b, z in enumerate(zs):
             v, g, h = ad.value_gradient_hessian(fn, z)
             assert values[b] == v
-            np.testing.assert_array_equal(grad[b], g)
+            np.testing.assert_array_equal(grad[b, 0], g)
             np.testing.assert_array_equal(hess[b], h)
             np.testing.assert_array_equal(jac[b], ad.jacobian(lambda zz: [fn(zz), zz[0] * zz[1]], z))
 
     def test_one_row_block_runs_on_floats(self):
         seen = []
-        ad.block_value_gradient_hessian(lambda z: seen.append(z[0].value) or z[0], [[0.5, 1.0]])
+        ad.block_jacobian_curvature(lambda z: seen.append(z[0].value) or z[0], [[0.5, 1.0]])
         assert type(seen[0]) is float
 
     def test_array_times_hyperdual_defers_to_hyperdual(self):
@@ -265,7 +267,7 @@ class TestStructuralLanes:
         lanes = ad.structural_lanes(g, zs)
         assert len(lanes) < 10
         for sparse, full in (
-            (ad.block_value_gradient_hessian(g, zs, lanes), ad.block_value_gradient_hessian(g, zs)),
+            (ad.block_jacobian_curvature(g, zs, lanes), ad.block_jacobian_curvature(g, zs)),
             (ad.block_jacobian_curvature(vec, zs, ad.structural_lanes(vec, zs)),
              ad.block_jacobian_curvature(vec, zs)),
         ):
@@ -279,15 +281,15 @@ class TestStructuralLanes:
             return -z[0] - z[1]
 
         lanes = ad.structural_lanes(g, [[1.0, 2.0]])
-        _, _, hess = ad.block_value_gradient_hessian(g, [[1.0, 2.0]], lanes)
-        _, _, full = ad.block_value_gradient_hessian(g, [[1.0, 2.0]])
-        assert lanes == (0, 2)
+        _, hess = ad.block_jacobian_curvature(g, [[1.0, 2.0]], lanes)
+        _, full = ad.block_jacobian_curvature(g, [[1.0, 2.0]])
+        assert lanes == (0, 2)  # packed position 1 is the pair (0, 1)
         assert math.copysign(1.0, hess[0, 0, 1]) == 1.0 == -math.copysign(1.0, full[0, 0, 1])
         assert np.array_equal(hess, full)
 
     def test_lanes_must_hold_every_diagonal_pair(self):
         with pytest.raises(ParameterError):
-            ad.block_value_gradient_hessian(lambda z: z[0] * z[1], [[1.0, 2.0]], (0, 1))
+            ad.block_jacobian_curvature(lambda z: z[0] * z[1], [[1.0, 2.0]], (0, 1))
 
     def test_trace_runs_the_model_on_the_real_values(self):
         seen = []

@@ -32,7 +32,7 @@ from trajopt.envs import (
 from trajopt.errors import ConfigError, DomainError
 from trajopt.oracles import forward
 
-from conftest import fd_hessian, fd_jacobian
+from conftest import env_interior_point, fd_hessian, fd_jacobian
 
 
 class TestPendulum:
@@ -226,11 +226,11 @@ class TestBuildProblem:
     def test_bicycle_stage_cost_evaluates_the_track_once(self, spline_evaluations, rng):
         problem = build_problem("bicycle-car", 10)
         cost = problem.running_costs[0]
-        zs = np.array([_interior_point("bicycle-car", rng, problem) for _ in range(5)])
+        zs = np.array([env_interior_point("bicycle-car", rng, problem) for _ in range(5)])
         spline_evaluations.clear()  # the start pose
         cost(list(zs[0, :8]), list(zs[0, 8:]))
         assert len(spline_evaluations) == 1
-        autodiff.block_value_gradient_hessian(lambda z: cost(z[:8], z[8:]), zs)
+        autodiff.block_jacobian_curvature(lambda z: cost(z[:8], z[8:]), zs)
         assert len(spline_evaluations) == 2
 
     def test_simple_car_costs_evaluate_no_track(self, spline_evaluations):
@@ -290,7 +290,7 @@ class TestBuildProblem:
             problem = build_problem(env, 10)
             f, h = problem.dynamics[0], problem.running_costs[0]
             for _ in range(3):
-                z = _interior_point(env, rng, problem)
+                z = env_interior_point(env, rng, problem)
                 joint_f = lambda zz: f(zz[:n_x], zz[n_x:])
                 joint_h = lambda zz: h(zz[:n_x], zz[n_x:])
                 from trajopt import autodiff
@@ -317,12 +317,3 @@ def spline_evaluations(monkeypatch):
 
     monkeypatch.setattr(autodiff, "arctan2", spy)
     return calls
-
-
-def _interior_point(env, rng, problem):
-    z = rng.uniform(-0.5, 0.5, problem.n_x + problem.n_u)
-    if env == "bicycle-car":
-        z[3] = rng.uniform(0.8, 2.5)  # forward speed
-        z[7] = rng.uniform(0.5, 3.0)  # curve-parameter rate (log barrier)
-        z[6] = rng.uniform(0.5, 3.0)  # stay inside the spline domain
-    return z

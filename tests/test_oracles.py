@@ -244,6 +244,39 @@ class TestBlockedExpansion:
             forward(problem, u, 1, 1)
         assert err.value.t == 2
 
+    @pytest.mark.parametrize("env,scheme", ENV_SCHEMES)
+    def test_final_expansion_matches_single_point_sweeps(self, env, scheme):
+        # the final cost is swept as the last cost stage, at zero controls
+        horizon = 12
+        problem = build_problem(env, horizon, scheme)
+        u = 0.05 * np.random.default_rng(3).standard_normal((horizon, problem.n_u))
+        for o_h in (1, 2):
+            bundle = forward(problem, u, 1, o_h)
+            x = bundle.xs[-1]
+            assert bundle.final_slope.tobytes() == autodiff.gradient(problem.final_cost, x).tobytes()
+            if o_h == 2:
+                quad = autodiff.hessian(problem.final_cost, x)
+                assert bundle.final_quad.tobytes() == quad.tobytes()
+
+    def test_final_cost_differentiation_failure_names_the_final_stage(self):
+        # sqrt has an infinite slope at x_tau = 0, where 0.5 / 0.0 raises on floats
+        horizon = 4
+        problem = TrajectoryProblem(
+            dynamics=(lambda x, u: [x[0] + u[0]],) * horizon,
+            running_costs=(lambda x, u: u[0] * u[0],) * horizon,
+            final_cost=lambda x: autodiff.sqrt(x[0]),
+            x0=[1.0],
+            n_x=1,
+            n_u=1,
+        )
+        u = np.zeros((horizon, 1))
+        u[0] = -1.0
+        assert np.isfinite(objective_value(problem, u))
+        for o_h in (1, 2):
+            with pytest.raises(DivergenceError) as err:
+                forward(problem, u, 1, o_h)
+            assert err.value.t == horizon
+
 
 def assert_curvature_matches_per_stage(problem, u, rng):
     """The stored curvature against per-stage lambda_hessian, bitwise.
@@ -361,16 +394,16 @@ class TestTracedExpansion:
         zs = rng.uniform(0.5, 1.5, (horizon, 3))
         zs[:, 0] *= -1.0
         zs[10, 0] = 1.0  # only the first block takes the z0 * z1 branch
-        got = _expand(autodiff.block_value_gradient_hessian, (h,) * horizon, zs, 2, 2)
+        got = _expand(autodiff.block_jacobian_curvature, (h,) * horizon, zs, 2, 2)
         g = lambda z: h(z[:2], z[2:])
         cap = SLOT_BUDGET // len(autodiff.structural_lanes(g, zs))
         assert 2 * max(1, SLOT_BUDGET // 6) < horizon and horizon % cap != 0
         expected = [np.concatenate(parts) for parts in zip(*(
-            autodiff.block_value_gradient_hessian(g, zs[lo:lo + cap])
+            autodiff.block_jacobian_curvature(g, zs[lo:lo + cap])
             for lo in range(0, horizon, cap)
         ))]
-        hess = got[2]
-        assert np.all(hess[:cap, 0, 1] != 0.0) and np.all(hess[cap:, 0, 2] != 0.0)
+        packed = got[1]  # positions 1 and 2 are the pairs (0, 1) and (0, 2)
+        assert np.all(packed[:cap, 0, 1] != 0.0) and np.all(packed[cap:, 0, 2] != 0.0)
         for a, b in zip(got, expected):
             assert a.tobytes() == b.tobytes()
 
@@ -384,7 +417,7 @@ class TestTracedExpansion:
         zs[95, 0] = 1.0
         zs[120, 1] = -1.0
         with pytest.raises(DivergenceError) as err:
-            _expand(autodiff.block_value_gradient_hessian, (h,) * 200, zs, 1, 2)
+            _expand(autodiff.block_jacobian_curvature, (h,) * 200, zs, 1, 2)
         assert err.value.t == 88
 
     def test_failed_block_trace_names_the_full_seed_block(self):
@@ -399,7 +432,7 @@ class TestTracedExpansion:
         g = lambda z: h(z[:1], z[1:])
         assert SLOT_BUDGET // len(autodiff.structural_lanes(g, zs)) == 132
         with pytest.raises(DivergenceError) as err:
-            _expand(autodiff.block_value_gradient_hessian, (h,) * 200, zs, 1, 2)
+            _expand(autodiff.block_jacobian_curvature, (h,) * 200, zs, 1, 2)
         assert err.value.t == 88
 
     def test_division_by_zero_in_a_one_stage_block_names_it(self, monkeypatch):

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Print one hash per problem of everything the forward pass and the oracles compute.
+"""Print two hashes per problem: its oracle computations, and short solves from it.
 
 A cell is one env under one discretizer it allows, at horizon 7 or 30 and
-seed 0 or 1.  Its hash covers, from the seeded controls
+seed 0 or 1.  Its first hash covers, from the seeded controls
 ``0.01 * N(0, 1)`` and from zero controls:
 
 - every ``ExpansionBundle`` field at derivative orders (1, 1), (1, 2) and
@@ -11,10 +11,15 @@ seed 0 or 1.  Its hash covers, from the seeded controls
   ``c0_zero``, ``K``, ``k``, ``direction``) of each oracle kind at its
   default ridge, 1 and 100.
 
+Its second hash gates the line-search layer: one ``solve`` per oracle
+kind and step rule from the seeded controls, stopped after at most
+``SOLVE_ITERS`` iterations.  It covers the status, the iteration count,
+every ``TraceRow`` field but ``time_ms`` and the final controls.
+
 Arrays enter as their shape, dtype and bytes, so two checkouts that print
-the same lines compute the same derivatives and oracle directions bit for
-bit.  A forward pass or roll-out that raises a numeric error enters as
-that error.
+the same lines compute the same derivatives, oracle directions and
+iterates bit for bit.  A forward pass, roll-out or solve that raises a
+numeric error enters as that error.
 
 Usage: python scripts/oracle_hashes.py [env ...]   (default: every env)
 """
@@ -27,12 +32,16 @@ import sys
 import numpy as np
 
 from trajopt.envs.build import _ALLOWED, ENV_KINDS, build_problem
+from trajopt.errors import DivergenceError
+from trajopt.linesearch import LineSearchConfig, StopCriteria, solve
 from trajopt.oracles import ORACLE_KINDS, ORACLES, bundle_gradient, forward, oracle_step
 
 HORIZONS = (7, 30)
 SEEDS = (0, 1)
 RIDGES = (None, 1.0, 100.0)  # None: the kind's start_nu
 ORDERS = ((1, 1), (1, 2), (2, 2))
+RULES = ("directional", "regularized")
+SOLVE_ITERS = 10
 
 
 def _feed(digest, value) -> None:
@@ -80,6 +89,23 @@ def cell_hash(problem, u) -> str:
     return digest.hexdigest()
 
 
+def solve_hash(problem, u) -> str:
+    digest = hashlib.sha256()
+    for kind in ORACLE_KINDS:
+        for rule in RULES:
+            try:
+                u_end, trace = solve(problem, u, kind, LineSearchConfig(rule=rule),
+                                     StopCriteria(max_iters=SOLVE_ITERS))
+            except DivergenceError as err:
+                _feed(digest, f"{kind} {rule} DivergenceError: {err}")
+                continue
+            _feed(digest, (trace.status, trace.iterations))
+            for row in trace.rows:
+                _feed_fields(digest, row, skip=("time_ms",))
+            _feed(digest, u_end)
+    return digest.hexdigest()
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("envs", nargs="*", metavar="env", help=f"any of {', '.join(ENV_KINDS)}")
@@ -94,8 +120,8 @@ def main() -> int:
                 for seed in SEEDS:
                     rng = np.random.default_rng(seed)
                     u = 0.01 * rng.standard_normal((horizon, problem.n_u))
-                    print(f"{env}/{scheme}/h{horizon}/seed{seed} {cell_hash(problem, u)}",
-                          flush=True)
+                    print(f"{env}/{scheme}/h{horizon}/seed{seed} {cell_hash(problem, u)} "
+                          f"{solve_hash(problem, u)}", flush=True)
     return 0
 
 

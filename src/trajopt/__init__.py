@@ -2,7 +2,6 @@
 
 from .core import (
     TrajectoryProblem,
-    finite_difference_dynamic,
     linear_dynamics,
     quadratic_cost,
     quadratic_state_cost,

@@ -320,12 +320,10 @@ def cmd_benchmark(args) -> int:
             continue
         any_ok = True
         j_star = best[(cfg.env, cfg.horizon, cfg.discretizer)]
-        TraceFile.from_trace(trace, j_star, footer).write(
-            os.path.join(out_dir, name + ".csv")
-        )
+        trace_file = TraceFile.from_trace(trace, j_star, footer)
+        trace_file.write(os.path.join(out_dir, name + ".csv"))
         final = trace.rows[-1]
-        denom = trace.rows[0].cost - j_star
-        rel = (final.cost - j_star) / denom if denom > 0 else 0.0
+        rel = trace_file.rows[-1][TRACE_HEADER.index("rel_subopt")]
         summary_rows.append([cfg.env, cfg.algo, cfg.linesearch, cfg.horizon,
                              trace.status, trace.iterations, f"{final.cost:.12g}",
                              f"{rel:.6g}", f"{final.time_ms:.3f}"])
@@ -442,6 +440,8 @@ VERIFY_CHECKS = {
 
 
 def cmd_verify(args) -> int:
+    if not (math.isfinite(args.scale) and args.scale > 0.0):
+        raise ConfigError("scale", f"must be a positive finite multiplier, got {args.scale}")
     names = [args.only] if args.only else list(VERIFY_CHECKS)
     if args.only and args.only not in VERIFY_CHECKS:
         print(f"unknown check {args.only!r}; available: {', '.join(VERIFY_CHECKS)}",

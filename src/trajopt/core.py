@@ -11,17 +11,15 @@ validated here, once, by the helpers that turn them into models.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import ShapeError
 
 __all__ = [
     "TrajectoryProblem",
-    "finite_difference_dynamic",
     "linear_dynamics",
     "quadratic_cost",
     "quadratic_state_cost",
@@ -83,35 +81,6 @@ class TrajectoryProblem:
     @property
     def horizon(self) -> int:
         return len(self.dynamics)
-
-
-def finite_difference_dynamic(f, x, u, y, v, t: int | None = None, base=None) -> np.ndarray:
-    """Increment map of a dynamic around (x, u): f(x+y, u+v) - f(x, u).
-
-    This is the step map DDP roll-outs follow.  ``base`` is f(x, u) when
-    the caller already holds it, as the forward pass does for the states
-    it visited; otherwise f is evaluated at (x, u) here.  A dynamic that
-    raises an ``ArithmeticError`` (``math.exp`` overflowing, say) or
-    returns a non-finite value raises :class:`NumericError`, labelled
-    with ``t`` when given.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    u = np.asarray(u, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    v = np.asarray(v, dtype=float).ravel()
-    # plain-float inputs keep the models numpy-free
-    try:
-        if base is None:
-            base = f(x.tolist(), u.tolist())
-        moved = f((x + y).tolist(), (u + v).tolist())
-    except ArithmeticError as err:
-        where = "" if t is None else f" at t={t}"
-        raise NumericError(f"dynamic evaluation failed{where}: {err}") from err
-    out = np.asarray(moved, dtype=float).ravel() - np.asarray(base, dtype=float).ravel()
-    if not all(map(math.isfinite, out.tolist())):
-        where = "" if t is None else f" at t={t}"
-        raise NumericError(f"dynamic returned a non-finite increment{where}")
-    return out
 
 
 # -- model-building helpers --------------------------------------------------

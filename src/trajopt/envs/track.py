@@ -82,8 +82,8 @@ def track_build(waypoints, width: float) -> Track:
         raise ShapeError("a track needs at least two (x, y) waypoints")
     if not np.all(np.isfinite(pts)):
         raise ShapeError("track waypoints must be finite")
-    if width <= 0.0:
-        raise ShapeError(f"track width must be positive, got {width}")
+    if not (math.isfinite(width) and width > 0.0):
+        raise ShapeError(f"track width must be positive and finite, got {width}")
     gaps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     if np.any(gaps == 0.0):
         raise ShapeError("duplicate consecutive waypoints")
@@ -98,11 +98,16 @@ def track_loads(text: str) -> Track:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     if not lines or not lines[0].startswith("width="):
         raise ShapeError("track file must start with a 'width=<float>' line")
-    width = float(lines[0].split("=", 1)[1])
+    try:
+        width = float(lines[0].split("=", 1)[1])
+    except ValueError:
+        raise ShapeError(f"track file has an unreadable width line: {lines[0]!r}") from None
     pts = []
     for ln in lines[1:]:
-        sx, sy = ln.split(",")
-        x, y = float(sx), float(sy)
+        try:
+            x, y = map(float, ln.split(","))
+        except ValueError:
+            raise ShapeError(f"track file line is not an x,y pair: {ln!r}") from None
         if math.isnan(x) or math.isnan(y):
             raise ShapeError(f"track file contains NaN coordinates: {ln!r}")
         pts.append((x, y))

@@ -5,8 +5,9 @@ A stage is the linear step ``y_next = A y + B v``, the stage cost
 0.5 y'Jy + j'y + j0.  ``check_subproblem`` factors the stage's control
 Hessian once and runs the descent test, ``lqbp`` solves the stage in
 closed form from that factor, ``lbp`` is the degenerate linear-cost
-counterpart used by the gradient oracle, and ``dynprog`` solves a convex
-linear-quadratic problem globally by one Gauss-Newton step of
+stage (one step of gradient back-propagation, which the gradient oracle
+reads from the bundle's adjoints instead), and ``dynprog`` solves a
+convex linear-quadratic problem globally by one Gauss-Newton step of
 :mod:`trajopt.oracles`, whose sweep chains these stage solutions.
 
 The stages call LAPACK's ``dpotrf``/``dpotrs`` directly, as

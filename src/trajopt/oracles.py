@@ -10,10 +10,13 @@ DDP variants).  :data:`ORACLES` is the single description of the kinds.
 The forward pass stores the stage matrices stacked over the stages
 (:class:`ExpansionBundle`), and the sweeps run on those raw arrays: each
 stage's control Hessian is factored once (``check_subproblem``) and the
-factor is reused by the closed-form stage (``lqbp``).  The Newton sweep
-folds the dynamics curvature of every stage against the bundle's adjoints
-before its stage loop.  The policies come out stacked as gains ``K``
-(horizon, n_u, n_x) and offsets ``k`` (horizon, n_u).
+factor is reused by the closed-form stage (``lqbp``).  The bundle runs the
+package's one adjoint recursion: the gradient sweep reads its offsets
+-grad J / nu from it, and the Newton sweep folds the dynamics curvature of
+every stage against it before its stage loop.  The DDP roll-outs difference
+the original dynamics against the states the bundle visited.  The policies
+come out stacked as gains ``K`` (horizon, n_u, n_x) and offsets ``k``
+(horizon, n_u).
 """
 
 from __future__ import annotations
@@ -26,8 +29,9 @@ from types import MappingProxyType
 import numpy as np
 
 from . import autodiff
-from .core import TrajectoryProblem, _sym, finite_difference_dynamic
-from .errors import DivergenceError, ParameterError, ShapeError
+from .core import TrajectoryProblem, _sym
+from .errors import DivergenceError, NumericError, ParameterError, ShapeError
+# lbp is not called here; perfbench's layer tracer wraps it as oracles.lbp
 from .lqsolve import check_subproblem, lbp, lqbp
 
 __all__ = [
@@ -150,14 +154,21 @@ class ExpansionBundle:
         return self.A[t] @ y + self.B[t] @ v
 
     def increment_step(self, t: int, y, v) -> np.ndarray:
-        """The original-dynamics increment of stage t around the visited point.
+        """The original-dynamics increment f_t(x_t + y, u_t + v) - f_t(x_t, u_t).
 
         The forward pass stored f_t(x_t, u_t) as ``xs[t + 1]``, evaluated on
-        the same floats, so only the moved point is evaluated here.
+        the same floats, so only the moved point is evaluated here, on plain
+        floats.  A model that raises an ``ArithmeticError`` or returns a
+        non-finite value raises :class:`NumericError` naming t.
         """
-        return finite_difference_dynamic(
-            self.problem.dynamics[t], self.xs[t], self.u[t], y, v, t=t, base=self.xs[t + 1]
-        )
+        try:
+            moved = self.problem.dynamics[t]((self.xs[t] + y).tolist(), (self.u[t] + v).tolist())
+        except ArithmeticError as err:
+            raise NumericError(f"dynamic evaluation failed at t={t}: {err}") from err
+        out = np.asarray(moved, dtype=float) - self.xs[t + 1]
+        if not all(map(math.isfinite, out.tolist())):
+            raise NumericError(f"dynamic returned a non-finite increment at t={t}")
+        return out
 
     @cached_property
     def adjoints(self) -> np.ndarray:
@@ -478,20 +489,21 @@ def _swept(K: np.ndarray, k: np.ndarray, c0_zero: float) -> OracleDirection:
 def backward_gd(bundle: ExpansionBundle, nu: float) -> OracleDirection:
     """Backward sweep with linear models: gradient back-propagation.
 
-    The policies are constant offsets -(q_t + B_t' j_{t+1}) / nu and the
-    affine cost-to-go at 0 equals -|grad J|^2 / (2 nu).
+    The policies are the constant offsets -grad_t J / nu, read from
+    :func:`bundle_gradient`, and the affine cost-to-go at 0 equals
+    -|grad J|^2 / (2 nu).
     """
     if nu <= 0.0:
         raise ParameterError(f"gradient backward pass requires nu > 0, got {nu}")
     if bundle.o_h < 1 or bundle.o_f < 1:
         raise ParameterError("gradient backward pass needs order-1 information")
-    tau, n_x, n_u = bundle.horizon, bundle.problem.n_x, bundle.problem.n_u
-    A, B, p, q = bundle.A, bundle.B, bundle.p, bundle.q
-    k = np.empty((tau, n_u))
-    j, j0 = bundle.final_slope, 0.0
-    for t in range(tau - 1, -1, -1):
-        j, j0, k[t] = lbp(A[t], B[t], p[t], q[t], j, j0, nu)
-    return _swept(np.zeros((tau, n_u, n_x)), k, j0)
+    g = bundle_gradient(bundle)
+    # summed stage by stage from the last, as a sweep would: a vectorized
+    # sum differs in its last bits
+    j0 = 0.0
+    for t in range(bundle.horizon - 1, -1, -1):
+        j0 = j0 - float(g[t] @ g[t]) / (2.0 * nu)
+    return _swept(np.zeros(g.shape + (bundle.problem.n_x,)), -g / nu, j0)
 
 
 def _backward_quadratic(

@@ -165,6 +165,12 @@ class TestVerifyCommand:
     def test_unknown_check_rejected(self):
         assert run_cli("verify", "--only", "nope") == EXIT_CONFIG
 
+    @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+    def test_scale_must_be_positive_and_finite(self, scale, capsys):
+        assert run_cli("verify", "--only", "policy-scaling", "--scale", scale) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "configuration error: scale: must be a positive finite multiplier" in err
+
     def test_perturbation_hook_fails_the_run(self):
         code = run_cli("verify", "--only", "policy-scaling", "--selftest-perturb")
         assert code != EXIT_OK

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from trajopt import autodiff
 from trajopt.core import (
     TrajectoryProblem,
-    finite_difference_dynamic,
     linear_dynamics,
     quadratic_cost,
 )
@@ -53,34 +52,51 @@ class TestEvaluateQuadratic:
         assert h(y, v) == pytest.approx(h_sym(y, v))
 
 
+def visited(f, x, u, horizon=1, o_f=0):
+    """The bundle of ``horizon`` stages of dynamic f from x, all under controls u."""
+    problem = TrajectoryProblem(
+        dynamics=(f,) * horizon,
+        running_costs=(lambda x, u: 0.0,) * horizon,
+        final_cost=lambda x: 0.0,
+        x0=x,
+        n_x=len(x),
+        n_u=len(u),
+    )
+    return forward(problem, [u] * horizon, o_f, 0)
+
+
 class TestFiniteDifferenceDynamic:
+    """The DDP increment map f(x+y, u+v) - f(x, u) around a bundle's visited points."""
+
     def test_zero_increment(self):
-        f = lambda x, u: [x[0] * x[0] + u[0]]
-        out = finite_difference_dynamic(f, [1.5], [0.2], [0.0], [0.0])
-        np.testing.assert_allclose(out, [0.0])
+        bundle = visited(lambda x, u: [x[0] * x[0] + u[0]], [1.5], [0.2])
+        np.testing.assert_array_equal(bundle.increment_step(0, np.zeros(1), np.zeros(1)), [0.0])
 
     def test_linear_dynamic_equals_linear_map(self):
-        f = lambda x, u: [x[0] + u[0]]
-        out = finite_difference_dynamic(f, [1.0], [1.0], [2.0], [3.0])
-        np.testing.assert_allclose(out, [5.0])
+        bundle = visited(linear_dynamics([[1.0]], [[1.0]]), [1.0], [1.0], o_f=1)
+        y, v = np.array([2.0]), np.array([3.0])
+        np.testing.assert_array_equal(bundle.increment_step(0, y, v), bundle.linear_step(0, y, v))
+        np.testing.assert_array_equal(bundle.increment_step(0, y, v), [5.0])
 
     def test_square_dynamic(self):
-        f = lambda x, u: [x[0] * x[0]]
-        out = finite_difference_dynamic(f, [1.0], [0.0], [1.0], [0.0])
-        np.testing.assert_allclose(out, [3.0])
+        bundle = visited(lambda x, u: [x[0] * x[0]], [1.0], [0.0])
+        np.testing.assert_allclose(bundle.increment_step(0, np.ones(1), np.zeros(1)), [3.0])
 
-    @pytest.mark.parametrize("base", [None, [1.0]])
-    def test_model_arithmetic_error_is_a_numeric_error_naming_t(self, base):
-        f = lambda x, u: [x[0] + autodiff.exp(u[0])]
+    def test_model_arithmetic_error_is_a_numeric_error_naming_t(self):
+        bundle = visited(lambda x, u: [x[0] + autodiff.exp(u[0])], [0.0], [5.0], horizon=3)
         with pytest.raises(NumericError, match="dynamic evaluation failed at t=2"):
-            finite_difference_dynamic(f, [0.0], [5.0], [0.0], [1e3], t=2, base=base)
+            bundle.increment_step(2, np.zeros(1), np.array([1e3]))
+
+    def test_non_finite_increment_is_a_numeric_error_naming_t(self):
+        bundle = visited(lambda x, u: [1e300 * u[0]], [0.0], [1.0], horizon=2)
+        with pytest.raises(NumericError, match="non-finite increment at t=1"):
+            bundle.increment_step(1, np.zeros(1), np.array([1e10]))
 
     @given(small, small, small, small)
     @settings(max_examples=30, deadline=None)
     def test_linear_f_matches_jacobian_application_exactly(self, x, u, y, v):
-        A, B = np.array([[0.5]]), np.array([[2.0]])
-        f = linear_dynamics(A, B)
-        out = finite_difference_dynamic(f, [x], [u], [y], [v])
+        bundle = visited(linear_dynamics([[0.5]], [[2.0]]), [x], [u])
+        out = bundle.increment_step(0, np.array([y]), np.array([v]))
         assert out[0] == pytest.approx(0.5 * y + 2.0 * v, abs=1e-9, rel=1e-12)
 
 

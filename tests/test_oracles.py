@@ -11,7 +11,6 @@ import pytest
 from trajopt import autodiff
 from trajopt.core import (
     TrajectoryProblem,
-    finite_difference_dynamic,
     linear_dynamics,
     quadratic_cost,
     quadratic_state_cost,
@@ -26,7 +25,7 @@ from trajopt.errors import (
     ShapeError,
 )
 from trajopt.linesearch import StopCriteria, solve, stationarity_residual
-from trajopt.lqsolve import check_subproblem, lqbp
+from trajopt.lqsolve import check_subproblem, lbp, lqbp
 from trajopt.oracles import (
     ORACLE_KINDS,
     ORACLES,
@@ -520,6 +519,27 @@ class TestBackwardGd:
         with_roll = rollout(np.zeros(problem.n_x), without.K, without.k, bundle.linear_step)
         np.testing.assert_allclose(with_roll, without.direction)
 
+    @pytest.mark.parametrize("nu", [1.0, 1e-3, 100.0])
+    @pytest.mark.parametrize("env,scheme", ENV_SCHEMES)
+    def test_reads_the_bundle_gradient_bit_for_bit(self, env, scheme, nu):
+        horizon = 30
+        problem = build_problem(env, horizon, scheme)
+        u = 0.01 * np.random.default_rng(3).standard_normal((horizon, problem.n_u))
+        bundle = forward(problem, u, 1, 1)
+        result = backward_gd(bundle, nu)
+        g = bundle_gradient(bundle)
+        assert result.k.tobytes() == (-g / nu).tobytes()
+        j0 = 0.0
+        for t in range(horizon - 1, -1, -1):
+            j0 = j0 - float(g[t] @ g[t]) / (2.0 * nu)
+        assert result.c0_zero == j0
+        # an lbp chain over the stages gives the same bytes
+        j, c0 = bundle.final_slope, 0.0
+        for t in range(horizon - 1, -1, -1):
+            j, c0, k_t = lbp(bundle.A[t], bundle.B[t], bundle.p[t], bundle.q[t], j, c0, nu)
+            assert k_t.tobytes() == result.k[t].tobytes()
+        assert c0 == result.c0_zero
+
     def test_matches_dense_gradient(self, rng):
         problem = random_smooth_problem(rng, 4, 2, 2)
         u = rng.standard_normal((4, 2)) * 0.2
@@ -872,7 +892,9 @@ class TestIncrementStepBase:
         for t in range(horizon):
             y = 0.01 * rng.standard_normal(problem.n_x)
             v = 0.01 * rng.standard_normal(problem.n_u)
-            fresh = finite_difference_dynamic(problem.dynamics[t], bundle.xs[t], u[t], y, v)
+            f = problem.dynamics[t]
+            moved = f((bundle.xs[t] + y).tolist(), (u[t] + v).tolist())
+            fresh = np.asarray(moved) - np.asarray(f(bundle.xs[t].tolist(), u[t].tolist()))
             np.testing.assert_array_equal(bundle.increment_step(t, y, v), fresh)
 
     @pytest.mark.parametrize("env", ["bicycle-car", "cartpole"])

@@ -76,7 +76,7 @@ def test_compare_traces_ignores_only_time_ms(tmp_path):
     assert "only under" in missing.stdout
 
 
-def test_oracle_hashes_prints_one_hash_per_cell():
+def test_oracle_hashes_prints_two_hashes_per_cell():
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "oracle_hashes.py"), "pendulum"],
         env=dict(os.environ, PYTHONPATH="src"),
@@ -89,10 +89,11 @@ def test_oracle_hashes_prints_one_hash_per_cell():
     assert proc.returncode == 0, proc.stderr
     cells = [line.split() for line in proc.stdout.splitlines()]
     # three discretizers x horizons 7 and 30 x seeds 0 and 1
-    assert [name for name, _ in cells] == [
+    assert [name for name, _, _ in cells] == [
         f"pendulum/{scheme}/h{h}/seed{seed}"
         for scheme in ("euler", "rk4", "rk4-varying") for h in (7, 30) for seed in (0, 1)
     ]
-    digests = [digest for _, digest in cells]
+    # an oracle digest and a solve digest per cell
+    digests = [digest for _, *pair in cells for digest in pair]
     assert all(len(d) == 64 and set(d) <= set("0123456789abcdef") for d in digests)
     assert len(set(digests)) == len(digests)

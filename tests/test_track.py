@@ -41,6 +41,11 @@ class TestTrackBuild:
         with pytest.raises(ShapeError):
             track_build([(0.0, 0.0), (0.0, 0.0), (1.0, 0.0)], 0.5)
 
+    @pytest.mark.parametrize("width", [math.nan, math.inf])
+    def test_non_finite_width_rejected(self, width):
+        with pytest.raises(ShapeError, match="track width must be positive and finite"):
+            track_build([(0.0, 0.0), (1.0, 0.0)], width)
+
     def test_axis_aligned_frame(self):
         track = axis_track()
         pt = track_eval(track, 2.3)
@@ -140,6 +145,20 @@ class TestTrackFiles:
     def test_rejects_nan(self):
         with pytest.raises(ShapeError):
             track_loads("width=0.5\n0.0,0.0\nnan,1.0\n")
+
+    @pytest.mark.parametrize("width", ["nan", "inf"])
+    def test_rejects_non_finite_width(self, width):
+        with pytest.raises(ShapeError, match="track width must be positive and finite"):
+            track_loads(f"width={width}\n0,0\n1,0\n2,1\n")
+
+    def test_rejects_unreadable_width(self):
+        with pytest.raises(ShapeError, match="'width=abc'"):
+            track_loads("width=abc\n0,0\n1,0\n2,1\n")
+
+    @pytest.mark.parametrize("line", ["1,0,3", "1;0"])
+    def test_rejects_line_that_is_not_a_pair(self, line):
+        with pytest.raises(ShapeError, match=f"not an x,y pair: '{line}'"):
+            track_loads(f"width=0.5\n0,0\n{line}\n2,1\n")
 
     def test_rejects_missing_header(self):
         with pytest.raises(ShapeError):

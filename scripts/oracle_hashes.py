@@ -3,7 +3,7 @@
 
 A cell is one env under one discretizer it allows, at horizon 7 or 30 and
 seed 0 or 1.  Its first hash covers, from the seeded controls
-``0.01 * N(0, 1)`` and from zero controls:
+``trajopt.cli.initial_controls`` draws and from zero controls:
 
 - every ``ExpansionBundle`` field at derivative orders (1, 1), (1, 2) and
   (2, 2), and the bundle's ``bundle_gradient``;
@@ -31,16 +31,16 @@ import sys
 
 import numpy as np
 
-from trajopt.envs.build import _ALLOWED, ENV_KINDS, build_problem
+from trajopt.cli import initial_controls
+from trajopt.envs.build import ENV_DISCRETIZERS, ENV_KINDS, build_problem
 from trajopt.errors import DivergenceError
-from trajopt.linesearch import LineSearchConfig, StopCriteria, solve
+from trajopt.linesearch import STEP_RULES, LineSearchConfig, StopCriteria, solve
 from trajopt.oracles import ORACLE_KINDS, ORACLES, bundle_gradient, forward, oracle_step
 
 HORIZONS = (7, 30)
 SEEDS = (0, 1)
 RIDGES = (None, 1.0, 100.0)  # None: the kind's start_nu
 ORDERS = ((1, 1), (1, 2), (2, 2))
-RULES = ("directional", "regularized")
 SOLVE_ITERS = 10
 
 
@@ -92,7 +92,7 @@ def cell_hash(problem, u) -> str:
 def solve_hash(problem, u) -> str:
     digest = hashlib.sha256()
     for kind in ORACLE_KINDS:
-        for rule in RULES:
+        for rule in STEP_RULES:
             try:
                 u_end, trace = solve(problem, u, kind, LineSearchConfig(rule=rule),
                                      StopCriteria(max_iters=SOLVE_ITERS))
@@ -114,12 +114,11 @@ def main() -> int:
     if unknown:
         parser.error(f"unknown env {unknown[0]!r}; expected any of {', '.join(ENV_KINDS)}")
     for env in args.envs or ENV_KINDS:
-        for scheme in _ALLOWED[env]:
+        for scheme in ENV_DISCRETIZERS[env]:
             for horizon in HORIZONS:
                 problem = build_problem(env, horizon, scheme)
                 for seed in SEEDS:
-                    rng = np.random.default_rng(seed)
-                    u = 0.01 * rng.standard_normal((horizon, problem.n_u))
+                    u = initial_controls(problem, seed)
                     print(f"{env}/{scheme}/h{horizon}/seed{seed} {cell_hash(problem, u)} "
                           f"{solve_hash(problem, u)}", flush=True)
     return 0

@@ -14,15 +14,18 @@ import argparse
 import sys
 
 from trajopt.cli import main as cli_main
-from trajopt.envs.build import _ALLOWED
+from trajopt.envs.build import ENV_DISCRETIZERS
+from trajopt.linesearch import STEP_RULES
+from trajopt.oracles import ORACLE_KINDS
 
+ALL_ALGOS = ",".join(ORACLE_KINDS)
 GRID = [
     # env, algos, horizons, iters
-    ("pendulum", "gd,gn,ne,ddp-lq,ddp-q", "50,100", 200),
-    ("cartpole", "gd,gn,ne,ddp-lq,ddp-q", "25,50", 200),
-    ("simple-car", "gd,gn,ne,ddp-lq,ddp-q", "25,50", 200),
+    ("pendulum", ALL_ALGOS, "50,100", 200),
+    ("cartpole", ALL_ALGOS, "25,50", 200),
+    ("simple-car", ALL_ALGOS, "25,50", 200),
     # gradient steps are numerically unstable on the tire-force model
-    ("bicycle-car", "gn,ne,ddp-lq,ddp-q", "30,50", 150),
+    ("bicycle-car", ",".join(kind for kind in ORACLE_KINDS if kind != "gd"), "30,50", 150),
 ]
 
 
@@ -39,10 +42,10 @@ def main() -> int:
         if args.quick:
             horizons = horizons.split(",")[0]
             iters = min(iters, 40)
-        for scheme in _ALLOWED[env]:
+        for scheme in ENV_DISCRETIZERS[env]:
             code = cli_main([
                 "benchmark", "--env", env, "--algo", algos,
-                "--linesearch", "directional,regularized",
+                "--linesearch", ",".join(STEP_RULES),
                 "--horizon", horizons, "--max-iters", str(iters), "--discretizer", scheme,
                 # one directory per env and discretizer: the cell names omit the
                 # discretizer, and each grid keeps its own summary.csv

@@ -27,6 +27,7 @@ from .dense import (
     trajectory_jacobian,
 )
 from .linesearch import (
+    STEP_RULES,
     LineSearchConfig,
     SolveTrace,
     StopCriteria,

@@ -18,7 +18,8 @@ from .core import (
     quadratic_state_cost,
 )
 from .dense import dense_gauss_newton_matrix, dense_gradient, dense_hessian
-from .linesearch import LineSearchConfig, StopCriteria, solve, stationarity_residual
+from .linesearch import ACCEPT_TIE_RTOL, LineSearchConfig, StopCriteria, solve
+from .linesearch import stationarity_residual
 from .oracles import forward, oracle, rollout, run_backward
 
 __all__ = [
@@ -34,6 +35,7 @@ __all__ = [
     "oracle_equivalence_error",
     "policy_scaling_deviation",
     "stationarity_gap",
+    "acceptance_violations",
 ]
 
 
@@ -346,3 +348,17 @@ def stationarity_gap(rng, instances: int, offset: float = 0.0) -> float:
         dense = float(np.max(np.abs(dense_gradient(problem, u)))) + offset
         worst = max(worst, abs(res - dense) / (1.0 + dense))
     return worst
+
+
+def acceptance_violations(trace, rule: str) -> list[float]:
+    """Per accepted step of a ``rule`` trace, the cost change minus its acceptance
+    bound and tie slack (> 0: violated).  Stall-carried rows, whose model value
+    is NaN, make no acceptance claim and are skipped."""
+    out = []
+    for prev, row in zip(trace.rows, trace.rows[1:]):
+        if np.isnan(row.model_decrease):
+            continue
+        factor = row.stepsize if rule == "directional" else 1.0
+        slack = ACCEPT_TIE_RTOL * (1.0 + abs(prev.cost))
+        out.append((row.cost - prev.cost) - factor * row.model_decrease - slack)
+    return out

@@ -16,6 +16,7 @@ import argparse
 import concurrent.futures
 import csv
 import io
+import itertools
 import logging
 import math
 import os
@@ -26,16 +27,15 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .envs.build import DISCRETIZERS, ENV_KINDS, build_problem
+from . import _testing, autodiff
+from .envs.build import DISCRETIZERS, ENV_DISCRETIZERS, ENV_KINDS, build_problem
 from .errors import ConfigError, DivergenceError, TrajoptError
-from .linesearch import LineSearchConfig, SolveTrace, StopCriteria, solve
+from .linesearch import STEP_RULES, LineSearchConfig, SolveTrace, StopCriteria, solve
 from .oracles import ORACLE_KINDS
 
 log = logging.getLogger("trajopt")
 
 TRACE_HEADER = ["iter", "cost", "rel_subopt", "stepsize", "regularization", "residual", "time_ms"]
-
-LINESEARCH_KINDS = ("directional", "regularized")
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -66,14 +66,9 @@ class RunConfig:
     parallel: int = 1
 
     def validate(self) -> "RunConfig":
-        if self.env not in ENV_KINDS:
-            raise ConfigError("env", f"got {self.env!r}, expected one of {ENV_KINDS}")
-        if self.algo not in ORACLE_KINDS:
-            raise ConfigError("algo", f"got {self.algo!r}, expected one of {ORACLE_KINDS}")
-        if self.linesearch not in LINESEARCH_KINDS:
-            raise ConfigError(
-                "linesearch", f"got {self.linesearch!r}, expected one of {LINESEARCH_KINDS}"
-            )
+        for name, kinds in (("env", ENV_KINDS), ("algo", ORACLE_KINDS), ("linesearch", STEP_RULES)):
+            if getattr(self, name) not in kinds:
+                raise ConfigError(name, f"got {getattr(self, name)!r}, expected one of {kinds}")
         if self.horizon < 1:
             raise ConfigError("horizon", f"must be >= 1, got {self.horizon}")
         if self.discretizer and self.discretizer not in DISCRETIZERS:
@@ -206,7 +201,8 @@ class TraceFile:
 # -- solve --------------------------------------------------------------------
 
 
-def _initial_controls(problem, seed: int) -> np.ndarray:
+def initial_controls(problem, seed: int) -> np.ndarray:
+    """Zero controls, plus 0.01 * N(0, 1) drawn from ``seed`` when it is >= 0."""
     u0 = np.zeros((problem.horizon, problem.n_u))
     if seed >= 0:
         rng = np.random.default_rng(seed)
@@ -217,7 +213,7 @@ def _initial_controls(problem, seed: int) -> np.ndarray:
 def run_cell(cfg: RunConfig) -> tuple[SolveTrace, dict]:
     """Build and solve one cell; returns the trace and footer metadata."""
     problem = build_problem(cfg.env, cfg.horizon, cfg.discretizer or None)
-    u0 = _initial_controls(problem, cfg.seed)
+    u0 = initial_controls(problem, cfg.seed)
     ls = LineSearchConfig(rule=cfg.linesearch)
     stop = StopCriteria(max_iters=cfg.max_iters, cost_rel_tol=cfg.rel_tol,
                         min_step=cfg.min_step)
@@ -259,15 +255,9 @@ def _expand_grid(args) -> list[RunConfig]:
         horizons = [int(horizon) for horizon in _split(raw)]
     except ValueError as err:
         raise ConfigError("horizon", f"cannot parse {raw!r}: {err}") from None
-    cells = []
-    for env in _split(grid["env"] or base.env):
-        for algo in _split(grid["algo"] or base.algo):
-            for ls in _split(grid["linesearch"] or base.linesearch):
-                for horizon in horizons:
-                    cells.append(replace(
-                        base, env=env, algo=algo, linesearch=ls, horizon=horizon
-                    ).validate())
-    return cells
+    axes = [_split(grid[name] or getattr(base, name)) for name in ("env", "algo", "linesearch")]
+    return [replace(base, env=env, algo=algo, linesearch=ls, horizon=horizon).validate()
+            for env, algo, ls, horizon in itertools.product(*axes, horizons)]
 
 
 def _split(raw: str) -> list[str]:
@@ -353,77 +343,57 @@ def _read_config_file(path: str | None) -> str | None:
 
 def _check_dense_oracles(trials: int, perturb: bool):
     """Gradient/Gauss-Newton/Newton directions against dense assemblies."""
-    from ._testing import oracle_equivalence_error
-
     rng = np.random.default_rng(7)
-    return oracle_equivalence_error(rng, trials, 1e-3 if perturb else 0.0), 1e-8
+    return _testing.oracle_equivalence_error(rng, trials, 1e-3 if perturb else 0.0), 1e-8
 
 
 def _check_finite_differences(trials: int, perturb: bool):
     """Env model derivatives against central finite differences."""
-    from . import autodiff
-    from ._testing import env_interior_point, fd_jacobian
-
     rng = np.random.default_rng(11)
     worst = 0.0
-    for env in ENV_KINDS:
-        problem = build_problem(env, 10)
-        f = problem.dynamics[0]
-        n_x = problem.n_x
-        for _ in range(trials):
-            z = env_interior_point(env, rng, problem)
-            joint = lambda zz: f(zz[:n_x], zz[n_x:])
-            jac = autodiff.jacobian(joint, z)
-            if perturb:
-                jac = jac + 1e-3
-            fd = fd_jacobian(joint, z)
-            worst = max(worst, float(np.max(np.abs(jac - fd) / (1.0 + np.abs(fd)))))
+    for env, schemes in ENV_DISCRETIZERS.items():
+        for scheme in schemes:
+            problem = build_problem(env, 10, scheme)
+            f = problem.dynamics[0]
+            n_x = problem.n_x
+            for _ in range(trials):
+                z = _testing.env_interior_point(env, rng, problem)
+                joint = lambda zz: f(zz[:n_x], zz[n_x:])
+                jac = autodiff.jacobian(joint, z)
+                if perturb:
+                    jac = jac + 1e-3
+                fd = _testing.fd_jacobian(joint, z)
+                worst = max(worst, float(np.max(np.abs(jac - fd) / (1.0 + np.abs(fd)))))
     return worst, 1e-6
 
 
 def _check_policy_scaling(trials: int, perturb: bool):
     """Scaled-offset roll-outs on linear maps are exactly linear in gamma."""
-    from ._testing import policy_scaling_deviation
-
     rng = np.random.default_rng(13)
-    return policy_scaling_deviation(rng, trials, 1e-6 if perturb else 0.0), 1e-12
+    return _testing.policy_scaling_deviation(rng, trials, 1e-6 if perturb else 0.0), 1e-12
 
 
 def _check_step_acceptance(trials: int, perturb: bool):
     """Accepted steps respect their acceptance inequalities, re-read from traces."""
-    from .linesearch import ACCEPT_TIE_RTOL
-
     worst = -math.inf
-    for rule in LINESEARCH_KINDS:
+    for rule in STEP_RULES:
         cfg = RunConfig(env="pendulum", algo="gn", linesearch=rule, horizon=30,
                         max_iters=25)
         trace, _ = run_cell(cfg)
-        rows = trace.rows
-        for prev, row in zip(rows, rows[1:]):
-            if math.isnan(row.model_decrease):
-                continue
-            bound = row.model_decrease * (row.stepsize if rule == "directional" else 1.0)
-            slack = ACCEPT_TIE_RTOL * (1.0 + abs(prev.cost))
-            violation = (row.cost - prev.cost) - bound - slack
-            if perturb:
-                violation += 1e-3
-            worst = max(worst, violation)
+        for violation in _testing.acceptance_violations(trace, rule):
+            worst = max(worst, violation + 1e-3 if perturb else violation)
     return worst, 0.0
 
 
 def _check_stationarity(trials: int, perturb: bool):
     """Hamiltonian residual equals the dense objective gradient max-norm."""
-    from ._testing import stationarity_gap
-
     rng = np.random.default_rng(17)
-    return stationarity_gap(rng, trials, 1e-3 if perturb else 0.0), 1e-8
+    return _testing.stationarity_gap(rng, trials, 1e-3 if perturb else 0.0), 1e-8
 
 
 def _check_curvature_fixture(trials: int, perturb: bool):
     """Concave-stage instance: dense Hessian PD, Newton solves it in <= 3 steps."""
-    from ._testing import concave_fixture
-
-    eig_min, residual, _ = concave_fixture()
+    eig_min, residual, _ = _testing.concave_fixture()
     if perturb:
         eig_min -= 1e3
     return (residual if eig_min > 0.0 else math.inf), 1e-9
@@ -466,7 +436,8 @@ def cmd_verify(args) -> int:
 def _add_run_flags(sub):
     sub.add_argument("--env", help=f"one of {', '.join(ENV_KINDS)} (benchmark: comma list)")
     sub.add_argument("--algo", help=f"one of {', '.join(ORACLE_KINDS)} (benchmark: comma list)")
-    sub.add_argument("--linesearch", help="directional or regularized (benchmark: comma list)")
+    sub.add_argument("--linesearch",
+                     help=f"one of {', '.join(STEP_RULES)} (benchmark: comma list)")
     sub.add_argument("--horizon", help="number of steps (benchmark: comma list)")
     sub.add_argument("--discretizer", help=f"one of {', '.join(DISCRETIZERS)}")
     sub.add_argument("--max-iters", dest="max_iters", type=int, help="iteration budget")

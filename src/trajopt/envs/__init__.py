@@ -1,6 +1,6 @@
 """Benchmark systems, discretizers, tracks and racing cost machinery."""
 
-from .build import DISCRETIZERS, ENV_KINDS, build_problem
+from .build import DISCRETIZERS, ENV_DISCRETIZERS, ENV_KINDS, build_problem
 from .cars import (
     BicycleParams,
     SimpleCarParams,

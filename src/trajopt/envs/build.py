@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
+from types import MappingProxyType
+
 from .. import autodiff as ad
 from ..core import TrajectoryProblem
-from ..errors import ConfigError
+from ..errors import ConfigError, ParameterError
 from .cars import (
     BicycleParams,
     SimpleCarParams,
@@ -18,35 +21,39 @@ from .integrators import euler_step, rk4_step, rk4_varying_step
 from .pendulum import PendulumParams, pendulum_cost, pendulum_dynamics
 from .track import Track, bundled_track, contouring_errors, border_cost, track_eval
 
-__all__ = ["ENV_KINDS", "DISCRETIZERS", "build_problem"]
+__all__ = ["ENV_KINDS", "ENV_DISCRETIZERS", "DISCRETIZERS", "build_problem"]
 
-ENV_KINDS = ("pendulum", "cartpole", "simple-car", "bicycle-car")
-DISCRETIZERS = ("euler", "rk4", "rk4-varying")
-
-DEFAULT_DISCRETIZER = {
-    "pendulum": "euler",
-    "cartpole": "euler",
-    "simple-car": "euler",
-    "bicycle-car": "rk4",
-}
-
-# The bicycle model augments its state with the curve parameter; that pair
-# integrates with a plain Euler rule regardless of the physical scheme, so
-# the varying-control stencil has no consistent meaning for it.
-_ALLOWED = {
+# Each env and the discretizers it allows, its default first.  The bicycle
+# model augments its state with the curve parameter; that pair integrates
+# with a plain Euler rule regardless of the physical scheme, so the
+# varying-control stencil has no consistent meaning for it.
+ENV_DISCRETIZERS = MappingProxyType({
     "pendulum": ("euler", "rk4", "rk4-varying"),
     "cartpole": ("euler", "rk4", "rk4-varying"),
     "simple-car": ("euler", "rk4", "rk4-varying"),
-    "bicycle-car": ("euler", "rk4"),
+    "bicycle-car": ("rk4", "euler"),
+})
+ENV_KINDS = tuple(ENV_DISCRETIZERS)
+
+# scheme -> (step function, control blocks per stage)
+_SCHEMES = {
+    "euler": (euler_step, 1),
+    "rk4": (rk4_step, 1),
+    "rk4-varying": (rk4_varying_step, 3),
 }
+DISCRETIZERS = tuple(_SCHEMES)
 
 
 def _discretize(f_cont, scheme: str, dt: float):
-    if scheme == "euler":
-        return lambda z, u: euler_step(f_cont, z, u, dt)
-    if scheme == "rk4":
-        return lambda z, u: rk4_step(f_cont, z, u, dt)
-    return lambda z, u: rk4_varying_step(f_cont, z, u, dt)
+    step = _SCHEMES[scheme][0]
+    return lambda z, u: step(f_cont, z, u, dt)
+
+
+def _step_size(p, horizon: int) -> float:
+    dt = p.total_time / horizon
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ParameterError(f"total_time / horizon must be finite and positive, got {dt}")
+    return dt
 
 
 def build_problem(
@@ -58,21 +65,21 @@ def build_problem(
 ) -> TrajectoryProblem:
     """Build one of the four benchmark problems at the given horizon.
 
-    The step size is the model's total time divided by the horizon.  Car
-    problems default to the bundled 'simple' track.  The returned problem
-    carries build metadata (params, track, step size) in ``meta``.
+    The discretizer defaults to the env's first entry in
+    :data:`ENV_DISCRETIZERS`.  The step size is the model's total time
+    divided by the horizon; a step size that is not finite and positive
+    raises ``ParameterError``.  Car problems default to the bundled
+    'simple' track.  The returned problem carries build metadata (params,
+    track, step size) in ``meta``.
     """
     if env not in ENV_KINDS:
         raise ConfigError("env", f"unknown environment {env!r}; expected one of {ENV_KINDS}")
     if horizon < 1:
         raise ConfigError("horizon", f"must be >= 1, got {horizon}")
-    scheme = discretizer or DEFAULT_DISCRETIZER[env]
-    if scheme not in DISCRETIZERS:
-        raise ConfigError(
-            "discretizer", f"unknown discretizer {scheme!r}; expected one of {DISCRETIZERS}"
-        )
-    if scheme not in _ALLOWED[env]:
-        raise ConfigError("discretizer", f"{env} does not support the {scheme} scheme")
+    allowed = ENV_DISCRETIZERS[env]
+    scheme = discretizer or allowed[0]
+    if scheme not in allowed:
+        raise ConfigError("discretizer", f"got {scheme!r}, {env} allows one of {allowed}")
 
     if env == "pendulum":
         return _build_pendulum(horizon, scheme, params or PendulumParams())
@@ -84,12 +91,8 @@ def build_problem(
     return _build_bicycle(horizon, scheme, track, params or BicycleParams())
 
 
-def _ctrl_blocks(scheme: str) -> int:
-    return 3 if scheme == "rk4-varying" else 1
-
-
 def _build_pendulum(horizon, scheme, p: PendulumParams) -> TrajectoryProblem:
-    dt = p.total_time / horizon
+    dt = _step_size(p, horizon)
     f = _discretize(lambda z, u: pendulum_dynamics(z, u, p), scheme, dt)
     # the running cost reads t only to tell it from the final cost, so one
     # callable serves every stage and its expansion runs in blocks
@@ -100,13 +103,13 @@ def _build_pendulum(horizon, scheme, p: PendulumParams) -> TrajectoryProblem:
         final_cost=lambda x: pendulum_cost(horizon, x, (), horizon, p),
         x0=[0.0, 0.0],
         n_x=2,
-        n_u=1 * _ctrl_blocks(scheme),
+        n_u=1 * _SCHEMES[scheme][1],
         meta={"env": "pendulum", "params": p, "dt": dt, "discretizer": scheme},
     )
 
 
 def _build_cartpole(horizon, scheme, p: CartPoleParams) -> TrajectoryProblem:
-    dt = p.total_time / horizon
+    dt = _step_size(p, horizon)
     tbar = stay_put_start(horizon, p)
     f = _discretize(lambda z, u: cartpole_dynamics(z, u, p), scheme, dt)
     # the running cost takes two forms, split at tbar: one callable each
@@ -119,7 +122,7 @@ def _build_cartpole(horizon, scheme, p: CartPoleParams) -> TrajectoryProblem:
         final_cost=lambda x: cartpole_cost(horizon, x, (), horizon, tbar, p),
         x0=[0.0, 0.0, 0.0, 0.0],
         n_x=4,
-        n_u=1 * _ctrl_blocks(scheme),
+        n_u=1 * _SCHEMES[scheme][1],
         meta={"env": "cartpole", "params": p, "dt": dt, "discretizer": scheme,
               "stay_put_from": tbar},
     )
@@ -131,7 +134,7 @@ def _start_pose(track: Track):
 
 
 def _build_simple_car(horizon, scheme, track: Track, p: SimpleCarParams) -> TrajectoryProblem:
-    dt = p.total_time / horizon
+    dt = _step_size(p, horizon)
 
     def f_cont(z, u):
         # steering squashed into (-pi/3, pi/3); acceleration unconstrained
@@ -158,7 +161,7 @@ def _build_simple_car(horizon, scheme, track: Track, p: SimpleCarParams) -> Traj
         final_cost=lambda x: tracking(x, horizon),
         x0=[x0, y0, th0, p.v_init],
         n_x=4,
-        n_u=2 * _ctrl_blocks(scheme),
+        n_u=2 * _SCHEMES[scheme][1],
         meta={"env": "simple-car", "params": p, "dt": dt, "discretizer": scheme,
               "track": track},
     )
@@ -173,10 +176,8 @@ def _build_bicycle(horizon, scheme, track: Track, p: BicycleParams) -> Trajector
     integrates with the configured scheme while the curve pair uses a
     plain Euler update.
     """
-    dt = p.total_time / horizon
-    phys_step = _discretize(
-        lambda z, u: bicycle_dynamics(z, u, p), "rk4" if scheme == "rk4" else "euler", dt
-    )
+    dt = _step_size(p, horizon)
+    phys_step = _discretize(lambda z, u: bicycle_dynamics(z, u, p), scheme, dt)
 
     def f(x, u):
         phys, s, s_rate = x[:6], x[6], x[7]

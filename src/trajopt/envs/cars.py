@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .. import autodiff as ad
-from ..errors import DomainError
+from ..errors import DomainError, ParameterError
 
 __all__ = [
     "SimpleCarParams",
@@ -39,7 +39,7 @@ class SimpleCarParams:
 
     def __post_init__(self):
         if self.length <= 0:
-            raise ValueError("car length must be positive")
+            raise ParameterError("car length must be positive")
 
 
 @dataclass(frozen=True)
@@ -74,9 +74,9 @@ class BicycleParams:
 
     def __post_init__(self):
         if min(self.mass, self.inertia_z, self.l_r, self.l_f) <= 0:
-            raise ValueError("masses, inertia and axle distances must be positive")
+            raise ParameterError("masses, inertia and axle distances must be positive")
         if min(self.b_r, self.c_r, self.d_r, self.b_f, self.c_f, self.d_f) <= 0:
-            raise ValueError("tire-curve constants must be positive")
+            raise ParameterError("tire-curve constants must be positive")
 
 
 _SIMPLE = SimpleCarParams()

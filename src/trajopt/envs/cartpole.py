@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass
 
 from .. import autodiff as ad
+from ..errors import ParameterError
 
 __all__ = ["CartPoleParams", "cartpole_dynamics", "cartpole_cost"]
 
@@ -33,7 +34,7 @@ class CartPoleParams:
         # as the rod has its own moment of inertia
         det_floor = (self.cart_mass + self.pole_mass) * self.inertia
         if det_floor <= 0:
-            raise ValueError("masses and inertia must keep the mass matrix invertible")
+            raise ParameterError("masses and inertia must keep the mass matrix invertible")
 
 
 _DEFAULT = CartPoleParams()

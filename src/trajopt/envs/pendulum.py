@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass
 
 from .. import autodiff as ad
+from ..errors import ParameterError
 
 __all__ = ["PendulumParams", "pendulum_dynamics", "pendulum_cost"]
 
@@ -29,9 +30,9 @@ class PendulumParams:
 
     def __post_init__(self):
         if self.mass <= 0 or self.length <= 0:
-            raise ValueError("mass and length must be positive")
+            raise ParameterError("mass and length must be positive")
         if min(self.friction, self.ctrl_weight, self.speed_weight) < 0:
-            raise ValueError("friction and cost weights must be non-negative")
+            raise ParameterError("friction and cost weights must be non-negative")
 
 
 _DEFAULT = PendulumParams()

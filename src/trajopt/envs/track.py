@@ -95,7 +95,7 @@ def track_build(waypoints, width: float) -> Track:
 
 def track_loads(text: str) -> Track:
     """Parse the track file format: a width header then one x,y pair per line."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
     if not lines or not lines[0].startswith("width="):
         raise ShapeError("track file must start with a 'width=<float>' line")
     try:

@@ -37,6 +37,7 @@ from .oracles import (
 )
 
 __all__ = [
+    "STEP_RULES",
     "LineSearchConfig",
     "StopCriteria",
     "SolveTrace",
@@ -62,6 +63,10 @@ CONVERGED_RESIDUAL_RTOL = 1e-6
 # classified by its stationarity residual.
 NU_MAX = 1e40
 
+# The two step rules, in the order run grids iterate them.
+STEP_RULES = ("directional", "regularized")
+
+
 @dataclass(frozen=True)
 class LineSearchConfig:
     """Step-rule selection and its constants."""
@@ -73,7 +78,7 @@ class LineSearchConfig:
     nu_init: float = 1e-6
 
     def __post_init__(self):
-        if self.rule not in ("directional", "regularized"):
+        if self.rule not in STEP_RULES:
             raise ParameterError(f"unknown line-search rule {self.rule!r}")
         if not 0.0 < self.rho_dec < 1.0:
             raise ParameterError(f"rho_dec must be in (0, 1), got {self.rho_dec}")

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import trajopt.lqsolve
-from trajopt.envs.build import _ALLOWED
+from trajopt.envs.build import ENV_DISCRETIZERS
 
 from trajopt._testing import (  # noqa: F401  (re-exported for the test modules)
+    acceptance_violations,
     concave_fixture,
     concave_stage_problem,
     env_interior_point,
@@ -25,7 +26,7 @@ from trajopt._testing import (  # noqa: F401  (re-exported for the test modules)
 
 
 # every env with each discretizer it allows
-ENV_SCHEMES = [(env, scheme) for env, schemes in _ALLOWED.items() for scheme in schemes]
+ENV_SCHEMES = [(env, scheme) for env, schemes in ENV_DISCRETIZERS.items() for scheme in schemes]
 
 
 @pytest.fixture

@@ -19,19 +19,14 @@ import pytest
 from trajopt.dense import smoothness_bounds, trajectory_jacobian
 from trajopt.envs import build_problem
 from trajopt.envs.track import border_cost, track_eval
-from trajopt.linesearch import (
-    ACCEPT_TIE_RTOL,
-    LineSearchConfig,
-    StopCriteria,
-    solve,
-    stationarity_residual,
-)
+from trajopt.linesearch import LineSearchConfig, StopCriteria, solve, stationarity_residual
 from trajopt.lqsolve import dynprog
 from trajopt.oracles import ORACLES, bundle_gradient, forward, oracle, oracle_step
 from trajopt import autodiff
 from trajopt.core import TrajectoryProblem, quadratic_cost, quadratic_state_cost
 
 from conftest import (
+    acceptance_violations,
     concave_fixture,
     concave_stage_problem,
     env_interior_point,
@@ -207,16 +202,9 @@ def test_criterion_05_linesearch_contracts(bench):
     worst_violation = -math.inf
     steps = 0
     for run in bench.values():
-        rows = run.trace.rows
-        for prev, row in zip(rows, rows[1:]):
-            if math.isnan(row.model_decrease):
-                continue  # stall-carried candidate: no acceptance claim
-            factor = row.stepsize if run.rule == "directional" else 1.0
-            slack = ACCEPT_TIE_RTOL * (1.0 + abs(prev.cost))
-            worst_violation = max(
-                worst_violation, (row.cost - prev.cost) - factor * row.model_decrease - slack
-            )
-            steps += 1
+        violations = acceptance_violations(run.trace, run.rule)
+        worst_violation = max([worst_violation, *violations])
+        steps += len(violations)
     assert worst_violation <= 0.0
 
     worst_identity = 0.0

@@ -12,10 +12,12 @@ from trajopt.cli import (
     EXIT_OK,
     RunConfig,
     TraceFile,
+    initial_controls,
     main,
     parse_config,
     serialize_config,
 )
+from trajopt.envs import build_problem
 from trajopt.errors import ConfigError
 
 
@@ -68,6 +70,11 @@ class TestSolveCommand:
         plain, seeded = TraceFile.read(str(out_a)), TraceFile.read(str(out_b))
         assert seeded.footer["seed"] == "3"
         assert plain.rows[0][1] != seeded.rows[0][1]
+        # the start: zeros, plus 0.01 * N(0, 1) drawn from a non-negative seed
+        problem = build_problem("pendulum", 10)
+        assert not initial_controls(problem, -1).any()
+        drawn = 0.01 * np.random.default_rng(3).standard_normal((10, 1))
+        np.testing.assert_array_equal(initial_controls(problem, 3), drawn)
 
     def test_trace_columns_finite(self, tmp_path):
         out = tmp_path / "trace.csv"

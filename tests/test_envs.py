@@ -10,8 +10,13 @@ from hypothesis import strategies as st
 
 from trajopt import autodiff
 from trajopt.envs import (
+    DISCRETIZERS,
+    ENV_DISCRETIZERS,
+    ENV_KINDS,
+    BicycleParams,
     CartPoleParams,
     PendulumParams,
+    SimpleCarParams,
     bicycle_dynamics,
     build_problem,
     cartpole_cost,
@@ -29,7 +34,7 @@ from trajopt.envs import (
     stay_put_start,
     track_eval,
 )
-from trajopt.errors import ConfigError, DomainError
+from trajopt.errors import ConfigError, DomainError, ParameterError
 from trajopt.oracles import forward
 
 from conftest import env_interior_point, fd_hessian, fd_jacobian
@@ -245,13 +250,37 @@ class TestBuildProblem:
         with pytest.raises(ConfigError):
             build_problem("foo", 10)
 
-    def test_bicycle_rejects_varying_controls(self):
-        with pytest.raises(ConfigError):
-            build_problem("bicycle-car", 10, discretizer="rk4-varying")
+    @pytest.mark.parametrize("env", ENV_KINDS)
+    @pytest.mark.parametrize("scheme", DISCRETIZERS)
+    def test_builds_exactly_the_table_pairs(self, env, scheme):
+        default = build_problem(env, 10, discretizer=None)
+        assert default.meta["discretizer"] == ENV_DISCRETIZERS[env][0]
+        if scheme not in ENV_DISCRETIZERS[env]:
+            with pytest.raises(ConfigError) as err:
+                build_problem(env, 10, discretizer=scheme)
+            assert err.value.field == "discretizer"
+            return
+        problem = build_problem(env, 10, discretizer=scheme)
+        assert problem.meta["discretizer"] == scheme
+        # the varying-control stencil takes three control blocks per stage
+        assert problem.n_u == default.n_u * (3 if scheme == "rk4-varying" else 1)
 
-    def test_varying_controls_triple_the_control_dim(self):
-        p = build_problem("pendulum", 10, discretizer="rk4-varying")
-        assert p.n_u == 3
+    @pytest.mark.parametrize("params,field,value", [
+        (PendulumParams, "mass", -1.0),
+        (CartPoleParams, "inertia", 0.0),
+        (SimpleCarParams, "length", 0.0),
+        (BicycleParams, "mass", 0.0),
+    ])
+    def test_bad_params_raise_parameter_error(self, params, field, value):
+        with pytest.raises(ParameterError):
+            params(**{field: value})
+
+    @pytest.mark.parametrize("env", ENV_KINDS)
+    @pytest.mark.parametrize("total_time", [math.nan, math.inf, 0.0, -1.0])
+    def test_step_size_must_be_finite_and_positive(self, env, total_time):
+        params = build_problem(env, 10).meta["params"]
+        with pytest.raises(ParameterError, match="total_time"):
+            build_problem(env, 10, params=dataclasses.replace(params, total_time=total_time))
 
     @pytest.mark.parametrize("env,distinct", [("pendulum", 1), ("cartpole", 2)])
     def test_running_costs_share_callables(self, env, distinct):

@@ -7,7 +7,7 @@ import pytest
 
 import trajopt.linesearch
 from trajopt import autodiff as ad
-from trajopt.cli import _initial_controls
+from trajopt.cli import initial_controls
 from trajopt.core import TrajectoryProblem, linear_dynamics
 from trajopt.dense import dense_gradient
 from trajopt.envs import build_problem
@@ -434,7 +434,7 @@ class TestEveryCell:
         bug) escape no solve; cart-pole under rk4 meets cos(inf) here.
         """
         problem = build_problem(env, 10, scheme)
-        u0 = _initial_controls(problem, 0)
+        u0 = initial_controls(problem, 0)
         for kind in ORACLE_KINDS:
             for rule in ("directional", "regularized"):
                 try:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from trajopt.envs import ENV_DISCRETIZERS
 from trajopt.oracles import ORACLE_KINDS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -88,10 +89,10 @@ def test_oracle_hashes_prints_two_hashes_per_cell():
     )
     assert proc.returncode == 0, proc.stderr
     cells = [line.split() for line in proc.stdout.splitlines()]
-    # three discretizers x horizons 7 and 30 x seeds 0 and 1
+    # each allowed discretizer x horizons 7 and 30 x seeds 0 and 1
     assert [name for name, _, _ in cells] == [
         f"pendulum/{scheme}/h{h}/seed{seed}"
-        for scheme in ("euler", "rk4", "rk4-varying") for h in (7, 30) for seed in (0, 1)
+        for scheme in ENV_DISCRETIZERS["pendulum"] for h in (7, 30) for seed in (0, 1)
     ]
     # an oracle digest and a solve digest per cell
     digests = [digest for _, *pair in cells for digest in pair]

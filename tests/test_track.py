@@ -142,6 +142,11 @@ class TestTrackFiles:
         assert track.width == pytest.approx(0.5)
         assert track.knots == 3
 
+    def test_indented_comment_lines_skipped(self):
+        track = track_loads("width=1\n  # c\n0,0\n1,0\n")
+        assert track.width == pytest.approx(1.0)
+        assert track.knots == 2
+
     def test_rejects_nan(self):
         with pytest.raises(ShapeError):
             track_loads("width=0.5\n0.0,0.0\nnan,1.0\n")

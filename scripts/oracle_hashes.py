@@ -1,5 +1,9 @@
 #!/usr/bin/env python3
-"""Print two hashes per problem: its oracle computations, and short solves from it.
+"""Print a hash per bundled track, then two per problem: its oracle computations and short solves.
+
+A track's hash covers the shape, dtype and bytes of its spline
+coefficients ``x_coeffs`` and ``y_coeffs``, so the gate sees track build
+directly and not only through the car problems built on the tracks.
 
 A cell is one env under one discretizer it allows, at horizon 7 or 30 and
 seed 0 or 1.  Its first hash covers, from the seeded controls
@@ -21,7 +25,8 @@ the same lines compute the same derivatives, oracle directions and
 iterates bit for bit.  A forward pass, roll-out or solve that raises a
 numeric error enters as that error.
 
-Usage: python scripts/oracle_hashes.py [env ...]   (default: every env)
+Usage: python scripts/oracle_hashes.py [env ...]   (default: every env; the
+track lines are always printed)
 """
 
 import argparse
@@ -32,6 +37,7 @@ import sys
 import numpy as np
 
 from trajopt.cli import initial_controls
+from trajopt.envs import bundled_track
 from trajopt.envs.build import ENV_DISCRETIZERS, ENV_KINDS, build_problem
 from trajopt.errors import DivergenceError
 from trajopt.linesearch import STEP_RULES, LineSearchConfig, StopCriteria, solve
@@ -42,6 +48,7 @@ SEEDS = (0, 1)
 RIDGES = (None, 1.0, 100.0)  # None: the kind's start_nu
 ORDERS = ((1, 1), (1, 2), (2, 2))
 SOLVE_ITERS = 10
+TRACKS = ("simple", "complex")
 
 
 def _feed(digest, value) -> None:
@@ -60,6 +67,13 @@ def _feed_fields(digest, record, skip=()) -> None:
         if field.name not in skip:
             digest.update(field.name.encode())
             _feed(digest, getattr(record, field.name))
+
+
+def track_hash(name: str) -> str:
+    digest = hashlib.sha256()
+    track = bundled_track(name)
+    _feed(digest, (track.x_coeffs, track.y_coeffs))
+    return digest.hexdigest()
 
 
 def cell_hash(problem, u) -> str:
@@ -113,6 +127,8 @@ def main() -> int:
     unknown = sorted(set(args.envs) - set(ENV_KINDS))
     if unknown:
         parser.error(f"unknown env {unknown[0]!r}; expected any of {', '.join(ENV_KINDS)}")
+    for name in TRACKS:
+        print(f"track/{name} {track_hash(name)}", flush=True)
     for env in args.envs or ENV_KINDS:
         for scheme in ENV_DISCRETIZERS[env]:
             for horizon in HORIZONS:

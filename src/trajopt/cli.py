@@ -28,7 +28,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import _testing, autodiff
-from .envs.build import DISCRETIZERS, ENV_DISCRETIZERS, ENV_KINDS, build_problem
+from .envs.build import DISCRETIZERS, ENV_DISCRETIZERS, ENV_KINDS, build_problem, env_discretizer
 from .errors import ConfigError, DivergenceError, TrajoptError
 from .linesearch import STEP_RULES, LineSearchConfig, SolveTrace, StopCriteria, solve
 from .oracles import ORACLE_KINDS
@@ -71,10 +71,7 @@ class RunConfig:
                 raise ConfigError(name, f"got {getattr(self, name)!r}, expected one of {kinds}")
         if self.horizon < 1:
             raise ConfigError("horizon", f"must be >= 1, got {self.horizon}")
-        if self.discretizer and self.discretizer not in DISCRETIZERS:
-            raise ConfigError(
-                "discretizer", f"got {self.discretizer!r}, expected one of {DISCRETIZERS}"
-            )
+        env_discretizer(self.env, self.discretizer)
         if self.max_iters < 0:
             raise ConfigError("max_iters", f"must be >= 0, got {self.max_iters}")
         if self.rel_tol <= 0 or self.min_step <= 0:

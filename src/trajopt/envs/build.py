@@ -21,7 +21,7 @@ from .integrators import euler_step, rk4_step, rk4_varying_step
 from .pendulum import PendulumParams, pendulum_cost, pendulum_dynamics
 from .track import Track, bundled_track, contouring_errors, border_cost, track_eval
 
-__all__ = ["ENV_KINDS", "ENV_DISCRETIZERS", "DISCRETIZERS", "build_problem"]
+__all__ = ["ENV_KINDS", "ENV_DISCRETIZERS", "DISCRETIZERS", "env_discretizer", "build_problem"]
 
 # Each env and the discretizers it allows, its default first.  The bicycle
 # model augments its state with the curve parameter; that pair integrates
@@ -42,6 +42,15 @@ _SCHEMES = {
     "rk4-varying": (rk4_varying_step, 3),
 }
 DISCRETIZERS = tuple(_SCHEMES)
+
+
+def env_discretizer(env: str, discretizer: str | None = None) -> str:
+    """``discretizer``, or env's default when it is empty; ``ConfigError`` if env disallows it."""
+    allowed = ENV_DISCRETIZERS[env]
+    scheme = discretizer or allowed[0]
+    if scheme not in allowed:
+        raise ConfigError("discretizer", f"got {scheme!r}, {env} allows one of {allowed}")
+    return scheme
 
 
 def _discretize(f_cont, scheme: str, dt: float):
@@ -76,10 +85,7 @@ def build_problem(
         raise ConfigError("env", f"unknown environment {env!r}; expected one of {ENV_KINDS}")
     if horizon < 1:
         raise ConfigError("horizon", f"must be >= 1, got {horizon}")
-    allowed = ENV_DISCRETIZERS[env]
-    scheme = discretizer or allowed[0]
-    if scheme not in allowed:
-        raise ConfigError("discretizer", f"got {scheme!r}, {env} allows one of {allowed}")
+    scheme = env_discretizer(env, discretizer)
 
     if env == "pendulum":
         return _build_pendulum(horizon, scheme, params or PendulumParams())

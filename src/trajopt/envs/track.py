@@ -7,6 +7,16 @@ like arc length; the reference speed of the racing costs is expressed in
 these units per second.  ``track_eval`` is generic over scalar type so
 costs can differentiate through the curve parameter; the error terms take
 its ``TrackPoint``, so a cost evaluates the spline once for all of them.
+
+``track_build`` fits the splines on Python floats and reproduces
+``scipy.interpolate.CubicSpline(..., bc_type="natural")`` bit for bit
+(de Boor, *A Practical Guide to Splines*, ch. IV).  The knot slopes solve
+scipy's tridiagonal system, which scipy hands to LAPACK ``dgtsv``.  With
+unit knots that system is strictly diagonally dominant (diagonal 2, 4,
+..., 4, 2 against off-diagonal 1), so ``dgtsv`` never swaps rows, and its
+pivot-free elimination in the same operation order gives the same slopes.
+The back-solve keeps ``dgtsv``'s ``- dl[i] * s[i + 2]`` term even though
+``dl[i]`` is zero there: it decides the sign of a zero slope.
 """
 
 from __future__ import annotations
@@ -17,7 +27,6 @@ from importlib import resources
 from typing import NamedTuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .. import autodiff as ad
 from ..errors import ShapeError
@@ -87,10 +96,36 @@ def track_build(waypoints, width: float) -> Track:
     gaps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     if np.any(gaps == 0.0):
         raise ShapeError("duplicate consecutive waypoints")
-    s = np.arange(pts.shape[0], dtype=float)
-    sx = CubicSpline(s, pts[:, 0], bc_type="natural")
-    sy = CubicSpline(s, pts[:, 1], bc_type="natural")
-    return Track(pts, float(width), sx.c.copy(), sy.c.copy())
+    return Track(pts, float(width), _natural_spline(pts[:, 0].tolist()),
+                 _natural_spline(pts[:, 1].tolist()))
+
+
+def _natural_spline(y: list) -> np.ndarray:
+    """(4, n-1) coefficients of the natural cubic spline through y at knots 0..n-1.
+
+    Slopes s solve s[i-1] + 4 s[i] + s[i+1] = 3 (slope[i-1] + slope[i])
+    inside and 2 s[0] + s[1], s[-2] + 2 s[-1] = 3 slope at the ends, in
+    ``dgtsv``'s order (see the module docstring); the coefficients are
+    ``CubicHermiteSpline``'s, whose divisions by the unit knot gap are exact.
+    """
+    n = len(y)
+    slope = [b - a for a, b in zip(y, y[1:])]
+    d = [2.0] + [4.0] * (n - 2) + [2.0]
+    # the end rows carry the natural condition's zero second derivative term
+    s = ([-0.0 + 3.0 * slope[0]] + [3.0 * (a + b) for a, b in zip(slope, slope[1:])]
+         + [0.0 + 3.0 * slope[-1]])
+    for i in range(n - 1):
+        fact = 1.0 / d[i]
+        d[i + 1] -= fact
+        s[i + 1] -= fact * s[i]
+    s[-1] /= d[-1]
+    for i in range(n - 2, -1, -1):
+        r = s[i] - s[i + 1]
+        if i + 2 < n:
+            r -= 0.0 * s[i + 2]  # dgtsv's zeroed second superdiagonal: it signs zeros
+        s[i] = r / d[i]
+    t = [a + b - 2.0 * m for a, b, m in zip(s, s[1:], slope)]
+    return np.array([t, [m - a - c for m, a, c in zip(slope, s, t)], s[:-1], y[:-1]])
 
 
 def track_loads(text: str) -> Track:

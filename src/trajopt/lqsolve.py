@@ -10,22 +10,28 @@ reads from the bundle's adjoints instead), and ``dynprog`` solves a
 convex linear-quadratic problem globally by one Gauss-Newton step of
 :mod:`trajopt.oracles`, whose sweep chains these stage solutions.
 
-The stages call LAPACK's ``dpotrf``/``dpotrs`` directly, as
-``scipy.linalg.cho_factor``/``cho_solve`` do after argument checks that
-cost several times the factorization of a stage a few numbers wide.  A
-1x1 block (one control: the pendulum, the cart-pole) makes no LAPACK
-call: its factor is l = sqrt(a), rejected at a <= 0 as ``dpotrf`` rejects
-it, and a solve is ``(b * r) * r`` with r = 1/l, as OpenBLAS's triangular
-solves multiply by the reciprocal of the diagonal.  Both are the
-library's results bit for bit; ``(b / l) / l`` would not be.
+Stages with more than one control call LAPACK's ``dpotrf``/``dpotrs``
+directly, as ``scipy.linalg.cho_factor``/``cho_solve`` do after argument
+checks that cost several times the factorization of a stage a few numbers
+wide.  A 1x1 block (one control: the pendulum, the cart-pole) makes no
+LAPACK call: its factor is l = sqrt(a), rejected at a <= 0 as ``dpotrf``
+rejects it, and a solve is ``(b * r) * r`` with r = 1/l, as OpenBLAS's
+triangular solves multiply by the reciprocal of the diagonal.  Both are
+the library's results bit for bit; ``(b / l) / l`` would not be.
+
+``_lapack`` imports ``scipy.linalg.lapack`` at the first multi-control
+factorization, not with this module: the import costs about a quarter of a
+second, and one-control problems never need it.  No plain-float factor
+replaces it for wider blocks, because the host's BLAS kernels (fused
+multiply-adds or not) decide its last bits.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .core import TrajectoryProblem, _sym
 from .errors import InfeasibleStageError, ParameterError
@@ -37,6 +43,14 @@ __all__ = ["lqbp", "lbp", "check_subproblem", "dynprog"]
 # is still solvable and must not flip between valid and invalid on the
 # sign of a rounding error.
 DESCENT_STRICTNESS = 1e-14
+
+
+@functools.lru_cache(maxsize=None)
+def _lapack():
+    """LAPACK's ``(dpotrf, dpotrs)``, imported at the first call."""
+    from scipy.linalg.lapack import dpotrf, dpotrs
+
+    return dpotrf, dpotrs
 
 
 def check_subproblem(B, Q, q, J, j, j0: float):
@@ -66,6 +80,7 @@ def check_subproblem(B, Q, q, J, j, j0: float):
         # x has the slope's sign: slope * x is never -0.0, so it is ddot's 0.0 + slope * x
         Minv_m, decrement = np.array([x]), -0.5 * (slope * x)
     else:
+        dpotrf, dpotrs = _lapack()
         factor, info = dpotrf(_sym(M), lower=1, clean=0)
         if info:
             return None
@@ -93,7 +108,7 @@ def lqbp(A, B, H, R, p, J, j, j0: float, checked) -> tuple:
         r = 1.0 / factor.item()
         Minv_NT = (N.T * r) * r
     else:
-        Minv_NT = dpotrs(factor, N.T, lower=1)[0]
+        Minv_NT = _lapack()[1](factor, N.T, lower=1)[0]
     J_t = _sym(H + AtJ @ A - N @ Minv_NT)
     j_t = p + A.T @ j - N @ Minv_m
     return J_t, j_t, j0 + decrement, -Minv_NT, -Minv_m

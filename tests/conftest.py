@@ -36,14 +36,18 @@ def rng():
 
 @pytest.fixture
 def cholesky_spy(monkeypatch):
-    """Outcomes ("ok" or "failed") of every Cholesky factorization the stages make."""
+    """Outcomes ("ok" or "failed") of every Cholesky factorization the stages make.
+
+    The stages reach LAPACK through ``trajopt.lqsolve._lapack``; the spy
+    replaces that accessor with one whose ``dpotrf`` records its outcome.
+    """
     outcomes = []
-    real = trajopt.lqsolve.dpotrf
+    real, dpotrs = trajopt.lqsolve._lapack()
 
     def spy(*args, **kwargs):
         factor, info = real(*args, **kwargs)
         outcomes.append("failed" if info > 0 else "ok")
         return factor, info
 
-    monkeypatch.setattr(trajopt.lqsolve, "dpotrf", spy)
+    monkeypatch.setattr(trajopt.lqsolve, "_lapack", lambda: (spy, dpotrs))
     return outcomes

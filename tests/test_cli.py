@@ -146,6 +146,15 @@ class TestBenchmarkCommand:
         assert code == 1
         assert "configuration error: horizon:" in capsys.readouterr().err
 
+    def test_discretizer_one_env_does_not_allow_refuses_the_grid(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        code = run_cli("benchmark", "--env", "pendulum,bicycle-car", "--algo", "gn",
+                       "--horizon", "5", "--max-iters", "1", "--discretizer", "rk4-varying",
+                       "--out", str(out))
+        assert code == EXIT_CONFIG
+        assert "configuration error: discretizer:" in capsys.readouterr().err
+        assert not out.exists()  # refused before any cell ran
+
     def test_empty_grid_exits_one(self, tmp_path):
         code = run_cli("benchmark", "--env", ",", "--out", str(tmp_path / "bench"))
         assert code == EXIT_CONFIG

@@ -88,7 +88,11 @@ def test_oracle_hashes_prints_two_hashes_per_cell():
         check=False,
     )
     assert proc.returncode == 0, proc.stderr
-    cells = [line.split() for line in proc.stdout.splitlines()]
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    # one coefficient digest per bundled track comes first
+    tracks, cells = lines[:2], lines[2:]
+    assert [name for name, _ in tracks] == ["track/simple", "track/complex"]
+    assert tracks[0][1] != tracks[1][1]
     # each allowed discretizer x horizons 7 and 30 x seeds 0 and 1
     assert [name for name, _, _ in cells] == [
         f"pendulum/{scheme}/h{h}/seed{seed}"

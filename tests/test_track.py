@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from trajopt import autodiff as ad
 from trajopt.envs import (
@@ -70,6 +71,48 @@ class TestTrackBuild:
         # clamping selects the end segments; the cubic extrapolates linearly
         # there (natural boundary conditions), staying finite
         assert np.isfinite(track_eval(track, 50.0).x)
+
+
+def scipy_coeffs(y):
+    return CubicSpline(np.arange(len(y), dtype=float), y, bc_type="natural").c
+
+
+def assert_same_bytes(got, expected):
+    assert (got.shape, got.dtype) == (expected.shape, expected.dtype)
+    assert got.tobytes() == expected.tobytes()
+
+
+class TestSplineMatchesScipy:
+    """The plain-float fit gives scipy's natural-spline coefficients bit for bit."""
+
+    def check(self, pts):
+        track = track_build(pts, 1.0)
+        assert_same_bytes(track.x_coeffs, scipy_coeffs(track.waypoints[:, 0]))
+        assert_same_bytes(track.y_coeffs, scipy_coeffs(track.waypoints[:, 1]))
+
+    @pytest.mark.parametrize("name", ["simple", "complex"])
+    def test_bundled_tracks(self, name):
+        self.check(bundled_track(name).waypoints)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_random_waypoint_sets(self, scale):
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            self.check(scale * rng.standard_normal((int(rng.integers(2, 60)), 2)))
+
+    def test_integer_waypoints(self):
+        rng = np.random.default_rng(12)
+        for n in range(2, 60):
+            pts = np.column_stack([np.arange(n), rng.integers(-3, 4, n)]).astype(float)
+            self.check(pts)
+
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_straight_track_on_zero_keeps_signed_zeros(self, n):
+        self.check([(float(i), 0.0) for i in range(n)])
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_shortest_tracks(self, n):
+        self.check([(0.0, 0.0), (1.5, -0.5), (2.0, 1.0)][:n])
 
 
 class TestContouringErrors:

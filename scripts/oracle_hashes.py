@@ -15,10 +15,13 @@ seed 0 or 1.  Its first hash covers, from the seeded controls
   ``c0_zero``, ``K``, ``k``, ``direction``) of each oracle kind at its
   default ridge, 1 and 100.
 
-Its second hash gates the line-search layer: one ``solve`` per oracle
-kind and step rule from the seeded controls, stopped after at most
-``SOLVE_ITERS`` iterations.  It covers the status, the iteration count,
-every ``TraceRow`` field but ``time_ms`` and the final controls.
+Its second hash gates the line-search layer: one ``solve`` per
+backtracking factor in ``RHO_DECS``, oracle kind and step rule from the
+seeded controls, stopped after at most ``SOLVE_ITERS`` iterations.  It
+covers the status, the iteration count, every ``TraceRow`` field but
+``time_ms`` and the final controls.  At the default factor 0.5 every
+directional stepsize is a power of two, so the linearized kinds scale one
+unit roll-out; 0.3 makes their trials roll out one by one.
 
 Arrays enter as their shape, dtype and bytes, so two checkouts that print
 the same lines compute the same derivatives, oracle directions and
@@ -32,6 +35,7 @@ track lines are always printed)
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import sys
 
 import numpy as np
@@ -48,6 +52,7 @@ SEEDS = (0, 1)
 RIDGES = (None, 1.0, 100.0)  # None: the kind's start_nu
 ORDERS = ((1, 1), (1, 2), (2, 2))
 SOLVE_ITERS = 10
+RHO_DECS = (0.5, 0.3)
 TRACKS = ("simple", "complex")
 
 
@@ -105,18 +110,17 @@ def cell_hash(problem, u) -> str:
 
 def solve_hash(problem, u) -> str:
     digest = hashlib.sha256()
-    for kind in ORACLE_KINDS:
-        for rule in STEP_RULES:
-            try:
-                u_end, trace = solve(problem, u, kind, LineSearchConfig(rule=rule),
-                                     StopCriteria(max_iters=SOLVE_ITERS))
-            except DivergenceError as err:
-                _feed(digest, f"{kind} {rule} DivergenceError: {err}")
-                continue
-            _feed(digest, (trace.status, trace.iterations))
-            for row in trace.rows:
-                _feed_fields(digest, row, skip=("time_ms",))
-            _feed(digest, u_end)
+    for rho_dec, kind, rule in itertools.product(RHO_DECS, ORACLE_KINDS, STEP_RULES):
+        try:
+            u_end, trace = solve(problem, u, kind, LineSearchConfig(rule=rule, rho_dec=rho_dec),
+                                 StopCriteria(max_iters=SOLVE_ITERS))
+        except DivergenceError as err:
+            _feed(digest, f"rho_dec={rho_dec} {kind} {rule} DivergenceError: {err}")
+            continue
+        _feed(digest, (trace.status, trace.iterations))
+        for row in trace.rows:
+            _feed_fields(digest, row, skip=("time_ms",))
+        _feed(digest, u_end)
     return digest.hexdigest()
 
 

@@ -74,8 +74,8 @@ class RunConfig:
         env_discretizer(self.env, self.discretizer)
         if self.max_iters < 0:
             raise ConfigError("max_iters", f"must be >= 0, got {self.max_iters}")
-        if self.rel_tol <= 0 or self.min_step <= 0:
-            raise ConfigError("rel_tol", "tolerances must be positive")
+        if not (0 < self.rel_tol < math.inf and 0 < self.min_step < math.inf):
+            raise ConfigError("rel_tol", "tolerances must be finite and positive")
         if self.parallel < 1:
             raise ConfigError("parallel", f"must be >= 1, got {self.parallel}")
         return self

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from types import MappingProxyType
 
 from .. import autodiff as ad
@@ -83,8 +84,8 @@ def build_problem(
     """
     if env not in ENV_KINDS:
         raise ConfigError("env", f"unknown environment {env!r}; expected one of {ENV_KINDS}")
-    if horizon < 1:
-        raise ConfigError("horizon", f"must be >= 1, got {horizon}")
+    if not isinstance(horizon, numbers.Integral) or horizon < 1:
+        raise ConfigError("horizon", f"must be an integer >= 1, got {horizon!r}")
     scheme = env_discretizer(env, discretizer)
 
     if env == "pendulum":

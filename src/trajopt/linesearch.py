@@ -18,6 +18,7 @@ acceptable raw stepsizes bounded as the iterates approach stationarity.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -82,10 +83,10 @@ class LineSearchConfig:
             raise ParameterError(f"unknown line-search rule {self.rule!r}")
         if not 0.0 < self.rho_dec < 1.0:
             raise ParameterError(f"rho_dec must be in (0, 1), got {self.rho_dec}")
-        if self.rho_inc <= 1.0:
-            raise ParameterError(f"rho_inc must be > 1, got {self.rho_inc}")
-        if self.gamma_min <= 0.0 or self.nu_init <= 0.0:
-            raise ParameterError("gamma_min and nu_init must be positive")
+        if not 1.0 < self.rho_inc < math.inf:
+            raise ParameterError(f"rho_inc must be finite and > 1, got {self.rho_inc}")
+        if not (0.0 < self.gamma_min < math.inf and 0.0 < self.nu_init < math.inf):
+            raise ParameterError("gamma_min and nu_init must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -97,10 +98,10 @@ class StopCriteria:
     min_step: float = 1e-20
 
     def __post_init__(self):
-        if self.max_iters < 0:
-            raise ParameterError(f"max_iters must be >= 0, got {self.max_iters}")
-        if self.cost_rel_tol <= 0.0 or self.min_step <= 0.0:
-            raise ParameterError("tolerances must be positive")
+        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 0:
+            raise ParameterError(f"max_iters must be an integer >= 0, got {self.max_iters!r}")
+        if not (0.0 < self.cost_rel_tol < math.inf and 0.0 < self.min_step < math.inf):
+            raise ParameterError("tolerances must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -132,7 +133,7 @@ class SolveTrace:
         return len(self.rows) - 1
 
 
-def _backtrack(problem: TrajectoryProblem, u, j_current: float, gamma: float,
+def _backtrack(bundle: ExpansionBundle, j_current: float, gamma: float,
                cfg: LineSearchConfig, trial) -> tuple[np.ndarray, float, float]:
     """The trial loop both step rules share, from stepsize ``gamma`` down.
 
@@ -144,15 +145,14 @@ def _backtrack(problem: TrajectoryProblem, u, j_current: float, gamma: float,
     minimum, carrying the best candidate if it still decreased the
     objective.
     """
-    u = np.asarray(u, dtype=float)
     best, best_cost = None, math.inf
     while True:
         try:
             proposal = trial(gamma)
             if proposal is not None:
                 offset, bound = proposal
-                candidate = u + offset
-                j_trial = objective_value(problem, candidate)
+                candidate = bundle.u + offset
+                j_trial = objective_value(bundle.problem, candidate)
         except (DivergenceError, NumericError):
             proposal = None
         if proposal is not None:
@@ -166,36 +166,37 @@ def _backtrack(problem: TrajectoryProblem, u, j_current: float, gamma: float,
 
 
 def directional_search(
-    problem: TrajectoryProblem,
-    u,
+    bundle: ExpansionBundle,
+    kind: str,
     K: np.ndarray,
     k: np.ndarray,
     c0_zero: float,
-    step,
     cfg: LineSearchConfig,
 ) -> tuple[np.ndarray, float]:
     """Backtracking on the scaled-offset policy family, starting at gamma = 1.
 
     The policies v_t = K[t] y_t + gamma k[t] roll out along the step map
-    ``step`` (see :func:`rollout`).  Accepts the first gamma with
+    of oracle ``kind`` (see :func:`rollout`).  Accepts the first gamma with
     J(u + v_gamma) <= J(u) + gamma * c0(0).  Returns the accepted point
     and stepsize; raises :class:`StallError` as :func:`_backtrack` does.
 
-    On the linearized step maps (:meth:`ExpansionBundle.linear_step`) the
-    roll-out is linear in the offsets, so the unit policy (K, k) rolls out
-    once and a trial takes gamma times that roll-out.  Above the subnormal
-    range, scaling by a power of two commutes with every rounding of the
-    roll-out's products and sums, so this is the per-trial roll-out bit
-    for bit.  Any other gamma,
-    any increment or user step map, and a unit roll-out that overflowed
-    leave each trial to roll out its own policy.
+    On the linearized step maps the roll-out is linear in the offsets, so
+    the unit policy (K, k) rolls out once and a trial takes gamma times
+    that roll-out.  Above the subnormal range, scaling by a power of two
+    commutes with every rounding of the roll-out's products and sums, so
+    this is the per-trial roll-out bit for bit.  Any other gamma, the
+    increment maps and a unit roll-out that overflowed leave each trial to
+    roll out its own policy.
     """
     if not c0_zero < 0.0:
         raise ParameterError(f"directional step needs a negative model value, got {c0_zero}")
-    j_current = objective_value(problem, u)
-    y0 = np.zeros(problem.n_x)
+    spec = oracle_spec(kind)
+    step = spec.step_map(bundle)
+    # not bundle.cost: perfbench counts trials as objective_value calls less searches
+    j_current = objective_value(bundle.problem, bundle.u)
+    y0 = np.zeros(bundle.problem.n_x)
     unit = None
-    if getattr(step, "__func__", None) is ExpansionBundle.linear_step:
+    if not spec.rolls_original:
         try:
             unit = rollout(y0, K, k, step)
         except (DivergenceError, NumericError):
@@ -206,13 +207,11 @@ def directional_search(
             return gamma * unit, gamma * c0_zero
         return rollout(y0, K, gamma * k, step), gamma * c0_zero
 
-    candidate, gamma, _ = _backtrack(problem, u, j_current, 1.0, cfg, trial)
+    candidate, gamma, _ = _backtrack(bundle, j_current, 1.0, cfg, trial)
     return candidate, gamma
 
 
 def regularized_search(
-    problem: TrajectoryProblem,
-    u,
     bundle: ExpansionBundle,
     kind: str,
     gamma: float,
@@ -227,7 +226,7 @@ def regularized_search(
     point, stepsize and model value; raises :class:`StallError` as
     :func:`_backtrack` does.
     """
-    y0 = np.zeros(problem.n_x)
+    y0 = np.zeros(bundle.problem.n_x)
     step = oracle_spec(kind).step_map(bundle)
 
     def trial(gamma):
@@ -236,27 +235,28 @@ def regularized_search(
             return rollout(y0, result.K, result.k, step), result.c0_zero
         return None
 
-    return _backtrack(problem, u, bundle.cost, gamma, cfg, trial)
+    return _backtrack(bundle, bundle.cost, gamma, cfg, trial)
 
 
 def _escalate_directional(bundle: ExpansionBundle, kind: str, cfg: LineSearchConfig):
-    """Backward pass at the kind's starting ridge, escalating nu until a usable descent model.
+    """Walk the ridge ladder 0, nu_init, nu_init * rho_inc, ... to a usable descent model.
 
-    Returns (result, nu) or (None, nu) when escalation gave up, which
-    happens at stationary points where no stage strictly decreases the
-    cost-to-go.
+    The walk starts at the kind's starting ridge.  Returns (result, nu), or
+    (None, nu) when it gives up: past NU_MAX, at a stationary point (no
+    stage strictly decreases the cost-to-go) or for a linear-cost kind,
+    whose ridge only scales its step.
     """
-    nu = oracle_spec(kind).start_nu
-    result = run_backward(bundle, kind, nu)
+    spec = oracle_spec(kind)
     stationary = -1e-18 * (1.0 + abs(bundle.cost))
-    while not result.feasible or not result.c0_zero < 0.0:
-        if result.feasible and result.c0_zero >= stationary:
-            return None, nu  # the model sees no decrease at any ridge
-        nu = cfg.nu_init if nu == 0.0 else nu * cfg.rho_inc
-        if kind == "gd" or nu > NU_MAX:
-            return None, nu
+    nu = spec.start_nu
+    while nu <= NU_MAX:
         result = run_backward(bundle, kind, nu)
-    return result, nu
+        if result.feasible and result.c0_zero < 0.0:
+            return result, nu
+        if (result.feasible and result.c0_zero >= stationary) or spec.o_h == 1:
+            break
+        nu = cfg.nu_init if nu == 0.0 else nu * cfg.rho_inc
+    return None, nu
 
 
 def _classify(residual: float, cost: float) -> str:
@@ -313,16 +313,14 @@ def solve(
                     trace.status = _classify(residual, j_current)
                     break
                 c0 = result.c0_zero
-                u_next, gamma = directional_search(
-                    problem, u, result.K, result.k, c0, spec.step_map(bundle), cfg
-                )
+                u_next, gamma = directional_search(bundle, kind, result.K, result.k, c0, cfg)
             else:
                 # the stepsize warm-starts in units of the cost-slope norm
                 scale = bundle.cost_slope_norm()
                 if scale <= 0.0 or not math.isfinite(scale):
                     scale = 1.0
                 u_next, gamma, c0 = regularized_search(
-                    problem, u, bundle, kind, cfg.rho_inc * gamma_prev / scale, cfg
+                    bundle, kind, cfg.rho_inc * gamma_prev / scale, cfg
                 )
                 gamma_prev = gamma * scale
                 nu = 1.0 / gamma

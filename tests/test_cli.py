@@ -51,6 +51,13 @@ class TestSolveCommand:
         assert run_cli("solve", "--env", "foo") == EXIT_CONFIG
         assert "env" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [("--rel-tol", "nan"), ("--rel-tol", "inf"),
+                                            ("--min-step", "nan")])
+    def test_non_finite_tolerance_exits_one(self, capsys, flag, value):
+        code = run_cli("solve", "--env", "pendulum", "--horizon", "20", flag, value)
+        assert code == EXIT_CONFIG
+        assert "configuration error: rel_tol:" in capsys.readouterr().err
+
     def test_zero_iteration_budget_writes_single_row(self, tmp_path):
         out = tmp_path / "trace.csv"
         code = run_cli("solve", "--env", "pendulum", "--algo", "gn",

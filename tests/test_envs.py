@@ -250,6 +250,18 @@ class TestBuildProblem:
         with pytest.raises(ConfigError):
             build_problem("foo", 10)
 
+    @pytest.mark.parametrize("env,horizon", [
+        ("pendulum", 2.5), ("bicycle-car", 3.0), ("cartpole", "5"), ("simple-car", None),
+        ("pendulum", 0), ("pendulum", np.float64(4.0)),
+    ])
+    def test_non_integer_horizon_rejected(self, env, horizon):
+        with pytest.raises(ConfigError) as err:
+            build_problem(env, horizon)
+        assert err.value.field == "horizon"
+
+    def test_numpy_integer_horizon_accepted(self):
+        assert build_problem("pendulum", np.int64(4)).horizon == 4
+
     @pytest.mark.parametrize("env", ENV_KINDS)
     @pytest.mark.parametrize("scheme", DISCRETIZERS)
     def test_builds_exactly_the_table_pairs(self, env, scheme):

@@ -25,6 +25,7 @@ from trajopt.linesearch import (
 from trajopt.lqsolve import dynprog
 from trajopt.oracles import (
     ORACLE_KINDS,
+    OracleDirection,
     forward,
     objective_value,
     oracle,
@@ -48,6 +49,31 @@ def quadratic_scalar_problem():
     )
 
 
+class TestSettings:
+    @pytest.mark.parametrize("setting", [
+        {"rule": "backtracking"},
+        {"rho_dec": math.nan}, {"rho_dec": 1.0},
+        {"rho_inc": math.nan}, {"rho_inc": math.inf}, {"rho_inc": 1.0},
+        {"gamma_min": math.nan}, {"gamma_min": math.inf}, {"gamma_min": 0.0},
+        {"nu_init": math.nan}, {"nu_init": math.inf}, {"nu_init": -1.0},
+    ])
+    def test_line_search_config_rejects(self, setting):
+        with pytest.raises(ParameterError):
+            LineSearchConfig(**setting)
+
+    @pytest.mark.parametrize("setting", [
+        {"max_iters": 2.5}, {"max_iters": 3.0}, {"max_iters": "5"}, {"max_iters": -1},
+        {"cost_rel_tol": math.nan}, {"cost_rel_tol": math.inf}, {"cost_rel_tol": 0.0},
+        {"min_step": math.nan}, {"min_step": math.inf}, {"min_step": -1.0},
+    ])
+    def test_stop_criteria_rejects(self, setting):
+        with pytest.raises(ParameterError):
+            StopCriteria(**setting)
+
+    def test_integer_types_are_accepted(self):
+        assert StopCriteria(max_iters=np.int64(3)).max_iters == 3
+
+
 class TestDirectionalSearch:
     def test_full_step_accepted_on_quadratic(self):
         problem = quadratic_scalar_problem()
@@ -55,8 +81,7 @@ class TestDirectionalSearch:
         bundle = forward(problem, u, 1, 2)
         result = run_backward(bundle, "gn", 0.0)
         u_next, gamma = directional_search(
-            problem, u, result.K, result.k, result.c0_zero, bundle.linear_step,
-            LineSearchConfig(),
+            bundle, "gn", result.K, result.k, result.c0_zero, LineSearchConfig()
         )
         assert gamma == 1.0
         assert u_next[0, 0] == pytest.approx(0.0, abs=1e-12)
@@ -64,7 +89,8 @@ class TestDirectionalSearch:
     def test_rejects_non_descent_model_value(self):
         problem = quadratic_scalar_problem()
         with pytest.raises(ParameterError):
-            directional_search(problem, np.zeros((1, 1)), None, None, 0.0, None, LineSearchConfig())
+            directional_search(forward(problem, np.zeros((1, 1)), 1, 2), "gn", None, None, 0.0,
+                               LineSearchConfig())
 
     def test_stall_on_pathological_objective(self):
         # a direction that increases the objective stalls the search
@@ -74,8 +100,7 @@ class TestDirectionalSearch:
         result = run_backward(bundle, "gn", 0.0)
         with pytest.raises(StallError):
             directional_search(
-                problem, u, result.K, -result.k, result.c0_zero, bundle.linear_step,
-                LineSearchConfig(),
+                bundle, "gn", result.K, -result.k, result.c0_zero, LineSearchConfig()
             )
 
     def test_accepted_step_satisfies_sufficient_decrease(self, rng):
@@ -85,8 +110,7 @@ class TestDirectionalSearch:
         result = run_backward(bundle, "gn", 0.5)
         j0 = objective_value(problem, u)
         u_next, gamma = directional_search(
-            problem, u, result.K, result.k, result.c0_zero, bundle.linear_step,
-            LineSearchConfig(),
+            bundle, "gn", result.K, result.k, result.c0_zero, LineSearchConfig()
         )
         j1 = objective_value(problem, u_next)
         assert j1 - j0 <= gamma * result.c0_zero + ACCEPT_TIE_RTOL * (1 + abs(j0))
@@ -99,7 +123,7 @@ class TestRegularizedSearch:
         bundle = forward(problem, u, 1, 2)
         cfg = LineSearchConfig(rule="regularized")
         # warm-start arithmetic: first trial is rho_inc * gamma_prev = 1.0
-        u_next, gamma, _ = regularized_search(problem, u, bundle, "gn", cfg.rho_inc * 0.1, cfg)
+        u_next, gamma, _ = regularized_search(bundle, "gn", cfg.rho_inc * 0.1, cfg)
         assert gamma == pytest.approx(1.0)
 
     def test_accepted_step_satisfies_model_decrease(self, rng):
@@ -109,7 +133,7 @@ class TestRegularizedSearch:
         cfg = LineSearchConfig(rule="regularized")
         # the first trial solve() makes from gamma_prev = 1, in cost-slope units
         first = cfg.rho_inc * 1.0 / bundle.cost_slope_norm()
-        u_next, _, c0 = regularized_search(problem, u, bundle, "gn", first, cfg)
+        u_next, _, c0 = regularized_search(bundle, "gn", first, cfg)
         j0, j1 = bundle.cost, objective_value(problem, u_next)
         assert j1 - j0 <= c0 + ACCEPT_TIE_RTOL * (1 + abs(j0))
 
@@ -126,7 +150,7 @@ class TestRegularizedSearch:
         u = np.array([[1.0]])
         bundle = forward(problem, u, 1, 2)
         cfg = LineSearchConfig(rule="regularized")
-        u_next, gamma_bar, _ = regularized_search(problem, u, bundle, "gn", cfg.rho_inc * 1.0, cfg)
+        u_next, gamma_bar, _ = regularized_search(bundle, "gn", cfg.rho_inc * 1.0, cfg)
         # independent scan over the same geometric stepsize grid
         from trajopt.oracles import rollout
 
@@ -209,7 +233,7 @@ class TestSolve:
         u = np.array([[2.0]])
         bundle = forward(problem, u, 1, 2)
         cfg = LineSearchConfig(rule="regularized")
-        _, gamma, _ = regularized_search(problem, u, bundle, "gn", cfg.rho_inc * 1.0, cfg)
+        _, gamma, _ = regularized_search(bundle, "gn", cfg.rho_inc * 1.0, cfg)
         ratio = gamma / (cfg.rho_inc * 1.0)
         k = math.log(ratio) / math.log(cfg.rho_dec)
         assert k == pytest.approx(round(k), abs=1e-9)
@@ -250,11 +274,12 @@ class TestStationarityResidual:
             assert res == pytest.approx(dense, rel=1e-8, abs=1e-12)
 
 
-def per_trial_search(problem, u, K, k, c0_zero, step, cfg):
+def per_trial_search(bundle, kind, K, k, c0_zero, cfg):
     """The directional rule with one roll-out per trial, as the loop read before scaling.
 
     Returns (candidate, gamma), or the :class:`StallError` it would raise.
     """
+    problem, u, step = bundle.problem, bundle.u, oracle_spec(kind).step_map(bundle)
     j_current = objective_value(problem, u)
     gamma, best, best_cost = 1.0, None, math.inf
     while True:
@@ -309,13 +334,18 @@ def descent_policies(env, horizon, kind, seed=3):
     return problem, u, bundle, result
 
 
-def counting(monkeypatch, name):
-    """Replace ``trajopt.linesearch.<name>`` by a wrapper; returns its call counter."""
+def counting(monkeypatch, name, seen=None):
+    """Replace ``trajopt.linesearch.<name>`` by a wrapper; returns its call counter.
+
+    ``seen``, when given, collects each call's positional arguments.
+    """
     calls = [0]
     original = getattr(trajopt.linesearch, name)
 
     def counted(*args, **kwargs):
         calls[0] += 1
+        if seen is not None:
+            seen.append(args)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(trajopt.linesearch, name, counted)
@@ -346,8 +376,7 @@ class TestUnitRollout:
         # inflated offsets make the first trials overshoot, so the search backtracks;
         # reversed ones ascend, so it mostly stalls
         for scale in (1.0, 64.0, 1e4, -1.0):
-            args = (problem, u, result.K, scale * result.k, result.c0_zero,
-                    bundle.linear_step, cfg)
+            args = (bundle, kind, result.K, scale * result.k, result.c0_zero, cfg)
             with np.errstate(all="ignore"):
                 assert_same_outcome(search_outcome(directional_search, *args),
                                     per_trial_search(*args))
@@ -368,7 +397,7 @@ class TestUnitRollout:
         bundle = forward(problem, u, 1, 2)
         K, k = np.zeros((2, 1, 1)), np.full((2, 1), 1e308)
         cfg = LineSearchConfig(rho_dec=rho_dec)
-        args = (problem, u, K, k, -1.0, bundle.linear_step, cfg)
+        args = (bundle, "gn", K, k, -1.0, cfg)
         with np.errstate(over="ignore"):
             expected = per_trial_search(*args)
             rollouts = counting(monkeypatch, "rollout")
@@ -381,8 +410,8 @@ class TestUnitRollout:
     def test_one_rollout_per_search_on_linear_maps(self, kind, monkeypatch):
         problem, u, bundle, result = descent_policies("cartpole", 25, kind)
         rollouts = counting(monkeypatch, "rollout")
-        _, gamma = directional_search(problem, u, result.K, 64.0 * result.k, result.c0_zero,
-                                      bundle.linear_step, LineSearchConfig())
+        _, gamma = directional_search(bundle, kind, result.K, 64.0 * result.k, result.c0_zero,
+                                      LineSearchConfig())
         assert gamma < 1.0  # more than one trial
         assert rollouts[0] == 1
 
@@ -390,8 +419,8 @@ class TestUnitRollout:
     def test_one_rollout_per_trial_on_increment_maps(self, kind, monkeypatch):
         problem, u, bundle, result = descent_policies("cartpole", 25, kind)
         rollouts = counting(monkeypatch, "rollout")
-        _, gamma = directional_search(problem, u, result.K, 64.0 * result.k, result.c0_zero,
-                                      oracle_spec(kind).step_map(bundle), LineSearchConfig())
+        _, gamma = directional_search(bundle, kind, result.K, 64.0 * result.k, result.c0_zero,
+                                      LineSearchConfig())
         trials = round(-math.log2(gamma)) + 1  # gamma halves per rejected trial
         assert trials > 1
         assert rollouts[0] == trials
@@ -404,6 +433,80 @@ class TestUnitRollout:
         _, trace = solve(problem, u0, "ne", LineSearchConfig(), StopCriteria(max_iters=5))
         assert trace.iterations == 5
         assert rollouts[0] == searches[0] == 5
+
+
+def concave_scalar_problem(curvature):
+    """J(u) = u + curvature * u^2 / 2 through f(x,u) = u: ridges nu <= -curvature are infeasible."""
+    return TrajectoryProblem(
+        dynamics=(lambda x, u: [u[0]],),
+        running_costs=(lambda x, u: 0.0 * u[0],),
+        final_cost=lambda x: x[0] + 0.5 * curvature * x[0] * x[0],
+        x0=[0.0],
+        n_x=1,
+        n_u=1,
+    )
+
+
+def ridge_ladder(cfg, start, top):
+    """The rungs start, then nu_init after 0 and nu * rho_inc after nu, while <= top."""
+    rungs, nu = [], start
+    while nu <= top:
+        rungs.append(nu)
+        nu = cfg.nu_init if nu == 0.0 else nu * cfg.rho_inc
+    return rungs
+
+
+class TestRidgeWalk:
+    """The directional rule's escalation is one walk up 0, nu_init, nu_init * rho_inc, ..."""
+
+    @pytest.mark.parametrize("kind", ["gn", "ne", "ddp-lq", "ddp-q"])
+    def test_walk_stops_at_the_first_usable_rung(self, kind, monkeypatch):
+        bundle = forward(concave_scalar_problem(-5e-5), np.zeros((1, 1)), 2, 2)
+        cfg = LineSearchConfig(nu_init=1e-6, rho_inc=10.0)
+        seen = []
+        counting(monkeypatch, "run_backward", seen)
+        result, nu = _escalate_directional(bundle, kind, cfg)
+        infeasible = ridge_ladder(cfg, 0.0, 5e-5)  # Q + nu <= 0 on these rungs
+        expected = infeasible + [infeasible[-1] * cfg.rho_inc]
+        assert [args[2] for args in seen] == expected
+        assert nu == expected[-1]
+        assert result.feasible and result.c0_zero < 0.0
+
+    def test_gradient_kind_sweeps_once(self, monkeypatch):
+        bundle = forward(concave_scalar_problem(-5e-5), np.zeros((1, 1)), 1, 1)
+        seen = []
+        counting(monkeypatch, "run_backward", seen)
+        result, nu = _escalate_directional(bundle, "gd", LineSearchConfig())
+        assert [args[2] for args in seen] == [nu] == [oracle_spec("gd").start_nu]
+        assert result.feasible and result.c0_zero < 0.0
+
+    @pytest.mark.parametrize("kind", ORACLE_KINDS)
+    def test_infeasible_sweeps_end_at_the_top_rung(self, kind, monkeypatch):
+        spec = oracle_spec(kind)
+        bundle = forward(concave_scalar_problem(-5e-5), np.zeros((1, 1)), spec.o_f, spec.o_h)
+        cfg = LineSearchConfig()
+        ridges = []
+
+        def infeasible(bundle, kind, nu):
+            ridges.append(nu)
+            return OracleDirection(K=None, k=None, c0_zero=math.inf, feasible=False,
+                                   failed_stage=0)
+
+        monkeypatch.setattr(trajopt.linesearch, "run_backward", infeasible)
+        result, _ = _escalate_directional(bundle, kind, cfg)
+        assert result is None
+        expected = ridge_ladder(cfg, spec.start_nu, trajopt.linesearch.NU_MAX)
+        assert ridges == (expected[:1] if spec.o_h == 1 else expected)
+
+    def test_a_nan_rung_ends_the_walk(self, monkeypatch):
+        bundle = forward(concave_scalar_problem(-5e-5), np.zeros((1, 1)), 1, 2)
+        cfg = LineSearchConfig()
+        object.__setattr__(cfg, "nu_init", math.nan)  # past the constructor's check
+        seen = []
+        counting(monkeypatch, "run_backward", seen)
+        result, _ = _escalate_directional(bundle, "gn", cfg)
+        assert result is None
+        assert [args[2] for args in seen] == [0.0]
 
 
 class TestModelArithmeticErrors:

@@ -11,6 +11,7 @@ validated here, once, by the helpers that turn them into models.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -52,7 +53,8 @@ class TrajectoryProblem:
 
     ``dynamics[t]`` maps (x, u) to the next state as a sequence of n_x
     scalars, ``running_costs[t]`` maps (x, u) to a scalar and
-    ``final_cost`` maps x to a scalar.  All callables must be pure and
+    ``final_cost`` maps x to a scalar; ``n_x`` and ``n_u`` are integers of
+    at least 1.  All callables must be pure and
     built from the primitives of :mod:`trajopt.autodiff` so they can be
     differentiated.
     """
@@ -69,6 +71,10 @@ class TrajectoryProblem:
         object.__setattr__(self, "dynamics", tuple(self.dynamics))
         object.__setattr__(self, "running_costs", tuple(self.running_costs))
         object.__setattr__(self, "x0", _vector(self.x0, "x0"))
+        for name in ("n_x", "n_u"):
+            n = getattr(self, name)
+            if not isinstance(n, numbers.Integral) or n < 1:
+                raise ShapeError(f"{name} must be an integer >= 1, got {n!r}")
         if len(self.dynamics) < 1:
             raise ShapeError("horizon must be at least 1")
         if len(self.running_costs) != len(self.dynamics):

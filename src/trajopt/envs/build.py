@@ -24,18 +24,6 @@ from .track import Track, bundled_track, contouring_errors, border_cost, track_e
 
 __all__ = ["ENV_KINDS", "ENV_DISCRETIZERS", "DISCRETIZERS", "env_discretizer", "build_problem"]
 
-# Each env and the discretizers it allows, its default first.  The bicycle
-# model augments its state with the curve parameter; that pair integrates
-# with a plain Euler rule regardless of the physical scheme, so the
-# varying-control stencil has no consistent meaning for it.
-ENV_DISCRETIZERS = MappingProxyType({
-    "pendulum": ("euler", "rk4", "rk4-varying"),
-    "cartpole": ("euler", "rk4", "rk4-varying"),
-    "simple-car": ("euler", "rk4", "rk4-varying"),
-    "bicycle-car": ("rk4", "euler"),
-})
-ENV_KINDS = tuple(ENV_DISCRETIZERS)
-
 # scheme -> (step function, control blocks per stage)
 _SCHEMES = {
     "euler": (euler_step, 1),
@@ -45,109 +33,45 @@ _SCHEMES = {
 DISCRETIZERS = tuple(_SCHEMES)
 
 
-def env_discretizer(env: str, discretizer: str | None = None) -> str:
-    """``discretizer``, or env's default when it is empty; ``ConfigError`` if env disallows it."""
-    allowed = ENV_DISCRETIZERS[env]
-    scheme = discretizer or allowed[0]
-    if scheme not in allowed:
-        raise ConfigError("discretizer", f"got {scheme!r}, {env} allows one of {allowed}")
-    return scheme
+# Each builder takes (horizon, params, step size, discretize, track or None)
+# and returns what differs between the envs: the dynamics callable of every
+# stage, the running costs, the final cost, x0, the controls per block and
+# extra meta.  ``discretize`` makes a vector field the configured stage map.
 
 
-def _discretize(f_cont, scheme: str, dt: float):
-    step = _SCHEMES[scheme][0]
-    return lambda z, u: step(f_cont, z, u, dt)
-
-
-def _step_size(p, horizon: int) -> float:
-    dt = p.total_time / horizon
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ParameterError(f"total_time / horizon must be finite and positive, got {dt}")
-    return dt
-
-
-def build_problem(
-    env: str,
-    horizon: int,
-    discretizer: str | None = None,
-    track: Track | None = None,
-    params=None,
-) -> TrajectoryProblem:
-    """Build one of the four benchmark problems at the given horizon.
-
-    The discretizer defaults to the env's first entry in
-    :data:`ENV_DISCRETIZERS`.  The step size is the model's total time
-    divided by the horizon; a step size that is not finite and positive
-    raises ``ParameterError``.  Car problems default to the bundled
-    'simple' track.  The returned problem carries build metadata (params,
-    track, step size) in ``meta``.
-    """
-    if env not in ENV_KINDS:
-        raise ConfigError("env", f"unknown environment {env!r}; expected one of {ENV_KINDS}")
-    if not isinstance(horizon, numbers.Integral) or horizon < 1:
-        raise ConfigError("horizon", f"must be an integer >= 1, got {horizon!r}")
-    scheme = env_discretizer(env, discretizer)
-
-    if env == "pendulum":
-        return _build_pendulum(horizon, scheme, params or PendulumParams())
-    if env == "cartpole":
-        return _build_cartpole(horizon, scheme, params or CartPoleParams())
-    track = track or bundled_track("simple")
-    if env == "simple-car":
-        return _build_simple_car(horizon, scheme, track, params or SimpleCarParams())
-    return _build_bicycle(horizon, scheme, track, params or BicycleParams())
-
-
-def _build_pendulum(horizon, scheme, p: PendulumParams) -> TrajectoryProblem:
-    dt = _step_size(p, horizon)
-    f = _discretize(lambda z, u: pendulum_dynamics(z, u, p), scheme, dt)
+def _pendulum(horizon, p: PendulumParams, dt, discretize, track):
+    f = discretize(lambda z, u: pendulum_dynamics(z, u, p))
     # the running cost reads t only to tell it from the final cost, so one
     # callable serves every stage and its expansion runs in blocks
     running = lambda x, u: pendulum_cost(0, x, u, horizon, p)
-    return TrajectoryProblem(
-        dynamics=(f,) * horizon,
-        running_costs=(running,) * horizon,
-        final_cost=lambda x: pendulum_cost(horizon, x, (), horizon, p),
-        x0=[0.0, 0.0],
-        n_x=2,
-        n_u=1 * _SCHEMES[scheme][1],
-        meta={"env": "pendulum", "params": p, "dt": dt, "discretizer": scheme},
-    )
+    final = lambda x: pendulum_cost(horizon, x, (), horizon, p)
+    return f, (running,) * horizon, final, [0.0, 0.0], 1, {}
 
 
-def _build_cartpole(horizon, scheme, p: CartPoleParams) -> TrajectoryProblem:
-    dt = _step_size(p, horizon)
+def _cartpole(horizon, p: CartPoleParams, dt, discretize, track):
     tbar = stay_put_start(horizon, p)
-    f = _discretize(lambda z, u: cartpole_dynamics(z, u, p), scheme, dt)
+    f = discretize(lambda z, u: cartpole_dynamics(z, u, p))
     # the running cost takes two forms, split at tbar: one callable each
     early = lambda x, u: cartpole_cost(0, x, u, horizon, tbar, p)
     late = lambda x, u: cartpole_cost(horizon - 1, x, u, horizon, tbar, p)
     costs = tuple(late if t >= tbar else early for t in range(horizon))
-    return TrajectoryProblem(
-        dynamics=(f,) * horizon,
-        running_costs=costs,
-        final_cost=lambda x: cartpole_cost(horizon, x, (), horizon, tbar, p),
-        x0=[0.0, 0.0, 0.0, 0.0],
-        n_x=4,
-        n_u=1 * _SCHEMES[scheme][1],
-        meta={"env": "cartpole", "params": p, "dt": dt, "discretizer": scheme,
-              "stay_put_from": tbar},
-    )
+    final = lambda x: cartpole_cost(horizon, x, (), horizon, tbar, p)
+    return f, costs, final, [0.0, 0.0, 0.0, 0.0], 1, {"stay_put_from": tbar}
 
 
-def _start_pose(track: Track):
+def _on_track(track: Track | None):
+    """The track (the bundled 'simple' one if None) and the start pose on it."""
+    track = track or bundled_track("simple")
     pt = track_eval(track, 0.0)
-    return float(pt.x), float(pt.y), float(pt.theta)
+    return track, [float(pt.x), float(pt.y), float(pt.theta)]
 
 
-def _build_simple_car(horizon, scheme, track: Track, p: SimpleCarParams) -> TrajectoryProblem:
-    dt = _step_size(p, horizon)
+def _simple_car(horizon, p: SimpleCarParams, dt, discretize, track):
+    track, pose = _on_track(track)
 
     def f_cont(z, u):
         # steering squashed into (-pi/3, pi/3); acceleration unconstrained
         return simple_car_dynamics(z, (u[0], squash_steering(u[1])), p)
-
-    f = _discretize(f_cont, scheme, dt)
 
     refs = [track_eval(track, dt * p.v_ref * t) for t in range(horizon + 1)]
 
@@ -161,20 +85,12 @@ def _build_simple_car(horizon, scheme, track: Track, p: SimpleCarParams) -> Traj
             acc = acc + p.ctrl_weight * uk * uk
         return acc
 
-    x0, y0, th0 = _start_pose(track)
-    return TrajectoryProblem(
-        dynamics=(f,) * horizon,
-        running_costs=tuple((lambda x, u, t=t: running(x, u, t)) for t in range(horizon)),
-        final_cost=lambda x: tracking(x, horizon),
-        x0=[x0, y0, th0, p.v_init],
-        n_x=4,
-        n_u=2 * _SCHEMES[scheme][1],
-        meta={"env": "simple-car", "params": p, "dt": dt, "discretizer": scheme,
-              "track": track},
-    )
+    costs = tuple((lambda x, u, t=t: running(x, u, t)) for t in range(horizon))
+    final = lambda x: tracking(x, horizon)
+    return discretize(f_cont), costs, final, pose + [p.v_init], 2, {"track": track}
 
 
-def _build_bicycle(horizon, scheme, track: Track, p: BicycleParams) -> TrajectoryProblem:
+def _bicycle(horizon, p: BicycleParams, dt, discretize, track):
     """Bicycle model with contouring costs.
 
     The state carries the curve parameter and its rate (s, s_rate) next to
@@ -183,8 +99,8 @@ def _build_bicycle(horizon, scheme, track: Track, p: BicycleParams) -> Trajector
     integrates with the configured scheme while the curve pair uses a
     plain Euler update.
     """
-    dt = _step_size(p, horizon)
-    phys_step = _discretize(lambda z, u: bicycle_dynamics(z, u, p), scheme, dt)
+    track, pose = _on_track(track)
+    phys_step = discretize(lambda z, u: bicycle_dynamics(z, u, p))
 
     def f(x, u):
         phys, s, s_rate = x[:6], x[6], x[7]
@@ -209,14 +125,72 @@ def _build_bicycle(horizon, scheme, track: Track, p: BicycleParams) -> Trajector
             acc = acc + p.ctrl_weight * uk * uk
         return acc
 
-    x0, y0, th0 = _start_pose(track)
+    x0 = pose + [p.v_init, 0.0, 0.0, 0.0, p.v_ref]
+    return f, (stage_cost,) * horizon, lambda x: 0.0 * x[0], x0, 3, {"track": track}
+
+
+# env -> (discretizers it allows, default first; params class; builder)
+_ENVS = {
+    "pendulum": (("euler", "rk4", "rk4-varying"), PendulumParams, _pendulum),
+    "cartpole": (("euler", "rk4", "rk4-varying"), CartPoleParams, _cartpole),
+    "simple-car": (("euler", "rk4", "rk4-varying"), SimpleCarParams, _simple_car),
+    # the curve pair (s, s_rate) integrates with a plain Euler rule whatever
+    # the physical scheme, so the varying-control stencil has no consistent
+    # meaning for it
+    "bicycle-car": (("rk4", "euler"), BicycleParams, _bicycle),
+}
+ENV_DISCRETIZERS = MappingProxyType({env: row[0] for env, row in _ENVS.items()})
+ENV_KINDS = tuple(_ENVS)
+
+
+def env_discretizer(env: str, discretizer: str | None = None) -> str:
+    """``discretizer``, or env's default when it is empty; ``ConfigError`` if env disallows it."""
+    allowed = ENV_DISCRETIZERS[env]
+    scheme = discretizer or allowed[0]
+    if scheme not in allowed:
+        raise ConfigError("discretizer", f"got {scheme!r}, {env} allows one of {allowed}")
+    return scheme
+
+
+def build_problem(
+    env: str,
+    horizon: int,
+    discretizer: str | None = None,
+    track: Track | None = None,
+    params=None,
+) -> TrajectoryProblem:
+    """Build one of the four benchmark problems at the given horizon.
+
+    The discretizer defaults to the env's first entry in
+    :data:`ENV_DISCRETIZERS`.  ``params`` defaults to the env's params
+    class; an instance of another class raises ``ParameterError``, as does
+    a step size (the model's total time divided by the horizon) that is
+    not finite and positive.  Car problems default to the bundled 'simple'
+    track.  The returned problem carries build metadata (params, track,
+    step size) in ``meta``.
+    """
+    if env not in _ENVS:
+        raise ConfigError("env", f"unknown environment {env!r}; expected one of {ENV_KINDS}")
+    if not isinstance(horizon, numbers.Integral) or horizon < 1:
+        raise ConfigError("horizon", f"must be an integer >= 1, got {horizon!r}")
+    scheme = env_discretizer(env, discretizer)
+    _, params_type, build = _ENVS[env]
+    p = params_type() if params is None else params
+    if not isinstance(p, params_type):
+        raise ParameterError(f"{env} takes {params_type.__name__}, got {type(p).__name__}")
+    dt = p.total_time / horizon
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ParameterError(f"total_time / horizon must be finite and positive, got {dt}")
+    step, blocks = _SCHEMES[scheme]
+    f, costs, final, x0, n_u, meta = build(
+        horizon, p, dt, lambda f_cont: (lambda z, u: step(f_cont, z, u, dt)), track
+    )
     return TrajectoryProblem(
         dynamics=(f,) * horizon,
-        running_costs=(stage_cost,) * horizon,
-        final_cost=lambda x: 0.0 * x[0],
-        x0=[x0, y0, th0, p.v_init, 0.0, 0.0, 0.0, p.v_ref],
-        n_x=8,
-        n_u=3,
-        meta={"env": "bicycle-car", "params": p, "dt": dt, "discretizer": scheme,
-              "track": track},
+        running_costs=costs,
+        final_cost=final,
+        x0=x0,
+        n_x=len(x0),
+        n_u=n_u * blocks,
+        meta={"env": env, "params": p, "dt": dt, "discretizer": scheme, **meta},
     )

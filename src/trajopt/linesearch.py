@@ -230,7 +230,10 @@ def regularized_search(
     step = oracle_spec(kind).step_map(bundle)
 
     def trial(gamma):
-        result = run_backward(bundle, kind, 1.0 / gamma)
+        nu = 1.0 / gamma
+        if nu == math.inf:  # a subnormal stepsize has no finite ridge
+            return None
+        result = run_backward(bundle, kind, nu)
         if result.feasible and result.c0_zero < 0.0:
             return rollout(y0, result.K, result.k, step), result.c0_zero
         return None

@@ -220,10 +220,13 @@ class OracleDirection:
 
 
 def _shaped_controls(problem: TrajectoryProblem, u, name: str) -> np.ndarray:
-    """Controls as a (horizon, n_u) float array, else :class:`ShapeError`."""
+    """Controls given as (horizon, n_u) or flat (horizon * n_u,), else :class:`ShapeError`.
+
+    Other shapes, a transposed array say, would reshape into other stages.
+    """
     u = np.asarray(u, dtype=float)
     shape = (problem.horizon, problem.n_u)
-    if u.size != shape[0] * shape[1]:
+    if u.shape != shape and u.shape != (shape[0] * shape[1],):
         raise ShapeError(f"{name} has shape {u.shape}, expected {shape}")
     return u.reshape(shape)
 
@@ -251,18 +254,26 @@ def _roll(problem: TrajectoryProblem, u: np.ndarray) -> tuple[np.ndarray, list, 
 
     The pass runs on Python float lists, so the models see plain floats
     and no stage wraps its few-entry vectors in numpy; the states are
-    stacked once at the end.
+    stacked once at the end.  A cost that is not a scalar or a next state
+    that is not n_x long raises :class:`ShapeError` naming the stage.
     """
+    n_x = problem.n_x
     x = problem.x0.tolist()
     xs = [x]
     step_costs = []
     total = 0.0
     for t, u_t in enumerate(u.tolist()):
         try:
-            h_val = float(problem.running_costs[t](x, u_t))
+            h_val = problem.running_costs[t](x, u_t)
+            try:
+                h_val = float(h_val)
+            except TypeError:
+                raise _non_scalar_cost(t, h_val) from None
             x = [float(v) for v in problem.dynamics[t](x, u_t)]
         except ArithmeticError as err:
             raise DivergenceError(t, f"model evaluation failed at t={t}: {err}") from err
+        if len(x) != n_x:
+            raise ShapeError(f"dynamics at t={t} gave {len(x)} entries, expected n_x={n_x}")
         if not (math.isfinite(h_val) and all(map(math.isfinite, x))):
             raise DivergenceError(t)
         step_costs.append(h_val)
@@ -270,13 +281,21 @@ def _roll(problem: TrajectoryProblem, u: np.ndarray) -> tuple[np.ndarray, list, 
         xs.append(x)
     tau = problem.horizon
     try:
-        h_val = float(problem.final_cost(x))
+        h_val = problem.final_cost(x)
+        try:
+            h_val = float(h_val)
+        except TypeError:
+            raise _non_scalar_cost(tau, h_val) from None
     except ArithmeticError as err:
         raise DivergenceError(tau, f"final cost evaluation failed: {err}") from err
     if not math.isfinite(h_val):
         raise DivergenceError(tau)
     step_costs.append(h_val)
     return np.array(xs), step_costs, total + h_val
+
+
+def _non_scalar_cost(t: int, value) -> ShapeError:
+    return ShapeError(f"the cost at t={t} gave a {type(value).__name__}, expected a scalar")
 
 
 def _joint(fn, n_x: int):
@@ -493,8 +512,8 @@ def backward_gd(bundle: ExpansionBundle, nu: float) -> OracleDirection:
     :func:`bundle_gradient`, and the affine cost-to-go at 0 equals
     -|grad J|^2 / (2 nu).
     """
-    if nu <= 0.0:
-        raise ParameterError(f"gradient backward pass requires nu > 0, got {nu}")
+    if not 0.0 < nu < math.inf:
+        raise ParameterError(f"gradient backward pass requires 0 < nu < inf, got {nu}")
     if bundle.o_h < 1 or bundle.o_f < 1:
         raise ParameterError("gradient backward pass needs order-1 information")
     g = bundle_gradient(bundle)
@@ -510,8 +529,8 @@ def _backward_quadratic(
     bundle: ExpansionBundle, nu: float, contraction: str | None
 ) -> OracleDirection:
     """The Bellman sweep of every order-2-cost oracle (see :data:`ORACLES`)."""
-    if nu < 0.0:
-        raise ParameterError(f"regularization must be >= 0, got {nu}")
+    if not 0.0 <= nu < math.inf:
+        raise ParameterError(f"ridge nu must be finite and >= 0, got {nu}")
     if bundle.o_h != 2:
         raise ParameterError("quadratic backward passes need order-2 cost information")
     if contraction is not None and bundle.curvature is None:

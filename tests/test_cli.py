@@ -12,6 +12,7 @@ from trajopt.cli import (
     EXIT_OK,
     RunConfig,
     TraceFile,
+    VERIFY_CHECKS,
     initial_controls,
     main,
     parse_config,
@@ -197,6 +198,13 @@ class TestVerifyCommand:
     def test_perturbation_hook_fails_the_run(self):
         code = run_cli("verify", "--only", "policy-scaling", "--selftest-perturb")
         assert code != EXIT_OK
+
+    def test_every_check_passes_and_fails_when_perturbed(self, capsys):
+        for argv, code, verdict in [((), EXIT_OK, "PASS"), (("--selftest-perturb",), 4, "FAIL")]:
+            assert run_cli("verify", *argv) == code
+            lines = capsys.readouterr().out.splitlines()
+            assert [line.split()[0] for line in lines] == list(VERIFY_CHECKS)
+            assert all(line.endswith(verdict) for line in lines)
 
 
 class TestTraceFileFormat:

@@ -12,6 +12,7 @@ from trajopt.core import (
     quadratic_cost,
 )
 from trajopt.errors import NumericError, ShapeError
+from trajopt.linesearch import solve
 from trajopt.oracles import forward
 
 small = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
@@ -141,3 +142,35 @@ class TestValueTypes:
             TrajectoryProblem((f,), (h, h), final, [0.0], 1, 1)
         with pytest.raises(ShapeError):
             TrajectoryProblem((f,), (h,), final, [0.0, 0.0], 1, 1)
+
+
+def _user_problem(dynamics=lambda x, u: [x[0] + u[0]], running=lambda x, u: u[0] * u[0],
+                  final=lambda x: x[0] * x[0], n_u=1):
+    return TrajectoryProblem((dynamics,) * 3, (running,) * 3, final, [1.0], 1, n_u)
+
+
+def _raise_type_error(x, u):
+    raise TypeError("raised inside the dynamics")
+
+
+@pytest.mark.parametrize("entry", ["forward", "solve"])
+@pytest.mark.parametrize("parts,error,match", [
+    ({"n_u": 0}, ShapeError, "n_u must be an integer >= 1, got 0"),
+    ({"n_u": -1}, ShapeError, "n_u must be an integer >= 1, got -1"),
+    ({"n_u": 1.5}, ShapeError, "n_u must be an integer >= 1, got 1.5"),
+    ({"dynamics": lambda x, u: [x[0], u[0]]}, ShapeError, "dynamics at t=0 gave 2 entries"),
+    ({"running": lambda x, u: [u[0] * u[0]]}, ShapeError, "cost at t=0 gave a list"),
+    ({"final": lambda x: [x[0]]}, ShapeError, "cost at t=3 gave a list"),
+    ({"dynamics": _raise_type_error}, TypeError, "raised inside the dynamics"),
+], ids=["n_u=0", "n_u=-1", "n_u=1.5", "long-state", "list-cost", "list-final", "model-error"])
+def test_problem_shape_contract(entry, parts, error, match):
+    """Bad problem parts raise a named error at construction or at the stage they reach."""
+    with pytest.raises(error, match=match) as caught:
+        problem = _user_problem(**parts)
+        u = np.zeros((3, 1))
+        if entry == "forward":
+            forward(problem, u, 1, 2)
+        else:
+            solve(problem, u, "gn")
+    if error is TypeError:  # the model's own error is not relabelled
+        assert not isinstance(caught.value, ShapeError)

@@ -287,6 +287,15 @@ class TestBuildProblem:
         with pytest.raises(ParameterError):
             params(**{field: value})
 
+    @pytest.mark.parametrize("env,other", [
+        (env, other) for env in ENV_KINDS for other in ENV_KINDS if other != env
+    ])
+    def test_params_of_another_env_rejected(self, env, other):
+        foreign = build_problem(other, 5).meta["params"]
+        own = type(build_problem(env, 5).meta["params"]).__name__
+        with pytest.raises(ParameterError, match=f"{own}.*{type(foreign).__name__}"):
+            build_problem(env, 5, params=foreign)
+
     @pytest.mark.parametrize("env", ENV_KINDS)
     @pytest.mark.parametrize("total_time", [math.nan, math.inf, 0.0, -1.0])
     def test_step_size_must_be_finite_and_positive(self, env, total_time):

@@ -166,6 +166,13 @@ class TestRegularizedSearch:
         assert gamma_bar == pytest.approx(gamma)
         assert objective_value(problem, u_next) < bundle.cost
 
+    def test_subnormal_stepsize_is_a_rejected_trial(self, rng):
+        """Its ridge 1/gamma overflows; the sweep would refuse it, the search rejects it."""
+        problem = random_smooth_problem(rng, 3, 2, 1)
+        bundle = forward(problem, rng.standard_normal((3, 1)), 1, 2)
+        with pytest.raises(StallError):
+            regularized_search(bundle, "gn", 5e-324, LineSearchConfig(rule="regularized"))
+
 
 class TestSolve:
     def test_lq_converges_in_one_iteration(self, rng):

@@ -481,11 +481,39 @@ class TestControlValidation:
         with pytest.raises(DivergenceError):
             objective_value(problem, np.full((20, 1), np.nan))
 
+    @pytest.mark.parametrize("entry", ["forward", "solve", "oracle"])
+    @pytest.mark.parametrize("form", ["transposed", "row"])
+    def test_other_shapes_of_the_right_size_rejected(self, entry, form):
+        problem = build_problem("simple-car", 3)
+        u = np.arange(6.0).reshape(3, 2) * 0.1
+        bad = u.T if form == "transposed" else u.reshape(1, 6)
+        with pytest.raises(ShapeError, match=r"expected \(3, 2\)"):
+            _call(entry, problem, bad)
+
+    def test_flat_controls_accepted(self):
+        problem = build_problem("simple-car", 3)
+        u = np.arange(6.0).reshape(3, 2) * 0.1
+        flat, shaped = oracle(problem, u.ravel(), "gn"), oracle(problem, u, "gn")
+        np.testing.assert_array_equal(flat.direction, shaped.direction)
+        assert forward(problem, u.ravel(), 1, 2).cost == forward(problem, u, 1, 2).cost
+        assert np.array_equal(solve(problem, u.ravel(), "gn", stop=StopCriteria(max_iters=2))[0],
+                              solve(problem, u, "gn", stop=StopCriteria(max_iters=2))[0])
+
 
 def _call(entry, problem, u):
     if entry == "solve":
         return solve(problem, u, "gn")
+    if entry == "forward":
+        return forward(problem, u)
     return oracle(problem, u, "gn")
+
+
+@pytest.mark.parametrize("kind", ORACLE_KINDS)
+@pytest.mark.parametrize("nu", [math.nan, math.inf])
+def test_non_finite_ridge_rejected(kind, nu):
+    problem = build_problem("pendulum", 5)
+    with pytest.raises(ParameterError, match=r"\bnu\b"):
+        oracle(problem, np.zeros((5, 1)), kind, nu=nu)
 
 
 class TestBackwardGd:

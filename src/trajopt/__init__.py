@@ -6,12 +6,10 @@ from .core import (
     quadratic_cost,
     quadratic_state_cost,
 )
-from .lqsolve import check_subproblem, dynprog, lbp, lqbp
 from .oracles import (
     ORACLE_KINDS,
     ExpansionBundle,
     OracleDirection,
-    backward_gd,
     forward,
     objective_value,
     oracle,

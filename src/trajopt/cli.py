@@ -110,15 +110,13 @@ def config_from_sources(args, file_text: str | None) -> RunConfig:
     if file_text is not None:
         merged.update(parse_config(file_text))
     for name in _CONFIG_FIELDS:
-        flag = getattr(args, name.replace("-", "_"), None)
+        flag = getattr(args, name, None)
         if flag is not None:
             merged[name] = flag
     cfg = RunConfig()
-    casts = {int: int, float: float, str: str}
     for key, value in merged.items():
-        typ = type(getattr(cfg, key))
         try:
-            cfg = replace(cfg, **{key: casts[typ](value)})
+            cfg = replace(cfg, **{key: type(getattr(cfg, key))(value)})
         except (TypeError, ValueError) as err:
             raise ConfigError(key, f"cannot parse {value!r}: {err}") from None
     return cfg.validate()

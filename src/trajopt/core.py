@@ -42,6 +42,12 @@ def _matrix(a, name: str) -> np.ndarray:
     return a
 
 
+def _number(value, integer: bool = False) -> bool:
+    """Whether ``value`` is a real number, an integer if ``integer``, and not a bool."""
+    kind = numbers.Integral if integer else numbers.Real
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def _sym(a: np.ndarray) -> np.ndarray:
     """Symmetric part of a matrix, or of each matrix of a stack."""
     return 0.5 * (a + a.swapaxes(-1, -2))
@@ -73,7 +79,7 @@ class TrajectoryProblem:
         object.__setattr__(self, "x0", _vector(self.x0, "x0"))
         for name in ("n_x", "n_u"):
             n = getattr(self, name)
-            if not isinstance(n, numbers.Integral) or n < 1:
+            if not _number(n, integer=True) or n < 1:
                 raise ShapeError(f"{name} must be an integer >= 1, got {n!r}")
         if len(self.dynamics) < 1:
             raise ShapeError("horizon must be at least 1")

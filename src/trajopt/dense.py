@@ -14,6 +14,7 @@ import numpy as np
 from . import autodiff
 from .core import TrajectoryProblem
 from .errors import ParameterError
+from .oracles import checked_controls
 
 __all__ = [
     "dense_gradient",
@@ -38,7 +39,7 @@ class _DenseData:
             raise ParameterError(
                 f"dense oracle refused: horizon*n_x = {tau * n_x} exceeds {MAX_STACKED_STATES}"
             )
-        u = np.asarray(u, dtype=float).reshape(tau, n_u)
+        u = checked_controls(problem, u, "u")
         self.problem, self.u = problem, u
         self.tau, self.n_x, self.n_u = tau, n_x, n_u
 

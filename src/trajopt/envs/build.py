@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import math
-import numbers
 from types import MappingProxyType
 
 from .. import autodiff as ad
-from ..core import TrajectoryProblem
+from ..core import TrajectoryProblem, _number
 from ..errors import ConfigError, ParameterError
 from .cars import (
     BicycleParams,
@@ -171,7 +170,7 @@ def build_problem(
     """
     if env not in _ENVS:
         raise ConfigError("env", f"unknown environment {env!r}; expected one of {ENV_KINDS}")
-    if not isinstance(horizon, numbers.Integral) or horizon < 1:
+    if not _number(horizon, integer=True) or horizon < 1:
         raise ConfigError("horizon", f"must be an integer >= 1, got {horizon!r}")
     scheme = env_discretizer(env, discretizer)
     _, params_type, build = _ENVS[env]

@@ -54,15 +54,6 @@ class DivergenceError(NumericError):
         self.trace = None
 
 
-class InfeasibleStageError(TrajoptError):
-    """A Bellman stage could not be solved (control block not positive definite)."""
-
-    def __init__(self, t: int | None, message: str = ""):
-        where = "unknown stage" if t is None else f"stage t={t}"
-        super().__init__(message or f"control-Hessian factorization failed at {where}")
-        self.t = t
-
-
 class StallError(TrajoptError):
     """A line search exhausted its stepsizes without acceptance.
 

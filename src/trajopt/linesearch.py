@@ -18,13 +18,12 @@ acceptable raw stepsizes bounded as the iterates approach stationarity.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import TrajectoryProblem
+from .core import TrajectoryProblem, _number
 from .errors import DivergenceError, NumericError, ParameterError, StallError
 from .oracles import (
     ExpansionBundle,
@@ -68,6 +67,14 @@ NU_MAX = 1e40
 STEP_RULES = ("directional", "regularized")
 
 
+def _require_real(settings, names) -> None:
+    """Raise :class:`ParameterError` naming the first of ``names`` not set to a real number."""
+    for name in names:
+        value = getattr(settings, name)
+        if not _number(value):
+            raise ParameterError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LineSearchConfig:
     """Step-rule selection and its constants."""
@@ -79,6 +86,7 @@ class LineSearchConfig:
     nu_init: float = 1e-6
 
     def __post_init__(self):
+        _require_real(self, ("rho_dec", "rho_inc", "gamma_min", "nu_init"))
         if self.rule not in STEP_RULES:
             raise ParameterError(f"unknown line-search rule {self.rule!r}")
         if not 0.0 < self.rho_dec < 1.0:
@@ -98,8 +106,9 @@ class StopCriteria:
     min_step: float = 1e-20
 
     def __post_init__(self):
-        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 0:
+        if not _number(self.max_iters, integer=True) or self.max_iters < 0:
             raise ParameterError(f"max_iters must be an integer >= 0, got {self.max_iters!r}")
+        _require_real(self, ("cost_rel_tol", "min_step"))
         if not (0.0 < self.cost_rel_tol < math.inf and 0.0 < self.min_step < math.inf):
             raise ParameterError("tolerances must be finite and positive")
 

@@ -3,12 +3,11 @@
 A stage is the linear step ``y_next = A y + B v``, the stage cost
 0.5 y'Hy + 0.5 v'Qv + y'Rv + p'y + q'v and the next cost-to-go
 0.5 y'Jy + j'y + j0.  ``check_subproblem`` factors the stage's control
-Hessian once and runs the descent test, ``lqbp`` solves the stage in
-closed form from that factor, ``lbp`` is the degenerate linear-cost
-stage (one step of gradient back-propagation, which the gradient oracle
-reads from the bundle's adjoints instead), and ``dynprog`` solves a
-convex linear-quadratic problem globally by one Gauss-Newton step of
-:mod:`trajopt.oracles`, whose sweep chains these stage solutions.
+Hessian once and runs the descent test, and ``lqbp`` solves the stage in
+closed form from that factor; the Bellman sweep of
+:mod:`trajopt.oracles` chains these stage solutions.  ``lbp`` is the
+degenerate linear-cost stage, one step of gradient back-propagation; the
+gradient oracle reads the same offsets from the bundle's adjoints.
 
 Stages with more than one control call LAPACK's ``dpotrf``/``dpotrs``
 directly, as ``scipy.linalg.cho_factor``/``cho_solve`` do after argument
@@ -18,11 +17,9 @@ LAPACK call: its factor is l = sqrt(a), rejected at a <= 0 as ``dpotrf``
 rejects it, and a solve is ``(b * r) * r`` with r = 1/l, as OpenBLAS's
 triangular solves multiply by the reciprocal of the diagonal.  Both are
 the library's results bit for bit; ``(b / l) / l`` would not be.
-
-``_lapack`` imports ``scipy.linalg.lapack`` at the first multi-control
-factorization, not with this module: the import costs about a quarter of a
-second, and one-control problems never need it.  No plain-float factor
-replaces it for wider blocks, because the host's BLAS kernels (fused
+``_lapack`` imports scipy's LAPACK at the first multi-control
+factorization, so one-control problems never load it.  No plain-float
+factor replaces it for wider blocks: the host's BLAS kernels (fused
 multiply-adds or not) decide its last bits.
 """
 
@@ -33,10 +30,10 @@ import math
 
 import numpy as np
 
-from .core import TrajectoryProblem, _sym
-from .errors import InfeasibleStageError, ParameterError
+from .core import _number, _sym
+from .errors import ParameterError
 
-__all__ = ["lqbp", "lbp", "check_subproblem", "dynprog"]
+__all__ = ["lqbp", "lbp", "check_subproblem"]
 
 # Round-off allowance for the descent check: a stage whose cost-to-go
 # offset decrement is zero up to this relative level (a zero-slope stage)
@@ -51,6 +48,13 @@ def _lapack():
     from scipy.linalg.lapack import dpotrf, dpotrs
 
     return dpotrf, dpotrs
+
+
+def _check_ridge(nu, positive: bool) -> None:
+    """Raise ParameterError unless nu is a real number in (0, inf), or [0, inf) if not positive."""
+    if not (_number(nu) and (0.0 < nu if positive else 0.0 <= nu) and nu < math.inf):
+        bound = "0 < nu < inf" if positive else "0 <= nu < inf"
+        raise ParameterError(f"the ridge must be a real number with {bound}, got nu={nu!r}")
 
 
 def check_subproblem(B, Q, q, J, j, j0: float):
@@ -121,25 +125,6 @@ def lbp(A, B, p, q, j, j0: float, nu: float) -> tuple:
     is the stage operation behind gradient back-propagation.  Returns
     ``(j_t, j0_t, k)``.
     """
-    if nu <= 0.0:
-        raise ParameterError(f"lbp requires nu > 0, got {nu}")
+    _check_ridge(nu, positive=True)
     g = q + B.T @ j
     return p + A.T @ j, j0 - float(g @ g) / (2.0 * nu), -g / nu
-
-
-def dynprog(problem: TrajectoryProblem) -> np.ndarray:
-    """Globally optimal controls for a convex linear-quadratic problem.
-
-    The caller guarantees linear dynamics and convex quadratic costs with
-    strongly convex control blocks; the expansion at zero controls is then
-    exact, and one unregularized Gauss-Newton step from there lands on the
-    optimum.  A stage that fails :func:`check_subproblem` raises
-    :class:`InfeasibleStageError` with its index.  Returns the controls as
-    an array of shape (horizon, n_u).
-    """
-    from .oracles import oracle  # oracles builds on this module
-
-    step = oracle(problem, np.zeros((problem.horizon, problem.n_u)), "gn", nu=0.0)
-    if not step.feasible:
-        raise InfeasibleStageError(step.failed_stage)
-    return step.direction

@@ -8,15 +8,16 @@ Gauss-Newton, Newton) or the original-dynamics increment maps (the two
 DDP variants).  :data:`ORACLES` is the single description of the kinds.
 
 The forward pass stores the stage matrices stacked over the stages
-(:class:`ExpansionBundle`), and the sweeps run on those raw arrays: each
-stage's control Hessian is factored once (``check_subproblem``) and the
-factor is reused by the closed-form stage (``lqbp``).  The bundle runs the
-package's one adjoint recursion: the gradient sweep reads its offsets
--grad J / nu from it, and the Newton sweep folds the dynamics curvature of
-every stage against it before its stage loop.  The DDP roll-outs difference
-the original dynamics against the states the bundle visited.  The policies
-come out stacked as gains ``K`` (horizon, n_u, n_x) and offsets ``k``
-(horizon, n_u).
+(:class:`ExpansionBundle`).  :func:`run_backward` is the one public sweep:
+it checks the ridge once, then runs the kind's sweep on those raw arrays.
+The gradient sweep (``_backward_gd``) reads its offsets -grad J / nu from
+the bundle's adjoint recursion, the one the package runs.  The quadratic
+sweep (``_backward_quadratic``) factors each stage's control Hessian once
+(``check_subproblem``) and reuses the factor in the closed-form stage
+(``lqbp``); for Newton it first folds the dynamics curvature of every
+stage against the adjoints.  The DDP roll-outs difference the original
+dynamics against the states the bundle visited.  The policies come out
+stacked as gains ``K`` (horizon, n_u, n_x) and offsets ``k`` (horizon, n_u).
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ from types import MappingProxyType
 import numpy as np
 
 from . import autodiff
-from .core import TrajectoryProblem, _sym
+from .core import TrajectoryProblem, _number, _sym
 from .errors import DivergenceError, NumericError, ParameterError, ShapeError
 # lbp is not called here; perfbench's layer tracer wraps it as oracles.lbp
-from .lqsolve import check_subproblem, lbp, lqbp
+from .lqsolve import _check_ridge, check_subproblem, lbp, lqbp
 
 __all__ = [
     "ORACLES",
@@ -43,7 +44,6 @@ __all__ = [
     "oracle_spec",
     "forward",
     "objective_value",
-    "backward_gd",
     "run_backward",
     "bundle_gradient",
     "rollout",
@@ -69,7 +69,7 @@ class OracleSpec:
 
 # The oracle kinds.  ``o_f`` and ``o_h`` are the forward-pass orders of the
 # dynamics and the costs.  Order-1 costs make the sweep gradient
-# back-propagation (:func:`backward_gd`); order-2 costs make it one Bellman
+# back-propagation (:func:`_backward_gd`); order-2 costs make it one Bellman
 # sweep on linearized dynamics and quadratic costs, where each stage cost
 # gains the curvature of f_t contracted against the vector ``contraction``:
 #   None           none: the Gauss-Newton (ILQR) step;
@@ -220,12 +220,16 @@ class OracleDirection:
 
 
 def _shaped_controls(problem: TrajectoryProblem, u, name: str) -> np.ndarray:
-    """Controls given as (horizon, n_u) or flat (horizon * n_u,), else :class:`ShapeError`.
+    """Real controls as (horizon, n_u) or flat (horizon * n_u,), else :class:`ShapeError`.
 
-    Other shapes, a transposed array say, would reshape into other stages.
+    Other shapes, a transposed array say, would reshape into other stages,
+    and a complex or text array would lose its imaginary parts or fail
+    inside numpy's conversion.
     """
+    u, shape = np.asarray(u), (problem.horizon, problem.n_u)
+    if u.dtype.kind not in "biuf":
+        raise ShapeError(f"{name} has dtype {u.dtype}, expected {shape} real numbers")
     u = np.asarray(u, dtype=float)
-    shape = (problem.horizon, problem.n_u)
     if u.shape != shape and u.shape != (shape[0] * shape[1],):
         raise ShapeError(f"{name} has shape {u.shape}, expected {shape}")
     return u.reshape(shape)
@@ -460,8 +464,8 @@ def forward(problem: TrajectoryProblem, u, o_f: int = 1, o_h: int = 2) -> Expans
     non-finite, carrying the offending step.
     """
     for order in (o_f, o_h):
-        if order not in (0, 1, 2):
-            raise ParameterError(f"derivative order must be 0, 1 or 2, got {order}")
+        if not (_number(order, integer=True) and order in (0, 1, 2)):
+            raise ParameterError(f"derivative order must be 0, 1 or 2, got {order!r}")
     u = _shaped_controls(problem, u, "u")
     xs, step_costs, total = _roll(problem, u)
     fields = {}
@@ -505,17 +509,13 @@ def _swept(K: np.ndarray, k: np.ndarray, c0_zero: float) -> OracleDirection:
     return OracleDirection(K, k, c0_zero, True)
 
 
-def backward_gd(bundle: ExpansionBundle, nu: float) -> OracleDirection:
+def _backward_gd(bundle: ExpansionBundle, nu: float) -> OracleDirection:
     """Backward sweep with linear models: gradient back-propagation.
 
     The policies are the constant offsets -grad_t J / nu, read from
     :func:`bundle_gradient`, and the affine cost-to-go at 0 equals
     -|grad J|^2 / (2 nu).
     """
-    if not 0.0 < nu < math.inf:
-        raise ParameterError(f"gradient backward pass requires 0 < nu < inf, got {nu}")
-    if bundle.o_h < 1 or bundle.o_f < 1:
-        raise ParameterError("gradient backward pass needs order-1 information")
     g = bundle_gradient(bundle)
     # summed stage by stage from the last, as a sweep would: a vectorized
     # sum differs in its last bits
@@ -529,8 +529,6 @@ def _backward_quadratic(
     bundle: ExpansionBundle, nu: float, contraction: str | None
 ) -> OracleDirection:
     """The Bellman sweep of every order-2-cost oracle (see :data:`ORACLES`)."""
-    if not 0.0 <= nu < math.inf:
-        raise ParameterError(f"ridge nu must be finite and >= 0, got {nu}")
     if bundle.o_h != 2:
         raise ParameterError("quadratic backward passes need order-2 cost information")
     if contraction is not None and bundle.curvature is None:
@@ -569,11 +567,16 @@ def _backward_quadratic(
 
 
 def run_backward(bundle: ExpansionBundle, kind: str, nu: float) -> OracleDirection:
-    """The backward pass of one oracle kind, as :data:`ORACLES` describes it."""
+    """The backward pass of one oracle kind, as :data:`ORACLES` describes it.
+
+    The ridge must be a real number with 0 < nu < inf for the linear-cost
+    kind and 0 <= nu < inf for the others, else :class:`ParameterError`.
+    """
     spec = oracle_spec(kind)
+    _check_ridge(nu, positive=spec.o_h == 1)
     with np.errstate(all="ignore"):  # overflow ends as an infeasible result
         if spec.o_h == 1:  # linear cost models: gradient back-propagation
-            return backward_gd(bundle, nu)
+            return _backward_gd(bundle, nu)
         return _backward_quadratic(bundle, nu, spec.contraction)
 
 
@@ -582,10 +585,9 @@ def bundle_gradient(bundle: ExpansionBundle) -> np.ndarray:
 
     Stage t's gradient is q_t + B_t' lam_{t+1}, from the bundle's adjoint
     stack (:attr:`ExpansionBundle.adjoints`), the one adjoint recursion
-    the package runs.
+    the package runs, which raises :class:`ParameterError` without order-1
+    information.
     """
-    if bundle.o_h < 1 or bundle.o_f < 1:
-        raise ParameterError("gradient recovery needs order-1 information")
     B, lam = bundle.B, bundle.adjoints
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite gradient
         return bundle.q + (B.transpose(0, 2, 1) @ lam[:, :, None])[:, :, 0]

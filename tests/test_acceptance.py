@@ -20,7 +20,6 @@ from trajopt.dense import smoothness_bounds, trajectory_jacobian
 from trajopt.envs import build_problem
 from trajopt.envs.track import border_cost, track_eval
 from trajopt.linesearch import LineSearchConfig, StopCriteria, solve, stationarity_residual
-from trajopt.lqsolve import dynprog
 from trajopt.oracles import ORACLES, bundle_gradient, forward, oracle, oracle_step
 from trajopt import autodiff
 from trajopt.core import TrajectoryProblem, quadratic_cost, quadratic_state_cost
@@ -112,7 +111,9 @@ def test_criterion_02_lq_exactness(rng):
         n_x = int(rng.integers(1, 4))
         n_u = int(rng.integers(1, 4))
         problem, data = random_lq_problem(rng, tau, n_x, n_u)
-        u_dp = dynprog(problem)
+        step = oracle(problem, np.zeros((tau, n_u)), "gn", nu=0.0)
+        assert step.feasible
+        u_dp = step.direction
         u_kkt = kkt_solve_lq(problem, data)
         worst_gap = max(worst_gap, float(np.max(np.abs(u_dp - u_kkt))))
         u0 = rng.standard_normal((tau, n_u))

@@ -392,3 +392,6 @@ class TestPrimitives:
             forward(problem, [[0.0]], o_f=3)
         with pytest.raises(ParameterError, match="order must be 0, 1 or 2"):
             forward(problem, [[0.0]], o_h=3)
+        for order in (1.0, True):
+            with pytest.raises(ParameterError, match="order must be 0, 1 or 2"):
+                forward(problem, [[0.0]], o_f=order)

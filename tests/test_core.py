@@ -158,11 +158,12 @@ def _raise_type_error(x, u):
     ({"n_u": 0}, ShapeError, "n_u must be an integer >= 1, got 0"),
     ({"n_u": -1}, ShapeError, "n_u must be an integer >= 1, got -1"),
     ({"n_u": 1.5}, ShapeError, "n_u must be an integer >= 1, got 1.5"),
+    ({"n_u": True}, ShapeError, "n_u must be an integer >= 1, got True"),
     ({"dynamics": lambda x, u: [x[0], u[0]]}, ShapeError, "dynamics at t=0 gave 2 entries"),
     ({"running": lambda x, u: [u[0] * u[0]]}, ShapeError, "cost at t=0 gave a list"),
     ({"final": lambda x: [x[0]]}, ShapeError, "cost at t=3 gave a list"),
     ({"dynamics": _raise_type_error}, TypeError, "raised inside the dynamics"),
-], ids=["n_u=0", "n_u=-1", "n_u=1.5", "long-state", "list-cost", "list-final", "model-error"])
+], ids=["n_u=0", "n_u=-1", "n_u=1.5", "n_u=True", "long-state", "list-cost", "list-final", "model-error"])
 def test_problem_shape_contract(entry, parts, error, match):
     """Bad problem parts raise a named error at construction or at the stage they reach."""
     with pytest.raises(error, match=match) as caught:

@@ -252,7 +252,7 @@ class TestBuildProblem:
 
     @pytest.mark.parametrize("env,horizon", [
         ("pendulum", 2.5), ("bicycle-car", 3.0), ("cartpole", "5"), ("simple-car", None),
-        ("pendulum", 0), ("pendulum", np.float64(4.0)),
+        ("pendulum", 0), ("pendulum", np.float64(4.0)), ("pendulum", True),
     ])
     def test_non_integer_horizon_rejected(self, env, horizon):
         with pytest.raises(ConfigError) as err:

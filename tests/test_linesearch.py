@@ -22,7 +22,6 @@ from trajopt.linesearch import (
     solve,
     stationarity_residual,
 )
-from trajopt.lqsolve import dynprog
 from trajopt.oracles import (
     ORACLE_KINDS,
     OracleDirection,
@@ -56,6 +55,8 @@ class TestSettings:
         {"rho_inc": math.nan}, {"rho_inc": math.inf}, {"rho_inc": 1.0},
         {"gamma_min": math.nan}, {"gamma_min": math.inf}, {"gamma_min": 0.0},
         {"nu_init": math.nan}, {"nu_init": math.inf}, {"nu_init": -1.0},
+        {"rho_dec": "0.5"}, {"rho_inc": None}, {"gamma_min": 1e-12 + 0j}, {"gamma_min": True},
+        {"nu_init": "1e-6"},
     ])
     def test_line_search_config_rejects(self, setting):
         with pytest.raises(ParameterError):
@@ -65,6 +66,8 @@ class TestSettings:
         {"max_iters": 2.5}, {"max_iters": 3.0}, {"max_iters": "5"}, {"max_iters": -1},
         {"cost_rel_tol": math.nan}, {"cost_rel_tol": math.inf}, {"cost_rel_tol": 0.0},
         {"min_step": math.nan}, {"min_step": math.inf}, {"min_step": -1.0},
+        {"max_iters": True}, {"max_iters": False}, {"cost_rel_tol": "1e-12"},
+        {"cost_rel_tol": None}, {"min_step": 1e-20j}, {"min_step": True},
     ])
     def test_stop_criteria_rejects(self, setting):
         with pytest.raises(ParameterError):
@@ -215,7 +218,9 @@ class TestSolve:
     def test_solve_from_the_optimum_stops_converged(self, rng):
         """Zero gradient: the model sees no decrease and the run reports converged."""
         problem, _ = random_lq_problem(rng, 4, 2, 1)
-        u_star = dynprog(problem)
+        step = oracle(problem, np.zeros((4, 1)), "gn", nu=0.0)
+        assert step.feasible
+        u_star = step.direction
         for rule in ("directional", "regularized"):
             u_out, trace = solve(
                 problem, u_star, "gn", LineSearchConfig(rule=rule), StopCriteria(max_iters=5)
@@ -260,7 +265,9 @@ class TestSolve:
 class TestStationarityResidual:
     def test_zero_at_lq_minimizer(self, rng):
         problem, _ = random_lq_problem(rng, 4, 2, 2)
-        u_star = dynprog(problem)
+        step = oracle(problem, np.zeros((4, 2)), "gn", nu=0.0)
+        assert step.feasible
+        u_star = step.direction
         assert stationarity_residual(problem, u_star) <= 1e-9
 
     def test_equals_scaled_gradient_direction(self, rng):

@@ -1,4 +1,6 @@
-"""Bellman stage solutions and the dynamic-programming driver."""
+"""Bellman stage solutions, and one Gauss-Newton step as the exact LQ solve."""
+
+import math
 
 import numpy as np
 import pytest
@@ -6,8 +8,8 @@ import scipy.linalg
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 import trajopt.core as core
-from trajopt.errors import InfeasibleStageError, ParameterError
-from trajopt.lqsolve import DESCENT_STRICTNESS, check_subproblem, dynprog, lbp, lqbp
+from trajopt.errors import ParameterError
+from trajopt.lqsolve import DESCENT_STRICTNESS, check_subproblem, lbp, lqbp
 from trajopt.oracles import oracle
 
 from conftest import kkt_solve_lq, random_lq_problem, random_spd
@@ -89,9 +91,10 @@ class TestLbp:
         assert j0 == pytest.approx(-2.25)
         assert k[0] == pytest.approx(-1.5)
 
-    def test_requires_positive_nu(self):
+    @pytest.mark.parametrize("nu", [0.0, math.nan, math.inf])
+    def test_requires_positive_nu(self, nu):
         with pytest.raises(ParameterError):
-            lbp(np.eye(1), np.eye(1), np.zeros(1), np.ones(1), np.zeros(1), 0.0, nu=0.0)
+            lbp(np.eye(1), np.eye(1), np.zeros(1), np.ones(1), np.zeros(1), 0.0, nu=nu)
 
 
 class TestCheckSubproblem:
@@ -243,9 +246,8 @@ class TestDynProg:
             n_x=1,
             n_u=1,
         )
-        with pytest.raises(InfeasibleStageError) as err:
-            dynprog(problem)
-        assert err.value.t == 1
+        step = oracle(problem, np.zeros((problem.horizon, problem.n_u)), "gn", nu=0.0)
+        assert not step.feasible and step.failed_stage == 1
 
     def test_pure_control_penalty(self):
         tau = 4
@@ -260,8 +262,9 @@ class TestDynProg:
             n_x=1,
             n_u=1,
         )
-        controls = dynprog(problem)
-        np.testing.assert_allclose(controls, np.zeros((tau, 1)), atol=1e-12)
+        step = oracle(problem, np.zeros((problem.horizon, problem.n_u)), "gn", nu=0.0)
+        assert step.feasible
+        np.testing.assert_allclose(step.direction, np.zeros((tau, 1)), atol=1e-12)
 
     def test_single_step_average(self):
         # minimize 0.5 u^2 + 0.5 (u - 1)^2 at u = 0.5 with f(x, u) = u
@@ -273,8 +276,9 @@ class TestDynProg:
             n_x=1,
             n_u=1,
         )
-        controls = dynprog(problem)
-        assert controls[0, 0] == pytest.approx(0.5, abs=1e-12)
+        step = oracle(problem, np.zeros((problem.horizon, problem.n_u)), "gn", nu=0.0)
+        assert step.feasible
+        assert step.direction[0, 0] == pytest.approx(0.5, abs=1e-12)
 
     def test_matches_dense_kkt_on_random_instances(self, rng):
         for _ in range(8):
@@ -282,7 +286,9 @@ class TestDynProg:
             n_x = int(rng.integers(1, 4))
             n_u = int(rng.integers(1, 4))
             problem, data = random_lq_problem(rng, tau, n_x, n_u)
-            u_dp = dynprog(problem)
+            step = oracle(problem, np.zeros((tau, n_u)), "gn", nu=0.0)
+            assert step.feasible
+            u_dp = step.direction
             u_kkt = kkt_solve_lq(problem, data)
             np.testing.assert_allclose(u_dp, u_kkt, atol=1e-8)
 
@@ -292,7 +298,9 @@ class TestDynProg:
             n_x = int(rng.integers(1, 4))
             n_u = int(rng.integers(1, 4))
             problem, _ = random_lq_problem(rng, tau, n_x, n_u)
-            u_star = dynprog(problem)
+            step = oracle(problem, np.zeros((tau, n_u)), "gn", nu=0.0)
+            assert step.feasible
+            u_star = step.direction
             grad_dir = oracle(problem, u_star, "gd", nu=1.0)
             zero_grad = oracle(problem, np.zeros_like(u_star), "gd", nu=1.0)
             scale = 1.0 + float(np.max(np.abs(zero_grad.direction)))

@@ -31,7 +31,6 @@ from trajopt.oracles import (
     ORACLES,
     SLOT_BUDGET,
     _expand,
-    backward_gd,
     bundle_gradient,
     forward,
     objective_value,
@@ -456,13 +455,14 @@ class TestTracedExpansion:
 
 
 class TestControlValidation:
-    @pytest.mark.parametrize("entry", ["solve", "oracle"])
+    @pytest.mark.parametrize("entry", ["solve", "oracle", "dense_gradient"])
     def test_wrong_shape_names_the_expected_shape(self, entry):
         problem = build_problem("pendulum", 20)
-        with pytest.raises(ShapeError, match=r"expected \(20, 1\)"):
-            _call(entry, problem, np.zeros((7, 1)))
+        for bad in (np.zeros((7, 1)), np.zeros(7)):
+            with pytest.raises(ShapeError, match=r"expected \(20, 1\)"):
+                _call(entry, problem, bad)
 
-    @pytest.mark.parametrize("entry", ["solve", "oracle"])
+    @pytest.mark.parametrize("entry", ["solve", "oracle", "dense_gradient"])
     def test_non_finite_controls_rejected_before_any_model(self, entry):
         problem = build_problem("pendulum", 20)
         with pytest.raises(ShapeError, match="must be finite; step t=0"):
@@ -481,12 +481,13 @@ class TestControlValidation:
         with pytest.raises(DivergenceError):
             objective_value(problem, np.full((20, 1), np.nan))
 
-    @pytest.mark.parametrize("entry", ["forward", "solve", "oracle"])
-    @pytest.mark.parametrize("form", ["transposed", "row"])
+    @pytest.mark.parametrize("entry", ["forward", "solve", "oracle", "dense_gradient"])
+    @pytest.mark.parametrize("form", ["transposed", "row", "complex", "string"])
     def test_other_shapes_of_the_right_size_rejected(self, entry, form):
         problem = build_problem("simple-car", 3)
         u = np.arange(6.0).reshape(3, 2) * 0.1
-        bad = u.T if form == "transposed" else u.reshape(1, 6)
+        bad = {"transposed": u.T, "row": u.reshape(1, 6), "complex": u * (1 + 1j),
+               "string": u.astype(str)}[form]
         with pytest.raises(ShapeError, match=r"expected \(3, 2\)"):
             _call(entry, problem, bad)
 
@@ -505,29 +506,35 @@ def _call(entry, problem, u):
         return solve(problem, u, "gn")
     if entry == "forward":
         return forward(problem, u)
+    if entry == "dense_gradient":
+        return dense_gradient(problem, u)
     return oracle(problem, u, "gn")
 
 
 @pytest.mark.parametrize("kind", ORACLE_KINDS)
-@pytest.mark.parametrize("nu", [math.nan, math.inf])
+@pytest.mark.parametrize("nu", [math.nan, math.inf, "a", 1j, None])
 def test_non_finite_ridge_rejected(kind, nu):
     problem = build_problem("pendulum", 5)
+    bundle = forward(problem, np.zeros((5, 1)), ORACLES[kind].o_f, ORACLES[kind].o_h)
     with pytest.raises(ParameterError, match=r"\bnu\b"):
-        oracle(problem, np.zeros((5, 1)), kind, nu=nu)
+        oracle_step(bundle, kind, nu)
+    if nu is not None:  # oracle reads None as the kind's start ridge
+        with pytest.raises(ParameterError, match=r"\bnu\b"):
+            oracle(problem, np.zeros((5, 1)), kind, nu=nu)
 
 
 class TestBackwardGd:
     def test_hand_chain_rule(self):
         bundle = forward(tiny_problem(), [[3.0]], 1, 1)
-        result = backward_gd(bundle, nu=1.0)
+        result = run_backward(bundle, "gd", 1.0)
         np.testing.assert_allclose(result.k[0], [-3.0])
         assert result.c0_zero == pytest.approx(-4.5)  # -|grad|^2 / 2
 
     def test_zero_direction_at_lq_minimizer(self, rng):
         problem, _ = random_lq_problem(rng, 4, 2, 1)
-        from trajopt.lqsolve import dynprog
-
-        u_star = dynprog(problem)
+        step = oracle(problem, np.zeros((4, 1)), "gn", nu=0.0)
+        assert step.feasible
+        u_star = step.direction
         direction = oracle(problem, u_star, "gd", nu=1.0).direction
         assert np.max(np.abs(direction)) <= 1e-9
 
@@ -535,8 +542,8 @@ class TestBackwardGd:
         problem = random_smooth_problem(rng, 3, 2, 1)
         u = rng.standard_normal((3, 1)) * 0.1
         bundle = forward(problem, u, 1, 1)
-        d1 = backward_gd(bundle, nu=1.0)
-        d2 = backward_gd(bundle, nu=2.0)
+        d1 = run_backward(bundle, "gd", 1.0)
+        d2 = run_backward(bundle, "gd", 2.0)
         np.testing.assert_allclose(d2.k, 0.5 * d1.k)
 
     def test_rollout_equals_stacked_offsets(self, rng):
@@ -554,7 +561,7 @@ class TestBackwardGd:
         problem = build_problem(env, horizon, scheme)
         u = 0.01 * np.random.default_rng(3).standard_normal((horizon, problem.n_u))
         bundle = forward(problem, u, 1, 1)
-        result = backward_gd(bundle, nu)
+        result = run_backward(bundle, "gd", nu)
         g = bundle_gradient(bundle)
         assert result.k.tobytes() == (-g / nu).tobytes()
         j0 = 0.0

@@ -454,7 +454,7 @@ def smoothmax(x, sharpness: float = 0.01):
     Tends to the exact hinge as ``sharpness`` goes to 0; the value at the
     kink is sharpness*log(2).
     """
-    if sharpness <= 0.0:
+    if not sharpness > 0.0:
         raise ParameterError(f"smoothmax sharpness must be > 0, got {sharpness}")
     if isinstance(x, HyperDual):
         z = x.value / sharpness

@@ -28,6 +28,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import _testing, autodiff
+from .core import _scalar
 from .envs.build import DISCRETIZERS, ENV_DISCRETIZERS, ENV_KINDS, build_problem, env_discretizer
 from .errors import ConfigError, DivergenceError, TrajoptError
 from .linesearch import STEP_RULES, LineSearchConfig, SolveTrace, StopCriteria, solve
@@ -69,15 +70,12 @@ class RunConfig:
         for name, kinds in (("env", ENV_KINDS), ("algo", ORACLE_KINDS), ("linesearch", STEP_RULES)):
             if getattr(self, name) not in kinds:
                 raise ConfigError(name, f"got {getattr(self, name)!r}, expected one of {kinds}")
-        if self.horizon < 1:
-            raise ConfigError("horizon", f"must be >= 1, got {self.horizon}")
+        _scalar(self.horizon, "horizon", 1, ends="[)", integer=True, error=ConfigError)
         env_discretizer(self.env, self.discretizer)
-        if self.max_iters < 0:
-            raise ConfigError("max_iters", f"must be >= 0, got {self.max_iters}")
-        if not (0 < self.rel_tol < math.inf and 0 < self.min_step < math.inf):
-            raise ConfigError("rel_tol", "tolerances must be finite and positive")
-        if self.parallel < 1:
-            raise ConfigError("parallel", f"must be >= 1, got {self.parallel}")
+        for name, lo in (("max_iters", 0), ("seed", -1), ("parallel", 1)):
+            _scalar(getattr(self, name), name, lo, ends="[)", integer=True, error=ConfigError)
+        for name in ("rel_tol", "min_step"):
+            _scalar(getattr(self, name), name, 0.0, error=ConfigError)
         return self
 
 

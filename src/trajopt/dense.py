@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff
-from .core import TrajectoryProblem
+from .core import TrajectoryProblem, _scalar
 from .errors import ParameterError
 from .oracles import checked_controls
 
@@ -186,15 +186,13 @@ def smoothness_bounds(
     the Lipschitz constant of that gradient, built from the geometric sum
     S of the per-step state sensitivities.
     """
-    for name, val in (
-        ("l_f_x", l_f_x), ("l_f_u", l_f_u), ("l_f_xx", l_f_xx),
-        ("l_f_xu", l_f_xu), ("l_f_uu", l_f_uu),
-    ):
-        if val < 0.0:
-            raise ParameterError(f"{name} must be >= 0, got {val}")
-    if tau < 1:
-        raise ParameterError(f"tau must be >= 1, got {tau}")
-    S = sum(l_f_x**t for t in range(tau))
-    l_bound = l_f_u * S
-    big_l = S * (l_f_xx * l_bound**2 + 2.0 * l_f_xu * l_bound + l_f_uu)
-    return float(l_bound), float(big_l)
+    for name, val in zip(("l_f_x", "l_f_u", "l_f_xx", "l_f_xu", "l_f_uu"),
+                         (l_f_x, l_f_u, l_f_xx, l_f_xu, l_f_uu)):
+        _scalar(val, name, 0.0, ends="[)")
+    _scalar(tau, "tau", 1, ends="[)", integer=True)
+    try:
+        S = sum(l_f_x**t for t in range(tau))
+        l_bound = l_f_u * S
+        return float(l_bound), float(S * (l_f_xx * l_bound**2 + 2.0 * l_f_xu * l_bound + l_f_uu))
+    except OverflowError:
+        raise ParameterError("the constants are too large: the bounds overflow") from None

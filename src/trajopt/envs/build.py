@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import math
 from types import MappingProxyType
 
 from .. import autodiff as ad
-from ..core import TrajectoryProblem, _number
+from ..core import TrajectoryProblem, _scalar
 from ..errors import ConfigError, ParameterError
 from .cars import (
     BicycleParams,
@@ -144,6 +143,8 @@ ENV_KINDS = tuple(_ENVS)
 
 def env_discretizer(env: str, discretizer: str | None = None) -> str:
     """``discretizer``, or env's default when it is empty; ``ConfigError`` if env disallows it."""
+    if env not in ENV_KINDS:
+        raise ConfigError("env", f"unknown environment {env!r}; expected one of {ENV_KINDS}")
     allowed = ENV_DISCRETIZERS[env]
     scheme = discretizer or allowed[0]
     if scheme not in allowed:
@@ -162,24 +163,22 @@ def build_problem(
 
     The discretizer defaults to the env's first entry in
     :data:`ENV_DISCRETIZERS`.  ``params`` defaults to the env's params
-    class; an instance of another class raises ``ParameterError``, as does
-    a step size (the model's total time divided by the horizon) that is
-    not finite and positive.  Car problems default to the bundled 'simple'
-    track.  The returned problem carries build metadata (params, track,
-    step size) in ``meta``.
+    class; an instance of another class raises ``ParameterError``, as do
+    a ``track`` that is not a :class:`Track` and a step size (the model's
+    total time divided by the horizon) that is not finite and positive.
+    Car problems default to the bundled 'simple' track.  The returned
+    problem carries build metadata (params, track, step size) in ``meta``.
     """
-    if env not in _ENVS:
-        raise ConfigError("env", f"unknown environment {env!r}; expected one of {ENV_KINDS}")
-    if not _number(horizon, integer=True) or horizon < 1:
-        raise ConfigError("horizon", f"must be an integer >= 1, got {horizon!r}")
     scheme = env_discretizer(env, discretizer)
+    _scalar(horizon, "horizon", 1, ends="[)", integer=True, error=ConfigError)
     _, params_type, build = _ENVS[env]
     p = params_type() if params is None else params
     if not isinstance(p, params_type):
         raise ParameterError(f"{env} takes {params_type.__name__}, got {type(p).__name__}")
+    if track is not None and not isinstance(track, Track):
+        raise ParameterError(f"track must be a Track, got {type(track).__name__}")
     dt = p.total_time / horizon
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ParameterError(f"total_time / horizon must be finite and positive, got {dt}")
+    _scalar(dt, "total_time / horizon", 0.0)
     step, blocks = _SCHEMES[scheme]
     f, costs, final, x0, n_u, meta = build(
         horizon, p, dt, lambda f_cont: (lambda z, u: step(f_cont, z, u, dt)), track

@@ -11,7 +11,8 @@ import math
 from dataclasses import dataclass
 
 from .. import autodiff as ad
-from ..errors import DomainError, ParameterError
+from ..core import _Params
+from ..errors import DomainError
 
 __all__ = [
     "SimpleCarParams",
@@ -30,20 +31,18 @@ ACCEL_HI = 1.0
 
 
 @dataclass(frozen=True)
-class SimpleCarParams:
+class SimpleCarParams(_Params):
     length: float = 1.0
     v_ref: float = 3.0
     v_init: float = 1.0
     ctrl_weight: float = 1e-6
     total_time: float = 2.0
 
-    def __post_init__(self):
-        if self.length <= 0:
-            raise ParameterError("car length must be positive")
+    _positive = ("length",)
 
 
 @dataclass(frozen=True)
-class BicycleParams:
+class BicycleParams(_Params):
     # motor / rolling-resistance constants
     c_m1: float = 0.287
     c_m2: float = 0.0545
@@ -72,11 +71,7 @@ class BicycleParams:
     total_time: float = 1.0
     car_width: float = 0.06
 
-    def __post_init__(self):
-        if min(self.mass, self.inertia_z, self.l_r, self.l_f) <= 0:
-            raise ParameterError("masses, inertia and axle distances must be positive")
-        if min(self.b_r, self.c_r, self.d_r, self.b_f, self.c_f, self.d_f) <= 0:
-            raise ParameterError("tire-curve constants must be positive")
+    _positive = ("mass", "inertia_z", "l_r", "l_f", "b_r", "c_r", "d_r", "b_f", "c_f", "d_f")
 
 
 _SIMPLE = SimpleCarParams()

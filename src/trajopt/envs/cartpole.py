@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass
 
 from .. import autodiff as ad
+from ..core import _Params
 from ..errors import ParameterError
 
 __all__ = ["CartPoleParams", "cartpole_dynamics", "cartpole_cost"]
@@ -14,7 +15,7 @@ HINGE_SHARPNESS = 0.01
 
 
 @dataclass(frozen=True)
-class CartPoleParams:
+class CartPoleParams(_Params):
     pole_mass: float = 0.2
     cart_mass: float = 0.5
     friction: float = 0.1
@@ -30,6 +31,7 @@ class CartPoleParams:
     stay_put_window: float = 0.6
 
     def __post_init__(self):
+        super().__post_init__()
         # the mass matrix determinant stays positive for all angles as long
         # as the rod has its own moment of inertia
         det_floor = (self.cart_mass + self.pole_mass) * self.inertia

@@ -19,7 +19,7 @@ def _shift(z, k, h):
 
 def euler_step(f_cont, z, u, dt: float):
     """z + dt * f(z, u)."""
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ParameterError(f"step size must be > 0, got {dt}")
     dz = f_cont(z, u)
     return [zi + dt * di for zi, di in zip(z, dz)]
@@ -27,7 +27,7 @@ def euler_step(f_cont, z, u, dt: float):
 
 def _rk4(f_cont, z, v0, v_mid, v_end, dt: float):
     """Fourth-order step whose first, midpoint and last stages see v0, v_mid and v_end."""
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ParameterError(f"step size must be > 0, got {dt}")
     k1 = f_cont(z, v0)
     k2 = f_cont(_shift(z, k1, dt / 2.0), v_mid)

@@ -6,13 +6,13 @@ import math
 from dataclasses import dataclass
 
 from .. import autodiff as ad
-from ..errors import ParameterError
+from ..core import _Params
 
 __all__ = ["PendulumParams", "pendulum_dynamics", "pendulum_cost"]
 
 
 @dataclass(frozen=True)
-class PendulumParams:
+class PendulumParams(_Params):
     """Benchmark constants.
 
     The torque penalty is nearly free while the terminal speed penalty is
@@ -28,11 +28,8 @@ class PendulumParams:
     speed_weight: float = 0.1
     total_time: float = 2.0
 
-    def __post_init__(self):
-        if self.mass <= 0 or self.length <= 0:
-            raise ParameterError("mass and length must be positive")
-        if min(self.friction, self.ctrl_weight, self.speed_weight) < 0:
-            raise ParameterError("friction and cost weights must be non-negative")
+    _positive = ("mass", "length")
+    _non_negative = ("friction", "ctrl_weight", "speed_weight")
 
 
 _DEFAULT = PendulumParams()

@@ -29,6 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .. import autodiff as ad
+from ..core import _array, _scalar
 from ..errors import ShapeError
 
 __all__ = [
@@ -86,13 +87,10 @@ def track_build(waypoints, width: float) -> Track:
     centerlines; duplicate consecutive waypoints are rejected because they
     would degenerate the tangent.
     """
-    pts = np.asarray(waypoints, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
+    pts = _array(waypoints, "track waypoints", (None, 2))
+    if len(pts) < 2:
         raise ShapeError("a track needs at least two (x, y) waypoints")
-    if not np.all(np.isfinite(pts)):
-        raise ShapeError("track waypoints must be finite")
-    if not (math.isfinite(width) and width > 0.0):
-        raise ShapeError(f"track width must be positive and finite, got {width}")
+    _scalar(width, "track width", 0.0, error=ShapeError)
     gaps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     if np.any(gaps == 0.0):
         raise ShapeError("duplicate consecutive waypoints")
@@ -143,8 +141,6 @@ def track_loads(text: str) -> Track:
             x, y = map(float, ln.split(","))
         except ValueError:
             raise ShapeError(f"track file line is not an x,y pair: {ln!r}") from None
-        if math.isnan(x) or math.isnan(y):
-            raise ShapeError(f"track file contains NaN coordinates: {ln!r}")
         pts.append((x, y))
     return track_build(pts, width)
 

@@ -18,12 +18,13 @@ acceptable raw stepsizes bounded as the iterates approach stationarity.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import TrajectoryProblem, _number
+from .core import TrajectoryProblem, _array, _scalar
 from .errors import DivergenceError, NumericError, ParameterError, StallError
 from .oracles import (
     ExpansionBundle,
@@ -67,14 +68,6 @@ NU_MAX = 1e40
 STEP_RULES = ("directional", "regularized")
 
 
-def _require_real(settings, names) -> None:
-    """Raise :class:`ParameterError` naming the first of ``names`` not set to a real number."""
-    for name in names:
-        value = getattr(settings, name)
-        if not _number(value):
-            raise ParameterError(f"{name} must be a real number, got {value!r}")
-
-
 @dataclass(frozen=True)
 class LineSearchConfig:
     """Step-rule selection and its constants."""
@@ -86,15 +79,12 @@ class LineSearchConfig:
     nu_init: float = 1e-6
 
     def __post_init__(self):
-        _require_real(self, ("rho_dec", "rho_inc", "gamma_min", "nu_init"))
         if self.rule not in STEP_RULES:
             raise ParameterError(f"unknown line-search rule {self.rule!r}")
-        if not 0.0 < self.rho_dec < 1.0:
-            raise ParameterError(f"rho_dec must be in (0, 1), got {self.rho_dec}")
-        if not 1.0 < self.rho_inc < math.inf:
-            raise ParameterError(f"rho_inc must be finite and > 1, got {self.rho_inc}")
-        if not (0.0 < self.gamma_min < math.inf and 0.0 < self.nu_init < math.inf):
-            raise ParameterError("gamma_min and nu_init must be finite and positive")
+        _scalar(self.rho_dec, "rho_dec", 0.0, 1.0)
+        _scalar(self.rho_inc, "rho_inc", 1.0)
+        _scalar(self.gamma_min, "gamma_min", 0.0)
+        _scalar(self.nu_init, "nu_init", 0.0)
 
 
 @dataclass(frozen=True)
@@ -106,11 +96,9 @@ class StopCriteria:
     min_step: float = 1e-20
 
     def __post_init__(self):
-        if not _number(self.max_iters, integer=True) or self.max_iters < 0:
-            raise ParameterError(f"max_iters must be an integer >= 0, got {self.max_iters!r}")
-        _require_real(self, ("cost_rel_tol", "min_step"))
-        if not (0.0 < self.cost_rel_tol < math.inf and 0.0 < self.min_step < math.inf):
-            raise ParameterError("tolerances must be finite and positive")
+        _scalar(self.max_iters, "max_iters", 0, ends="[)", integer=True)
+        _scalar(self.cost_rel_tol, "cost_rel_tol", 0.0)
+        _scalar(self.min_step, "min_step", 0.0)
 
 
 @dataclass(frozen=True)
@@ -169,7 +157,8 @@ def _backtrack(bundle: ExpansionBundle, j_current: float, gamma: float,
                 return candidate, gamma, bound
             if j_trial < best_cost:
                 best, best_cost = candidate, j_trial
-        gamma *= cfg.rho_dec
+        # a rejected gamma = inf (ridge 0) would stay inf: go on from the largest float
+        gamma = min(gamma * cfg.rho_dec, sys.float_info.max)
         if gamma < cfg.gamma_min:
             raise StallError(gamma, best if best_cost < j_current else None)
 
@@ -197,9 +186,10 @@ def directional_search(
     increment maps and a unit roll-out that overflowed leave each trial to
     roll out its own policy.
     """
-    if not c0_zero < 0.0:
-        raise ParameterError(f"directional step needs a negative model value, got {c0_zero}")
     spec = oracle_spec(kind)
+    _scalar(c0_zero, "c0_zero", -math.inf, 0.0, ends="[)")
+    tau, n_u, n_x = bundle.horizon, bundle.problem.n_u, bundle.problem.n_x
+    K, k = _array(K, "K", (tau, n_u, n_x), steps=True), _array(k, "k", (tau, n_u), steps=True)
     step = spec.step_map(bundle)
     # not bundle.cost: perfbench counts trials as objective_value calls less searches
     j_current = objective_value(bundle.problem, bundle.u)
@@ -233,8 +223,9 @@ def regularized_search(
     along the kind's maps; the trial is accepted when the objective
     decrease is at least the swept model value c0(0).  Returns the accepted
     point, stepsize and model value; raises :class:`StallError` as
-    :func:`_backtrack` does.
+    :func:`_backtrack` does.  ``gamma`` may be +inf, the ridge 0.
     """
+    _scalar(gamma, "gamma", 0.0, math.inf, ends="(]")
     y0 = np.zeros(bundle.problem.n_x)
     step = oracle_spec(kind).step_map(bundle)
 
@@ -293,8 +284,10 @@ def solve(
     ``u0`` must be a finite (horizon, n_u) array, else :class:`ShapeError`.
     """
     spec = oracle_spec(kind)
-    cfg = cfg or LineSearchConfig()
-    stop = stop or StopCriteria()
+    cfg = LineSearchConfig() if cfg is None else cfg
+    stop = StopCriteria() if stop is None else stop
+    if not (isinstance(cfg, LineSearchConfig) and isinstance(stop, StopCriteria)):
+        raise ParameterError(f"cfg and stop must be settings objects, got {cfg!r} and {stop!r}")
 
     u = checked_controls(problem, u0, "u0").copy()
     trace = SolveTrace()
@@ -374,4 +367,5 @@ def stationarity_residual(problem: TrajectoryProblem, u) -> float:
     recursion of :func:`bundle_gradient`; it is zero exactly at stationary
     points.
     """
+    u = checked_controls(problem, u, "u")
     return float(np.max(np.abs(bundle_gradient(forward(problem, u, o_f=1, o_h=1)))))

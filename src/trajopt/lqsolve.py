@@ -30,8 +30,7 @@ import math
 
 import numpy as np
 
-from .core import _number, _sym
-from .errors import ParameterError
+from .core import _scalar, _sym
 
 __all__ = ["lqbp", "lbp", "check_subproblem"]
 
@@ -48,13 +47,6 @@ def _lapack():
     from scipy.linalg.lapack import dpotrf, dpotrs
 
     return dpotrf, dpotrs
-
-
-def _check_ridge(nu, positive: bool) -> None:
-    """Raise ParameterError unless nu is a real number in (0, inf), or [0, inf) if not positive."""
-    if not (_number(nu) and (0.0 < nu if positive else 0.0 <= nu) and nu < math.inf):
-        bound = "0 < nu < inf" if positive else "0 <= nu < inf"
-        raise ParameterError(f"the ridge must be a real number with {bound}, got nu={nu!r}")
 
 
 def check_subproblem(B, Q, q, J, j, j0: float):
@@ -125,6 +117,6 @@ def lbp(A, B, p, q, j, j0: float, nu: float) -> tuple:
     is the stage operation behind gradient back-propagation.  Returns
     ``(j_t, j0_t, k)``.
     """
-    _check_ridge(nu, positive=True)
+    _scalar(nu, "nu", 0.0)
     g = q + B.T @ j
     return p + A.T @ j, j0 - float(g @ g) / (2.0 * nu), -g / nu

@@ -30,10 +30,10 @@ from types import MappingProxyType
 import numpy as np
 
 from . import autodiff
-from .core import TrajectoryProblem, _number, _sym
+from .core import TrajectoryProblem, _array, _scalar, _sym
 from .errors import DivergenceError, NumericError, ParameterError, ShapeError
 # lbp is not called here; perfbench's layer tracer wraps it as oracles.lbp
-from .lqsolve import _check_ridge, check_subproblem, lbp, lqbp
+from .lqsolve import check_subproblem, lbp, lqbp
 
 __all__ = [
     "ORACLES",
@@ -219,33 +219,13 @@ class OracleDirection:
     failed_stage: int | None = None
 
 
-def _shaped_controls(problem: TrajectoryProblem, u, name: str) -> np.ndarray:
-    """Real controls as (horizon, n_u) or flat (horizon * n_u,), else :class:`ShapeError`.
-
-    Other shapes, a transposed array say, would reshape into other stages,
-    and a complex or text array would lose its imaginary parts or fail
-    inside numpy's conversion.
-    """
-    u, shape = np.asarray(u), (problem.horizon, problem.n_u)
-    if u.dtype.kind not in "biuf":
-        raise ShapeError(f"{name} has dtype {u.dtype}, expected {shape} real numbers")
-    u = np.asarray(u, dtype=float)
-    if u.shape != shape and u.shape != (shape[0] * shape[1],):
-        raise ShapeError(f"{name} has shape {u.shape}, expected {shape}")
-    return u.reshape(shape)
-
-
 def checked_controls(problem: TrajectoryProblem, u, name: str) -> np.ndarray:
     """Controls given to a public entry point as a finite (horizon, n_u) array.
 
     Runs before any model, so bad input is named here instead of failing
     inside a cost or dynamics evaluation.
     """
-    u = _shaped_controls(problem, u, name)
-    finite = np.isfinite(u).all(axis=1)
-    if not finite.all():
-        raise ShapeError(f"{name} must be finite; step t={int(np.argmin(finite))} is not")
-    return u
+    return _array(u, name, (problem.horizon, problem.n_u), steps=True)
 
 
 def objective_value(problem: TrajectoryProblem, u: np.ndarray) -> float:
@@ -463,10 +443,9 @@ def forward(problem: TrajectoryProblem, u, o_f: int = 1, o_h: int = 2) -> Expans
     :class:`DivergenceError` when a state, cost or derivative turns
     non-finite, carrying the offending step.
     """
-    for order in (o_f, o_h):
-        if not (_number(order, integer=True) and order in (0, 1, 2)):
-            raise ParameterError(f"derivative order must be 0, 1 or 2, got {order!r}")
-    u = _shaped_controls(problem, u, "u")
+    _scalar(o_f, "o_f, the dynamics order", 0, 2, ends="[]", integer=True)
+    _scalar(o_h, "o_h, the cost order", 0, 2, ends="[]", integer=True)
+    u = _array(u, "u", (problem.horizon, problem.n_u), finite=False, steps=True)
     xs, step_costs, total = _roll(problem, u)
     fields = {}
     if o_f or o_h:
@@ -573,7 +552,7 @@ def run_backward(bundle: ExpansionBundle, kind: str, nu: float) -> OracleDirecti
     kind and 0 <= nu < inf for the others, else :class:`ParameterError`.
     """
     spec = oracle_spec(kind)
-    _check_ridge(nu, positive=spec.o_h == 1)
+    _scalar(nu, "nu", 0.0, ends="()" if spec.o_h == 1 else "[)")
     with np.errstate(all="ignore"):  # overflow ends as an infeasible result
         if spec.o_h == 1:  # linear cost models: gradient back-propagation
             return _backward_gd(bundle, nu)
@@ -635,10 +614,12 @@ def oracle(problem: TrajectoryProblem, u, kind: str, nu: float | None = None) ->
     """One oracle evaluation: forward pass, backward pass and roll-out.
 
     ``u`` must be a finite (horizon, n_u) array, else :class:`ShapeError`.
-    ``nu`` defaults to the kind's ``start_nu`` in :data:`ORACLES`.
+    ``nu`` defaults to the kind's ``start_nu`` in :data:`ORACLES` and is
+    checked as :func:`run_backward` checks it, before any model runs.
     """
     spec = oracle_spec(kind)
     u = checked_controls(problem, u, "u")
     if nu is None:
         nu = spec.start_nu
+    _scalar(nu, "nu", 0.0, ends="()" if spec.o_h == 1 else "[)")
     return oracle_step(forward(problem, u, o_f=spec.o_f, o_h=spec.o_h), kind, nu)

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 import trajopt.lqsolve
 from trajopt.envs.build import ENV_DISCRETIZERS
@@ -24,6 +29,14 @@ from trajopt._testing import (  # noqa: F401  (re-exported for the test modules)
     stationarity_gap,
 )
 
+
+# Property tests draw the same examples on every run and keep no example
+# database, so Tier-1 is deterministic.  Hypothesis still caches the
+# constants it reads from the source; that cache goes to the temporary
+# directory, so a run writes no .hypothesis/ folder into the checkout.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "trajopt-hypothesis")
 
 # every env with each discretizer it allows
 ENV_SCHEMES = [(env, scheme) for env, schemes in ENV_DISCRETIZERS.items() for scheme in schemes]

@@ -57,7 +57,8 @@ class TestSolveCommand:
     def test_non_finite_tolerance_exits_one(self, capsys, flag, value):
         code = run_cli("solve", "--env", "pendulum", "--horizon", "20", flag, value)
         assert code == EXIT_CONFIG
-        assert "configuration error: rel_tol:" in capsys.readouterr().err
+        field = flag[2:].replace("-", "_")
+        assert f"configuration error: {field}:" in capsys.readouterr().err
 
     def test_zero_iteration_budget_writes_single_row(self, tmp_path):
         out = tmp_path / "trace.csv"

@@ -1,21 +1,38 @@
 #!/usr/bin/env python3
-"""Measure how backward+roll-out time scales with the horizon, per oracle.
+"""Measure how backward+roll-out time and oracle memory scale with the horizon, per oracle.
 
-Prints one row per oracle kind with median wall times over a horizon
-sweep on the pendulum; the per-step work is constant, so times should
-grow linearly.
+Prints one row per oracle kind over a horizon sweep on the pendulum.  Per
+horizon, the row gives the median wall time of the backward pass and
+roll-out, then the tracemalloc peak of one whole ``oracle`` call from
+zero controls (forward pass included, as perfbench's ``peak_kib``
+measures it).  The per-step work and storage are constant, so both
+should grow linearly; acceptance criterion 3 bounds the ne and ddp-q
+peaks by 3x the gn peak.
 
 Usage: python scripts/horizon_scaling.py [--horizons 500,1000,2000] [--reps 10]
 """
 
 import argparse
+import gc
 import statistics
 import time
+import tracemalloc
 
 import numpy as np
 
 from trajopt.envs import build_problem
-from trajopt.oracles import ORACLE_KINDS, ORACLES, forward, oracle_step
+from trajopt.oracles import ORACLE_KINDS, ORACLES, forward, oracle, oracle_step
+
+
+def peak_kib(problem, u, kind) -> float:
+    """Tracemalloc peak of one ``oracle`` call, in KiB."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        oracle(problem, u, kind)
+        return tracemalloc.get_traced_memory()[1] / 1024.0
+    finally:
+        tracemalloc.stop()
 
 
 def main():
@@ -32,7 +49,7 @@ def main():
         for orders in {(spec.o_f, spec.o_h) for spec in ORACLES.values()}:
             bundles[(tau, orders)] = forward(problem, u, *orders)
 
-    header = "kind    " + "".join(f"  tau={tau:<6d}" for tau in horizons)
+    header = "kind    " + "".join(f"  tau={tau:<17d}" for tau in horizons)
     print(header)
     for kind in ORACLE_KINDS:
         spec = ORACLES[kind]
@@ -44,7 +61,8 @@ def main():
                 t0 = time.perf_counter()
                 oracle_step(bundle, kind, spec.start_nu)
                 times.append(time.perf_counter() - t0)
-            cells.append(f"{statistics.median(times) * 1e3:8.1f}ms")
+            peak = peak_kib(bundle.problem, bundle.u, kind)
+            cells.append(f"{statistics.median(times) * 1e3:8.1f}ms {peak:9.1f}KiB")
         print(f"{kind:8s}" + "  ".join(cells))
 
 

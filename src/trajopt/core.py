@@ -124,8 +124,16 @@ class TrajectoryProblem:
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "dynamics", tuple(self.dynamics))
-        object.__setattr__(self, "running_costs", tuple(self.running_costs))
+        for name in ("dynamics", "running_costs"):
+            try:
+                fns = tuple(getattr(self, name))
+            except TypeError:
+                fns = None
+            if fns is None or not all(map(callable, fns)):
+                raise ShapeError(f"{name} must be a sequence of callables")
+            object.__setattr__(self, name, fns)
+        if not callable(self.final_cost):
+            raise ShapeError(f"final_cost must be callable, got {type(self.final_cost).__name__}")
         object.__setattr__(self, "x0", _array(self.x0, "x0"))
         for name in ("n_x", "n_u"):
             _scalar(getattr(self, name), name, 1, ends="[)", integer=True, error=ShapeError)

@@ -104,7 +104,8 @@ def _bicycle(horizon, p: BicycleParams, dt, discretize, track):
         phys, s, s_rate = x[:6], x[6], x[7]
         steer = squash_steering(u[1])
         accel = squash_acceleration(u[0])
-        nxt = phys_step(phys, (accel, steer))
+        # the steering's cosine and sine, once per step for all of its stages
+        nxt = phys_step(phys, (accel, steer, ad.cos(steer), ad.sin(steer)))
         return list(nxt) + [s + dt * s_rate, s_rate + dt * u[2]]
 
     def stage_cost(x, u):

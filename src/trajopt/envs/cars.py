@@ -97,12 +97,15 @@ def simple_car_dynamics(x, u, p: SimpleCarParams | None = None):
 def bicycle_dynamics(x, u, p: BicycleParams | None = None):
     """Dynamic bicycle model (x, y, yaw, v_x, v_y, yaw rate).
 
-    Slip angles divide by the longitudinal speed, so the model is only
-    defined while the car moves forward.
+    ``u`` is (acceleration, steering), optionally followed by the cosine
+    and sine of the steering, so that a multi-stage integrator step
+    computes them once.  Slip angles divide by the longitudinal speed, so
+    the model is only defined while the car moves forward.
     """
     p = p or _BICYCLE
     theta, vx, vy, omega = x[2], x[3], x[4], x[5]
     accel, steer = u[0], u[1]
+    cos_s, sin_s = u[2:] if len(u) > 2 else (ad.cos(steer), ad.sin(steer))
     vx_val = vx.value if isinstance(vx, ad.HyperDual) else vx
     if ad.anywhere(vx_val <= 0.0):
         raise DomainError("arctan2", f"longitudinal speed must stay positive, got {vx_val}")
@@ -114,7 +117,6 @@ def bicycle_dynamics(x, u, p: BicycleParams | None = None):
     f_ry = p.d_r * ad.sin(p.c_r * ad.arctan(p.b_r * alpha_r))
 
     cos_t, sin_t = ad.cos(theta), ad.sin(theta)
-    cos_s, sin_s = ad.cos(steer), ad.sin(steer)
     return [
         vx * cos_t - vy * sin_t,
         vx * sin_t + vy * cos_t,

@@ -157,8 +157,10 @@ def _backtrack(bundle: ExpansionBundle, j_current: float, gamma: float,
                 return candidate, gamma, bound
             if j_trial < best_cost:
                 best, best_cost = candidate, j_trial
-        # a rejected gamma = inf (ridge 0) would stay inf: go on from the largest float
-        gamma = min(gamma * cfg.rho_dec, sys.float_info.max)
+        # a rejected gamma = inf (ridge 0) would stay inf: go on from the ridge
+        # ladder's first nonzero rung, nu_init
+        gamma = (min(1.0 / cfg.nu_init, sys.float_info.max) if gamma == math.inf
+                 else gamma * cfg.rho_dec)
         if gamma < cfg.gamma_min:
             raise StallError(gamma, best if best_cost < j_current else None)
 

@@ -14,10 +14,12 @@ The gradient sweep (``_backward_gd``) reads its offsets -grad J / nu from
 the bundle's adjoint recursion, the one the package runs.  The quadratic
 sweep (``_backward_quadratic``) factors each stage's control Hessian once
 (``check_subproblem``) and reuses the factor in the closed-form stage
-(``lqbp``); for Newton it first folds the dynamics curvature of every
-stage against the adjoints.  The DDP roll-outs difference the original
-dynamics against the states the bundle visited.  The policies come out
-stacked as gains ``K`` (horizon, n_u, n_x) and offsets ``k`` (horizon, n_u).
+(``lqbp``); for Newton it folds the dynamics curvature against the
+adjoints one block of stages at a time, as the sweep reaches the block,
+so no temporary spans the horizon.  The DDP roll-outs difference the
+original dynamics against the states the bundle visited.  The policies
+come out stacked as gains ``K`` (horizon, n_u, n_x) and offsets ``k``
+(horizon, n_u).
 """
 
 from __future__ import annotations
@@ -103,8 +105,14 @@ def oracle_spec(kind: str) -> OracleSpec:
 # most max(1, SLOT_BUDGET // lanes) stages, where a stage's lanes are what
 # its sweep seeds: the m inputs for a Jacobian, the direction pairs for
 # second derivatives (all m(m+1)/2, or the traced ones).  Longer blocks
-# run faster but hold larger temporaries.
+# run faster but hold larger temporaries.  The cost Hessian gather and the
+# Newton fold take blocks of the full second-order size.
 SLOT_BUDGET = 264
+
+
+def _cap(m: int, order: int) -> int:
+    """Stages per block for derivatives of ``order`` in m inputs (see SLOT_BUDGET)."""
+    return max(1, SLOT_BUDGET // (m if order == 1 else m * (m + 1) // 2))
 
 
 @dataclass(frozen=True)
@@ -350,8 +358,7 @@ def _expand(sweep, fns, zs: np.ndarray, n_x: int, order: int) -> tuple:
     the same results bit for bit.  A trace or a traced sweep that fails
     sends its run back to full seeds, so errors name the same stage.
     """
-    m, n = zs.shape[1], len(fns)
-    cap = max(1, SLOT_BUDGET // (m if order == 1 else m * (m + 1) // 2))
+    n, cap = len(fns), _cap(zs.shape[1], order)
     results = None
     for start, stop in _runs(fns):
         g = _joint(fns[start], n_x)
@@ -394,9 +401,10 @@ def _expansions(problem: TrajectoryProblem, xs: np.ndarray, u: np.ndarray, o_f: 
     One :func:`_expand` call expands the dynamics and one the costs: a
     cost is a model with one output, and the final cost is cost stage
     ``horizon``, at (x_tau, zero controls).  The cost Hessian blocks are
-    gathered straight from the packed pairs.  Raises
-    :class:`DivergenceError` at the first stage whose derivatives fail or
-    are not finite; stage ``horizon`` is the final cost.
+    gathered straight from the packed pairs, one block of stages at a
+    time.  Raises :class:`DivergenceError` at the first stage whose
+    derivatives fail or are not finite; stage ``horizon`` is the final
+    cost.
     """
     tau, n_x, n_u = problem.horizon, problem.n_x, problem.n_u
     zs = np.hstack([xs, np.vstack([u, np.zeros((1, n_u))])])
@@ -420,15 +428,15 @@ def _expansions(problem: TrajectoryProblem, xs: np.ndarray, u: np.ndarray, o_f: 
         t = int(np.argmin(ok))
         raise DivergenceError(t, f"non-finite derivative at t={t}")
     if o_h == 2:
-        # np.take gathers C-ordered; a fancy index on the last axis gives a
-        # transposed layout, on which the sweep runs slower
         at_H, at_Q, at_R = _block_index(n_x, n_u)
-        pairs = packed[0][:, 0]
-        H = np.take(pairs, at_H, axis=-1)
-        fields.update(
-            H=_sym(H[:tau]), Q=_sym(np.take(pairs[:tau], at_Q, axis=-1)),
-            R=np.take(pairs[:tau], at_R, axis=-1), final_quad=_sym(H[tau]),
-        )
+        pairs, cap = packed[0][:, 0], _cap(n_x + n_u, 2)
+        H, Q, R = np.empty((tau, n_x, n_x)), np.empty((tau, n_u, n_u)), np.empty((tau, n_x, n_u))
+        for lo in range(0, tau, cap):  # one block at a time
+            block = pairs[lo:min(lo + cap, tau)]
+            H[lo:lo + cap] = _sym(block.take(at_H, axis=-1))
+            Q[lo:lo + cap] = _sym(block.take(at_Q, axis=-1))
+            R[lo:lo + cap] = block.take(at_R, axis=-1)
+        fields.update(H=H, Q=Q, R=R, final_quad=_sym(pairs[tau].take(at_H, axis=-1)))
     return fields
 
 
@@ -514,15 +522,7 @@ def _backward_quadratic(
         raise ParameterError("curvature contraction needs order-2 dynamics information")
     tau, n_x, n_u = bundle.horizon, bundle.problem.n_x, bundle.problem.n_u
     A, B, p, q = bundle.A, bundle.B, bundle.p, bundle.q
-    # the ridge goes on before any curvature, (Q + nu I) + W_uu: the other
-    # order moves the last bits of Newton directions at nu > 0
-    H, Q, R = bundle.H, bundle.Q + nu * np.eye(n_u), bundle.R
-    if contraction == "adjoint":
-        # the adjoints are known before the sweep: fold every stage at once
-        W = autodiff.contract_curvature(bundle.curvature, bundle.adjoints)
-        H = H + W[:, :n_x, :n_x]
-        Q = Q + W[:, n_x:, n_x:]
-        R = R + W[:, :n_x, n_x:]
+    ridge = nu * np.eye(n_u)
     # each K[t] Fortran-ordered like dpotrs's output: with C-ordered rows
     # the roll-out's K[t] @ y takes another BLAS path, and bicycle-car
     # directions change in their last bits
@@ -531,17 +531,25 @@ def _backward_quadratic(
 
     at_H, at_Q, at_R = _block_index(n_x, n_u)  # where the blocks sit in a packed fold
     J, j, j0 = bundle.final_quad, bundle.final_slope, 0.0
-    for t in range(tau - 1, -1, -1):
-        H_t, Q_t, R_t = H[t], Q[t], R[t]
-        if contraction == "value-slope":  # the slope is only known here, stage by stage
-            # contract_curvature's sum for one point, gathered straight into the blocks
-            w = np.add.reduce(j[:, None] * bundle.curvature[t], axis=0, initial=0.0)
-            H_t, Q_t, R_t = H_t + w[at_H], Q_t + w[at_Q], R_t + w[at_R]
-        checked = check_subproblem(B[t], Q_t, q[t], J, j, j0)
-        if checked is None:  # an earlier overflow fails later checks: name the overflow
-            late = _overflowed(K[t + 1:], k[t + 1:])
-            return _infeasible(t if late is None else t + 1 + late)
-        J, j, j0, K[t], k[t] = lqbp(A[t], B[t], H_t, R_t, p[t], J, j, j0, checked)
+    cap = _cap(n_x + n_u, 2)
+    for lo in reversed(range(0, tau, cap)):  # one block's fold at a time, from the last
+        hi = min(lo + cap, tau)
+        # the ridge goes on before any curvature, (Q + nu I) + W_uu: the other
+        # order moves the last bits of Newton directions at nu > 0
+        H, Q, R = bundle.H[lo:hi], bundle.Q[lo:hi] + ridge, bundle.R[lo:hi]
+        if contraction == "adjoint":  # the adjoints are known before the sweep
+            W = autodiff.contract_curvature(bundle.curvature[lo:hi], bundle.adjoints[lo:hi])
+            H, Q, R = H + W[:, :n_x, :n_x], Q + W[:, n_x:, n_x:], R + W[:, :n_x, n_x:]
+        for t, H_t, Q_t, R_t in zip(range(hi - 1, lo - 1, -1), H[::-1], Q[::-1], R[::-1]):
+            if contraction == "value-slope":  # the slope is only known here, stage by stage
+                # contract_curvature's sum for one point, gathered straight into the blocks
+                w = np.add.reduce(j[:, None] * bundle.curvature[t], axis=0, initial=0.0)
+                H_t, Q_t, R_t = H_t + w[at_H], Q_t + w[at_Q], R_t + w[at_R]
+            checked = check_subproblem(B[t], Q_t, q[t], J, j, j0)
+            if checked is None:  # an earlier overflow fails later checks: name the overflow
+                late = _overflowed(K[t + 1:], k[t + 1:])
+                return _infeasible(t if late is None else t + 1 + late)
+            J, j, j0, K[t], k[t] = lqbp(A[t], B[t], H_t, R_t, p[t], J, j, j0, checked)
     return _swept(K, k, j0)
 
 
@@ -576,12 +584,18 @@ def rollout(y0, K: np.ndarray, k: np.ndarray, step) -> np.ndarray:
     """Apply the policies v_t = K[t] y_t + k[t] along a step map.
 
     ``step(t, y, v)`` gives the next state as a sequence of n_x floats,
-    for example :meth:`ExpansionBundle.linear_step`.  Returns the controls
-    (horizon, n_u); a non-finite state raises :class:`DivergenceError`
-    with the offending step.  Finiteness is tested on the state's Python
-    floats, which costs less than numpy's test on a few entries.
+    for example :meth:`ExpansionBundle.linear_step`.  ``K`` (horizon, n_u,
+    n_x), ``k`` (horizon, n_u) and ``y0`` (n_x) must be finite, else
+    :class:`ShapeError`.  Returns the controls (horizon, n_u); a non-finite
+    state raises :class:`DivergenceError` with the offending step.
+    Finiteness is tested on the state's Python floats, which costs less
+    than numpy's test on a few entries.
     """
-    y = np.asarray(y0, dtype=float).ravel()
+    k = _array(k, "k", (None, None))
+    K = _array(K, "K", k.shape + (None,))
+    y = _array(y0, "y0", K.shape[2:])
+    if not callable(step):
+        raise ShapeError(f"step must be callable, got {type(step).__name__}")
     controls = np.empty(k.shape)
     for t in range(len(k)):
         v = K[t] @ y + k[t]

@@ -39,12 +39,14 @@ from trajopt import (
     quadratic_cost,
     quadratic_state_cost,
     regularized_search,
+    rollout,
     run_backward,
     smoothness_bounds,
     solve,
     stationarity_residual,
     trajectory_jacobian,
 )
+from trajopt import linesearch
 from trajopt.autodiff import smoothmax
 from trajopt.cli import RunConfig
 from trajopt.dense import dense_costates
@@ -99,6 +101,15 @@ TEXTS = st.one_of(
 )
 
 
+def callables(good):
+    """Sequences of stage callables for an argument whose valid value is ``good``."""
+    return st.one_of(
+        OBJECTS,
+        st.sampled_from([good[:1], good[:-1] + (None,), ("a",) * len(good), list(good),
+                         {"f": good[0]}, abs]),
+    )
+
+
 def arrays(shape):
     """Arrays for an argument of ``shape``: every other shape, bad dtypes and entries."""
     good = np.zeros(shape)
@@ -150,7 +161,9 @@ TABLE = {
         TrajectoryProblem,
         {"dynamics": PROBLEM.dynamics, "running_costs": PROBLEM.running_costs,
          "final_cost": PROBLEM.final_cost, "x0": [0.0, 0.0], "n_x": 2, "n_u": 1},
-        {"x0": arrays((2,)), "n_x": NUMBERS, "n_u": NUMBERS},
+        {"dynamics": callables(PROBLEM.dynamics),
+         "running_costs": callables(PROBLEM.running_costs), "final_cost": OBJECTS,
+         "x0": arrays((2,)), "n_x": NUMBERS, "n_u": NUMBERS},
     ),
     "linear_dynamics": (
         linear_dynamics, {"A": np.eye(2), "B": np.ones((2, 1))},
@@ -172,6 +185,11 @@ TABLE = {
         {"u": arrays(U.shape), "o_f": NUMBERS, "o_h": NUMBERS},
     ),
     "objective_value": _controls(objective_value),
+    "rollout": (
+        rollout, {"y0": np.zeros(2), "K": SWEEP.K, "k": SWEEP.k, "step": BUNDLE.linear_step},
+        {"y0": arrays((2,)), "K": arrays(SWEEP.K.shape), "k": arrays(SWEEP.k.shape),
+         "step": OBJECTS},
+    ),
     "oracle": (
         oracle, {"problem": PROBLEM, "u": U, "kind": "gn"},
         {"u": arrays(U.shape), "kind": NAMES, "nu": NUMBERS},
@@ -260,11 +278,20 @@ def test_returns_or_raises_a_package_error(entry, arg, data):
     (lambda: smoothmax(0.5, math.nan), ParameterError, "sharpness"),
     (lambda: euler_step(lambda z, u: z, [1.0], [0.0], math.nan), ParameterError, "step size"),
     (lambda: RunConfig(horizon="5").validate(), ConfigError, "horizon"),
+    (lambda: TrajectoryProblem(5, (), None, [0.0], 1, 1), ShapeError, "dynamics"),
+    (lambda: TrajectoryProblem(PROBLEM.dynamics, ("a",) * HORIZON, PROBLEM.final_cost,
+                               [0.0, 0.0], 2, 1), ShapeError, "running_costs"),
+    (lambda: TrajectoryProblem(PROBLEM.dynamics, PROBLEM.running_costs, None, [0.0, 0.0], 2, 1),
+     ShapeError, "final_cost"),
+    (lambda: rollout(np.zeros(2), np.zeros((HORIZON, 2, 2)), SWEEP.k, BUNDLE.linear_step),
+     ShapeError, r"\bK\b"),
+    (lambda: rollout(np.zeros(2), SWEEP.K, SWEEP.k, None), ShapeError, "step"),
 ], ids=[
     "params-nan", "params-string", "bounds-nan", "bounds-bool-tau", "bounds-overflow",
     "track-bool-width", "complex-x0", "complex-A", "string-p", "track-object", "unknown-env",
     "cfg-object", "stop-object", "negative-gamma", "nan-residual-controls", "nan-sharpness",
-    "nan-step-size", "string-horizon",
+    "nan-step-size", "string-horizon", "int-dynamics", "string-costs", "none-final-cost",
+    "rollout-gains-shape", "rollout-step-none",
 ])
 def test_named_refusal(call, error, match):
     with pytest.raises(error, match=match):
@@ -295,6 +322,15 @@ def test_oracle_refuses_a_bad_ridge_before_any_model():
     assert calls
 
 
-def test_regularized_search_takes_an_infinite_stepsize_as_ridge_zero():
+def test_regularized_search_takes_an_infinite_stepsize_as_ridge_zero(monkeypatch):
+    sweeps = []
+
+    def counted(*args):
+        sweeps.append(args)
+        return run_backward(*args)
+
+    monkeypatch.setattr(linesearch, "run_backward", counted)
     u, gamma, c0 = regularized_search(BUNDLE, "gn", math.inf, LineSearchConfig())
     assert gamma > 0.0 and c0 < 0.0 and objective_value(PROBLEM, u) < BUNDLE.cost
+    # a rejected ridge 0 goes on from the ladder's first nonzero rung, 1 / nu_init
+    assert len(sweeps) <= 30

@@ -153,6 +153,25 @@ class TestCars:
         assert d2[4] == pytest.approx(-d1[4])
         assert d2[5] == pytest.approx(-d1[5])
 
+    def test_bicycle_takes_the_steering_trig_it_is_given(self):
+        state, steer = [0.0, 0.0, 0.3, 1.7, 0.23, -0.4], 0.3
+        given = bicycle_dynamics(state, [0.2, steer, math.cos(steer), math.sin(steer)])
+        assert given == bicycle_dynamics(state, [0.2, steer])
+
+    def test_one_rk4_step_takes_the_steering_trig_once(self, monkeypatch):
+        problem = build_problem("bicycle-car", 50)
+        x, u = problem.x0.tolist(), [0.3, 0.2, 0.1]
+        steer = squash_steering(u[1])
+        seen = []
+        for name in ("sin", "cos"):
+            def counted(a, name=name, fn=getattr(autodiff, name)):
+                seen.append((name, a))
+                return fn(a)
+            monkeypatch.setattr(autodiff, name, counted)
+        problem.dynamics[0](x, u)
+        on_steer = [name for name, a in seen if a == steer]
+        assert sorted(on_steer) == ["cos", "sin"]
+
 
 class TestSquash:
     def test_midpoints(self):

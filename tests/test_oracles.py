@@ -1,8 +1,10 @@
 """Forward/backward passes, roll-outs and the five oracle directions."""
 
 import dataclasses
+import gc
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -991,8 +993,7 @@ NE_CELLS = [
 ]
 
 
-def assert_sweep_equals_per_stage(env, scheme, kind):
-    horizon = 40
+def assert_sweep_equals_per_stage(env, scheme, kind, horizon=40):
     problem = build_problem(env, horizon, scheme)
     rng = np.random.default_rng(0)
     starts = [np.zeros((horizon, problem.n_u))]
@@ -1017,7 +1018,7 @@ def assert_sweep_equals_per_stage(env, scheme, kind):
 
 
 class TestBatchedNeContraction:
-    """The Newton sweep folds the curvature of every stage at once, bit for bit.
+    """The Newton sweep folds the curvature of one block of stages at a time, bit for bit.
 
     The DDP-Q sweep folds stage by stage, gathering the packed sums straight
     into its blocks; it equals the unpacked per-stage fold bit for bit too.
@@ -1026,6 +1027,27 @@ class TestBatchedNeContraction:
     @pytest.mark.parametrize("env,scheme", NE_CELLS)
     def test_sweep_equals_per_stage_contraction(self, env, scheme):
         assert_sweep_equals_per_stage(env, scheme, "ne")
+
+    @pytest.mark.parametrize("kind", ["ne", "ddp-q"])
+    def test_multi_block_sweep_equals_per_stage_contraction(self, kind):
+        cap = SLOT_BUDGET // 6  # stages per fold block: pendulum has m = 3, 6 pairs
+        assert 100 // cap >= 2 and 100 % cap  # two whole blocks and one cut short
+        assert_sweep_equals_per_stage("pendulum", None, kind, horizon=100)
+
+    @pytest.mark.parametrize("horizon", [1000, 2000])
+    def test_newton_sweep_memory_does_not_grow_with_the_horizon(self, horizon):
+        bundle = forward(build_problem("pendulum", horizon), np.zeros((horizon, 1)), 2, 2)
+        bundle.adjoints  # computed once per bundle, before the sweep
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = run_backward(bundle, "ne", 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.feasible
+        extra = peak - result.K.nbytes - result.k.nbytes
+        assert extra <= 64 * 1024, f"{extra / 1024:.1f} KiB above K and k"
 
     @pytest.mark.parametrize("env,scheme", NE_CELLS)
     def test_value_slope_fold_equals_per_stage_contraction(self, env, scheme):

@@ -23,8 +23,12 @@ def test_horizon_scaling_prints_one_row_per_oracle_kind():
         check=False,
     )
     assert proc.returncode == 0, proc.stderr
-    rows = proc.stdout.splitlines()[1:]
-    assert [row.split()[0] for row in rows] == list(ORACLE_KINDS)
+    rows = [row.split() for row in proc.stdout.splitlines()[1:]]
+    assert [row[0] for row in rows] == list(ORACLE_KINDS)
+    for row in rows:  # per horizon: a time, then the peak of one oracle call
+        assert [cell[-2:] for cell in row[1::2]] == ["ms", "ms"]
+        peaks = [float(cell.removesuffix("KiB")) for cell in row[2::2]]
+        assert len(peaks) == 2 and 0.0 < peaks[0] < peaks[1]
 
 
 def _compare_traces(dir_a, dir_b):

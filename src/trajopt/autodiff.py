@@ -61,6 +61,8 @@ __all__ = [
     "block_jacobian_curvature",
     "structural_lanes",
     "contract_curvature",
+    "hessian_blocks",
+    "value",
     "vector_hessian",
     "lambda_hessian",
     "sin",
@@ -167,16 +169,16 @@ class HyperDual:
     # -- comparisons on the value (used by branchless-at-second-order code) --
 
     def __lt__(self, other):
-        return self.value < _val(other)
+        return self.value < value(other)
 
     def __le__(self, other):
-        return self.value <= _val(other)
+        return self.value <= value(other)
 
     def __gt__(self, other):
-        return self.value > _val(other)
+        return self.value > value(other)
 
     def __ge__(self, other):
-        return self.value >= _val(other)
+        return self.value >= value(other)
 
     def __float__(self):
         raise UnsupportedPrimitiveError(
@@ -298,7 +300,8 @@ class _Trace(HyperDual):
         return f"_Trace({self.value!r}, deps={self.deps:#x}, pairs={self.pairs:#x})"
 
 
-def _val(x):
+def value(x):
+    """The value of a model quantity, which model code reads to branch on or index with."""
     return x.value if isinstance(x, HyperDual) else x
 
 
@@ -406,24 +409,19 @@ def arctan2(y, x):
         if y == 0.0 and x == 0.0:
             raise DomainError("arctan2", (y, x))
         return math.atan2(y, x)
-    yv, xv = _val(y), _val(x)
-    if type(yv) is _ARRAY or type(xv) is _ARRAY:
-        if np.any((yv == 0.0) & (xv == 0.0)):
-            raise DomainError("arctan2", (yv, xv))
-        value = _ATAN2(yv, xv)
-    else:
-        if yv == 0.0 and xv == 0.0:
-            raise DomainError("arctan2", (yv, xv))
-        value = math.atan2(yv, xv)
+    yv, xv = value(y), value(x)
+    if anywhere((yv == 0.0) & (xv == 0.0)):
+        raise DomainError("arctan2", (yv, xv))
+    f = _ATAN2(yv, xv) if type(yv) is _ARRAY or type(xv) is _ARRAY else math.atan2(yv, xv)
     if not isinstance(y, HyperDual) and not isinstance(x, HyperDual):
-        return value
+        return f
     r2 = xv * xv + yv * yv
     gy = xv / r2
     gx = -yv / r2
     if isinstance(y, Dual) or isinstance(x, Dual):
         yd1 = y.d1 if isinstance(y, HyperDual) else 0.0
         xd1 = x.d1 if isinstance(x, HyperDual) else 0.0
-        return Dual(value, gy * yd1 + gx * xd1)
+        return Dual(f, gy * yd1 + gx * xd1)
     r4 = r2 * r2
     hyy = -2.0 * xv * yv / r4
     hxx = 2.0 * xv * yv / r4
@@ -431,7 +429,7 @@ def arctan2(y, x):
     if isinstance(y, _Trace) or isinstance(x, _Trace):
         # traced after the same value arithmetic, so it raises where a sweep does
         y, x = (t if isinstance(t, _Trace) else _Trace(t) for t in (y, x))
-        return y._joined(x, value)._chain(value, None, None)
+        return y._joined(x, f)._chain(f, None, None)
     k = y.d1.shape if isinstance(y, HyperDual) else x.d1.shape
     zeros = np.zeros(k)
     yd = y if isinstance(y, HyperDual) else HyperDual(yv, zeros, zeros, zeros)
@@ -445,7 +443,7 @@ def arctan2(y, x):
         + hyx * (yd.d1 * xd.d2 + xd.d1 * yd.d2)
         + hxx * xd.d1 * xd.d2
     )
-    return HyperDual(value, d1, d2, d12)
+    return HyperDual(f, d1, d2, d12)
 
 
 def smoothmax(x, sharpness: float = 0.01):
@@ -467,7 +465,7 @@ def power(x, p):
     """x**p for a constant real exponent p."""
     if isinstance(p, HyperDual):
         raise UnsupportedPrimitiveError("power supports constant exponents only")
-    v = _val(x)
+    v = value(x)
     if p != round(p) and anywhere(v < 0.0):
         raise DomainError("power", v)
     pw = _POW if type(v) is _ARRAY else operator.pow
@@ -495,14 +493,20 @@ def _first_order_seeds(m: int) -> np.ndarray:
     return _read_only(np.eye(m))[0]
 
 
+@lru_cache(maxsize=64)
+def _pairs(m: int) -> tuple:
+    """(pi, pj): the m(m+1)/2 pairs i <= j of m inputs in the one packed order."""
+    return _read_only(*np.triu_indices(m))
+
+
 @lru_cache(maxsize=256)
 def _second_order_seeds(m: int, lanes: tuple | None = None):
-    """(d1 rows, d2 rows, zero slot, pi, pj) over the m(m+1)/2 pairs i <= j.
+    """(d1 rows, d2 rows, zero slot, pi, pj) over the pairs of :func:`_pairs`.
 
     ``lanes`` keeps only those positions of the pairs, which must include
     every diagonal pair (i, i): the first-order results are read there.
     """
-    pi, pj = np.triu_indices(m)
+    pi, pj = _pairs(m)
     if lanes is not None:
         keep = np.asarray(lanes, dtype=np.intp)
         pi, pj = pi[keep], pj[keep]
@@ -563,10 +567,19 @@ def _pair_index(m: int) -> np.ndarray:
     ``packed[..., _pair_index(m)]`` unpacks values over the pairs i <= j
     into symmetric (m, m) matrices.
     """
-    _, _, _, pi, pj = _second_order_seeds(m)
+    pi, pj = _pairs(m)
     index = np.empty((m, m), dtype=np.intp)
     index[pi, pj] = index[pj, pi] = np.arange(pi.size)
     return _read_only(index)[0]
+
+
+@lru_cache(maxsize=64)
+def hessian_blocks(n_x: int, n_u: int) -> tuple:
+    """Where the (x, x), (u, u) and (x, u) blocks of a Hessian in z = (x, u) sit among its pairs.
+
+    ``packed.take(at, axis=-1)`` gathers one block of one point or a stack."""
+    pairs = _pair_index(n_x + n_u)
+    return pairs[:n_x, :n_x], pairs[n_x:, n_x:], pairs[:n_x, n_x:]
 
 
 def block_jacobian_curvature(g, zs, lanes=None) -> tuple[np.ndarray, np.ndarray]:
@@ -579,12 +592,12 @@ def block_jacobian_curvature(g, zs, lanes=None) -> tuple[np.ndarray, np.ndarray]
     the first slot of the diagonal pairs.  A scalar ``g`` is a model with
     one output: row 0 holds its gradient and packed Hessian.  The packed
     form stores each output's Hessian without its repeated lower triangle;
-    :func:`vector_hessian` unpacks it and :func:`contract_curvature` folds
-    it against a vector.  ``lanes``, a tuple of pair positions that holds
-    every diagonal pair (see :func:`structural_lanes`), seeds only those
-    pairs: their entries come out as in the full sweep, and every other
-    packed entry is +0.0, where the full sweep's is a structural zero (of
-    either sign).
+    :func:`vector_hessian` unpacks it, :func:`contract_curvature` folds it
+    against a vector and :func:`hessian_blocks` locates its blocks.
+    ``lanes``, a tuple of pair positions that holds every diagonal pair
+    (see :func:`structural_lanes`), seeds only those pairs: their entries
+    come out as in the full sweep, and every other packed entry is +0.0,
+    where the full sweep's is a structural zero (of either sign).
     """
     zs = _points(zs)
     b, m = zs.shape
@@ -603,7 +616,7 @@ def block_jacobian_curvature(g, zs, lanes=None) -> tuple[np.ndarray, np.ndarray]
 
 @lru_cache(maxsize=256)
 def _pattern_lanes(m: int, pairs: int) -> tuple:
-    pi, pj = np.triu_indices(m)
+    pi, pj = _pairs(m)
     return tuple(
         p for p, (i, j) in enumerate(zip(pi.tolist(), pj.tolist()))
         if i == j or pairs >> (i * m + j) & 1
@@ -632,24 +645,16 @@ def structural_lanes(g, zs) -> tuple:
 
 
 def contract_curvature(d12: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """The (m, m) Hessian of z -> f(z)^T lam from f's packed second derivatives.
+    """The packed Hessian of z -> f(z)^T lam from f's packed second derivatives.
 
-    ``d12`` (n, m(m+1)/2) holds one point's rows of
-    :func:`block_jacobian_curvature` and ``lam`` is an (n,) array; a stack
-    of T points, ``d12`` (T, n, m(m+1)/2) against ``lam`` (T, n), gives
-    (T, m, m).  The products lam_k * d12[k] are summed from 0.0 in output
-    order (a reduction over the slow axis of a fresh array runs row by
-    row; a stack accumulates output by output, so its temporaries stay
-    (T, m(m+1)/2)), so every result is bitwise the same however its point
-    was blocked or stacked.
+    ``d12`` (..., n, m(m+1)/2), one point's rows of
+    :func:`block_jacobian_curvature` or a stack's, against ``lam`` (..., n)
+    gives (..., m(m+1)/2).  The products lam_k * d12[k] are summed from 0.0
+    in output order (a reduction over a slow axis of a fresh array runs
+    row by row), so every result is bitwise the same however its point was
+    blocked or stacked.
     """
-    if d12.ndim == 2:
-        w = np.add.reduce(lam[:, None] * d12, axis=0, initial=0.0)
-    else:
-        w = np.zeros((len(d12), d12.shape[-1]))
-        for k in range(d12.shape[1]):
-            w += lam[:, k, None] * d12[:, k]
-    return w[..., _pair_index((math.isqrt(8 * w.shape[-1] + 1) - 1) // 2)]
+    return np.add.reduce(lam[..., None] * d12, axis=-2, initial=0.0)
 
 
 def jacobian(g, z) -> np.ndarray:
@@ -704,4 +709,4 @@ def lambda_hessian(f, z, lam) -> np.ndarray:
         raise ParameterError(
             f"contraction vector has size {lam.size}, expected {len(d12)} outputs"
         )
-    return contract_curvature(d12, lam)
+    return contract_curvature(d12, lam)[_pair_index(z.shape[1])]

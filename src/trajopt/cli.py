@@ -6,7 +6,8 @@ Subcommands
     verify     self-contained correctness checks with printed tolerances
 
 Exit codes: 0 solved (converged or iteration budget exhausted), 1 bad
-configuration, 2 stalled, 3 diverged.  The environment variable
+configuration (a bad flag, value or config file), 2 stalled, 3 diverged;
+``verify`` exits 4 when a check fails.  The environment variable
 ``TRAJOPT_LOG`` in {quiet, info, debug} controls logging verbosity.
 """
 
@@ -102,8 +103,16 @@ def serialize_config(values: dict) -> str:
     return "\n".join(f"{k}={values[k]}" for k in sorted(values)) + "\n"
 
 
+def _cast(name: str, value, kind):
+    """``value`` as ``kind``, else :class:`ConfigError` naming ``name``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(name, f"cannot parse {value!r}: {err}") from None
+
+
 def config_from_sources(args, file_text: str | None) -> RunConfig:
-    """Config file first, flags override."""
+    """Config file first, flags override; both are text, cast here to the field types."""
     merged = {}
     if file_text is not None:
         merged.update(parse_config(file_text))
@@ -113,10 +122,7 @@ def config_from_sources(args, file_text: str | None) -> RunConfig:
             merged[name] = flag
     cfg = RunConfig()
     for key, value in merged.items():
-        try:
-            cfg = replace(cfg, **{key: type(getattr(cfg, key))(value)})
-        except (TypeError, ValueError) as err:
-            raise ConfigError(key, f"cannot parse {value!r}: {err}") from None
+        cfg = replace(cfg, **{key: _cast(key, value, type(getattr(cfg, key)))})
     return cfg.validate()
 
 
@@ -244,10 +250,7 @@ def _expand_grid(args) -> list[RunConfig]:
         setattr(args, name, None)  # grid axes are expanded below, not cast by the base
     base = config_from_sources(args, _read_config_file(args.config))
     raw = grid["horizon"] if grid["horizon"] is not None else str(base.horizon)
-    try:
-        horizons = [int(horizon) for horizon in _split(raw)]
-    except ValueError as err:
-        raise ConfigError("horizon", f"cannot parse {raw!r}: {err}") from None
+    horizons = [_cast("horizon", horizon, int) for horizon in _split(raw)]
     axes = [_split(grid[name] or getattr(base, name)) for name in ("env", "algo", "linesearch")]
     return [replace(base, env=env, algo=algo, linesearch=ls, horizon=horizon).validate()
             for env, algo, ls, horizon in itertools.product(*axes, horizons)]
@@ -403,17 +406,14 @@ VERIFY_CHECKS = {
 
 
 def cmd_verify(args) -> int:
-    if not (math.isfinite(args.scale) and args.scale > 0.0):
-        raise ConfigError("scale", f"must be a positive finite multiplier, got {args.scale}")
+    scale = _cast("scale", args.scale, float)
+    most = max(default_trials for _, default_trials in VERIFY_CHECKS.values())
+    _scalar(scale, "scale", 0.0, sys.float_info.max / most, error=ConfigError)  # finite counts
     names = [args.only] if args.only else list(VERIFY_CHECKS)
-    if args.only and args.only not in VERIFY_CHECKS:
-        print(f"unknown check {args.only!r}; available: {', '.join(VERIFY_CHECKS)}",
-              file=sys.stderr)
-        return EXIT_CONFIG
     all_ok = True
     for name in names:
         fn, default_trials = VERIFY_CHECKS[name]
-        trials = max(1, int(default_trials * args.scale))
+        trials = max(1, int(default_trials * scale))
         start = time.perf_counter()
         worst, tol = fn(trials, args.selftest_perturb)
         ok = worst <= tol
@@ -427,21 +427,21 @@ def cmd_verify(args) -> int:
 
 
 def _add_run_flags(sub):
+    # no type=: config_from_sources casts flags as it casts config-file values
     sub.add_argument("--env", help=f"one of {', '.join(ENV_KINDS)} (benchmark: comma list)")
     sub.add_argument("--algo", help=f"one of {', '.join(ORACLE_KINDS)} (benchmark: comma list)")
     sub.add_argument("--linesearch",
                      help=f"one of {', '.join(STEP_RULES)} (benchmark: comma list)")
     sub.add_argument("--horizon", help="number of steps (benchmark: comma list)")
     sub.add_argument("--discretizer", help=f"one of {', '.join(DISCRETIZERS)}")
-    sub.add_argument("--max-iters", dest="max_iters", type=int, help="iteration budget")
-    sub.add_argument("--rel-tol", dest="rel_tol", type=float,
-                     help="relative cost-decrease stop tolerance")
-    sub.add_argument("--min-step", dest="min_step", type=float,
+    sub.add_argument("--max-iters", dest="max_iters", help="iteration budget")
+    sub.add_argument("--rel-tol", dest="rel_tol", help="relative cost-decrease stop tolerance")
+    sub.add_argument("--min-step", dest="min_step",
                      help="smallest accepted stepsize before stopping")
-    sub.add_argument("--seed", type=int, help="seed for initial-control randomization")
+    sub.add_argument("--seed", help="seed for initial-control randomization")
     sub.add_argument("--out", help="output path (solve: trace file, benchmark: directory)")
     sub.add_argument("--config", help="key=value config file; flags override it")
-    sub.add_argument("--parallel", type=int, help="benchmark workers (default 1)")
+    sub.add_argument("--parallel", help="benchmark workers (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -460,9 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.set_defaults(fn=cmd_benchmark)
 
     ver = subs.add_parser("verify", help="run built-in correctness checks")
-    ver.add_argument("--only", help=f"run a single check: {', '.join(VERIFY_CHECKS)}")
-    ver.add_argument("--scale", type=float, default=1.0,
-                     help="multiplier on per-check trial counts")
+    ver.add_argument("--only", choices=VERIFY_CHECKS, help="run a single check")
+    ver.add_argument("--scale", default=1.0, help="multiplier on per-check trial counts")
     ver.add_argument("--selftest-perturb", action="store_true",
                      help="inject an error to confirm the harness detects failures")
     ver.set_defaults(fn=cmd_verify)
@@ -478,8 +477,10 @@ def _setup_logging():
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as stop:  # --help exits 0; a usage error would exit 2, the stalled code
+        return EXIT_CONFIG if stop.code else EXIT_OK
     try:
         return args.fn(args)
     except ConfigError as err:

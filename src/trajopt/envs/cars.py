@@ -83,7 +83,7 @@ def simple_car_dynamics(x, u, p: SimpleCarParams | None = None):
     p = p or _SIMPLE
     theta, v = x[2], x[3]
     accel, steer = u[0], u[1]
-    steer_val = steer.value if isinstance(steer, ad.HyperDual) else steer
+    steer_val = ad.value(steer)
     if ad.anywhere(abs(steer_val) >= math.pi / 2):
         raise DomainError("tan", steer_val)
     return [
@@ -106,7 +106,7 @@ def bicycle_dynamics(x, u, p: BicycleParams | None = None):
     theta, vx, vy, omega = x[2], x[3], x[4], x[5]
     accel, steer = u[0], u[1]
     cos_s, sin_s = u[2:] if len(u) > 2 else (ad.cos(steer), ad.sin(steer))
-    vx_val = vx.value if isinstance(vx, ad.HyperDual) else vx
+    vx_val = ad.value(vx)
     if ad.anywhere(vx_val <= 0.0):
         raise DomainError("arctan2", f"longitudinal speed must stay positive, got {vx_val}")
 

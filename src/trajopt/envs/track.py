@@ -161,7 +161,7 @@ def bundled_track(name: str) -> Track:
 
 def _segment(track: Track, s) -> tuple:
     """Segment index of s and the local parameter; an index array for a block of s."""
-    s_val = s.value if isinstance(s, ad.HyperDual) else s
+    s_val = ad.value(s)
     if isinstance(s_val, np.ndarray):
         idx = np.clip(np.floor(s_val), 0, track.knots - 2).astype(int)
         return idx, s - idx

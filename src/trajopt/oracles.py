@@ -14,25 +14,26 @@ The gradient sweep (``_backward_gd``) reads its offsets -grad J / nu from
 the bundle's adjoint recursion, the one the package runs.  The quadratic
 sweep (``_backward_quadratic``) factors each stage's control Hessian once
 (``check_subproblem``) and reuses the factor in the closed-form stage
-(``lqbp``); for Newton it folds the dynamics curvature against the
-adjoints one block of stages at a time, as the sweep reaches the block,
-so no temporary spans the horizon.  The DDP roll-outs difference the
-original dynamics against the states the bundle visited.  The policies
-come out stacked as gains ``K`` (horizon, n_u, n_x) and offsets ``k``
-(horizon, n_u).
+(``lqbp``).  It adds the blocks of the packed curvature contraction
+(:func:`autodiff.hessian_blocks`): for Newton against the adjoints, one
+block of stages at a time, so no temporary spans the horizon; for DDP-Q
+against the cost-to-go slope, stage by stage.  The DDP roll-outs
+difference the original dynamics against the states the bundle visited.
+The policies come out stacked as gains ``K`` (horizon, n_u, n_x) and
+offsets ``k`` (horizon, n_u).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
 
 from . import autodiff
-from .core import TrajectoryProblem, _array, _scalar, _sym
+from .core import TrajectoryProblem, _array, _scalar
 from .errors import DivergenceError, NumericError, ParameterError, ShapeError
 # lbp is not called here; perfbench's layer tracer wraps it as oracles.lbp
 from .lqsolve import check_subproblem, lbp, lqbp
@@ -105,8 +106,8 @@ def oracle_spec(kind: str) -> OracleSpec:
 # most max(1, SLOT_BUDGET // lanes) stages, where a stage's lanes are what
 # its sweep seeds: the m inputs for a Jacobian, the direction pairs for
 # second derivatives (all m(m+1)/2, or the traced ones).  Longer blocks
-# run faster but hold larger temporaries.  The cost Hessian gather and the
-# Newton fold take blocks of the full second-order size.
+# run faster but hold larger temporaries.  The Newton fold takes blocks of
+# the full second-order size.
 SLOT_BUDGET = 264
 
 
@@ -126,13 +127,13 @@ class ExpansionBundle:
     ``A`` (horizon, n_x, n_x) and ``B`` (horizon, n_x, n_u), views of the
     stacked Jacobians.  Order-1 costs give the slopes ``p`` (horizon, n_x)
     and ``q`` (horizon, n_u) and the final slope; order-2 costs add the
-    blocks ``H``, ``Q`` (symmetrized once here), ``R`` (horizon, n_x, n_u)
-    and the final Hessian.  For order-2 dynamics ``curvature`` (horizon,
-    n_x, m(m+1)/2), m = n_x + n_u, holds each stage's per-output second
-    derivatives in the joint point (x_t, u_t), packed over the pairs of
-    ``np.triu_indices(m)`` (see :func:`autodiff.block_jacobian_curvature`);
-    the backward sweep contracts a stage's rows against whatever vector it
-    needs.
+    C-contiguous blocks ``H``, ``Q``, ``R`` (horizon, n_x, n_u) and the
+    final Hessian, taken from the packed cost Hessians.  For order-2
+    dynamics ``curvature`` (horizon, n_x, m(m+1)/2), m = n_x + n_u, holds
+    each stage's per-output second derivatives in the joint point
+    (x_t, u_t), packed as :func:`autodiff.block_jacobian_curvature` packs
+    them; the backward sweep contracts a stage's rows against whatever
+    vector it needs.
     """
 
     problem: TrajectoryProblem
@@ -384,13 +385,6 @@ def _finite_rows(*stacks: np.ndarray) -> np.ndarray:
     return np.logical_and.reduce([np.isfinite(s.reshape(len(s), -1)).all(axis=1) for s in stacks])
 
 
-@lru_cache(maxsize=64)
-def _block_index(n_x: int, n_u: int) -> tuple:
-    """Where the H, Q and R blocks of a Hessian in z = (x, u) sit among its packed pairs."""
-    pairs = autodiff._pair_index(n_x + n_u)
-    return pairs[:n_x, :n_x], pairs[n_x:, n_x:], pairs[:n_x, n_x:]
-
-
 _SWEEPS = (None, _jacobian_sweep, autodiff.block_jacobian_curvature)  # by derivative order
 
 
@@ -400,11 +394,11 @@ def _expansions(problem: TrajectoryProblem, xs: np.ndarray, u: np.ndarray, o_f: 
 
     One :func:`_expand` call expands the dynamics and one the costs: a
     cost is a model with one output, and the final cost is cost stage
-    ``horizon``, at (x_tau, zero controls).  The cost Hessian blocks are
-    gathered straight from the packed pairs, one block of stages at a
-    time.  Raises :class:`DivergenceError` at the first stage whose
-    derivatives fail or are not finite; stage ``horizon`` is the final
-    cost.
+    ``horizon``, at (x_tau, zero controls).  Each cost Hessian block is
+    gathered from the packed pairs by one ``take`` at its
+    :func:`autodiff.hessian_blocks` positions.  Raises
+    :class:`DivergenceError` at the first stage whose derivatives fail or
+    are not finite; stage ``horizon`` is the final cost.
     """
     tau, n_x, n_u = problem.horizon, problem.n_x, problem.n_u
     zs = np.hstack([xs, np.vstack([u, np.zeros((1, n_u))])])
@@ -424,19 +418,17 @@ def _expansions(problem: TrajectoryProblem, xs: np.ndarray, u: np.ndarray, o_f: 
         ok &= _finite_rows(grad, *packed)
         grad = grad[:, 0]
         fields.update(p=grad[:tau, :n_x], q=grad[:tau, n_x:], final_slope=grad[tau, :n_x])
+    del zs  # freed before the Hessian blocks are allocated
     if not ok.all():
         t = int(np.argmin(ok))
         raise DivergenceError(t, f"non-finite derivative at t={t}")
     if o_h == 2:
-        at_H, at_Q, at_R = _block_index(n_x, n_u)
-        pairs, cap = packed[0][:, 0], _cap(n_x + n_u, 2)
-        H, Q, R = np.empty((tau, n_x, n_x)), np.empty((tau, n_u, n_u)), np.empty((tau, n_x, n_u))
-        for lo in range(0, tau, cap):  # one block at a time
-            block = pairs[lo:min(lo + cap, tau)]
-            H[lo:lo + cap] = _sym(block.take(at_H, axis=-1))
-            Q[lo:lo + cap] = _sym(block.take(at_Q, axis=-1))
-            R[lo:lo + cap] = block.take(at_R, axis=-1)
-        fields.update(H=H, Q=Q, R=R, final_quad=_sym(pairs[tau].take(at_H, axis=-1)))
+        # take(at, axis=-1), not pairs[:tau, at]: the fancy index returns a
+        # strided stack, which slows the sweep's stage arithmetic
+        at_H, at_Q, at_R = autodiff.hessian_blocks(n_x, n_u)
+        pairs = packed[0][:, 0]
+        fields.update(H=pairs[:tau].take(at_H, axis=-1), Q=pairs[:tau].take(at_Q, axis=-1),
+                      R=pairs[:tau].take(at_R, axis=-1), final_quad=pairs[tau].take(at_H, axis=-1))
     return fields
 
 
@@ -529,7 +521,7 @@ def _backward_quadratic(
     K = np.empty((tau, n_x, n_u)).transpose(0, 2, 1)
     k = np.empty((tau, n_u))
 
-    at_H, at_Q, at_R = _block_index(n_x, n_u)  # where the blocks sit in a packed fold
+    at_H, at_Q, at_R = autodiff.hessian_blocks(n_x, n_u)  # where the blocks sit in a packed fold
     J, j, j0 = bundle.final_quad, bundle.final_slope, 0.0
     cap = _cap(n_x + n_u, 2)
     for lo in reversed(range(0, tau, cap)):  # one block's fold at a time, from the last
@@ -539,11 +531,11 @@ def _backward_quadratic(
         H, Q, R = bundle.H[lo:hi], bundle.Q[lo:hi] + ridge, bundle.R[lo:hi]
         if contraction == "adjoint":  # the adjoints are known before the sweep
             W = autodiff.contract_curvature(bundle.curvature[lo:hi], bundle.adjoints[lo:hi])
-            H, Q, R = H + W[:, :n_x, :n_x], Q + W[:, n_x:, n_x:], R + W[:, :n_x, n_x:]
+            H, Q, R = (H + W.take(at_H, axis=-1), Q + W.take(at_Q, axis=-1),
+                       R + W.take(at_R, axis=-1))
         for t, H_t, Q_t, R_t in zip(range(hi - 1, lo - 1, -1), H[::-1], Q[::-1], R[::-1]):
             if contraction == "value-slope":  # the slope is only known here, stage by stage
-                # contract_curvature's sum for one point, gathered straight into the blocks
-                w = np.add.reduce(j[:, None] * bundle.curvature[t], axis=0, initial=0.0)
+                w = autodiff.contract_curvature(bundle.curvature[t], j)
                 H_t, Q_t, R_t = H_t + w[at_H], Q_t + w[at_Q], R_t + w[at_R]
             checked = check_subproblem(B[t], Q_t, q[t], J, j, j0)
             if checked is None:  # an earlier overflow fails later checks: name the overflow
@@ -597,12 +589,13 @@ def rollout(y0, K: np.ndarray, k: np.ndarray, step) -> np.ndarray:
     if not callable(step):
         raise ShapeError(f"step must be callable, got {type(step).__name__}")
     controls = np.empty(k.shape)
-    for t in range(len(k)):
-        v = K[t] @ y + k[t]
-        controls[t] = v
-        y = np.asarray(step(t, y, v), dtype=float)
-        if not all(map(math.isfinite, y.tolist())):
-            raise DivergenceError(t)
+    with np.errstate(all="ignore"):  # an overflow shows as a non-finite state
+        for t in range(len(k)):
+            v = K[t] @ y + k[t]
+            controls[t] = v
+            y = np.asarray(step(t, y, v), dtype=float)
+            if not all(map(math.isfinite, y.tolist())):
+                raise DivergenceError(t)
     return controls
 
 

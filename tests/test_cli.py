@@ -183,6 +183,37 @@ class TestBenchmarkCommand:
                 )
 
 
+BAD_COMMAND_LINES = [
+    *[(["solve", "--env", "pendulum", "--horizon", "5", flag, "abc"],
+       f"configuration error: {field}:")
+      for flag, field in (("--max-iters", "max_iters"), ("--rel-tol", "rel_tol"),
+                          ("--min-step", "min_step"), ("--seed", "seed"),
+                          ("--parallel", "parallel"))],
+    (["solve", "--env", "pendulum", "--horizon", "abc"], "configuration error: horizon:"),
+    (["benchmark", "--env", "pendulum", "--parallel", "abc"], "configuration error: parallel:"),
+    (["verify", "--scale", "abc"], "configuration error: scale:"),
+    (["verify", "--scale", "1e308"], "configuration error: scale:"),
+    (["verify", "--only", "nope"], "invalid choice: 'nope'"),
+    (["solve", "--no-such-flag", "1"], "unrecognized arguments: --no-such-flag"),
+    ([], "required: command"),
+]
+
+
+@pytest.mark.parametrize("argv,message", BAD_COMMAND_LINES,
+                         ids=[" ".join(argv[:1] + argv[-2:]) or "no-command"
+                              for argv, _ in BAD_COMMAND_LINES])
+def test_bad_command_line_exits_one(argv, message, capsys):
+    # exit 2 would read as "stalled"
+    assert run_cli(*argv) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"], ["verify", "--help"]])
+def test_help_exits_zero(argv, capsys):
+    assert run_cli(*argv) == EXIT_OK
+    assert "usage: trajopt" in capsys.readouterr().out
+
+
 class TestVerifyCommand:
     def test_single_check_passes(self):
         assert run_cli("verify", "--only", "policy-scaling") == EXIT_OK
@@ -190,11 +221,12 @@ class TestVerifyCommand:
     def test_unknown_check_rejected(self):
         assert run_cli("verify", "--only", "nope") == EXIT_CONFIG
 
-    @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1", "1e308"])
     def test_scale_must_be_positive_and_finite(self, scale, capsys):
+        # 1e308 is finite, but its trial counts are not
         assert run_cli("verify", "--only", "policy-scaling", "--scale", scale) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "configuration error: scale: must be a positive finite multiplier" in err
+        assert "configuration error: scale: must be a real number in (0.0, " in err
 
     def test_perturbation_hook_fails_the_run(self):
         code = run_cli("verify", "--only", "policy-scaling", "--selftest-perturb")

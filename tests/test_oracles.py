@@ -88,6 +88,49 @@ class TestForward:
             forward(problem, np.zeros((2, 1)), 0, 0)
         assert err.value.t == 1
 
+    @pytest.mark.parametrize("env", ["pendulum", "cartpole", "bicycle-car"])
+    def test_hessian_blocks_are_taken_from_the_packed_pairs(self, env, rng):
+        problem = build_problem(env, 12)
+        n_x, n_u = problem.n_x, problem.n_u
+        u = 0.1 * rng.standard_normal((12, n_u))
+        bundle = forward(problem, u, 1, 2)
+        costs = problem.running_costs + (lambda x, _: problem.final_cost(x),)
+        zs = np.hstack([bundle.xs, np.vstack([u, np.zeros((1, n_u))])])
+        packed = np.stack([
+            autodiff.block_jacobian_curvature(lambda z: h(z[:n_x], z[n_x:]), z[None])[1][0, 0]
+            for h, z in zip(costs, zs)
+        ])
+        at_H, at_Q, at_R = autodiff.hessian_blocks(n_x, n_u)
+        for got, expected in ((bundle.H, packed[:-1].take(at_H, axis=-1)),
+                              (bundle.Q, packed[:-1].take(at_Q, axis=-1)),
+                              (bundle.R, packed[:-1].take(at_R, axis=-1)),
+                              (bundle.final_quad, packed[-1].take(at_H, axis=-1))):
+            assert got.flags.c_contiguous
+            assert got.tobytes() == expected.tobytes()
+
+    def test_hessian_blocks_match_the_unpacked_hessian(self):
+        f = lambda z: z[0] * z[0] * z[3] + autodiff.sin(z[1] * z[4]) + z[2] * z[3] * z[3]
+        z = [0.3, -0.8, 1.1, 0.6, -0.2]
+        full = autodiff.hessian(f, z)
+        packed = autodiff.block_jacobian_curvature(f, [z])[1][0, 0]
+        at_H, at_Q, at_R = autodiff.hessian_blocks(3, 2)
+        np.testing.assert_array_equal(packed[at_H], full[:3, :3])
+        np.testing.assert_array_equal(packed[at_Q], full[3:, 3:])
+        np.testing.assert_array_equal(packed[at_R], full[:3, 3:])
+
+    def test_huge_cost_curvature_is_stored_as_it_is(self):
+        # 0.5 * (Q + Q') overflows here: Q must be the packed entry itself
+        problem = TrajectoryProblem(
+            dynamics=(linear_dynamics([[1.0]], [[1.0]]),) * 3,
+            running_costs=(lambda x, u: 0.6e308 * u[0] * u[0],) * 3,
+            final_cost=lambda x: x[0] * x[0],
+            x0=[0.0],
+            n_x=1,
+            n_u=1,
+        )
+        bundle = forward(problem, np.zeros((3, 1)), 1, 2)
+        np.testing.assert_array_equal(bundle.Q, np.full((3, 1, 1), 1.2e308))
+
     def test_bundle_trajectory_satisfies_dynamics(self, rng):
         problem = random_smooth_problem(rng, 3, 2, 2)
         u = rng.standard_normal((3, 2)) * 0.2
@@ -297,7 +340,8 @@ def assert_curvature_matches_per_stage(problem, u, rng):
         z = np.concatenate([b2.xs[t], u[t]])
         lam = rng.standard_normal(n_x)
         expected = autodiff.lambda_hessian(lambda zz: f(zz[:n_x], zz[n_x:]), z, lam)
-        _assert_same(autodiff.contract_curvature(b2.curvature[t], lam), expected, where)
+        packed = expected[np.triu_indices(m)]  # the documented pair order
+        _assert_same(autodiff.contract_curvature(b2.curvature[t], lam), packed, where)
 
 
 class TestStoredCurvature:
@@ -730,6 +774,16 @@ class TestRollout:
         controls = rollout([0.0], np.zeros((2, 1, 1)), np.ones((2, 1)), _integrator_step)
         np.testing.assert_allclose(controls, [[1.0], [1.0]])
 
+    def test_overflow_raises_divergence_without_a_warning(self):
+        problem = build_problem("pendulum", 6)
+        bundle = forward(problem, np.zeros((6, 1)), 1, 2)
+        K, k = np.full((6, 1, 2), 1e200), np.full((6, 1), 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as err:
+                rollout(np.zeros(2), K, k, bundle.linear_step)
+        assert err.value.t == 1
+
     def test_gamma_scaling_on_linear_maps(self, rng):
         problem = random_smooth_problem(rng, 5, 2, 2)
         u = rng.standard_normal((5, 2)) * 0.2
@@ -955,6 +1009,7 @@ def per_stage_sweep(bundle, nu, kind="ne"):
     """
     tau, n_x, n_u = bundle.horizon, bundle.problem.n_x, bundle.problem.n_u
     A, B, p, q = bundle.A, bundle.B, bundle.p, bundle.q
+    at_H, at_Q, at_R = autodiff.hessian_blocks(n_x, n_u)
     K = np.empty((tau, n_x, n_u)).transpose(0, 2, 1)
     k = np.empty((tau, n_u))
     J, j, j0 = bundle.final_quad, bundle.final_slope, 0.0
@@ -962,9 +1017,9 @@ def per_stage_sweep(bundle, nu, kind="ne"):
     with np.errstate(all="ignore"):
         for t in range(tau - 1, -1, -1):
             w = autodiff.contract_curvature(bundle.curvature[t], lam if kind == "ne" else j)
-            H = bundle.H[t] + w[:n_x, :n_x]
-            Q = (bundle.Q[t] + nu * np.eye(n_u)) + w[n_x:, n_x:]
-            R = bundle.R[t] + w[:n_x, n_x:]
+            H = bundle.H[t] + w[at_H]
+            Q = (bundle.Q[t] + nu * np.eye(n_u)) + w[at_Q]
+            R = bundle.R[t] + w[at_R]
             lam = p[t] + A[t].T @ lam
             checked = check_subproblem(B[t], Q, q[t], J, j, j0)
             if checked is None:
@@ -1063,12 +1118,18 @@ class TestBatchedNeContraction:
             assert np.array_equal(bundle_gradient(bundle), per_stage_gradient(bundle))
 
     def test_stacked_contraction_equals_per_point(self, rng):
-        d12 = rng.standard_normal((9, 4, 15))
-        lam = rng.standard_normal((9, 4))
-        stacked = autodiff.contract_curvature(d12, lam)
-        assert stacked.shape == (9, 5, 5)
-        for t in range(9):
-            assert np.array_equal(stacked[t], autodiff.contract_curvature(d12[t], lam[t]))
+        # m = 3 and 8 are the pendulum's and the bicycle car's joint points;
+        # the bicycle car has 8 outputs
+        for m, outputs in itertools.product((3, 8), (1, 2, 4, 8, 9)):
+            pairs = m * (m + 1) // 2
+            stages = 2 * (SLOT_BUDGET // pairs) + 1  # longer than one fold block
+            d12 = rng.standard_normal((stages, outputs, pairs))
+            lam = rng.standard_normal((stages, outputs))
+            stacked = autodiff.contract_curvature(d12, lam)
+            assert stacked.shape == (stages, pairs)
+            for t in range(stages):
+                point = autodiff.contract_curvature(d12[t], lam[t])
+                assert stacked[t].tobytes() == point.tobytes(), (m, outputs, t)
 
 
 def exploding_problem(horizon=6):

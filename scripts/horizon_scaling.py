@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Measure how backward+roll-out time and oracle memory scale with the horizon, per oracle.
 
-Prints one row per oracle kind over a horizon sweep on the pendulum.  Per
-horizon, the row gives the median wall time of the backward pass and
-roll-out, then the tracemalloc peak of one whole ``oracle`` call from
-zero controls (forward pass included, as perfbench's ``peak_kib``
-measures it).  The per-step work and storage are constant, so both
-should grow linearly; acceptance criterion 3 bounds the ne and ddp-q
-peaks by 3x the gn peak.
+Prints one row per oracle kind over a horizon sweep on one env (default
+the pendulum).  Per horizon, the row gives the median wall time of the
+backward pass and roll-out, then the tracemalloc peak of one whole
+``oracle`` call from zero controls (forward pass included, as perfbench's
+``peak_kib`` measures it).  The per-step work and storage are constant,
+so both should grow linearly.  Acceptance criterion 3 bounds the ne and
+ddp-q peaks by 3x the gn peak; two last rows give those ratios per
+horizon.
 
-Usage: python scripts/horizon_scaling.py [--horizons 500,1000,2000] [--reps 10]
+Usage: python scripts/horizon_scaling.py [--env pendulum] [--horizons 500,1000,2000] [--reps 10]
 """
 
 import argparse
@@ -20,7 +21,7 @@ import tracemalloc
 
 import numpy as np
 
-from trajopt.envs import build_problem
+from trajopt.envs import ENV_KINDS, build_problem
 from trajopt.oracles import ORACLE_KINDS, ORACLES, forward, oracle, oracle_step
 
 
@@ -37,6 +38,7 @@ def peak_kib(problem, u, kind) -> float:
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--env", default="pendulum", choices=ENV_KINDS)
     parser.add_argument("--horizons", default="500,1000,2000")
     parser.add_argument("--reps", type=int, default=10)
     args = parser.parse_args()
@@ -44,13 +46,14 @@ def main():
 
     bundles = {}
     for tau in horizons:
-        problem = build_problem("pendulum", tau)
-        u = np.zeros((tau, 1))
+        problem = build_problem(args.env, tau)
+        u = np.zeros((tau, problem.n_u))
         for orders in {(spec.o_f, spec.o_h) for spec in ORACLES.values()}:
             bundles[(tau, orders)] = forward(problem, u, *orders)
 
     header = "kind    " + "".join(f"  tau={tau:<17d}" for tau in horizons)
     print(header)
+    peaks = {}
     for kind in ORACLE_KINDS:
         spec = ORACLES[kind]
         cells = []
@@ -61,9 +64,12 @@ def main():
                 t0 = time.perf_counter()
                 oracle_step(bundle, kind, spec.start_nu)
                 times.append(time.perf_counter() - t0)
-            peak = peak_kib(bundle.problem, bundle.u, kind)
+            peaks[kind, tau] = peak = peak_kib(bundle.problem, bundle.u, kind)
             cells.append(f"{statistics.median(times) * 1e3:8.1f}ms {peak:9.1f}KiB")
         print(f"{kind:8s}" + "  ".join(cells))
+    for kind in ("ne", "ddp-q"):  # criterion 3: each at most 3
+        print(f"{kind + '/gn':8s}" + "  ".join(
+            f"{peaks[kind, tau] / peaks['gn', tau]:8.2f}" + " " * 13 for tau in horizons))
 
 
 if __name__ == "__main__":

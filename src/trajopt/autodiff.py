@@ -12,21 +12,21 @@ evaluated outside its domain, ``log`` at 0 or ``sin`` at +-inf, raises
 :class:`~trajopt.errors.DomainError`, an ArithmeticError, which the
 solvers report as a rejected trial or a divergence.
 
-A hyper-dual number stores, next to its value, three arrays of length k:
-``d1[i]`` and ``d2[i]`` are directional derivatives along the i-th pair of
-seed directions and ``d12[i]`` is the mixed second derivative along that
-pair.  One evaluation therefore yields k second derivatives at once; no
-truncation error is involved.  A :class:`Dual` keeps only the first slot
-and serves first-order sweeps.
+A hyper-dual number is a second-order jet over the m inputs of a model:
+next to its value it stores the gradient ``g`` and ``h``, the second
+derivatives along P seeded pairs (i, j) of inputs, whose rules read the
+pair's two slopes from ``g``.  One evaluation yields P exact second
+derivatives from m + P floats per number.  A :class:`Dual` keeps only the
+gradient and serves first-order sweeps.
 
 The ``block_*`` sweeps differentiate one model at B points in a single
 evaluation, :func:`block_jacobian` to first order and
 :func:`block_jacobian_curvature` to second; a scalar model, such as a
 cost, is a model with one output.  The values are then (B, 1) arrays and
-the slots (B, k) arrays, so arithmetic runs as numpy array operations and
-the primitives apply math's functions element by element; the results
-equal B evaluations at one point each, bit for bit.  Model code must
-therefore be array-safe: a branch on a value tests it with
+``g`` and ``h`` (B, m) and (B, P), so arithmetic runs as numpy array
+operations and the primitives apply math's functions element by element;
+the results equal B evaluations at one point each, bit for bit.  Model
+code must therefore be array-safe: a branch on a value tests it with
 :func:`anywhere` (or an element-wise ``np.where``), and a table lookup
 indexes with arrays.
 
@@ -80,69 +80,65 @@ __all__ = [
 
 
 class HyperDual:
-    """Scalar with two first-order and one mixed second-order slot.
+    """Second-order jet over m inputs: a value, its gradient ``g`` and its pairs' ``h``.
 
-    The derivative slots are numpy arrays of a common length k so that k
-    direction pairs are propagated per evaluation.  In a block sweep the
-    value is a (B, 1) array and the slots broadcast to (B, k).  Instances
-    are treated as immutable; the slot arrays must never be mutated in
-    place.
+    ``ij = (pi, pj)``, shared by every number of one sweep, indexes the
+    inputs of the P seeded pairs; a pair's formula reads the gradient at
+    its i and at its j.  In a block sweep the value is a (B, 1) array and
+    ``g`` and ``h`` broadcast to (B, m) and (B, P).  Instances are treated
+    as immutable; the arrays must never be mutated in place.
     """
 
-    __slots__ = ("value", "d1", "d2", "d12")
+    __slots__ = ("value", "g", "h", "ij")
 
     # ndarray (op) HyperDual returns NotImplemented, so Python calls the
     # reflected HyperDual method instead of looping over the array.
     __array_ufunc__ = None
 
-    def __init__(self, value, d1, d2, d12):
+    def __init__(self, value, g, h, ij):
         self.value = value
-        self.d1 = d1
-        self.d2 = d2
-        self.d12 = d12
+        self.g = g
+        self.h = h
+        self.ij = ij
+
+    def _at(self):
+        """The gradient at each pair's i and at its j."""
+        pi, pj = self.ij
+        return self.g.take(pi, axis=-1), self.g.take(pj, axis=-1)
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, HyperDual):
-            return HyperDual(
-                self.value + other.value,
-                self.d1 + other.d1,
-                self.d2 + other.d2,
-                self.d12 + other.d12,
-            )
-        return HyperDual(self.value + other, self.d1, self.d2, self.d12)
+            return HyperDual(self.value + other.value, self.g + other.g, self.h + other.h, self.ij)
+        return HyperDual(self.value + other, self.g, self.h, self.ij)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, HyperDual):
-            return HyperDual(
-                self.value - other.value,
-                self.d1 - other.d1,
-                self.d2 - other.d2,
-                self.d12 - other.d12,
-            )
-        return HyperDual(self.value - other, self.d1, self.d2, self.d12)
+            return HyperDual(self.value - other.value, self.g - other.g, self.h - other.h, self.ij)
+        return HyperDual(self.value - other, self.g, self.h, self.ij)
 
     def __rsub__(self, other):
-        return HyperDual(other - self.value, -self.d1, -self.d2, -self.d12)
+        return HyperDual(other - self.value, -self.g, -self.h, self.ij)
 
     def __neg__(self):
-        return HyperDual(-self.value, -self.d1, -self.d2, -self.d12)
+        return HyperDual(-self.value, -self.g, -self.h, self.ij)
 
     def __mul__(self, other):
         if isinstance(other, HyperDual):
+            (pi, pj), sg, og = self.ij, self.g, other.g
             return HyperDual(
                 self.value * other.value,
-                self.value * other.d1 + self.d1 * other.value,
-                self.value * other.d2 + self.d2 * other.value,
-                self.value * other.d12
-                + self.d1 * other.d2
-                + self.d2 * other.d1
-                + self.d12 * other.value,
+                self.value * og + sg * other.value,
+                self.value * other.h
+                + sg.take(pi, axis=-1) * og.take(pj, axis=-1)
+                + sg.take(pj, axis=-1) * og.take(pi, axis=-1)
+                + self.h * other.value,
+                self.ij,
             )
-        return HyperDual(self.value * other, self.d1 * other, self.d2 * other, self.d12 * other)
+        return HyperDual(self.value * other, self.g * other, self.h * other, self.ij)
 
     __rmul__ = __mul__
 
@@ -161,7 +157,8 @@ class HyperDual:
 
     def _chain(self, f, fp, fpp):
         """Chain rule for a scalar primitive with value f and derivatives fp, fpp."""
-        return HyperDual(f, fp * self.d1, fp * self.d2, fp * self.d12 + fpp * (self.d1 * self.d2))
+        gi, gj = self._at()
+        return HyperDual(f, fp * self.g, fp * self.h + fpp * (gi * gj), self.ij)
 
     def __pow__(self, p):
         return power(self, p)
@@ -188,56 +185,55 @@ class HyperDual:
         )
 
     def __repr__(self):
-        return f"HyperDual({self.value!r}, d1={self.d1!r}, d2={self.d2!r}, d12={self.d12!r})"
+        return f"HyperDual({self.value!r}, g={self.g!r}, h={self.h!r})"
 
 
 class Dual(HyperDual):
-    """First-order number: a value and one slot of directional derivatives.
+    """First-order number: a value and its gradient ``g``.
 
-    The hyper-dual number whose second-direction and mixed slots are
-    identically zero, stored without them; first-order sweeps seed these.
-    Arithmetic with any hyper-dual operand keeps only the first slot, which
+    The jet without second derivatives; first-order sweeps seed these.
+    Arithmetic with any hyper-dual operand keeps only the gradient, which
     is exact to first order.
     """
 
     __slots__ = ()
 
-    def __init__(self, value, d1):
+    def __init__(self, value, g):
         self.value = value
-        self.d1 = d1
+        self.g = g
 
     def __add__(self, other):
         if isinstance(other, HyperDual):
-            return Dual(self.value + other.value, self.d1 + other.d1)
-        return Dual(self.value + other, self.d1)
+            return Dual(self.value + other.value, self.g + other.g)
+        return Dual(self.value + other, self.g)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, HyperDual):
-            return Dual(self.value - other.value, self.d1 - other.d1)
-        return Dual(self.value - other, self.d1)
+            return Dual(self.value - other.value, self.g - other.g)
+        return Dual(self.value - other, self.g)
 
     def __rsub__(self, other):
         if isinstance(other, HyperDual):
-            return Dual(other.value - self.value, other.d1 - self.d1)
-        return Dual(other - self.value, -self.d1)
+            return Dual(other.value - self.value, other.g - self.g)
+        return Dual(other - self.value, -self.g)
 
     def __neg__(self):
-        return Dual(-self.value, -self.d1)
+        return Dual(-self.value, -self.g)
 
     def __mul__(self, other):
         if isinstance(other, HyperDual):
-            return Dual(self.value * other.value, self.value * other.d1 + self.d1 * other.value)
-        return Dual(self.value * other, self.d1 * other)
+            return Dual(self.value * other.value, self.value * other.g + self.g * other.value)
+        return Dual(self.value * other, self.g * other)
 
     __rmul__ = __mul__
 
     def _chain(self, f, fp, fpp):
-        return Dual(f, fp * self.d1)
+        return Dual(f, fp * self.g)
 
     def __repr__(self):
-        return f"Dual({self.value!r}, d1={self.d1!r})"
+        return f"Dual({self.value!r}, g={self.g!r})"
 
 
 class _Trace(HyperDual):
@@ -419,9 +415,9 @@ def arctan2(y, x):
     gy = xv / r2
     gx = -yv / r2
     if isinstance(y, Dual) or isinstance(x, Dual):
-        yd1 = y.d1 if isinstance(y, HyperDual) else 0.0
-        xd1 = x.d1 if isinstance(x, HyperDual) else 0.0
-        return Dual(f, gy * yd1 + gx * xd1)
+        yg = y.g if isinstance(y, HyperDual) else 0.0
+        xg = x.g if isinstance(x, HyperDual) else 0.0
+        return Dual(f, gy * yg + gx * xg)
     r4 = r2 * r2
     hyy = -2.0 * xv * yv / r4
     hxx = 2.0 * xv * yv / r4
@@ -430,20 +426,18 @@ def arctan2(y, x):
         # traced after the same value arithmetic, so it raises where a sweep does
         y, x = (t if isinstance(t, _Trace) else _Trace(t) for t in (y, x))
         return y._joined(x, f)._chain(f, None, None)
-    k = y.d1.shape if isinstance(y, HyperDual) else x.d1.shape
-    zeros = np.zeros(k)
-    yd = y if isinstance(y, HyperDual) else HyperDual(yv, zeros, zeros, zeros)
-    xd = x if isinstance(x, HyperDual) else HyperDual(xv, zeros, zeros, zeros)
-    d1 = gy * yd.d1 + gx * xd.d1
-    d2 = gy * yd.d2 + gx * xd.d2
-    d12 = (
-        gy * yd.d12
-        + gx * xd.d12
-        + hyy * yd.d1 * yd.d2
-        + hyx * (yd.d1 * xd.d2 + xd.d1 * yd.d2)
-        + hxx * xd.d1 * xd.d2
+    jet = y if isinstance(y, HyperDual) else x
+    y, x = (t if isinstance(t, HyperDual) else
+            HyperDual(t, np.zeros(jet.g.shape), np.zeros(jet.h.shape), jet.ij) for t in (y, x))
+    (yi, yj), (xi, xj) = y._at(), x._at()
+    h = (
+        gy * y.h
+        + gx * x.h
+        + hyy * yi * yj
+        + hyx * (yi * xj + xi * yj)
+        + hxx * xi * xj
     )
-    return HyperDual(f, d1, d2, d12)
+    return HyperDual(f, gy * y.g + gx * x.g, h, jet.ij)
 
 
 def smoothmax(x, sharpness: float = 0.01):
@@ -500,11 +494,12 @@ def _pairs(m: int) -> tuple:
 
 
 @lru_cache(maxsize=256)
-def _second_order_seeds(m: int, lanes: tuple | None = None):
-    """(d1 rows, d2 rows, zero slot, pi, pj) over the pairs of :func:`_pairs`.
+def _second_order_seeds(m: int, lanes: tuple | None = None) -> tuple:
+    """``ij = (pi, pj)``, the seeded pairs of :func:`_pairs`, and their zero second derivatives.
 
     ``lanes`` keeps only those positions of the pairs, which must include
-    every diagonal pair (i, i): the first-order results are read there.
+    every diagonal pair (i, i), so a sparse sweep's diagonal is the full
+    sweep's, zeros of either sign included.
     """
     pi, pj = _pairs(m)
     if lanes is not None:
@@ -512,10 +507,8 @@ def _second_order_seeds(m: int, lanes: tuple | None = None):
         pi, pj = pi[keep], pj[keep]
         if np.unique(pi[pi == pj]).size != m:
             raise ParameterError("seeded lanes must include every diagonal pair")
-    rows = np.arange(m)[:, None]
-    d1 = (pi[None, :] == rows).astype(float)
-    d2 = (pj[None, :] == rows).astype(float)
-    return _read_only(d1, d2, np.zeros(pi.size), pi, pj)
+    pi, pj, zeros = _read_only(pi, pj, np.zeros(pi.size))
+    return (pi, pj), zeros
 
 
 def _values(zs: np.ndarray) -> list:
@@ -523,12 +516,6 @@ def _values(zs: np.ndarray) -> list:
     if zs.shape[0] == 1:
         return zs[0].tolist()
     return list(zs.T[:, :, None])
-
-
-def _second_order_inputs(zs: np.ndarray, lanes) -> tuple[list[HyperDual], np.ndarray, np.ndarray]:
-    d1, d2, zeros, pi, pj = _second_order_seeds(zs.shape[1], lanes)
-    inputs = [HyperDual(v, d1[a], d2[a], zeros) for a, v in enumerate(_values(zs))]
-    return inputs, pi, pj
 
 
 def _points(zs) -> np.ndarray:
@@ -556,7 +543,7 @@ def block_jacobian(g, zs) -> np.ndarray:
     jac = np.zeros((b, len(out), m))
     for i, o in enumerate(out):
         if isinstance(o, HyperDual):
-            jac[:, i] = o.d1
+            jac[:, i] = o.g
     return jac
 
 
@@ -589,7 +576,7 @@ def block_jacobian_curvature(g, zs, lanes=None) -> tuple[np.ndarray, np.ndarray]
     in the order of ``np.triu_indices(m)``, evaluates ``g`` once at all
     rows of ``zs`` (B, m).  ``[b, k, p]`` of the second result is the
     second derivative of output k along pair p at point b; the Jacobian is
-    the first slot of the diagonal pairs.  A scalar ``g`` is a model with
+    the outputs' gradients.  A scalar ``g`` is a model with
     one output: row 0 holds its gradient and packed Hessian.  The packed
     form stores each output's Hessian without its repeated lower triangle;
     :func:`vector_hessian` unpacks it, :func:`contract_curvature` folds it
@@ -601,16 +588,16 @@ def block_jacobian_curvature(g, zs, lanes=None) -> tuple[np.ndarray, np.ndarray]
     """
     zs = _points(zs)
     b, m = zs.shape
-    inputs, pi, pj = _second_order_inputs(zs, lanes)
-    out = _as_output_list(g(inputs))
-    diagonal = pi == pj
+    ij, zeros = _second_order_seeds(m, lanes)
+    seeds = _first_order_seeds(m)
+    out = _as_output_list(g([HyperDual(v, seeds[a], zeros, ij) for a, v in enumerate(_values(zs))]))
     columns = slice(None) if lanes is None else list(lanes)
     jac = np.zeros((b, len(out), m))
     d12 = np.zeros((b, len(out), m * (m + 1) // 2))
     for k, o in enumerate(out):
         if isinstance(o, HyperDual):
-            jac[:, k] = o.d1[..., diagonal]
-            d12[:, k, columns] = o.d12
+            jac[:, k] = o.g
+            d12[:, k, columns] = o.h
     return jac, d12
 
 

@@ -7,7 +7,8 @@ Subcommands
 
 Exit codes: 0 solved (converged or iteration budget exhausted), 1 bad
 configuration (a bad flag, value or config file), 2 stalled, 3 diverged;
-``verify`` exits 4 when a check fails.  The environment variable
+``verify`` exits 4 when a check fails; its ``--scale``, the multiplier on
+each check's trial count, lies in (0, 1000].  The environment variable
 ``TRAJOPT_LOG`` in {quiet, info, debug} controls logging verbosity.
 """
 
@@ -407,8 +408,8 @@ VERIFY_CHECKS = {
 
 def cmd_verify(args) -> int:
     scale = _cast("scale", args.scale, float)
-    most = max(default_trials for _, default_trials in VERIFY_CHECKS.values())
-    _scalar(scale, "scale", 0.0, sys.float_info.max / most, error=ConfigError)  # finite counts
+    # at most 1000, so the longest check runs at most 20 000 trials
+    _scalar(scale, "scale", 0.0, 1000.0, ends="(]", error=ConfigError)
     names = [args.only] if args.only else list(VERIFY_CHECKS)
     all_ok = True
     for name in names:
@@ -461,7 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = subs.add_parser("verify", help="run built-in correctness checks")
     ver.add_argument("--only", choices=VERIFY_CHECKS, help="run a single check")
-    ver.add_argument("--scale", default=1.0, help="multiplier on per-check trial counts")
+    ver.add_argument("--scale", default=1.0,
+                     help="multiplier on per-check trial counts, in (0, 1000]")
     ver.add_argument("--selftest-perturb", action="store_true",
                      help="inject an error to confirm the harness detects failures")
     ver.set_defaults(fn=cmd_verify)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..core import _array, _scalar
-from ..errors import ShapeError
+from ..errors import DomainError, ShapeError
 
 __all__ = [
     "Track",
@@ -162,7 +162,10 @@ def bundled_track(name: str) -> Track:
 def _segment(track: Track, s) -> tuple:
     """Segment index of s and the local parameter; an index array for a block of s."""
     s_val = ad.value(s)
-    if isinstance(s_val, np.ndarray):
+    block = isinstance(s_val, np.ndarray)
+    if not (np.isfinite(s_val).all() if block else math.isfinite(s_val)):
+        raise DomainError("track_eval", s_val)
+    if block:
         idx = np.clip(np.floor(s_val), 0, track.knots - 2).astype(int)
         return idx, s - idx
     idx = min(max(int(math.floor(s_val)), 0), track.knots - 2)
@@ -189,7 +192,9 @@ def track_eval(track: Track, s) -> TrackPoint:
     """Centerline point and tangent frame at parameter s.
 
     The parameter is clamped to the spline domain at both ends; evaluation
-    accepts hyper-dual parameters so costs can differentiate through s.
+    accepts hyper-dual parameters so costs can differentiate through s.  A
+    parameter that is not finite raises :class:`DomainError`, so a solve
+    that reaches one ends as diverged.
     """
     idx, local = _segment(track, s)
     x = _cubic(track.x_coeffs, idx, local)

@@ -102,18 +102,18 @@ def oracle_spec(kind: str) -> OracleSpec:
     return ORACLES[kind]
 
 
-# Lanes one blocked derivative sweep carries in total: a block holds at
-# most max(1, SLOT_BUDGET // lanes) stages, where a stage's lanes are what
-# its sweep seeds: the m inputs for a Jacobian, the direction pairs for
-# second derivatives (all m(m+1)/2, or the traced ones).  Longer blocks
-# run faster but hold larger temporaries.  The Newton fold takes blocks of
-# the full second-order size.
+# Floats a number of a blocked derivative sweep carries over a block: a
+# first-order number's gradient, m per stage, within SLOT_BUDGET; a
+# second-order jet's m + P (its gradient and its P seeded pairs) within
+# 3 * SLOT_BUDGET.  Longer blocks run faster but hold larger temporaries.
+# The Newton fold (P floats per stage) and the length from which a run is
+# traced count SLOT_BUDGET // P stages, P = m(m+1)/2.
 SLOT_BUDGET = 264
 
 
-def _cap(m: int, order: int) -> int:
-    """Stages per block for derivatives of ``order`` in m inputs (see SLOT_BUDGET)."""
-    return max(1, SLOT_BUDGET // (m if order == 1 else m * (m + 1) // 2))
+def _cap(floats: int, budget: int = SLOT_BUDGET) -> int:
+    """Stages per block when each stage takes ``floats`` of ``budget`` (see SLOT_BUDGET)."""
+    return max(1, budget // floats)
 
 
 @dataclass(frozen=True)
@@ -337,7 +337,7 @@ def _expand_traced(sweep, g, zs: np.ndarray, start: int, stop: int, results, n: 
     traced at its own points, since a branch may go another way there.
     """
     lanes = _traced_lanes(g, zs[start:stop])
-    cap = max(1, SLOT_BUDGET // len(lanes))
+    cap = _cap(zs.shape[1] + len(lanes), 3 * SLOT_BUDGET)
     for lo in range(start, stop, cap):
         hi = min(lo + cap, stop)
         if hi - lo < stop - start:
@@ -350,20 +350,23 @@ def _expand(sweep, fns, zs: np.ndarray, n_x: int, order: int) -> tuple:
     """Results of ``sweep`` of derivative ``order`` at every stage's point, stacked over the stages.
 
     A run of consecutive stages that share one callable is cut into blocks
-    of at most max(1, SLOT_BUDGET // lanes) stages; ``sweep`` evaluates a
-    block once on all of its points, and a block of one stage runs on plain
-    floats.  A first-order sweep seeds the m inputs.  A second-order sweep
-    seeds all m(m+1)/2 pairs, unless its run would take more than two such
-    blocks: the run is then traced (:func:`autodiff.structural_lanes`) and
-    each block seeds only the pairs traced at its own points, which gives
-    the same results bit for bit.  A trace or a traced sweep that fails
-    sends its run back to full seeds, so errors name the same stage.
+    as :data:`SLOT_BUDGET` sizes them; ``sweep`` evaluates a block once on
+    all of its points, and a block of one stage runs on plain floats.  A
+    first-order sweep seeds the m inputs.  A second-order sweep seeds all
+    m(m+1)/2 pairs, unless its run is longer than twice SLOT_BUDGET //
+    (m(m+1)/2) stages: the run is then traced
+    (:func:`autodiff.structural_lanes`) and each block seeds only the pairs
+    traced at its own points, which gives the same results bit for bit.  A
+    trace or a traced sweep that fails sends its run back to full seeds, so
+    errors name the same stage.
     """
-    n, cap = len(fns), _cap(zs.shape[1], order)
+    n, m = len(fns), zs.shape[1]
+    pairs = m * (m + 1) // 2
+    cap = _cap(m) if order == 1 else _cap(m + pairs, 3 * SLOT_BUDGET)
     results = None
     for start, stop in _runs(fns):
         g = _joint(fns[start], n_x)
-        if order == 2 and stop - start > 2 * cap:
+        if order == 2 and stop - start > 2 * _cap(pairs):
             try:
                 results = _expand_traced(sweep, g, zs, start, stop, results, n)
                 continue
@@ -523,7 +526,7 @@ def _backward_quadratic(
 
     at_H, at_Q, at_R = autodiff.hessian_blocks(n_x, n_u)  # where the blocks sit in a packed fold
     J, j, j0 = bundle.final_quad, bundle.final_slope, 0.0
-    cap = _cap(n_x + n_u, 2)
+    cap = _cap((n_x + n_u) * (n_x + n_u + 1) // 2)
     for lo in reversed(range(0, tau, cap)):  # one block's fold at a time, from the last
         hi = min(lo + cap, tau)
         # the ridge goes on before any curvature, (Q + nu I) + W_uu: the other
@@ -565,8 +568,10 @@ def bundle_gradient(bundle: ExpansionBundle) -> np.ndarray:
     Stage t's gradient is q_t + B_t' lam_{t+1}, from the bundle's adjoint
     stack (:attr:`ExpansionBundle.adjoints`), the one adjoint recursion
     the package runs, which raises :class:`ParameterError` without order-1
-    information.
+    information, as does an argument that is not a bundle.
     """
+    if not isinstance(bundle, ExpansionBundle):
+        raise ParameterError(f"bundle must be an ExpansionBundle, got {type(bundle).__name__}")
     B, lam = bundle.B, bundle.adjoints
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite gradient
         return bundle.q + (B.transpose(0, 2, 1) @ lam[:, :, None])[:, :, 0]

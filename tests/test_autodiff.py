@@ -17,10 +17,14 @@ from conftest import fd_hessian, fd_jacobian
 finite_floats = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
 
+# the one seeded pair of a two-input jet: (i, j) = (0, 1)
+PAIR = (np.array([0]), np.array([1]))
+
+
 def hd(value, d1, d2=0.0, d12=0.0):
-    return ad.HyperDual(
-        float(value), np.array([float(d1)]), np.array([float(d2)]), np.array([float(d12)])
-    )
+    """The jet of a number with slopes d1, d2 along two inputs and mixed derivative d12."""
+    value = value if isinstance(value, np.ndarray) else float(value)
+    return ad.HyperDual(value, np.array([float(d1), float(d2)]), np.array([float(d12)]), PAIR)
 
 
 class TestHyperDualAlgebra:
@@ -30,16 +34,16 @@ class TestHyperDualAlgebra:
         a = hd(av, a1, 0.5, 0.25)
         b = hd(bv, 0.3, b2, -0.1)
         prod = a * b
-        expected = av * b.d12[0] + a.d1[0] * b.d2[0] + a.d2[0] * b.d1[0] + a.d12[0] * bv
-        assert prod.d12[0] == pytest.approx(expected, abs=0.0)
+        expected = av * b.h[0] + a.g[0] * b.g[1] + a.g[1] * b.g[0] + a.h[0] * bv
+        assert prod.h[0] == pytest.approx(expected, abs=0.0)
 
     def test_division_matches_multiplication_by_inverse(self):
         a, b = hd(2.0, 1.0, 0.5, 0.2), hd(3.0, -0.5, 1.0, 0.1)
         q = a / b
         back = q * b
         assert back.value == pytest.approx(a.value)
-        assert back.d1[0] == pytest.approx(a.d1[0])
-        assert back.d12[0] == pytest.approx(a.d12[0])
+        assert back.g[0] == pytest.approx(a.g[0])
+        assert back.h[0] == pytest.approx(a.h[0])
 
     def test_float_coercion_is_rejected(self):
         with pytest.raises(UnsupportedPrimitiveError):
@@ -49,7 +53,7 @@ class TestHyperDualAlgebra:
         x = hd(2.0, 1.0)
         y = 3.0 * x + 1.0 - x / 2.0
         assert y.value == pytest.approx(7.0 - 1.0)
-        assert y.d1[0] == pytest.approx(2.5)
+        assert y.g[0] == pytest.approx(2.5)
 
 
 class TestJacobian:
@@ -94,12 +98,59 @@ class TestHessian:
         np.testing.assert_allclose(hess, nested, atol=1e-12)
 
 
+class _TwoDirections(ad.HyperDual):
+    """A value with slopes ``a`` and ``b`` along two directions and the mixed derivative ``ab``.
+
+    The textbook hyper-dual number, written here with its own product and
+    chain rules, so a Hessian taken through it does not share the jet
+    arithmetic of the engine.
+    """
+
+    __slots__ = ("a", "b", "ab")
+
+    def __init__(self, value, a, b, ab):
+        self.value, self.a, self.b, self.ab = value, a, b, ab
+
+    def __add__(self, other):
+        if isinstance(other, _TwoDirections):
+            return _TwoDirections(self.value + other.value, self.a + other.a,
+                                  self.b + other.b, self.ab + other.ab)
+        return _TwoDirections(self.value + other, self.a, self.b, self.ab)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _TwoDirections(-self.value, -self.a, -self.b, -self.ab)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if isinstance(other, _TwoDirections):
+            return _TwoDirections(
+                self.value * other.value,
+                self.value * other.a + self.a * other.value,
+                self.value * other.b + self.b * other.value,
+                self.value * other.ab + self.a * other.b + self.b * other.a + self.ab * other.value,
+            )
+        return _TwoDirections(self.value * other, self.a * other, self.b * other, self.ab * other)
+
+    __rmul__ = __mul__
+
+    def _chain(self, f, fp, fpp):
+        return _TwoDirections(f, fp * self.a, fp * self.b, fp * self.ab + fpp * self.a * self.b)
+
+
 def jacobian_of_gradient(g, z):
     """Hessian row by row: first-order sweeps over each gradient entry.
 
-    The inner derivative rides in the second direction slot, so each row is
-    produced by an independent composition path from the one `ad.hessian`
-    uses.
+    The outer first-order sweep's gradient rides in slot ``a`` of a
+    :class:`_TwoDirections` number and the inner direction e_i in slot
+    ``b``, so each row is produced by an independent composition path from
+    the one `ad.hessian` uses.
     """
     z = np.asarray(z, dtype=float)
     m = z.size
@@ -107,14 +158,9 @@ def jacobian_of_gradient(g, z):
     for i in range(m):
 
         def grad_entry(zz, i=i):
-            k = zz[0].d1.shape[0]
-            zeros, ones = np.zeros(k), np.ones(k)
-            lifted = [
-                ad.HyperDual(w.value, w.d1, ones if a == i else zeros, zeros)
-                for a, w in enumerate(zz)
-            ]
-            out = g(lifted)
-            return ad.HyperDual(out.d2[0], out.d12, zeros, zeros)
+            zeros = np.zeros(m)
+            out = g([_TwoDirections(w.value, w.g, float(a == i), zeros) for a, w in enumerate(zz)])
+            return ad.Dual(out.b, out.ab)
 
         rows.append(ad.jacobian(grad_entry, z)[0])
     return np.array(rows)
@@ -169,17 +215,17 @@ class TestSeeds:
         seen = []
         ad.hessian(lambda z: seen.append(z[0]) or z[0] * z[1], [1.0, 2.0])
         ad.lambda_hessian(lambda z: seen.append(z[0]) or [z[0] * z[1]], [3.0, 4.0], [1.0])
-        assert np.shares_memory(seen[0].d1, seen[1].d1)
+        assert np.shares_memory(seen[0].g, seen[1].g)
         with pytest.raises(ValueError):
-            seen[0].d1[0] = 5.0
+            seen[0].g[0] = 5.0
 
     def test_mixed_orders_keep_the_first_slot(self):
         a = ad.Dual(2.0, np.array([1.0, 0.0]))
-        b = ad.HyperDual(3.0, np.array([0.5, 1.0]), np.ones(2), np.ones(2))
+        b = hd(3.0, 0.5, 1.0, 1.0)
         for out, d1 in ((a * b, [4.0, 2.0]), (b * a, [4.0, 2.0]), (b - a, [-0.5, 1.0]),
                         (a - b, [0.5, -1.0]), (b + a, [1.5, 1.0])):
             assert isinstance(out, ad.Dual)
-            np.testing.assert_array_equal(out.d1, d1)
+            np.testing.assert_array_equal(out.g, d1)
 
 
 BLOCK_MODELS = [
@@ -214,10 +260,10 @@ class TestBlocks:
         assert type(seen[0]) is float
 
     def test_array_times_hyperdual_defers_to_hyperdual(self):
-        x = ad.HyperDual(np.array([[1.0], [2.0]]), np.ones(1), np.ones(1), np.zeros(1))
+        x = hd(np.array([[1.0], [2.0]]), 1.0, 1.0, 0.0)
         out = np.array([[3.0], [4.0]]) * x
         assert isinstance(out, ad.HyperDual)
-        np.testing.assert_array_equal(out.d1, [[3.0], [4.0]])
+        np.testing.assert_array_equal(out.g[:, :1], [[3.0], [4.0]])
 
     def test_domain_check_covers_every_point(self):
         with pytest.raises(DomainError):
@@ -335,11 +381,10 @@ class TestPrimitives:
         # the primitive reports it as a DomainError naming the primitive
         fn = getattr(ad, name)
         column = np.array([[0.5], [inf]])
-        slot = np.ones((2, 1))
         for arg in (
             inf,
             column,
-            ad.HyperDual(column, slot, slot, slot),
+            hd(column, 1.0, 1.0, 1.0),
             ad.Dual(inf, np.ones(1)),
         ):
             with pytest.raises(DomainError) as err:
@@ -359,7 +404,7 @@ class TestPrimitives:
 
     def test_shape_errors_in_the_chain_rule_are_not_domain_errors(self):
         # only the value's evaluation is wrapped: a broadcast bug surfaces as itself
-        x = ad.HyperDual(np.ones((3, 1)), np.ones((2, 4)), np.ones((2, 4)), np.ones((2, 4)))
+        x = ad.HyperDual(np.ones((3, 1)), np.ones((2, 4)), np.ones((2, 4)), PAIR)
         with pytest.raises(ValueError) as err:
             ad.sin(x)
         assert not isinstance(err.value, DomainError)

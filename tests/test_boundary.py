@@ -50,6 +50,7 @@ from trajopt import linesearch
 from trajopt.autodiff import smoothmax
 from trajopt.cli import RunConfig
 from trajopt.dense import dense_costates
+from trajopt.oracles import bundle_gradient
 from trajopt.envs import (
     DISCRETIZERS,
     ENV_KINDS,
@@ -60,6 +61,7 @@ from trajopt.envs import (
     build_problem,
     euler_step,
     track_build,
+    track_eval,
     track_loads,
 )
 from trajopt.envs.build import env_discretizer
@@ -72,6 +74,7 @@ BUNDLE = forward(PROBLEM, U, 1, 2)
 SWEEP = run_backward(BUNDLE, "gn", 0.0)
 assert SWEEP.feasible and SWEEP.c0_zero < 0.0
 TRACK_TEXT = "width=0.5\n0,0\n1,0\n2,1\n"
+TRACK = track_loads(TRACK_TEXT)
 
 SPECIAL = [
     math.nan, math.inf, -math.inf, 0, 0.0, -0.0, -1, -2.5, 1.5, True, False, 1j,
@@ -157,6 +160,12 @@ TABLE = {
         {"waypoints": arrays((3, 2)), "width": NUMBERS},
     ),
     "track_loads": (track_loads, {"text": TRACK_TEXT}, {"text": TEXTS}),
+    # a model quantity: a real float or a block of them (hyper-dual numbers carry one)
+    "track_eval": (
+        track_eval, {"track": TRACK, "s": 0.5},
+        {"s": st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -0.0]),
+                        st.floats(), hnp.arrays(np.float64, (3, 1), elements=st.floats()))},
+    ),
     "TrajectoryProblem": (
         TrajectoryProblem,
         {"dynamics": PROBLEM.dynamics, "running_costs": PROBLEM.running_costs,
@@ -185,6 +194,7 @@ TABLE = {
         {"u": arrays(U.shape), "o_f": NUMBERS, "o_h": NUMBERS},
     ),
     "objective_value": _controls(objective_value),
+    "bundle_gradient": (bundle_gradient, {"bundle": BUNDLE}, {"bundle": OBJECTS}),
     "rollout": (
         rollout, {"y0": np.zeros(2), "K": SWEEP.K, "k": SWEEP.k, "step": BUNDLE.linear_step},
         {"y0": arrays((2,)), "K": arrays(SWEEP.K.shape), "k": arrays(SWEEP.k.shape),

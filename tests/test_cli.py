@@ -193,6 +193,8 @@ BAD_COMMAND_LINES = [
     (["benchmark", "--env", "pendulum", "--parallel", "abc"], "configuration error: parallel:"),
     (["verify", "--scale", "abc"], "configuration error: scale:"),
     (["verify", "--scale", "1e308"], "configuration error: scale:"),
+    (["verify", "--scale", "1e300"], "configuration error: scale:"),
+    (["verify", "--scale", "1000.0000000000001"], "configuration error: scale:"),
     (["verify", "--only", "nope"], "invalid choice: 'nope'"),
     (["solve", "--no-such-flag", "1"], "unrecognized arguments: --no-such-flag"),
     ([], "required: command"),
@@ -221,9 +223,11 @@ class TestVerifyCommand:
     def test_unknown_check_rejected(self):
         assert run_cli("verify", "--only", "nope") == EXIT_CONFIG
 
-    @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1", "1e308"])
+    @pytest.mark.parametrize(
+        "scale", ["nan", "inf", "0", "-1", "1e308", "1e300", "1000.0000000000001"])
     def test_scale_must_be_positive_and_finite(self, scale, capsys):
-        # 1e308 is finite, but its trial counts are not
+        # 1e300 is finite, with finite trial counts, but they would run for
+        # ever; 1000.0000000000001 is the first float above the bound
         assert run_cli("verify", "--only", "policy-scaling", "--scale", scale) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "configuration error: scale: must be a real number in (0.0, " in err

@@ -182,23 +182,25 @@ def assert_expansion_matches_per_stage(problem, u):
 def block_caps(problem, fns, u, order):
     """(length, block cap, traced) of each run of stages sharing one callable.
 
-    The caps of the forward pass's sweeps of derivative ``order``: a
-    second-order run longer than two full-seed blocks takes its cap from
+    The caps of the forward pass's sweeps of derivative ``order``: m floats
+    per stage at first order, m + P at second order, where P is every pair
+    m(m+1)/2 or, on a run longer than 2 * SLOT_BUDGET // (m(m+1)/2) stages,
     the lanes traced at the run's points.
     """
     n_x = problem.n_x
     zs = np.hstack([forward(problem, u, 0, 0).xs[:-1], u])
     m = zs.shape[1]
-    dense = max(1, SLOT_BUDGET // (m if order == 1 else m * (m + 1) // 2))
+    pairs = m * (m + 1) // 2
+    dense = max(1, SLOT_BUDGET // m if order == 1 else 3 * SLOT_BUDGET // (m + pairs))
     caps, start = [], 0
     for _, run in itertools.groupby(fns, key=id):
         stop = start + len(list(run))
-        traced = order == 2 and stop - start > 2 * dense
+        traced = order == 2 and stop - start > 2 * max(1, SLOT_BUDGET // pairs)
         cap = dense
         if traced:
             fn = fns[start]
             lanes = autodiff.structural_lanes(lambda z: fn(z[:n_x], z[n_x:]), zs[start:stop])
-            cap = max(1, SLOT_BUDGET // len(lanes))
+            cap = max(1, 3 * SLOT_BUDGET // (m + len(lanes)))
         caps.append((stop - start, cap, traced))
         start = stop
     return caps
@@ -405,6 +407,43 @@ def shared_callables(problem, horizon):
     )
 
 
+def jet_floats(problem, fns, u):
+    """Floats the largest output of each second-order block sweep of ``fns`` carries."""
+    sizes = []
+
+    def counted(fn):
+        def model(x, v):
+            out = fn(x, v)
+            jets = [o for o in (out if isinstance(out, (list, tuple)) else [out])
+                    if type(o) is autodiff.HyperDual]
+            if jets:
+                sizes.append(max(np.size(o.g) + np.size(o.h) for o in jets))
+            return out
+        return model
+
+    wrapped = {id(fn): counted(fn) for fn in fns}
+    zs = np.hstack([forward(problem, u, 0, 0).xs[:-1], u])
+    _expand(autodiff.block_jacobian_curvature, tuple(wrapped[id(fn)] for fn in fns), zs,
+            problem.n_x, 2)
+    return sizes
+
+
+class TestJetBudget:
+    @pytest.mark.parametrize("env,scheme", ENV_SCHEMES)
+    def test_no_block_carries_more_than_three_budgets_per_number(self, env, scheme):
+        horizon = 91
+        problem = build_problem(env, horizon, scheme)
+        u = 0.05 * np.random.default_rng(7).standard_normal((horizon, problem.n_u))
+        for fns in (problem.dynamics, problem.running_costs):
+            sizes = jet_floats(problem, fns, u)
+            assert sizes and max(sizes) <= 3 * SLOT_BUDGET
+
+    def test_swingup_dynamics_take_one_block(self):
+        # 25 stages of cart-pole dynamics: m = 5 inputs and 15 pairs per stage
+        problem = build_problem("cartpole", 25)
+        assert jet_floats(problem, problem.dynamics, np.zeros((25, 1))) == [25 * (5 + 15)]
+
+
 class TestTracedExpansion:
     """Sweeps seeded with the traced pairs give the full-seed results byte for byte."""
 
@@ -440,7 +479,7 @@ class TestTracedExpansion:
         zs[10, 0] = 1.0  # only the first block takes the z0 * z1 branch
         got = _expand(autodiff.block_jacobian_curvature, (h,) * horizon, zs, 2, 2)
         g = lambda z: h(z[:2], z[2:])
-        cap = SLOT_BUDGET // len(autodiff.structural_lanes(g, zs))
+        cap = 3 * SLOT_BUDGET // (3 + len(autodiff.structural_lanes(g, zs)))
         assert 2 * max(1, SLOT_BUDGET // 6) < horizon and horizon % cap != 0
         expected = [np.concatenate(parts) for parts in zip(*(
             autodiff.block_jacobian_curvature(g, zs[lo:lo + cap])
@@ -452,37 +491,40 @@ class TestTracedExpansion:
             assert a.tobytes() == b.tobytes()
 
     def test_failed_run_trace_names_the_full_seed_block(self):
-        # the run takes the log branch and fails at stage 120; full-seed
-        # blocks of 88 stages fail in the one starting at 88
+        # the run takes the log branch and fails at stage 180; full-seed
+        # blocks of 158 stages fail in the one starting at 158
         def h(x, u):
             return autodiff.log(u[0]) if autodiff.anywhere(x[0] > 0.0) else u[0] * u[0]
 
         zs = np.tile([-1.0, 1.0], (200, 1))
-        zs[95, 0] = 1.0
-        zs[120, 1] = -1.0
+        zs[165, 0] = 1.0
+        zs[180, 1] = -1.0
+        assert 3 * SLOT_BUDGET // (2 + 3) == 158
         with pytest.raises(DivergenceError) as err:
             _expand(autodiff.block_jacobian_curvature, (h,) * 200, zs, 1, 2)
-        assert err.value.t == 88
+        assert err.value.t == 158
 
     def test_failed_block_trace_names_the_full_seed_block(self):
         # the run and the first traced block take the product branch; the
-        # second traced block (from 132) takes the log and fails at 150
+        # second traced block (from 198) takes the log and fails at 250;
+        # full-seed blocks of 158 stages fail in the one starting at 158
         def h(x, u):
             return u[0] * u[0] if autodiff.anywhere(x[0] > 0.0) else autodiff.log(u[0])
 
-        zs = np.tile([-1.0, 1.0], (200, 1))
+        zs = np.tile([-1.0, 1.0], (300, 1))
         zs[5, 0] = 1.0
-        zs[150, 1] = -1.0
+        zs[250, 1] = -1.0
         g = lambda z: h(z[:1], z[1:])
-        assert SLOT_BUDGET // len(autodiff.structural_lanes(g, zs)) == 132
+        assert 3 * SLOT_BUDGET // (2 + len(autodiff.structural_lanes(g, zs))) == 198
         with pytest.raises(DivergenceError) as err:
-            _expand(autodiff.block_jacobian_curvature, (h,) * 200, zs, 1, 2)
-        assert err.value.t == 88
+            _expand(autodiff.block_jacobian_curvature, (h,) * 300, zs, 1, 2)
+        assert err.value.t == 158
 
     def test_division_by_zero_in_a_one_stage_block_names_it(self, monkeypatch):
-        # sqrt has an infinite slope at x = 0, reached at stages 10 and 176;
-        # full seeds sweep stage 176 alone on floats, where 0.5 / 0.0 raises
-        horizon = 177
+        # sqrt has an infinite slope at x = 0, reached at stages 10 and 316;
+        # full seeds sweep stage 316 alone on floats (after two blocks of
+        # 158), where 0.5 / 0.0 raises
+        horizon = 317
         problem = TrajectoryProblem(
             dynamics=(lambda x, u: [u[0]],) * horizon,
             running_costs=(lambda x, u: autodiff.sqrt(x[0]) + u[0] * u[0],) * horizon,
@@ -492,12 +534,12 @@ class TestTracedExpansion:
             n_u=1,
         )
         u = np.ones((horizon, 1))
-        u[9] = u[175] = 0.0
+        u[9] = u[315] = 0.0
         with pytest.raises(DivergenceError) as untraced:
             full_seed_forward(problem, u, 1, 2, monkeypatch)
         with pytest.raises(DivergenceError) as err:
             forward(problem, u, 1, 2)
-        assert untraced.value.t == err.value.t == 176
+        assert untraced.value.t == err.value.t == 316
 
 
 class TestControlValidation:

@@ -5,16 +5,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from trajopt.envs import ENV_DISCRETIZERS
 from trajopt.oracles import ORACLE_KINDS
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_horizon_scaling_prints_one_row_per_oracle_kind():
+def _horizon_scaling(*args):
+    """The kind rows and the ratio rows of one ``horizon_scaling.py`` run, split into cells."""
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "horizon_scaling.py"),
-         "--horizons", "20,40", "--reps", "1"],
+        [sys.executable, str(ROOT / "scripts" / "horizon_scaling.py"), *args, "--reps", "1"],
         env=dict(os.environ, PYTHONPATH="src"),
         cwd=ROOT,
         capture_output=True,
@@ -24,11 +26,28 @@ def test_horizon_scaling_prints_one_row_per_oracle_kind():
     )
     assert proc.returncode == 0, proc.stderr
     rows = [row.split() for row in proc.stdout.splitlines()[1:]]
+    return rows[:len(ORACLE_KINDS)], rows[len(ORACLE_KINDS):]
+
+
+def _peaks(row):
+    return [float(cell.removesuffix("KiB")) for cell in row[2::2]]
+
+
+def test_horizon_scaling_prints_one_row_per_oracle_kind():
+    rows, _ = _horizon_scaling("--horizons", "20,40")
     assert [row[0] for row in rows] == list(ORACLE_KINDS)
     for row in rows:  # per horizon: a time, then the peak of one oracle call
         assert [cell[-2:] for cell in row[1::2]] == ["ms", "ms"]
-        peaks = [float(cell.removesuffix("KiB")) for cell in row[2::2]]
+        peaks = _peaks(row)
         assert len(peaks) == 2 and 0.0 < peaks[0] < peaks[1]
+
+
+def test_horizon_scaling_prints_the_criterion_3_ratios_of_an_env():
+    rows, ratios = _horizon_scaling("--env", "bicycle-car", "--horizons", "10")
+    peaks = {row[0]: _peaks(row)[0] for row in rows}
+    assert [row[0] for row in ratios] == ["ne/gn", "ddp-q/gn"]
+    for (label, ratio), kind in zip(ratios, ("ne", "ddp-q")):
+        assert float(ratio) == pytest.approx(peaks[kind] / peaks["gn"], abs=0.01)
 
 
 def _compare_traces(dir_a, dir_b):

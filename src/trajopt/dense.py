@@ -43,33 +43,35 @@ class _DenseData:
         self.problem, self.u = problem, u
         self.tau, self.n_x, self.n_u = tau, n_x, n_u
 
-        xs = [problem.x0.copy()]
-        self.A, self.B, self.curvatures = [], [], []
-        self.hp, self.hq = [], []
-        self.hxx, self.huu, self.hxu = [], [], []
-        x = xs[0]
-        for t in range(tau):
-            f, h = problem.dynamics[t], problem.running_costs[t]
-            z = np.concatenate([x, u[t]])
-            joint_f = lambda zz, f=f: f(zz[:n_x], zz[n_x:])
-            joint_h = lambda zz, h=h: h(zz[:n_x], zz[n_x:])
-            jac = autodiff.jacobian(joint_f, z)
-            self.A.append(jac[:, :n_x])
-            self.B.append(jac[:, n_x:])
-            _, grad, hess = autodiff.value_gradient_hessian(joint_h, z)
-            self.hp.append(grad[:n_x])
-            self.hq.append(grad[n_x:])
-            self.hxx.append(hess[:n_x, :n_x])
-            self.huu.append(hess[n_x:, n_x:])
-            self.hxu.append(hess[:n_x, n_x:])
-            if order == 2:  # per-output (m, m) Hessians of f_t in (x_t, u_t)
-                self.curvatures.append(autodiff.vector_hessian(joint_f, z))
-            x = np.asarray(f([float(v) for v in x], [float(v) for v in u[t]]), dtype=float)
-            xs.append(x)
-        self.xs = xs
-        _, self.final_p, self.final_H = autodiff.value_gradient_hessian(
-            problem.final_cost, xs[-1]
-        )
+        # overflow shows as non-finite derivatives, as in oracles.forward
+        with np.errstate(all="ignore"):
+            xs = [problem.x0.copy()]
+            self.A, self.B, self.curvatures = [], [], []
+            self.hp, self.hq = [], []
+            self.hxx, self.huu, self.hxu = [], [], []
+            x = xs[0]
+            for t in range(tau):
+                f, h = problem.dynamics[t], problem.running_costs[t]
+                z = np.concatenate([x, u[t]])
+                joint_f = lambda zz, f=f: f(zz[:n_x], zz[n_x:])
+                joint_h = lambda zz, h=h: h(zz[:n_x], zz[n_x:])
+                jac = autodiff.jacobian(joint_f, z)
+                self.A.append(jac[:, :n_x])
+                self.B.append(jac[:, n_x:])
+                _, grad, hess = autodiff.value_gradient_hessian(joint_h, z)
+                self.hp.append(grad[:n_x])
+                self.hq.append(grad[n_x:])
+                self.hxx.append(hess[:n_x, :n_x])
+                self.huu.append(hess[n_x:, n_x:])
+                self.hxu.append(hess[:n_x, n_x:])
+                if order == 2:  # per-output (m, m) Hessians of f_t in (x_t, u_t)
+                    self.curvatures.append(autodiff.vector_hessian(joint_f, z))
+                x = np.asarray(f([float(v) for v in x], [float(v) for v in u[t]]), dtype=float)
+                xs.append(x)
+            self.xs = xs
+            _, self.final_p, self.final_H = autodiff.value_gradient_hessian(
+                problem.final_cost, xs[-1]
+            )
 
     def stacked_jacobians(self) -> tuple[np.ndarray, np.ndarray]:
         """Jacobians of the stacked step map F over (x_1..x_tau, u_0..u_{tau-1})."""

@@ -91,8 +91,7 @@ def track_build(waypoints, width: float) -> Track:
     if len(pts) < 2:
         raise ShapeError("a track needs at least two (x, y) waypoints")
     _scalar(width, "track width", 0.0, error=ShapeError)
-    gaps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    if np.any(gaps == 0.0):
+    if (pts[1:] == pts[:-1]).all(axis=1).any():
         raise ShapeError("duplicate consecutive waypoints")
     return Track(pts, float(width), _natural_spline(pts[:, 0].tolist()),
                  _natural_spline(pts[:, 1].tolist()))

@@ -281,8 +281,10 @@ def solve(
     """Full iteration loop for one oracle kind under one step rule.
 
     Row 0 of the returned trace records the initial point; each further row
-    one accepted step.  Costs are non-increasing across rows.  Divergence
-    of an accepted iterate re-raises with the partial trace attached.
+    one accepted step.  A row's cost exceeds the one before by at most the
+    acceptance tie slack ``ACCEPT_TIE_RTOL * (1 + |J_prev|)``, so a step
+    near stationarity may raise it by round-off.  Divergence of an accepted
+    iterate re-raises with the partial trace attached.
     ``u0`` must be a finite (horizon, n_u) array, else :class:`ShapeError`.
     """
     spec = oracle_spec(kind)
@@ -306,7 +308,7 @@ def solve(
     bundle = expand(u)
     carry = time.perf_counter() - t0  # forward time attributed to the first iteration
     j_current = bundle.cost
-    residual = float(np.max(np.abs(bundle_gradient(bundle))))
+    residual = _residual(bundle)
     trace.rows.append(TraceRow(0, j_current, math.nan, math.nan, math.nan, residual, 0.0))
     cum_ms = 0.0
     gamma_prev = 1.0 / cfg.nu_init
@@ -342,7 +344,7 @@ def solve(
         bundle = expand(u_next)
         elapsed = time.perf_counter() - t0
         j_next = bundle.cost
-        residual = float(np.max(np.abs(bundle_gradient(bundle))))
+        residual = _residual(bundle)
         cum_ms += (carry + elapsed) * 1e3
         carry = 0.0
         trace.rows.append(TraceRow(k, j_next, gamma, nu, c0, residual, cum_ms))
@@ -370,4 +372,9 @@ def stationarity_residual(problem: TrajectoryProblem, u) -> float:
     points.
     """
     u = checked_controls(problem, u, "u")
-    return float(np.max(np.abs(bundle_gradient(forward(problem, u, o_f=1, o_h=1)))))
+    return _residual(forward(problem, u, o_f=1, o_h=1))
+
+
+def _residual(bundle: ExpansionBundle) -> float:
+    """The max-norm of the objective gradient at the bundle's controls."""
+    return float(np.max(np.abs(bundle_gradient(bundle))))

@@ -11,32 +11,30 @@ The forward pass stores the stage matrices stacked over the stages
 (:class:`ExpansionBundle`).  :func:`run_backward` is the one public sweep:
 it checks the ridge once, then runs the kind's sweep on those raw arrays.
 The gradient sweep (``_backward_gd``) reads its offsets -grad J / nu from
-the bundle's adjoint recursion, the one the package runs.  The quadratic
-sweep (``_backward_quadratic``) factors each stage's control Hessian once
-(``check_subproblem``) and reuses the factor in the closed-form stage
-(``lqbp``).  It adds the blocks of the packed curvature contraction
-(:func:`autodiff.hessian_blocks`): for Newton against the adjoints, one
-block of stages at a time, so no temporary spans the horizon; for DDP-Q
-against the cost-to-go slope, stage by stage.  The DDP roll-outs
-difference the original dynamics against the states the bundle visited.
-The policies come out stacked as gains ``K`` (horizon, n_u, n_x) and
-offsets ``k`` (horizon, n_u).
+the bundle's adjoint recursion, the one the package runs; ``lbp`` is its
+stage written alone.  The quadratic sweep (``_backward_quadratic``) factors
+each stage's control Hessian once (``check_subproblem``) and reuses the
+factor in the closed-form stage (``lqbp``).  It adds the blocks of the
+packed curvature contraction (:func:`autodiff.hessian_blocks`): for Newton
+against the adjoints, one block of stages at a time, so no temporary spans
+the horizon; for DDP-Q against the cost-to-go slope, stage by stage.  The
+DDP roll-outs difference the original dynamics against the states the
+bundle visited.  The policies come out stacked as gains ``K`` (horizon,
+n_u, n_x) and offsets ``k`` (horizon, n_u).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 import numpy as np
 
 from . import autodiff
-from .core import TrajectoryProblem, _array, _scalar
+from .core import TrajectoryProblem, _array, _scalar, _sym
 from .errors import DivergenceError, NumericError, ParameterError, ShapeError
-# lbp is not called here; perfbench's layer tracer wraps it as oracles.lbp
-from .lqsolve import check_subproblem, lbp, lqbp
 
 __all__ = [
     "ORACLES",
@@ -47,6 +45,9 @@ __all__ = [
     "oracle_spec",
     "forward",
     "objective_value",
+    "check_subproblem",
+    "lqbp",
+    "lbp",
     "run_backward",
     "bundle_gradient",
     "rollout",
@@ -68,6 +69,10 @@ class OracleSpec:
     def step_map(self, bundle: ExpansionBundle):
         """The per-stage map ``(t, y, v) -> y_next`` this kind's roll-out follows."""
         return bundle.increment_step if self.rolls_original else bundle.linear_step
+
+    def check_ridge(self, nu) -> None:
+        """:class:`ParameterError` unless 0 < nu < inf (linear costs) or 0 <= nu < inf."""
+        _scalar(nu, "nu", 0.0, ends="()" if self.o_h == 1 else "[)")
 
 
 # The oracle kinds.  ``o_f`` and ``o_h`` are the forward-pass orders of the
@@ -507,6 +512,104 @@ def _backward_gd(bundle: ExpansionBundle, nu: float) -> OracleDirection:
     return _swept(np.zeros(g.shape + (bundle.problem.n_x,)), -g / nu, j0)
 
 
+def lbp(A, B, p, q, j, j0: float, nu: float) -> tuple:
+    """One stage of ``_backward_gd``: linear dynamics and costs, ridge nu.
+
+    The cost-to-go stays affine and the policy is a constant offset.
+    Returns ``(j_t, j0_t, k)``.
+    """
+    _scalar(nu, "nu", 0.0)
+    g = q + B.T @ j
+    return p + A.T @ j, j0 - float(g @ g) / (2.0 * nu), -g / nu
+
+
+# Round-off allowance for the descent check: a stage whose cost-to-go
+# offset decrement is zero up to this relative level (a zero-slope stage)
+# is still solvable and must not flip between valid and invalid on the
+# sign of a rounding error.
+DESCENT_STRICTNESS = 1e-14
+
+
+@lru_cache(maxsize=None)
+def _lapack():
+    """LAPACK's ``(dpotrf, dpotrs)``, imported at the first call.
+
+    The stages call them raw, as ``scipy.linalg.cho_factor``/``cho_solve``
+    do after argument checks that cost several times the factorization of
+    a block a few numbers wide.  Only blocks of more than one control get
+    here, so one-control problems never load scipy.
+    """
+    from scipy.linalg.lapack import dpotrf, dpotrs
+
+    return dpotrf, dpotrs
+
+
+def check_subproblem(B, Q, q, J, j, j0: float):
+    """Factor a stage's control Hessian and run the stage's descent test.
+
+    The control Hessian is M = Q + B'JB and the control slope m = q + B'j.
+    Returns ``(factor, m, Minv_m, decrement)``, the input of :func:`lqbp`:
+    ``factor`` is the lower Cholesky factor of M as ``dpotrf`` leaves it (a
+    Fortran-ordered array whose upper triangle still holds M's entries) and
+    ``decrement`` the cost-to-go offset decrement -0.5 m'M^-1 m.  Returns
+    None when the factorization fails or the decrement comes out positive
+    beyond round-off; a zero-slope stage (e.g. the last step of a problem
+    started at a rest state) passes.  Whether the whole sweep descends is
+    the sign of its c0, which the step rules of :mod:`trajopt.linesearch`
+    test.
+
+    A 1x1 block makes no LAPACK call and gives ``dpotrf``/``dpotrs``'s
+    results bit for bit: the factor l = sqrt(a), rejected at a <= 0, and a
+    solve ``(b * r) * r`` with r = 1/l, as OpenBLAS's triangular solves
+    multiply by the reciprocal of the diagonal; ``(b / l) / l`` would not be.
+    """
+    M, m = Q + B.T @ J @ B, q + B.T @ j
+    if len(m) == 1:
+        a = M.item()
+        a = 0.5 * (a + a)
+        if a <= 0.0:  # dpotrf's test; a NaN block fails the descent test below
+            return None
+        factor = np.array([[math.sqrt(a)]])
+        r = 1.0 / factor.item()
+        slope = m.item()
+        x = (slope * r) * r
+        # x has the slope's sign: slope * x is never -0.0, so it is ddot's 0.0 + slope * x
+        Minv_m, decrement = np.array([x]), -0.5 * (slope * x)
+    else:
+        dpotrf, dpotrs = _lapack()
+        factor, info = dpotrf(_sym(M), lower=1, clean=0)
+        if info:
+            return None
+        Minv_m = dpotrs(factor, m, lower=1)[0]
+        decrement = -0.5 * float(m @ Minv_m)
+    if not decrement < DESCENT_STRICTNESS * (1.0 + abs(j0)):
+        return None
+    return factor, m, Minv_m, decrement
+
+
+def lqbp(A, B, H, R, p, J, j, j0: float, checked) -> tuple:
+    """Closed-form solution of one linear-quadratic Bellman stage.
+
+    The stage is the step ``y_next = A y + B v``, the stage cost
+    0.5 y'Hy + 0.5 v'Qv + y'Rv + p'y + q'v and the next cost-to-go
+    0.5 y'Jy + j'y + j0; Q and q enter through ``checked``, the stage's
+    :func:`check_subproblem` result.  Returns ``(J_t, j_t, j0_t, K, k)``:
+    the cost-to-go at time t and the minimizing policy v = K y + k.
+    """
+    factor, m, Minv_m, decrement = checked
+    AtJ = A.T @ J
+    # Cross term between state and control of the stage-plus-to-go quadratic.
+    N = R + AtJ @ B  # (n_x, n_u)
+    if len(m) == 1:
+        r = 1.0 / factor.item()
+        Minv_NT = (N.T * r) * r
+    else:
+        Minv_NT = _lapack()[1](factor, N.T, lower=1)[0]
+    J_t = _sym(H + AtJ @ A - N @ Minv_NT)
+    j_t = p + A.T @ j - N @ Minv_m
+    return J_t, j_t, j0 + decrement, -Minv_NT, -Minv_m
+
+
 def _backward_quadratic(
     bundle: ExpansionBundle, nu: float, contraction: str | None
 ) -> OracleDirection:
@@ -518,9 +621,9 @@ def _backward_quadratic(
     tau, n_x, n_u = bundle.horizon, bundle.problem.n_x, bundle.problem.n_u
     A, B, p, q = bundle.A, bundle.B, bundle.p, bundle.q
     ridge = nu * np.eye(n_u)
-    # each K[t] Fortran-ordered like dpotrs's output: with C-ordered rows
-    # the roll-out's K[t] @ y takes another BLAS path, and bicycle-car
-    # directions change in their last bits
+    # each K[t] Fortran-ordered, the layout of dpotrs's solves: with
+    # C-ordered rows the roll-out's K[t] @ y takes another BLAS path, and
+    # bicycle-car directions change in their last bits
     K = np.empty((tau, n_x, n_u)).transpose(0, 2, 1)
     k = np.empty((tau, n_u))
 
@@ -551,11 +654,11 @@ def _backward_quadratic(
 def run_backward(bundle: ExpansionBundle, kind: str, nu: float) -> OracleDirection:
     """The backward pass of one oracle kind, as :data:`ORACLES` describes it.
 
-    The ridge must be a real number with 0 < nu < inf for the linear-cost
-    kind and 0 <= nu < inf for the others, else :class:`ParameterError`.
+    A ridge outside the kind's range (:meth:`OracleSpec.check_ridge`)
+    raises :class:`ParameterError`.
     """
     spec = oracle_spec(kind)
-    _scalar(nu, "nu", 0.0, ends="()" if spec.o_h == 1 else "[)")
+    spec.check_ridge(nu)
     with np.errstate(all="ignore"):  # overflow ends as an infeasible result
         if spec.o_h == 1:  # linear cost models: gradient back-propagation
             return _backward_gd(bundle, nu)
@@ -633,5 +736,5 @@ def oracle(problem: TrajectoryProblem, u, kind: str, nu: float | None = None) ->
     u = checked_controls(problem, u, "u")
     if nu is None:
         nu = spec.start_nu
-    _scalar(nu, "nu", 0.0, ends="()" if spec.o_h == 1 else "[)")
+    spec.check_ridge(nu)
     return oracle_step(forward(problem, u, o_f=spec.o_f, o_h=spec.o_h), kind, nu)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-import trajopt.lqsolve
+import trajopt.oracles
 from trajopt.envs.build import ENV_DISCRETIZERS
 
 from trajopt._testing import (  # noqa: F401  (re-exported for the test modules)
@@ -51,16 +51,16 @@ def rng():
 def cholesky_spy(monkeypatch):
     """Outcomes ("ok" or "failed") of every Cholesky factorization the stages make.
 
-    The stages reach LAPACK through ``trajopt.lqsolve._lapack``; the spy
+    The stages reach LAPACK through ``trajopt.oracles._lapack``; the spy
     replaces that accessor with one whose ``dpotrf`` records its outcome.
     """
     outcomes = []
-    real, dpotrs = trajopt.lqsolve._lapack()
+    real, dpotrs = trajopt.oracles._lapack()
 
     def spy(*args, **kwargs):
         factor, info = real(*args, **kwargs)
         outcomes.append("failed" if info > 0 else "ok")
         return factor, info
 
-    monkeypatch.setattr(trajopt.lqsolve, "_lapack", lambda: (spy, dpotrs))
+    monkeypatch.setattr(trajopt.oracles, "_lapack", lambda: (spy, dpotrs))
     return outcomes

@@ -1,9 +1,12 @@
 """Step acceptance rules, the solver loop, and the stationarity certificate."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trajopt.linesearch
 from trajopt import autodiff as ad
@@ -14,6 +17,7 @@ from trajopt.envs import build_problem
 from trajopt.errors import DivergenceError, NumericError, ParameterError, StallError
 from trajopt.linesearch import (
     ACCEPT_TIE_RTOL,
+    STEP_RULES,
     LineSearchConfig,
     StopCriteria,
     _escalate_directional,
@@ -560,3 +564,33 @@ class TestEveryCell:
                 except DivergenceError:
                     continue
                 assert trace.status in ("converged", "max-iters", "stalled"), (kind, rule)
+
+
+class TestTraceInvariants:
+    @given(seed=st.integers(0, 2**16), tau=st.integers(1, 5), n_x=st.integers(1, 3),
+           n_u=st.integers(1, 2), kind=st.sampled_from(ORACLE_KINDS),
+           rule=st.sampled_from(STEP_RULES))
+    @settings(max_examples=40, deadline=None)
+    def test_random_solves_keep_the_trace_invariants(self, seed, tau, n_x, n_u, kind, rule):
+        """Finite costs, a known status, the same rows on a rerun, and costs that
+        rise by no more than the acceptance tie slack (a step near stationarity
+        may raise them by round-off)."""
+
+        def run():
+            rng = np.random.default_rng(seed)
+            problem = random_smooth_problem(rng, tau, n_x, n_u)
+            u0 = 0.5 * rng.standard_normal((tau, n_u))
+            try:
+                return solve(problem, u0, kind, LineSearchConfig(rule=rule),
+                             StopCriteria(max_iters=15))[1]
+            except DivergenceError as err:
+                return err.trace
+
+        trace, again = run(), run()
+        assert trace.status in ("converged", "max-iters", "stalled", "diverged")
+        costs = trace.costs
+        assert np.isfinite(costs).all()
+        assert (np.diff(costs) <= ACCEPT_TIE_RTOL * (1.0 + np.abs(costs[:-1]))).all()
+        rows = lambda t: np.array([dataclasses.astuple(r)[:-1] for r in t.rows])  # no time_ms
+        assert again.status == trace.status
+        assert rows(again).tobytes() == rows(trace).tobytes()

@@ -9,8 +9,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 
 import trajopt.core as core
 from trajopt.errors import ParameterError
-from trajopt.lqsolve import DESCENT_STRICTNESS, check_subproblem, lbp, lqbp
-from trajopt.oracles import oracle
+from trajopt.oracles import DESCENT_STRICTNESS, check_subproblem, lbp, lqbp, oracle
 
 from conftest import kkt_solve_lq, random_lq_problem, random_spd
 

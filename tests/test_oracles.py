@@ -27,14 +27,16 @@ from trajopt.errors import (
     ShapeError,
 )
 from trajopt.linesearch import StopCriteria, solve, stationarity_residual
-from trajopt.lqsolve import check_subproblem, lbp, lqbp
 from trajopt.oracles import (
     ORACLE_KINDS,
     ORACLES,
     SLOT_BUDGET,
     _expand,
     bundle_gradient,
+    check_subproblem,
     forward,
+    lbp,
+    lqbp,
     objective_value,
     oracle,
     oracle_step,

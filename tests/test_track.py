@@ -1,6 +1,7 @@
 """Spline tracks: interpolation, frames, racing error terms, file format."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +42,15 @@ class TestTrackBuild:
     def test_duplicate_consecutive_waypoints_rejected(self):
         with pytest.raises(ShapeError):
             track_build([(0.0, 0.0), (0.0, 0.0), (1.0, 0.0)], 0.5)
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e200])
+    def test_distinct_waypoints_build_at_any_scale(self, scale):
+        # a gap whose square underflows is still a gap, and one whose square
+        # overflows is no warning
+        pts = [(0.0, 0.0), (scale, 0.0), (2.0 * scale, scale)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert track_build(pts, 0.5).knots == 3
 
     @pytest.mark.parametrize("width", [math.nan, math.inf])
     def test_non_finite_width_rejected(self, width):

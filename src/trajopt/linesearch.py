@@ -150,7 +150,7 @@ def _backtrack(bundle: ExpansionBundle, j_current: float, gamma: float,
                 offset, bound = proposal
                 candidate = bundle.u + offset
                 j_trial = objective_value(bundle.problem, candidate)
-        except (DivergenceError, NumericError):
+        except NumericError:
             proposal = None
         if proposal is not None:
             if j_trial - j_current <= bound + ACCEPT_TIE_RTOL * (1.0 + abs(j_current)):
@@ -200,7 +200,7 @@ def directional_search(
     if not spec.rolls_original:
         try:
             unit = rollout(y0, K, k, step)
-        except (DivergenceError, NumericError):
+        except NumericError:
             pass  # a smaller gamma may stay finite: each trial rolls out
 
     def trial(gamma):

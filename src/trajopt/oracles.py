@@ -34,7 +34,7 @@ import numpy as np
 
 from . import autodiff
 from .core import TrajectoryProblem, _array, _scalar, _sym
-from .errors import DivergenceError, NumericError, ParameterError, ShapeError
+from .errors import DivergenceError, ParameterError, ShapeError
 
 __all__ = [
     "ORACLES",
@@ -126,9 +126,9 @@ class ExpansionBundle:
     """Derivative information recorded by one forward pass, stacked over the stages.
 
     ``xs`` (horizon + 1, n_x) holds the visited states, x_0 first, and
-    ``step_costs`` the stage costs, the final cost last.  Orders 0/1/2
-    control what is stored: nothing beyond the trajectory and cost, first
-    derivatives, or second derivatives.  Order-1 dynamics give
+    ``cost`` the objective, its stage costs summed in stage order.  Orders
+    0/1/2 control what is stored: nothing beyond the trajectory and cost,
+    first derivatives, or second derivatives.  Order-1 dynamics give
     ``A`` (horizon, n_x, n_x) and ``B`` (horizon, n_x, n_u), views of the
     stacked Jacobians.  Order-1 costs give the slopes ``p`` (horizon, n_x)
     and ``q`` (horizon, n_u) and the final slope; order-2 costs add the
@@ -144,7 +144,6 @@ class ExpansionBundle:
     problem: TrajectoryProblem
     u: np.ndarray
     xs: np.ndarray
-    step_costs: tuple
     cost: float
     o_f: int
     o_h: int
@@ -171,18 +170,11 @@ class ExpansionBundle:
         """The original-dynamics increment f_t(x_t + y, u_t + v) - f_t(x_t, u_t).
 
         The forward pass stored f_t(x_t, u_t) as ``xs[t + 1]``, evaluated on
-        the same floats, so only the moved point is evaluated here, on plain
-        floats.  A model that raises an ``ArithmeticError`` or returns a
-        non-finite value raises :class:`NumericError` naming t.
+        the same floats, so only the moved point is evaluated here, by the
+        roll's checked step (:func:`_step`), whose errors name t.
         """
-        try:
-            moved = self.problem.dynamics[t]((self.xs[t] + y).tolist(), (self.u[t] + v).tolist())
-        except ArithmeticError as err:
-            raise NumericError(f"dynamic evaluation failed at t={t}: {err}") from err
-        out = np.asarray(moved, dtype=float) - self.xs[t + 1]
-        if not all(map(math.isfinite, out.tolist())):
-            raise NumericError(f"dynamic returned a non-finite increment at t={t}")
-        return out
+        moved = _step(self.problem, t, (self.xs[t] + y).tolist(), (self.u[t] + v).tolist())
+        return np.array(moved) - self.xs[t + 1]
 
     @cached_property
     def adjoints(self) -> np.ndarray:
@@ -247,53 +239,59 @@ def objective_value(problem: TrajectoryProblem, u: np.ndarray) -> float:
     return forward(problem, u, o_f=0, o_h=0).cost
 
 
-def _roll(problem: TrajectoryProblem, u: np.ndarray) -> tuple[np.ndarray, list, float]:
-    """States (horizon + 1, n_x), step costs (final cost last) and total cost.
+def _step(problem: TrajectoryProblem, t: int, x: list, u_t: list) -> list:
+    """f_t(x, u_t) on plain floats as n_x floats: the one checked dynamics step.
 
-    The pass runs on Python float lists, so the models see plain floats
-    and no stage wraps its few-entry vectors in numpy; the states are
-    stacked once at the end.  A cost that is not a scalar or a next state
-    that is not n_x long raises :class:`ShapeError` naming the stage.
+    The roll and the DDP increment map both step here.  A model's
+    ``ArithmeticError`` or a non-finite entry raises :class:`DivergenceError`
+    naming t, an output that is not n_x long :class:`ShapeError`.
     """
-    n_x = problem.n_x
+    try:
+        x = [float(v) for v in problem.dynamics[t](x, u_t)]
+    except ArithmeticError as err:
+        raise DivergenceError(t, f"dynamic evaluation failed at t={t}: {err}") from err
+    if len(x) != problem.n_x:
+        raise ShapeError(f"dynamics at t={t} gave {len(x)} entries, expected n_x={problem.n_x}")
+    if not all(map(math.isfinite, x)):
+        raise DivergenceError(t)
+    return x
+
+
+def _cost(problem: TrajectoryProblem, t: int, x: list, u_t: list | None) -> float:
+    """Cost stage t at plain floats, checked as :func:`_step` checks; a non-scalar is a ShapeError.
+
+    Stage ``horizon`` is the final cost at x, as in :func:`_expansions`.
+    """
+    try:
+        value = problem.running_costs[t](x, u_t) if t < problem.horizon else problem.final_cost(x)
+        try:
+            h_val = float(value)
+        except TypeError:
+            raise ShapeError(f"the cost at t={t} gave a {type(value).__name__}, "
+                             "expected a scalar") from None
+    except ArithmeticError as err:
+        raise DivergenceError(t, f"cost evaluation failed at t={t}: {err}") from err
+    if not math.isfinite(h_val):
+        raise DivergenceError(t)
+    return h_val
+
+
+def _roll(problem: TrajectoryProblem, u: np.ndarray) -> tuple[np.ndarray, float]:
+    """States (horizon + 1, n_x) and total cost of controls u, on plain floats.
+
+    Each stage runs the checked cost and dynamics step (:func:`_cost`,
+    :func:`_step`), so no stage wraps its few-entry vectors in numpy; the
+    state entries go into one flat list, stacked once at the end.
+    """
     x = problem.x0.tolist()
-    xs = [x]
-    step_costs = []
+    flat = list(x)
     total = 0.0
     for t, u_t in enumerate(u.tolist()):
-        try:
-            h_val = problem.running_costs[t](x, u_t)
-            try:
-                h_val = float(h_val)
-            except TypeError:
-                raise _non_scalar_cost(t, h_val) from None
-            x = [float(v) for v in problem.dynamics[t](x, u_t)]
-        except ArithmeticError as err:
-            raise DivergenceError(t, f"model evaluation failed at t={t}: {err}") from err
-        if len(x) != n_x:
-            raise ShapeError(f"dynamics at t={t} gave {len(x)} entries, expected n_x={n_x}")
-        if not (math.isfinite(h_val) and all(map(math.isfinite, x))):
-            raise DivergenceError(t)
-        step_costs.append(h_val)
-        total += h_val
-        xs.append(x)
-    tau = problem.horizon
-    try:
-        h_val = problem.final_cost(x)
-        try:
-            h_val = float(h_val)
-        except TypeError:
-            raise _non_scalar_cost(tau, h_val) from None
-    except ArithmeticError as err:
-        raise DivergenceError(tau, f"final cost evaluation failed: {err}") from err
-    if not math.isfinite(h_val):
-        raise DivergenceError(tau)
-    step_costs.append(h_val)
-    return np.array(xs), step_costs, total + h_val
-
-
-def _non_scalar_cost(t: int, value) -> ShapeError:
-    return ShapeError(f"the cost at t={t} gave a {type(value).__name__}, expected a scalar")
+        total += _cost(problem, t, x, u_t)
+        x = _step(problem, t, x, u_t)
+        flat += x
+    total += _cost(problem, problem.horizon, x, None)
+    return np.array(flat).reshape(problem.horizon + 1, problem.n_x), total
 
 
 def _joint(fn, n_x: int):
@@ -454,7 +452,7 @@ def forward(problem: TrajectoryProblem, u, o_f: int = 1, o_h: int = 2) -> Expans
     _scalar(o_f, "o_f, the dynamics order", 0, 2, ends="[]", integer=True)
     _scalar(o_h, "o_h, the cost order", 0, 2, ends="[]", integer=True)
     u = _array(u, "u", (problem.horizon, problem.n_u), finite=False, steps=True)
-    xs, step_costs, total = _roll(problem, u)
+    xs, total = _roll(problem, u)
     fields = {}
     if o_f or o_h:
         # overflow shows as a non-finite derivative, which _expansions reports
@@ -464,7 +462,6 @@ def forward(problem: TrajectoryProblem, u, o_f: int = 1, o_h: int = 2) -> Expans
         problem=problem,
         u=u,
         xs=xs,
-        step_costs=tuple(step_costs),
         cost=total,
         o_f=o_f,
         o_h=o_h,

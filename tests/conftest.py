@@ -1,7 +1,9 @@
-"""Shared fixtures; instance builders live in trajopt._testing."""
+"""Shared fixtures and the model-counting wrapper; instance builders live in trajopt._testing."""
 
 from __future__ import annotations
 
+import collections
+import dataclasses
 import tempfile
 from pathlib import Path
 
@@ -11,6 +13,7 @@ from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 import trajopt.oracles
+from trajopt import autodiff
 from trajopt.envs.build import ENV_DISCRETIZERS
 
 from trajopt._testing import (  # noqa: F401  (re-exported for the test modules)
@@ -64,3 +67,37 @@ def cholesky_spy(monkeypatch):
 
     monkeypatch.setattr(trajopt.oracles, "_lapack", lambda: (spy, dpotrs))
     return outcomes
+
+
+# derivative order of a model input's number type; a float or float array is order 0
+_ORDERS = {autodiff.Dual: 1, autodiff.HyperDual: 2, autodiff._Trace: "trace"}
+
+
+def counted_problem(problem):
+    """The problem with each distinct model wrapped once, and the points the models evaluate.
+
+    ``counts[part, order]`` sums the points of every call: ``part`` is
+    "dynamics" or "cost" (the final cost included), ``order`` is 0 for
+    floats or float arrays, 1 for :class:`~trajopt.autodiff.Dual`, 2 for
+    :class:`~trajopt.autodiff.HyperDual` and "trace" for the tracer.  A
+    block sweep's call counts its B points.  Stages that share a callable
+    share its wrapper, so their runs still expand in blocks.
+    """
+    counts = collections.Counter()
+    wrapped = {}
+
+    def once(fn, part):
+        def counted(x, *rest):
+            first = x[0]
+            counts[part, _ORDERS.get(type(first), 0)] += np.size(autodiff.value(first))
+            return fn(x, *rest)
+
+        return wrapped.setdefault(fn, counted)
+
+    problem = dataclasses.replace(
+        problem,
+        dynamics=tuple(once(f, "dynamics") for f in problem.dynamics),
+        running_costs=tuple(once(h, "cost") for h in problem.running_costs),
+        final_cost=once(problem.final_cost, "cost"),
+    )
+    return problem, counts

@@ -90,7 +90,7 @@ class TestFiniteDifferenceDynamic:
 
     def test_non_finite_increment_is_a_numeric_error_naming_t(self):
         bundle = visited(lambda x, u: [1e300 * u[0]], [0.0], [1.0], horizon=2)
-        with pytest.raises(NumericError, match="non-finite increment at t=1"):
+        with pytest.raises(NumericError, match="non-finite value while stepping dynamics at t=1"):
             bundle.increment_step(1, np.zeros(1), np.array([1e10]))
 
     @given(small, small, small, small)

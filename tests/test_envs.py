@@ -343,7 +343,8 @@ class TestBuildProblem:
         reference = dataclasses.replace(problem, running_costs=per_stage)
         u = 0.3 * np.random.default_rng(5).standard_normal((horizon, problem.n_u))
         shared, own = forward(problem, u, 2, 2), forward(reference, u, 2, 2)
-        assert shared.step_costs == own.step_costs and shared.cost == own.cost
+        np.testing.assert_array_equal(shared.xs, own.xs)
+        assert shared.cost == own.cost
         for name in ("A", "B", "H", "Q", "R", "p", "q", "final_slope", "final_quad", "curvature"):
             np.testing.assert_array_equal(getattr(shared, name), getattr(own, name), err_msg=name)
 

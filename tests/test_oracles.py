@@ -26,7 +26,13 @@ from trajopt.errors import (
     ParameterError,
     ShapeError,
 )
-from trajopt.linesearch import StopCriteria, solve, stationarity_residual
+from trajopt.linesearch import (
+    STEP_RULES,
+    LineSearchConfig,
+    StopCriteria,
+    solve,
+    stationarity_residual,
+)
 from trajopt.oracles import (
     ORACLE_KINDS,
     ORACLES,
@@ -44,7 +50,7 @@ from trajopt.oracles import (
     run_backward,
 )
 
-from conftest import ENV_SCHEMES, random_lq_problem, random_smooth_problem
+from conftest import ENV_SCHEMES, counted_problem, random_lq_problem, random_smooth_problem
 
 
 def tiny_problem():
@@ -162,9 +168,11 @@ def assert_expansion_matches_per_stage(problem, u):
     n_x = problem.n_x
     b2 = forward(problem, u, o_f=1, o_h=2)
     b1 = forward(problem, u, o_f=1, o_h=1)
-    expected_costs = _plain_costs(problem, u)
+    expected_cost = 0.0
+    for cost in _plain_costs(problem, u):  # summed in the roll's order
+        expected_cost += cost
     for bundle in (b1, b2):
-        assert list(bundle.step_costs) == expected_costs  # bitwise
+        assert bundle.cost == expected_cost  # bitwise
         assert bundle.cost == objective_value(problem, u)
     for t in range(problem.horizon):
         z = np.concatenate([b2.xs[t], u[t]])
@@ -905,6 +913,20 @@ class TestOracleDispatch:
         expected = oracle(problem, u, kind, nu=ORACLES[kind].start_nu)
         np.testing.assert_array_equal(step.direction, expected.direction)
 
+    @pytest.mark.parametrize("env, horizon", [("pendulum", 50), ("cartpole", 25)])
+    @pytest.mark.parametrize("kind", ORACLE_KINDS)
+    def test_each_model_is_evaluated_once_per_stage_and_order(self, env, horizon, kind):
+        """The roll, the expansions and a DDP roll-out each evaluate every stage once."""
+        problem, counts = counted_problem(build_problem(env, horizon))
+        u = 0.1 * np.random.default_rng(4).standard_normal((horizon, problem.n_u))
+        spec = ORACLES[kind]
+        step = oracle(problem, u, kind)
+        assert step.feasible or spec.o_f == 2  # so ddp-lq counts its roll-out
+        rolls = 2 if spec.rolls_original and step.feasible else 1
+        assert counts == {("dynamics", 0): rolls * horizon, ("dynamics", spec.o_f): horizon,
+                          ("cost", 0): horizon + 1, ("cost", spec.o_h): horizon + 1}
+        assert counts["dynamics", "trace"] == counts["cost", "trace"] == 0  # untraced runs
+
     def test_unknown_kind_rejected(self, rng):
         problem = random_smooth_problem(rng, 2, 1, 1)
         with pytest.raises(ParameterError):
@@ -999,21 +1021,6 @@ class TestFactorOnce:
         assert cholesky_spy == []  # 1x1 control blocks are factored in closed form
 
 
-def counted_dynamics(problem):
-    """The problem with each distinct dynamic wrapped once, and the shared call counter."""
-    calls = [0]
-
-    def count(f):
-        def g(x, u):
-            calls[0] += 1
-            return f(x, u)
-        return g
-
-    wrapped = {f: count(f) for f in problem.dynamics}  # stages sharing f share its wrapper
-    dynamics = tuple(wrapped[f] for f in problem.dynamics)
-    return dataclasses.replace(problem, dynamics=dynamics), calls
-
-
 class TestIncrementStepBase:
     """The DDP step map reuses the forward pass's stored f(x_t, u_t)."""
 
@@ -1035,14 +1042,14 @@ class TestIncrementStepBase:
     @pytest.mark.parametrize("env", ["bicycle-car", "cartpole"])
     def test_one_model_evaluation_per_rollout_step(self, env):
         horizon = 30
-        problem, calls = counted_dynamics(build_problem(env, horizon))
+        problem, counts = counted_problem(build_problem(env, horizon))
         u = 0.1 * np.random.default_rng(12).standard_normal((horizon, problem.n_u))
         bundle = forward(problem, u, 1, 2)
         result = run_backward(bundle, "ddp-lq", 1.0)
         assert result.feasible
-        calls[0] = 0
+        counts.clear()
         rollout(np.zeros(problem.n_x), result.K, result.k, ORACLES["ddp-lq"].step_map(bundle))
-        assert calls[0] == horizon
+        assert counts == {("dynamics", 0): horizon}
 
 
 def per_stage_sweep(bundle, nu, kind="ne"):
@@ -1216,8 +1223,32 @@ class TestTrajectoryPasses:
                 rollout(np.zeros(1), K, k, step)
             assert err.value.t == 4
         else:
-            with pytest.raises(NumericError, match="non-finite increment at t=4"):
+            overflowed = "non-finite value while stepping dynamics at t=4"
+            with pytest.raises(NumericError, match=overflowed):
                 rollout(np.zeros(1), K, k, step)
+
+    @pytest.mark.parametrize("kind", ["ddp-lq", "ddp-q"])
+    def test_ddp_rollout_names_a_model_output_of_the_wrong_length(self, kind):
+        """The increment map checks the moved point as the roll checks a stage."""
+
+        def grows_when_pushed(x, u):  # one extra entry at plain-float controls below -0.5
+            return [x[0] + u[0]] + ([0.0] if isinstance(u[0], float) and u[0] < -0.5 else [])
+
+        problem = TrajectoryProblem(
+            dynamics=(grows_when_pushed,) * 3,
+            running_costs=(lambda x, u: 0.5 * u[0] * u[0],) * 3,
+            final_cost=lambda x: 0.5 * x[0] * x[0],
+            x0=[10.0],
+            n_x=1,
+            n_u=1,
+        )
+        u = np.zeros((3, 1))
+        wrong_length = "dynamics at t=0 gave 2 entries, expected n_x=1"
+        with pytest.raises(ShapeError, match=wrong_length):
+            oracle(problem, u, kind, 0.0)
+        for rule in STEP_RULES:
+            with pytest.raises(ShapeError, match=wrong_length):
+                solve(problem, u, kind, LineSearchConfig(rule=rule))
 
     def test_rollout_accepts_a_sequence_returning_step(self):
         K = np.full((4, 1, 1), -0.5)

@@ -10,9 +10,7 @@ seed 0 or 1.  Its first hash covers, from the seeded controls
 ``trajopt.cli.initial_controls`` draws and from zero controls:
 
 - every ``ExpansionBundle`` field at derivative orders (1, 1), (1, 2) and
-  (2, 2), and the bundle's ``bundle_gradient``.  ``step_costs``, the
-  per-stage costs older bundles stored, is skipped, so this script prints
-  the same lines for a checkout with and one without the field;
+  (2, 2), and the bundle's ``bundle_gradient``;
 - every ``OracleDirection`` field (``feasible``, ``failed_stage``,
   ``c0_zero``, ``K``, ``k``, ``direction``) of each oracle kind at its
   default ridge, 1 and 100.
@@ -93,7 +91,7 @@ def cell_hash(problem, u) -> str:
             except ArithmeticError as err:
                 _feed(digest, f"forward({o_f}, {o_h}) {type(err).__name__}: {err}")
                 continue
-            _feed_fields(digest, bundles[o_f, o_h], skip=("problem", "step_costs"))
+            _feed_fields(digest, bundles[o_f, o_h], skip=("problem",))
             _feed(digest, bundle_gradient(bundles[o_f, o_h]))
         for kind in ORACLE_KINDS:
             spec = ORACLES[kind]

@@ -1,9 +1,11 @@
 """Test-support builders, independent reference solvers and shared checks.
 
 Shared by the pytest suite and the CLI verify command.  The references
-are deliberately independent of the solver paths the checks run: the KKT
-solver assembles one dense saddle system, and the finite-difference
-helpers never touch the derivative engine.
+are deliberately independent of the blocked expansion, the sweeps and the
+roll-outs the checks run, with the plain-float roll shared: the KKT solver
+assembles one dense saddle system, the dense references differentiate
+each stage on its own at one point, and the finite-difference helpers
+never touch the derivative engine.
 """
 
 from __future__ import annotations
@@ -325,9 +327,9 @@ def policy_scaling_deviation(rng, instances: int, offset: float = 0.0) -> float:
         result = run_backward(bundle, "gn", 0.5)
         if not result.feasible:
             continue
-        base = rollout(np.zeros(n_x), result.K, result.k, bundle.linear_step)
+        base = rollout(bundle, "gn", result.K, result.k)
         for gamma in (0.5, 0.25, 0.1):
-            got = rollout(np.zeros(n_x), result.K, gamma * result.k, bundle.linear_step) + offset
+            got = rollout(bundle, "gn", result.K, gamma * result.k) + offset
             worst = max(worst, float(np.max(np.abs(got - gamma * base))))
         checked += 1
     return worst

@@ -54,9 +54,6 @@ __all__ = [
     "Dual",
     "anywhere",
     "jacobian",
-    "gradient",
-    "hessian",
-    "value_gradient_hessian",
     "block_jacobian",
     "block_jacobian_curvature",
     "structural_lanes",
@@ -648,34 +645,13 @@ def jacobian(g, z) -> np.ndarray:
     """Exact Jacobian of ``g`` at ``z`` via one batched forward sweep.
 
     ``g`` maps a sequence of m scalars to a scalar or a sequence of n
-    scalars; the result has shape (n, m).
+    scalars; the result has shape (n, m), so a scalar's gradient is row 0.
     """
     return block_jacobian(g, np.asarray(z, dtype=float).reshape(1, -1))[0]
 
 
-def gradient(g, z) -> np.ndarray:
-    """Gradient of a scalar-valued ``g`` at ``z``, shape (m,)."""
-    return jacobian(g, z)[0]
-
-
-def value_gradient_hessian(g, z) -> tuple[float, np.ndarray, np.ndarray]:
-    """Value, gradient and symmetric Hessian of scalar ``g`` at ``z``.
-
-    The derivatives come from one sweep of ``g`` as a one-output model, the
-    value from ``g`` on floats.
-    """
-    z = np.asarray(z, dtype=float).reshape(1, -1)
-    jac, d12 = block_jacobian_curvature(g, z)
-    return float(g(z[0].tolist())), jac[0, 0], d12[0, 0][_pair_index(z.shape[1])]
-
-
-def hessian(g, z) -> np.ndarray:
-    """Exact symmetric Hessian of scalar-valued ``g`` at ``z``, shape (m, m)."""
-    return vector_hessian(g, z)[0]
-
-
 def vector_hessian(f, z) -> np.ndarray:
-    """Per-output Hessians of ``f`` at ``z``, shape (n, m, m)."""
+    """Per-output Hessians of ``f`` at ``z``, shape (n, m, m); a scalar's is entry 0."""
     z = np.asarray(z, dtype=float).reshape(1, -1)
     return block_jacobian_curvature(f, z)[1][0][:, _pair_index(z.shape[1])]
 

@@ -100,10 +100,6 @@ def parse_config(text: str) -> dict:
     return out
 
 
-def serialize_config(values: dict) -> str:
-    return "\n".join(f"{k}={values[k]}" for k in sorted(values)) + "\n"
-
-
 def _cast(name: str, value, kind):
     """``value`` as ``kind``, else :class:`ConfigError` naming ``name``."""
     try:

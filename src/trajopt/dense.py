@@ -4,7 +4,9 @@ These assemble the full block matrices of the unrolled control problem and
 compute objective gradients and Hessians by plain linear algebra, at a
 cubic cost in horizon times state dimension.  They exist to cross-check
 the linear-time backward passes and are guarded against accidental use on
-large instances.
+large instances.  They share the solver's plain-float roll and its model
+contract; each stage is differentiated on its own at one point, apart from
+the blocked expansion, the sweeps and the roll-outs.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ import numpy as np
 
 from . import autodiff
 from .core import TrajectoryProblem, _scalar
-from .errors import ParameterError
-from .oracles import checked_controls
+from .errors import DivergenceError, ParameterError
+from .oracles import _joint, _roll, checked_controls
 
 __all__ = [
     "dense_gradient",
@@ -30,8 +32,29 @@ __all__ = [
 MAX_STACKED_STATES = 256
 
 
+def _differentiated(t: int, g, z, orders: tuple) -> list:
+    """Stage t's model ``g`` differentiated on its own at the one point ``z``.
+
+    Order 1 gives the Jacobian, order 2 the per-output Hessians.  A
+    derivative that raises ``ArithmeticError`` or is not finite raises
+    :class:`DivergenceError` naming t, as :func:`oracles.forward` does.
+    """
+    try:
+        out = [(autodiff.jacobian if o == 1 else autodiff.vector_hessian)(g, z) for o in orders]
+    except ArithmeticError as err:
+        raise DivergenceError(t, f"model differentiation failed at t={t}: {err}") from err
+    if not all(np.isfinite(d).all() for d in out):
+        raise DivergenceError(t, f"non-finite derivative at t={t}")
+    return out
+
+
 class _DenseData:
-    """Per-step derivatives of one instance, materialized densely."""
+    """Per-step derivatives of one instance, materialized densely.
+
+    The states come from the solver's plain-float roll (:func:`oracles._roll`),
+    so a model breaks the same contract here as in :func:`oracles.forward`;
+    stage ``horizon`` is the final cost.
+    """
 
     def __init__(self, problem: TrajectoryProblem, u, order: int):
         tau, n_x, n_u = problem.horizon, problem.n_x, problem.n_u
@@ -40,38 +63,29 @@ class _DenseData:
                 f"dense oracle refused: horizon*n_x = {tau * n_x} exceeds {MAX_STACKED_STATES}"
             )
         u = checked_controls(problem, u, "u")
-        self.problem, self.u = problem, u
+        xs, _ = _roll(problem, u)
         self.tau, self.n_x, self.n_u = tau, n_x, n_u
-
+        self.A, self.B, self.curvatures = [], [], []
+        self.hp, self.hq = [], []
+        self.hxx, self.huu, self.hxu = [], [], []
         # overflow shows as non-finite derivatives, as in oracles.forward
         with np.errstate(all="ignore"):
-            xs = [problem.x0.copy()]
-            self.A, self.B, self.curvatures = [], [], []
-            self.hp, self.hq = [], []
-            self.hxx, self.huu, self.hxu = [], [], []
-            x = xs[0]
             for t in range(tau):
-                f, h = problem.dynamics[t], problem.running_costs[t]
-                z = np.concatenate([x, u[t]])
-                joint_f = lambda zz, f=f: f(zz[:n_x], zz[n_x:])
-                joint_h = lambda zz, h=h: h(zz[:n_x], zz[n_x:])
-                jac = autodiff.jacobian(joint_f, z)
+                z = np.concatenate([xs[t], u[t]])
+                jac, *curvature = _differentiated(
+                    t, _joint(problem.dynamics[t], n_x), z, (1, 2)[:order])
+                grad, hess = (d[0] for d in _differentiated(
+                    t, _joint(problem.running_costs[t], n_x), z, (1, 2)))
                 self.A.append(jac[:, :n_x])
                 self.B.append(jac[:, n_x:])
-                _, grad, hess = autodiff.value_gradient_hessian(joint_h, z)
+                self.curvatures += curvature  # per-output (m, m) Hessians of f_t
                 self.hp.append(grad[:n_x])
                 self.hq.append(grad[n_x:])
                 self.hxx.append(hess[:n_x, :n_x])
                 self.huu.append(hess[n_x:, n_x:])
                 self.hxu.append(hess[:n_x, n_x:])
-                if order == 2:  # per-output (m, m) Hessians of f_t in (x_t, u_t)
-                    self.curvatures.append(autodiff.vector_hessian(joint_f, z))
-                x = np.asarray(f([float(v) for v in x], [float(v) for v in u[t]]), dtype=float)
-                xs.append(x)
-            self.xs = xs
-            _, self.final_p, self.final_H = autodiff.value_gradient_hessian(
-                problem.final_cost, xs[-1]
-            )
+            self.final_p, self.final_H = (
+                d[0] for d in _differentiated(tau, problem.final_cost, xs[tau], (1, 2)))
 
     def stacked_jacobians(self) -> tuple[np.ndarray, np.ndarray]:
         """Jacobians of the stacked step map F over (x_1..x_tau, u_0..u_{tau-1})."""

@@ -7,7 +7,6 @@ from .cars import (
     bicycle_dynamics,
     simple_car_dynamics,
     squash_acceleration,
-    squash_controls,
     squash_steering,
 )
 from .cartpole import CartPoleParams, cartpole_cost, cartpole_dynamics, stay_put_start
@@ -21,6 +20,5 @@ from .track import (
     contouring_errors,
     track_build,
     track_eval,
-    track_load,
     track_loads,
 )

@@ -19,7 +19,6 @@ __all__ = [
     "BicycleParams",
     "simple_car_dynamics",
     "bicycle_dynamics",
-    "squash_controls",
     "squash_steering",
     "squash_acceleration",
 ]
@@ -136,8 +135,3 @@ def squash_acceleration(raw):
     """Map the real line onto the admissible acceleration range (lo, hi)."""
     span = ACCEL_HI - ACCEL_LO
     return span * ad.sigmoid(4.0 * raw / span) + ACCEL_LO
-
-
-def squash_controls(raw_steer, raw_accel):
-    """Bounded (steering, acceleration) from unconstrained optimization variables."""
-    return squash_steering(raw_steer), squash_acceleration(raw_accel)

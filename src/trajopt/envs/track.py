@@ -36,7 +36,6 @@ __all__ = [
     "Track",
     "TrackPoint",
     "track_build",
-    "track_load",
     "track_loads",
     "bundled_track",
     "track_eval",
@@ -73,11 +72,6 @@ class Track:
     @property
     def knots(self) -> int:
         return self.waypoints.shape[0]
-
-    @property
-    def length(self) -> float:
-        """Parameter-domain length (number of segments)."""
-        return float(self.knots - 1)
 
 
 def track_build(waypoints, width: float) -> Track:
@@ -142,11 +136,6 @@ def track_loads(text: str) -> Track:
             raise ShapeError(f"track file line is not an x,y pair: {ln!r}") from None
         pts.append((x, y))
     return track_build(pts, width)
-
-
-def track_load(path) -> Track:
-    with open(path, "r", encoding="utf-8") as fh:
-        return track_loads(fh.read())
 
 
 def bundled_track(name: str) -> Track:

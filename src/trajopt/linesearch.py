@@ -192,21 +192,19 @@ def directional_search(
     _scalar(c0_zero, "c0_zero", -math.inf, 0.0, ends="[)")
     tau, n_u, n_x = bundle.horizon, bundle.problem.n_u, bundle.problem.n_x
     K, k = _array(K, "K", (tau, n_u, n_x), steps=True), _array(k, "k", (tau, n_u), steps=True)
-    step = spec.step_map(bundle)
     # not bundle.cost: perfbench counts trials as objective_value calls less searches
     j_current = objective_value(bundle.problem, bundle.u)
-    y0 = np.zeros(bundle.problem.n_x)
     unit = None
     if not spec.rolls_original:
         try:
-            unit = rollout(y0, K, k, step)
+            unit = rollout(bundle, kind, K, k)
         except NumericError:
             pass  # a smaller gamma may stay finite: each trial rolls out
 
     def trial(gamma):
         if unit is not None and math.frexp(gamma)[0] == 0.5:
             return gamma * unit, gamma * c0_zero
-        return rollout(y0, K, gamma * k, step), gamma * c0_zero
+        return rollout(bundle, kind, K, gamma * k), gamma * c0_zero
 
     candidate, gamma, _ = _backtrack(bundle, j_current, 1.0, cfg, trial)
     return candidate, gamma
@@ -228,8 +226,7 @@ def regularized_search(
     :func:`_backtrack` does.  ``gamma`` may be +inf, the ridge 0.
     """
     _scalar(gamma, "gamma", 0.0, math.inf, ends="(]")
-    y0 = np.zeros(bundle.problem.n_x)
-    step = oracle_spec(kind).step_map(bundle)
+    oracle_spec(kind)  # an unknown kind is named before any trial
 
     def trial(gamma):
         nu = 1.0 / gamma
@@ -237,7 +234,7 @@ def regularized_search(
             return None
         result = run_backward(bundle, kind, nu)
         if result.feasible and result.c0_zero < 0.0:
-            return rollout(y0, result.K, result.k, step), result.c0_zero
+            return rollout(bundle, kind, result.K, result.k), result.c0_zero
         return None
 
     return _backtrack(bundle, bundle.cost, gamma, cfg, trial)

@@ -5,7 +5,8 @@ dynamics and costs along the visited trajectory, one backward Bellman
 sweep producing affine policies and the cost-to-go at time 0, and one
 roll-out of the policies along either the linearized step maps (gradient,
 Gauss-Newton, Newton) or the original-dynamics increment maps (the two
-DDP variants).  :data:`ORACLES` is the single description of the kinds.
+DDP variants).  :data:`ORACLES` is the single description of the kinds,
+and :func:`rollout`, the one roll-out, reads its map from there.
 
 The forward pass stores the stage matrices stacked over the stages
 (:class:`ExpansionBundle`).  :func:`run_backward` is the one public sweep:
@@ -18,9 +19,10 @@ factor in the closed-form stage (``lqbp``).  It adds the blocks of the
 packed curvature contraction (:func:`autodiff.hessian_blocks`): for Newton
 against the adjoints, one block of stages at a time, so no temporary spans
 the horizon; for DDP-Q against the cost-to-go slope, stage by stage.  The
-DDP roll-outs difference the original dynamics against the states the
-bundle visited.  The policies come out stacked as gains ``K`` (horizon,
-n_u, n_x) and offsets ``k`` (horizon, n_u).
+policies come out stacked as gains ``K`` (horizon, n_u, n_x) and offsets
+``k`` (horizon, n_u); :func:`rollout` takes them with the bundle and the
+kind, and its DDP maps difference the original dynamics against the
+states the bundle visited.
 """
 
 from __future__ import annotations
@@ -66,10 +68,6 @@ class OracleSpec:
     rolls_original: bool
     start_nu: float
 
-    def step_map(self, bundle: ExpansionBundle):
-        """The per-stage map ``(t, y, v) -> y_next`` this kind's roll-out follows."""
-        return bundle.increment_step if self.rolls_original else bundle.linear_step
-
     def check_ridge(self, nu) -> None:
         """:class:`ParameterError` unless 0 < nu < inf (linear costs) or 0 <= nu < inf."""
         _scalar(nu, "nu", 0.0, ends="()" if self.o_h == 1 else "[)")
@@ -85,10 +83,10 @@ class OracleSpec:
 #                  from the final cost slope, which makes the swept subproblem
 #                  the exact second-order model of the objective (Newton);
 #   "value-slope"  the slope of the running cost-to-go at the origin (DDP-Q).
-# ``rolls_original``: the roll-out follows the original-dynamics increment
-# maps instead of the linearized ones.  ``start_nu`` is the ridge a search
-# starts from: the gradient sweep needs nu > 0, and at nu = 1 its
-# direction is exactly the negative gradient.
+# ``rolls_original``: the roll-out (:func:`rollout`) follows the
+# original-dynamics increment maps instead of the linearized ones.
+# ``start_nu`` is the ridge a search starts from: the gradient sweep needs
+# nu > 0, and at nu = 1 its direction is exactly the negative gradient.
 ORACLES = MappingProxyType({
     "gd": OracleSpec(1, 1, None, False, 1.0),
     "gn": OracleSpec(1, 2, None, False, 0.0),
@@ -138,7 +136,8 @@ class ExpansionBundle:
     each stage's per-output second derivatives in the joint point
     (x_t, u_t), packed as :func:`autodiff.block_jacobian_curvature` packs
     them; the backward sweep contracts a stage's rows against whatever
-    vector it needs.
+    vector it needs.  :func:`rollout` steps along ``A`` and ``B``, or
+    along the original dynamics from ``xs`` and ``u``.
     """
 
     problem: TrajectoryProblem
@@ -161,20 +160,6 @@ class ExpansionBundle:
     @property
     def horizon(self) -> int:
         return self.problem.horizon
-
-    def linear_step(self, t: int, y, v) -> np.ndarray:
-        """The linearized dynamics of stage t: A_t y + B_t v."""
-        return self.A[t] @ y + self.B[t] @ v
-
-    def increment_step(self, t: int, y, v) -> np.ndarray:
-        """The original-dynamics increment f_t(x_t + y, u_t + v) - f_t(x_t, u_t).
-
-        The forward pass stored f_t(x_t, u_t) as ``xs[t + 1]``, evaluated on
-        the same floats, so only the moved point is evaluated here, by the
-        roll's checked step (:func:`_step`), whose errors name t.
-        """
-        moved = _step(self.problem, t, (self.xs[t] + y).tolist(), (self.u[t] + v).tolist())
-        return np.array(moved) - self.xs[t + 1]
 
     @cached_property
     def adjoints(self) -> np.ndarray:
@@ -242,7 +227,7 @@ def objective_value(problem: TrajectoryProblem, u: np.ndarray) -> float:
 def _step(problem: TrajectoryProblem, t: int, x: list, u_t: list) -> list:
     """f_t(x, u_t) on plain floats as n_x floats: the one checked dynamics step.
 
-    The roll and the DDP increment map both step here.  A model's
+    The roll and the DDP roll-outs (:func:`rollout`) both step here.  A model's
     ``ArithmeticError`` or a non-finite entry raises :class:`DivergenceError`
     naming t, an output that is not n_x long :class:`ShapeError`.
     """
@@ -677,28 +662,41 @@ def bundle_gradient(bundle: ExpansionBundle) -> np.ndarray:
         return bundle.q + (B.transpose(0, 2, 1) @ lam[:, :, None])[:, :, 0]
 
 
-def rollout(y0, K: np.ndarray, k: np.ndarray, step) -> np.ndarray:
-    """Apply the policies v_t = K[t] y_t + k[t] along a step map.
+def rollout(bundle: ExpansionBundle, kind: str, K, k) -> np.ndarray:
+    """Controls (horizon, n_u) of the policies v_t = K[t] y_t + k[t], rolled out from y_0 = 0.
 
-    ``step(t, y, v)`` gives the next state as a sequence of n_x floats,
-    for example :meth:`ExpansionBundle.linear_step`.  ``K`` (horizon, n_u,
-    n_x), ``k`` (horizon, n_u) and ``y0`` (n_x) must be finite, else
-    :class:`ShapeError`.  Returns the controls (horizon, n_u); a non-finite
-    state raises :class:`DivergenceError` with the offending step.
-    Finiteness is tested on the state's Python floats, which costs less
-    than numpy's test on a few entries.
+    The map is the one ``kind`` names in :data:`ORACLES`: the linearized
+    step A_t y + B_t v, or for the DDP kinds the original-dynamics increment
+    f_t(x_t + y, u_t + v) - f_t(x_t, u_t), whose base is the ``xs[t + 1]``
+    the forward pass stored on the same floats, so only the moved point is
+    evaluated, by the checked step (:func:`_step`).  A non-bundle, an
+    unknown kind, or a linearized kind on a bundle without order-1 dynamics
+    raises :class:`ParameterError`; ``K`` (horizon, n_u, n_x) and ``k``
+    (horizon, n_u), flat forms accepted, must be finite, else
+    :class:`ShapeError`.  A non-finite state raises :class:`DivergenceError`
+    with the offending step; it is tested on the state's Python floats,
+    which costs less than numpy's test on a few entries.
     """
-    k = _array(k, "k", (None, None))
-    K = _array(K, "K", k.shape + (None,))
-    y = _array(y0, "y0", K.shape[2:])
-    if not callable(step):
-        raise ShapeError(f"step must be callable, got {type(step).__name__}")
+    if not isinstance(bundle, ExpansionBundle):
+        raise ParameterError(f"bundle must be an ExpansionBundle, got {type(bundle).__name__}")
+    original = oracle_spec(kind).rolls_original
+    if not original and bundle.o_f < 1:
+        raise ParameterError(f"the {kind} roll-out needs a bundle with order-1 dynamics")
+    problem, xs, u, A, B = bundle.problem, bundle.xs, bundle.u, bundle.A, bundle.B
+    tau, n_u, n_x = problem.horizon, problem.n_u, problem.n_x
+    K = _array(K, "K", (tau, n_u, n_x), steps=True)
+    k = _array(k, "k", (tau, n_u), steps=True)
+    y = np.zeros(n_x)
     controls = np.empty(k.shape)
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite state
-        for t in range(len(k)):
+        for t in range(tau):
             v = K[t] @ y + k[t]
             controls[t] = v
-            y = np.asarray(step(t, y, v), dtype=float)
+            if original:
+                moved = _step(problem, t, (xs[t] + y).tolist(), (u[t] + v).tolist())
+                y = np.array(moved) - xs[t + 1]
+            else:
+                y = A[t] @ y + B[t] @ v
             if not all(map(math.isfinite, y.tolist())):
                 raise DivergenceError(t)
     return controls
@@ -718,7 +716,7 @@ def oracle_step(bundle: ExpansionBundle, kind: str, nu: float) -> OracleDirectio
     if spec.o_h == 1:  # constant policies
         direction = result.k.copy()
     else:
-        direction = rollout(np.zeros(bundle.problem.n_x), result.K, result.k, spec.step_map(bundle))
+        direction = rollout(bundle, kind, result.K, result.k)
     return replace(result, direction=direction)
 
 

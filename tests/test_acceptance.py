@@ -324,7 +324,7 @@ def test_criterion_08_derivative_engine(rng):
                 )
                 out = g(list(z))
                 if not isinstance(out, (list, tuple)):  # scalar models: Hessian too
-                    hess = autodiff.hessian(g, z)
+                    hess = autodiff.vector_hessian(g, z)[0]
                     fd_h = fd_hessian(g, z)
                     worst_hess = max(
                         worst_hess, float(np.max(np.abs(hess - fd_h) / (1.0 + np.abs(fd_h))))

@@ -73,6 +73,7 @@ U = np.full((HORIZON, 1), 0.1)
 BUNDLE = forward(PROBLEM, U, 1, 2)
 SWEEP = run_backward(BUNDLE, "gn", 0.0)
 assert SWEEP.feasible and SWEEP.c0_zero < 0.0
+BUNDLE_5 = forward(build_problem("pendulum", 5), np.zeros((5, 1)), 1, 2)
 TRACK_TEXT = "width=0.5\n0,0\n1,0\n2,1\n"
 TRACK = track_loads(TRACK_TEXT)
 
@@ -196,9 +197,9 @@ TABLE = {
     "objective_value": _controls(objective_value),
     "bundle_gradient": (bundle_gradient, {"bundle": BUNDLE}, {"bundle": OBJECTS}),
     "rollout": (
-        rollout, {"y0": np.zeros(2), "K": SWEEP.K, "k": SWEEP.k, "step": BUNDLE.linear_step},
-        {"y0": arrays((2,)), "K": arrays(SWEEP.K.shape), "k": arrays(SWEEP.k.shape),
-         "step": OBJECTS},
+        rollout, {"bundle": BUNDLE, "kind": "gn", "K": SWEEP.K, "k": SWEEP.k},
+        {"bundle": OBJECTS, "kind": NAMES, "K": arrays(SWEEP.K.shape),
+         "k": arrays(SWEEP.k.shape)},
     ),
     "oracle": (
         oracle, {"problem": PROBLEM, "u": U, "kind": "gn"},
@@ -293,15 +294,24 @@ def test_returns_or_raises_a_package_error(entry, arg, data):
                                [0.0, 0.0], 2, 1), ShapeError, "running_costs"),
     (lambda: TrajectoryProblem(PROBLEM.dynamics, PROBLEM.running_costs, None, [0.0, 0.0], 2, 1),
      ShapeError, "final_cost"),
-    (lambda: rollout(np.zeros(2), np.zeros((HORIZON, 2, 2)), SWEEP.k, BUNDLE.linear_step),
-     ShapeError, r"\bK\b"),
-    (lambda: rollout(np.zeros(2), SWEEP.K, SWEEP.k, None), ShapeError, "step"),
+    (lambda: rollout(BUNDLE, "gn", np.zeros((HORIZON, 2, 2)), SWEEP.k), ShapeError, r"\bK\b"),
+    (lambda: rollout(BUNDLE_5, "gn", np.zeros((7, 1, 2)), np.zeros((7, 1))), ShapeError,
+     r"\bK\b"),
+    (lambda: rollout(BUNDLE_5, "gn", np.zeros((5, 1, 3)), np.zeros((5, 1))), ShapeError,
+     r"\bK\b"),
+    (lambda: rollout(BUNDLE_5, "ddp-lq", np.zeros((5, 2, 2)), np.zeros((5, 2))), ShapeError,
+     r"\bK\b"),
+    (lambda: rollout(object(), "gn", SWEEP.K, SWEEP.k), ParameterError, "bundle"),
+    (lambda: rollout(BUNDLE, "newton", SWEEP.K, SWEEP.k), ParameterError, "oracle kind"),
+    (lambda: rollout(forward(PROBLEM, U, 0, 0), "gn", SWEEP.K, SWEEP.k), ParameterError,
+     "order-1 dynamics"),
 ], ids=[
     "params-nan", "params-string", "bounds-nan", "bounds-bool-tau", "bounds-overflow",
     "track-bool-width", "complex-x0", "complex-A", "string-p", "track-object", "unknown-env",
     "cfg-object", "stop-object", "negative-gamma", "nan-residual-controls", "nan-sharpness",
     "nan-step-size", "string-horizon", "int-dynamics", "string-costs", "none-final-cost",
-    "rollout-gains-shape", "rollout-step-none",
+    "rollout-gains-shape", "rollout-seven-stages", "rollout-three-states",
+    "rollout-two-controls", "rollout-non-bundle", "rollout-unknown-kind", "rollout-order-0-gn",
 ])
 def test_named_refusal(call, error, match):
     with pytest.raises(error, match=match):

@@ -13,7 +13,7 @@ from trajopt.core import (
 )
 from trajopt.errors import NumericError, ShapeError
 from trajopt.linesearch import solve
-from trajopt.oracles import forward
+from trajopt.oracles import forward, rollout
 
 small = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
@@ -66,39 +66,52 @@ def visited(f, x, u, horizon=1, o_f=0):
     return forward(problem, [u] * horizon, o_f, 0)
 
 
+def ddp_rolled(f, x, u, k):
+    """Controls of the ddp-lq roll-out of offsets ``k`` on the stages of f visited from x under u.
+
+    Every gain is 0 but the last, 1, so the last control reads the state
+    increment y_tau-1 the earlier stages' increments led to.
+    """
+    horizon = len(k)
+    K = np.zeros((horizon, 1, 1))
+    K[-1] = 1.0
+    return rollout(visited(f, x, u, horizon), "ddp-lq", K, np.reshape(k, (horizon, 1)))
+
+
 class TestFiniteDifferenceDynamic:
     """The DDP increment map f(x+y, u+v) - f(x, u) around a bundle's visited points."""
 
     def test_zero_increment(self):
-        bundle = visited(lambda x, u: [x[0] * x[0] + u[0]], [1.5], [0.2])
-        np.testing.assert_array_equal(bundle.increment_step(0, np.zeros(1), np.zeros(1)), [0.0])
+        rolled = ddp_rolled(lambda x, u: [x[0] * x[0] + u[0]], [1.5], [0.2], [0.0, 0.0])
+        np.testing.assert_array_equal(rolled, [[0.0], [0.0]])
 
     def test_linear_dynamic_equals_linear_map(self):
-        bundle = visited(linear_dynamics([[1.0]], [[1.0]]), [1.0], [1.0], o_f=1)
-        y, v = np.array([2.0]), np.array([3.0])
-        np.testing.assert_array_equal(bundle.increment_step(0, y, v), bundle.linear_step(0, y, v))
-        np.testing.assert_array_equal(bundle.increment_step(0, y, v), [5.0])
+        f = linear_dynamics([[1.0]], [[1.0]])
+        bundle = visited(f, [1.0], [1.0], horizon=2, o_f=1)
+        K, k = np.array([[[0.0]], [[1.0]]]), np.array([[2.0], [3.0]])
+        original = rollout(bundle, "ddp-lq", K, k)
+        np.testing.assert_array_equal(original, rollout(bundle, "gn", K, k))
+        np.testing.assert_array_equal(original, [[2.0], [5.0]])  # y_1 = 2, v_1 = y_1 + 3
 
     def test_square_dynamic(self):
-        bundle = visited(lambda x, u: [x[0] * x[0]], [1.0], [0.0])
-        np.testing.assert_allclose(bundle.increment_step(0, np.ones(1), np.zeros(1)), [3.0])
+        # y_1 = f(1, 1) - f(1, 0) = 1, then y_2 = f(1 + 1, 0) - f(1, 0) = 3
+        rolled = ddp_rolled(lambda x, u: [x[0] * x[0] + u[0]], [1.0], [0.0], [1.0, 0.0, 0.0])
+        np.testing.assert_allclose(rolled, [[1.0], [0.0], [3.0]])
 
     def test_model_arithmetic_error_is_a_numeric_error_naming_t(self):
-        bundle = visited(lambda x, u: [x[0] + autodiff.exp(u[0])], [0.0], [5.0], horizon=3)
         with pytest.raises(NumericError, match="dynamic evaluation failed at t=2"):
-            bundle.increment_step(2, np.zeros(1), np.array([1e3]))
+            ddp_rolled(lambda x, u: [x[0] + autodiff.exp(u[0])], [0.0], [5.0], [0.0, 0.0, 1e3])
 
     def test_non_finite_increment_is_a_numeric_error_naming_t(self):
-        bundle = visited(lambda x, u: [1e300 * u[0]], [0.0], [1.0], horizon=2)
         with pytest.raises(NumericError, match="non-finite value while stepping dynamics at t=1"):
-            bundle.increment_step(1, np.zeros(1), np.array([1e10]))
+            ddp_rolled(lambda x, u: [1e300 * u[0]], [0.0], [1.0], [0.0, 1e10])
 
     @given(small, small, small, small)
     @settings(max_examples=30, deadline=None)
     def test_linear_f_matches_jacobian_application_exactly(self, x, u, y, v):
-        bundle = visited(linear_dynamics([[0.5]], [[2.0]]), [x], [u])
-        out = bundle.increment_step(0, np.array([y]), np.array([v]))
-        assert out[0] == pytest.approx(0.5 * y + 2.0 * v, abs=1e-9, rel=1e-12)
+        # stage 0 moves the state by y = 2 * (y / 2), stage 1 by 0.5 y + 2 v
+        rolled = ddp_rolled(linear_dynamics([[0.5]], [[2.0]]), [x], [u], [0.5 * y, v, 0.0])
+        assert rolled[2, 0] == pytest.approx(0.5 * y + 2.0 * v, abs=1e-9, rel=1e-12)
 
 
 class TestDynTensor:
@@ -131,7 +144,7 @@ class TestValueTypes:
         problem = TrajectoryProblem((f,), (lambda x, u: u[0] * u[0],), lambda x: x[0],
                                     [0.0, 0.0], 2, 1)
         bundle = forward(problem, [[0.0]], o_f=1, o_h=0)
-        np.testing.assert_allclose(bundle.linear_step(0, [1.0, 2.0], [3.0]), [3.0, 5.0])
+        np.testing.assert_allclose(bundle.A[0] @ [1.0, 2.0] + bundle.B[0] @ [3.0], [3.0, 5.0])
 
     def test_problem_validation(self):
         f = lambda x, u: [x[0]]

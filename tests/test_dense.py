@@ -3,14 +3,18 @@
 import numpy as np
 import pytest
 
+from trajopt import autodiff
+from trajopt.core import TrajectoryProblem
 from trajopt.dense import (
+    dense_costates,
+    dense_gauss_newton_matrix,
     dense_gradient,
     dense_hessian,
     smoothness_bounds,
     trajectory_jacobian,
 )
-from trajopt.errors import ParameterError
-from trajopt.oracles import objective_value
+from trajopt.errors import DivergenceError, ParameterError, ShapeError
+from trajopt.oracles import forward, objective_value
 
 from conftest import random_lq_problem, random_smooth_problem
 
@@ -78,6 +82,41 @@ class TestDenseGradientHessian:
                                   running_costs=problem.running_costs * 40)
         with pytest.raises(ParameterError):
             dense_gradient(big, np.zeros((160, 1)))
+
+
+def broken_model(x0, dynamics=lambda x, u: [x[0] + u[0]], cost=lambda x, u: 0.5 * u[0] * u[0]):
+    """Three stages of one state and one control that break the model contract somewhere."""
+    return TrajectoryProblem((dynamics,) * 3, (cost,) * 3, lambda x: 0.5 * x[0] * x[0],
+                             [x0], 1, 1)
+
+
+# model -> (the error forward raises, its stage or None)
+BROKEN = {
+    "two-entry-dynamics": (broken_model(0.0, dynamics=lambda x, u: [x[0] + u[0], 0.0]),
+                           ShapeError, None),
+    "overflow-at-t1": (broken_model(1.0, dynamics=lambda x, u: [1e300 * x[0] + u[0]]),
+                       DivergenceError, 1),
+    "list-cost": (broken_model(0.0, cost=lambda x, u: [u[0] * u[0]]), ShapeError, None),
+    "log-outside-domain": (broken_model(-1.0, dynamics=lambda x, u: [autodiff.log(x[0]) + u[0]]),
+                           DivergenceError, 0),
+    "sqrt-slope-at-0": (broken_model(0.0, cost=lambda x, u: autodiff.sqrt(x[0] * x[0]) + u[0]),
+                        DivergenceError, 0),
+}
+DENSE = (dense_gradient, dense_hessian, trajectory_jacobian, dense_gauss_newton_matrix,
+         dense_costates)
+
+
+@pytest.mark.parametrize("dense", DENSE, ids=[fn.__name__ for fn in DENSE])
+@pytest.mark.parametrize("model", BROKEN)
+def test_dense_references_meet_the_model_contract(model, dense):
+    """A model that breaks the contract fails the dense references as it fails forward."""
+    problem, error, t = BROKEN[model]
+    u = np.zeros((3, 1))
+    with pytest.raises(error) as expected:
+        forward(problem, u, 2, 2)
+    with pytest.raises(error) as got:
+        dense(problem, u)
+    assert getattr(got.value, "t", None) == getattr(expected.value, "t", None) == t
 
 
 class TestSmoothnessBounds:

@@ -165,7 +165,7 @@ class TestRegularizedSearch:
         while True:
             result = run_backward(bundle, "gn", 1.0 / gamma)
             if result.feasible and result.c0_zero < 0.0:
-                v = rollout(np.zeros(1), result.K, result.k, bundle.linear_step)
+                v = rollout(bundle, "gn", result.K, result.k)
                 j_trial = objective_value(problem, u + v)
                 if j_trial - bundle.cost <= result.c0_zero + 1e-12 * (1 + abs(bundle.cost)):
                     break
@@ -297,12 +297,12 @@ def per_trial_search(bundle, kind, K, k, c0_zero, cfg):
 
     Returns (candidate, gamma), or the :class:`StallError` it would raise.
     """
-    problem, u, step = bundle.problem, bundle.u, oracle_spec(kind).step_map(bundle)
+    problem, u = bundle.problem, bundle.u
     j_current = objective_value(problem, u)
     gamma, best, best_cost = 1.0, None, math.inf
     while True:
         try:
-            candidate = u + rollout(np.zeros(problem.n_x), K, gamma * k, step)
+            candidate = u + rollout(bundle, kind, K, gamma * k)
             j_trial = objective_value(problem, candidate)
         except (DivergenceError, NumericError):
             j_trial = math.inf
@@ -377,11 +377,10 @@ class TestUnitRollout:
     @pytest.mark.parametrize("env,horizon", UNIT_CELLS)
     def test_scaled_unit_equals_per_trial_rollout(self, env, horizon, kind):
         problem, u, bundle, result = descent_policies(env, horizon, kind)
-        y0 = np.zeros(problem.n_x)
-        unit = rollout(y0, result.K, result.k, bundle.linear_step)
+        unit = rollout(bundle, kind, result.K, result.k)
         for n in range(41):
             gamma = 2.0 ** -n
-            per_trial = rollout(y0, result.K, gamma * result.k, bundle.linear_step)
+            per_trial = rollout(bundle, kind, result.K, gamma * result.k)
             np.testing.assert_array_equal(gamma * unit, per_trial)
             np.testing.assert_array_equal(u + gamma * unit, u + per_trial)
 

@@ -119,7 +119,7 @@ class TestForward:
     def test_hessian_blocks_match_the_unpacked_hessian(self):
         f = lambda z: z[0] * z[0] * z[3] + autodiff.sin(z[1] * z[4]) + z[2] * z[3] * z[3]
         z = [0.3, -0.8, 1.1, 0.6, -0.2]
-        full = autodiff.hessian(f, z)
+        full = autodiff.vector_hessian(f, z)[0]
         packed = autodiff.block_jacobian_curvature(f, [z])[1][0, 0]
         at_H, at_Q, at_R = autodiff.hessian_blocks(3, 2)
         np.testing.assert_array_equal(packed[at_H], full[:3, :3])
@@ -178,15 +178,14 @@ def assert_expansion_matches_per_stage(problem, u):
         z = np.concatenate([b2.xs[t], u[t]])
         f, h = problem.dynamics[t], problem.running_costs[t]
         jac = autodiff.jacobian(lambda zz: f(zz[:n_x], zz[n_x:]), z)
-        _, grad, hess = autodiff.value_gradient_hessian(lambda zz: h(zz[:n_x], zz[n_x:]), z)
-        cost_jac = autodiff.jacobian(lambda zz: h(zz[:n_x], zz[n_x:]), z)[0]
+        grad = autodiff.jacobian(lambda zz: h(zz[:n_x], zz[n_x:]), z)[0]
+        hess = autodiff.vector_hessian(lambda zz: h(zz[:n_x], zz[n_x:]), z)[0]
         where = f"t={t}"
         for bundle in (b1, b2):
             _assert_same(np.hstack([bundle.A[t], bundle.B[t]]), jac, where)
-        _assert_same(np.concatenate([b2.p[t], b2.q[t]]), grad, where)
+            _assert_same(np.concatenate([bundle.p[t], bundle.q[t]]), grad, where)
         full = np.block([[b2.H[t], b2.R[t]], [b2.R[t].T, b2.Q[t]]])
         _assert_same(full, hess, where)
-        _assert_same(np.concatenate([b1.p[t], b1.q[t]]), cost_jac, where)
 
 
 def block_caps(problem, fns, u, order):
@@ -308,9 +307,10 @@ class TestBlockedExpansion:
         for o_h in (1, 2):
             bundle = forward(problem, u, 1, o_h)
             x = bundle.xs[-1]
-            assert bundle.final_slope.tobytes() == autodiff.gradient(problem.final_cost, x).tobytes()
+            slope = autodiff.jacobian(problem.final_cost, x)[0]
+            assert bundle.final_slope.tobytes() == slope.tobytes()
             if o_h == 2:
-                quad = autodiff.hessian(problem.final_cost, x)
+                quad = autodiff.vector_hessian(problem.final_cost, x)[0]
                 assert bundle.final_quad.tobytes() == quad.tobytes()
 
     def test_final_cost_differentiation_failure_names_the_final_stage(self):
@@ -649,7 +649,7 @@ class TestBackwardGd:
         u = rng.standard_normal((3, 1)) * 0.1
         without = oracle(problem, u, "gd", nu=1.0)
         bundle = forward(problem, u, 1, 1)
-        with_roll = rollout(np.zeros(problem.n_x), without.K, without.k, bundle.linear_step)
+        with_roll = rollout(bundle, "gd", without.K, without.k)
         np.testing.assert_allclose(with_roll, without.direction)
 
     @pytest.mark.parametrize("nu", [1.0, 1e-3, 100.0])
@@ -813,17 +813,26 @@ class TestBackwardDdpQ:
             np.testing.assert_allclose(result.k[t], -grad[t] / nu, rtol=1e-6)
 
 
-def _integrator_step(t, y, v):
-    return y + v  # A = B = 1 at every stage
+def integrator_bundle(horizon):
+    """The bundle of x_{t+1} = x_t + u_t (A = B = 1 at every stage) at zero controls."""
+    problem = TrajectoryProblem(
+        dynamics=(linear_dynamics([[1.0]], [[1.0]]),) * horizon,
+        running_costs=(lambda x, u: 0.5 * u[0] * u[0],) * horizon,
+        final_cost=lambda x: 0.5 * x[0] * x[0],
+        x0=[0.0],
+        n_x=1,
+        n_u=1,
+    )
+    return forward(problem, np.zeros((horizon, 1)), 1, 2)
 
 
 class TestRollout:
     def test_zero_policies_roll_zero_controls(self):
-        controls = rollout([0.0], np.zeros((3, 1, 1)), np.zeros((3, 1)), _integrator_step)
+        controls = rollout(integrator_bundle(3), "gn", np.zeros((3, 1, 1)), np.zeros((3, 1)))
         np.testing.assert_allclose(controls, np.zeros((3, 1)))
 
     def test_hand_rolled_constant_policies(self):
-        controls = rollout([0.0], np.zeros((2, 1, 1)), np.ones((2, 1)), _integrator_step)
+        controls = rollout(integrator_bundle(2), "gn", np.zeros((2, 1, 1)), np.ones((2, 1)))
         np.testing.assert_allclose(controls, [[1.0], [1.0]])
 
     def test_overflow_raises_divergence_without_a_warning(self):
@@ -833,7 +842,7 @@ class TestRollout:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DivergenceError) as err:
-                rollout(np.zeros(2), K, k, bundle.linear_step)
+                rollout(bundle, "gn", K, k)
         assert err.value.t == 1
 
     def test_gamma_scaling_on_linear_maps(self, rng):
@@ -842,9 +851,9 @@ class TestRollout:
         bundle = forward(problem, u, 1, 2)
         result = run_backward(bundle, "gn", 0.5)
         assert result.feasible
-        base = rollout(np.zeros(2), result.K, result.k, bundle.linear_step)
+        base = rollout(bundle, "gn", result.K, result.k)
         for gamma in (0.5, 0.25, 0.1):
-            got = rollout(np.zeros(2), result.K, gamma * result.k, bundle.linear_step)
+            got = rollout(bundle, "gn", result.K, gamma * result.k)
             np.testing.assert_allclose(got, gamma * base, atol=1e-12)
 
 
@@ -883,9 +892,8 @@ class TestOracleDispatch:
         assert step.feasible
         np.testing.assert_array_equal(oracle(problem, u, kind, 1.0).direction, step.direction)
 
-        y0 = np.zeros(problem.n_x)
-        linear = rollout(y0, step.K, step.k, bundle.linear_step)
-        original = rollout(y0, step.K, step.k, bundle.increment_step)
+        linear = rollout(bundle, "gn", step.K, step.k)
+        original = rollout(bundle, "ddp-lq", step.K, step.k)
         if kind != "gd":  # constant gradient policies never read the state
             assert np.max(np.abs(linear - original)) > 1e-6
         expected = original if kind in ("ddp-lq", "ddp-q") else linear
@@ -1022,7 +1030,7 @@ class TestFactorOnce:
 
 
 class TestIncrementStepBase:
-    """The DDP step map reuses the forward pass's stored f(x_t, u_t)."""
+    """The DDP roll-out reuses the forward pass's stored f(x_t, u_t)."""
 
     @pytest.mark.parametrize("env", ["bicycle-car", "cartpole"])
     def test_increment_step_equals_fresh_finite_difference(self, env):
@@ -1031,13 +1039,16 @@ class TestIncrementStepBase:
         rng = np.random.default_rng(11)
         u = 0.1 * rng.standard_normal((horizon, problem.n_u))
         bundle = forward(problem, u, 1, 2)
-        for t in range(horizon):
-            y = 0.01 * rng.standard_normal(problem.n_x)
-            v = 0.01 * rng.standard_normal(problem.n_u)
+        K = 0.01 * rng.standard_normal((horizon, problem.n_u, problem.n_x))
+        k = 0.01 * rng.standard_normal((horizon, problem.n_u))
+        y, fresh = np.zeros(problem.n_x), np.empty((horizon, problem.n_u))
+        for t in range(horizon):  # f_t(x_t, u_t) evaluated afresh at every stage
+            v = K[t] @ y + k[t]
+            fresh[t] = v
             f = problem.dynamics[t]
             moved = f((bundle.xs[t] + y).tolist(), (u[t] + v).tolist())
-            fresh = np.asarray(moved) - np.asarray(f(bundle.xs[t].tolist(), u[t].tolist()))
-            np.testing.assert_array_equal(bundle.increment_step(t, y, v), fresh)
+            y = np.asarray(moved) - np.asarray(f(bundle.xs[t].tolist(), u[t].tolist()))
+        np.testing.assert_array_equal(rollout(bundle, "ddp-lq", K, k), fresh)
 
     @pytest.mark.parametrize("env", ["bicycle-car", "cartpole"])
     def test_one_model_evaluation_per_rollout_step(self, env):
@@ -1048,7 +1059,7 @@ class TestIncrementStepBase:
         result = run_backward(bundle, "ddp-lq", 1.0)
         assert result.feasible
         counts.clear()
-        rollout(np.zeros(problem.n_x), result.K, result.k, ORACLES["ddp-lq"].step_map(bundle))
+        rollout(bundle, "ddp-lq", result.K, result.k)
         assert counts == {("dynamics", 0): horizon}
 
 
@@ -1217,15 +1228,14 @@ class TestTrajectoryPasses:
         bundle = forward(problem, np.zeros((6, 1)), 1, 2)
         K, k = np.zeros((6, 1, 1)), np.zeros((6, 1))
         k[0] = 1.0  # y_1 = 1, then y grows by 1e100 per step and overflows at t=4
-        step = ORACLES[kind].step_map(bundle)
         if kind == "gn":
             with pytest.raises(DivergenceError) as err, np.errstate(over="ignore"):
-                rollout(np.zeros(1), K, k, step)
+                rollout(bundle, kind, K, k)
             assert err.value.t == 4
         else:
             overflowed = "non-finite value while stepping dynamics at t=4"
             with pytest.raises(NumericError, match=overflowed):
-                rollout(np.zeros(1), K, k, step)
+                rollout(bundle, kind, K, k)
 
     @pytest.mark.parametrize("kind", ["ddp-lq", "ddp-q"])
     def test_ddp_rollout_names_a_model_output_of_the_wrong_length(self, kind):
@@ -1249,20 +1259,6 @@ class TestTrajectoryPasses:
         for rule in STEP_RULES:
             with pytest.raises(ShapeError, match=wrong_length):
                 solve(problem, u, kind, LineSearchConfig(rule=rule))
-
-    def test_rollout_accepts_a_sequence_returning_step(self):
-        K = np.full((4, 1, 1), -0.5)
-        k = np.ones((4, 1))
-
-        def as_list(t, y, v):
-            return [y[0] + v[0]]
-
-        def as_tuple(t, y, v):
-            return (y[0] + v[0],)
-
-        expected = rollout([0.0], K, k, _integrator_step)
-        for step in (as_list, as_tuple):
-            np.testing.assert_array_equal(rollout([0.0], K, k, step), expected)
 
     @pytest.mark.parametrize("env,scheme", [("cartpole", "rk4"), ("bicycle-car", None)])
     def test_states_are_one_stacked_array(self, env, scheme):

@@ -29,7 +29,9 @@ def test_every_traced_name_resolves_to_a_callable(layers):
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
 
 
-@pytest.mark.parametrize("kind, rule", [("ne", "directional"), ("ddp-q", "regularized")])
+@pytest.mark.parametrize(
+    "kind, rule", [("ne", "directional"), ("ddp-q", "regularized"), ("ddp-lq", "regularized")]
+)
 def test_every_layer_of_a_solve_is_traced(layers, kind, rule):
     problem = build_problem("pendulum", 20)
     u0 = 0.01 * np.random.default_rng(1).standard_normal((20, problem.n_u))

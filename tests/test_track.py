@@ -178,7 +178,7 @@ class TestBorderCost:
             )[0]
 
         z = np.array([0.6, 0.21, 0.55])
-        grad = ad.gradient(cost, z)
+        grad = ad.jacobian(cost, z)[0]
         h = 1e-6
         for i in range(3):
             zp, zm = z.copy(), z.copy()

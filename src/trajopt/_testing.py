@@ -1,11 +1,13 @@
 """Test-support builders, independent reference solvers and shared checks.
 
-Shared by the pytest suite and the CLI verify command.  The references
-are deliberately independent of the blocked expansion, the sweeps and the
-roll-outs the checks run, with the plain-float roll shared: the KKT solver
-assembles one dense saddle system, the dense references differentiate
-each stage on its own at one point, and the finite-difference helpers
-never touch the derivative engine.
+Shared by the pytest suite and ``trajopt verify``, whose every check is a
+function here, ``(rng, trials, offset) -> worst error``: ``offset`` is the
+error a self-test injects, and a check of one fixed case ignores ``rng``
+and ``trials``.  The references are deliberately independent of the blocked
+expansion, the sweeps and the roll-outs the checks run, with the
+plain-float roll shared: the KKT solver assembles one dense saddle
+system, the dense references differentiate each stage on its own at one
+point, and the finite-difference helpers never touch the derivative engine.
 """
 
 from __future__ import annotations
@@ -20,9 +22,11 @@ from .core import (
     quadratic_state_cost,
 )
 from .dense import dense_gauss_newton_matrix, dense_gradient, dense_hessian
-from .linesearch import ACCEPT_TIE_RTOL, LineSearchConfig, StopCriteria, solve
-from .linesearch import stationarity_residual
-from .oracles import forward, oracle, rollout, run_backward
+from .envs.build import ENV_DISCRETIZERS, build_problem
+from .errors import DivergenceError
+from .linesearch import ACCEPT_TIE_RTOL, STEP_RULES, LineSearchConfig, SolveTrace, StopCriteria
+from .linesearch import solve, stationarity_residual
+from .oracles import _joint, forward, oracle, rollout, run_backward
 
 __all__ = [
     "random_spd",
@@ -35,8 +39,11 @@ __all__ = [
     "concave_stage_problem",
     "concave_fixture",
     "oracle_equivalence_error",
+    "finite_difference_error",
     "policy_scaling_deviation",
+    "worst_acceptance_violation",
     "stationarity_gap",
+    "concave_fixture_residual",
     "acceptance_violations",
 ]
 
@@ -281,21 +288,25 @@ def _rel_err(got, want) -> float:
     return float(np.max(np.abs(got - want))) / (1.0 + float(np.max(np.abs(want))))
 
 
+def _random_point(rng, tau: int, n_x: int | None = None, n_u: int | None = None):
+    """A :func:`random_smooth_problem` of horizon ``tau`` and controls on it;
+    ``n_x`` and ``n_u`` are drawn from 1..3 unless given."""
+    n_x = int(rng.integers(1, 4)) if n_x is None else n_x
+    n_u = int(rng.integers(1, 4)) if n_u is None else n_u
+    return random_smooth_problem(rng, tau, n_x, n_u), rng.standard_normal((tau, n_u)) * 0.3
+
+
 def oracle_equivalence_error(rng, instances: int, offset: float = 0.0) -> float:
     """Worst error of the gd, gn and ne directions against the dense normal
     equations (nu I + M) d = -g, over ``instances`` random instances.
 
     M is zero, the Gauss-Newton matrix and the Hessian; gn and ne escalate
     nu tenfold from 1 until their sweep is feasible.  Errors are relative to
-    1 + max|g|.  ``offset`` is added to the dense gradient, for a self-test.
+    1 + max|g|.  ``offset`` is added to the dense gradient.
     """
     worst = 0.0
     for _ in range(instances):
-        tau = int(rng.choice([3, 5]))
-        n_x = int(rng.integers(1, 4))
-        n_u = int(rng.integers(1, 4))
-        problem = random_smooth_problem(rng, tau, n_x, n_u)
-        u = rng.standard_normal((tau, n_u)) * 0.3
+        problem, u = _random_point(rng, int(rng.choice([3, 5])))
         g = dense_gradient(problem, u) + offset
         worst = max(worst, _rel_err(-oracle(problem, u, "gd", nu=1.0).direction.ravel(), g))
         for kind, dense in (("gn", dense_gauss_newton_matrix), ("ne", dense_hessian)):
@@ -309,20 +320,31 @@ def oracle_equivalence_error(rng, instances: int, offset: float = 0.0) -> float:
     return worst
 
 
+def finite_difference_error(rng, trials: int, offset: float = 0.0) -> float:
+    """Worst relative error of each env's dynamics Jacobian against central finite
+    differences, at ``trials`` interior points per discretizer; ``offset`` is
+    added to every Jacobian."""
+    worst = 0.0
+    for env, schemes in ENV_DISCRETIZERS.items():
+        for scheme in schemes:
+            problem = build_problem(env, 10, scheme)
+            joint = _joint(problem.dynamics[0], problem.n_x)
+            for _ in range(trials):
+                z = env_interior_point(env, rng, problem)
+                jac = ad.jacobian(joint, z) + offset
+                fd = fd_jacobian(joint, z)
+                worst = max(worst, float(np.max(np.abs(jac - fd) / (1.0 + np.abs(fd)))))
+    return worst
+
+
 def policy_scaling_deviation(rng, instances: int, offset: float = 0.0) -> float:
     """Worst deviation from gamma times the unit roll-out of gamma-scaled GN
-    policies on linear maps, over ``instances`` feasible random instances.
-
-    ``offset`` is added to every scaled roll-out, for a self-test.
-    """
+    policies on linear maps, over ``instances`` feasible random instances;
+    ``offset`` is added to every scaled roll-out."""
     worst = 0.0
     checked = 0
     while checked < instances:
-        tau = int(rng.integers(3, 7))
-        n_x = int(rng.integers(1, 4))
-        n_u = int(rng.integers(1, 4))
-        problem = random_smooth_problem(rng, tau, n_x, n_u)
-        u = rng.standard_normal((tau, n_u)) * 0.3
+        problem, u = _random_point(rng, int(rng.integers(3, 7)))
         bundle = forward(problem, u, 1, 2)
         result = run_backward(bundle, "gn", 0.5)
         if not result.feasible:
@@ -335,21 +357,40 @@ def policy_scaling_deviation(rng, instances: int, offset: float = 0.0) -> float:
     return worst
 
 
+def worst_acceptance_violation(rng, trials: int, offset: float = 0.0) -> float:
+    """Worst :func:`acceptance_violations` entry of gn on pendulum h = 30 from
+    zero controls, 25 iterations under each step rule, a diverged solve read
+    up to its divergence; ``offset`` is added to every entry."""
+    problem = build_problem("pendulum", 30)
+    worst = -np.inf
+    for rule in STEP_RULES:
+        try:
+            _, trace = solve(problem, np.zeros((30, problem.n_u)), "gn",
+                             LineSearchConfig(rule=rule), StopCriteria(max_iters=25))
+        except DivergenceError as err:
+            trace = err.trace or SolveTrace()
+        worst = max([worst, *(v + offset for v in acceptance_violations(trace, rule))])
+    return worst
+
+
 def stationarity_gap(rng, instances: int, offset: float = 0.0) -> float:
     """Worst relative gap between the stationarity residual and the dense
-    gradient max-norm, over ``instances`` random instances.
-
-    ``offset`` is added to the dense max-norm, for a self-test.
-    """
+    gradient max-norm, over ``instances`` random instances; ``offset`` is
+    added to the dense max-norm."""
     worst = 0.0
     for _ in range(instances):
-        tau = int(rng.integers(2, 6))
-        problem = random_smooth_problem(rng, tau, 2, 2)
-        u = rng.standard_normal((tau, 2)) * 0.3
+        problem, u = _random_point(rng, int(rng.integers(2, 6)), 2, 2)
         res = stationarity_residual(problem, u)
         dense = float(np.max(np.abs(dense_gradient(problem, u)))) + offset
         worst = max(worst, abs(res - dense) / (1.0 + dense))
     return worst
+
+
+def concave_fixture_residual(rng, trials: int, offset: float = 0.0) -> float:
+    """The final residual of :func:`concave_fixture`, or inf unless its dense
+    Hessian less ``offset`` is positive definite."""
+    eig_min, residual, _ = concave_fixture()
+    return residual if eig_min - offset > 0.0 else np.inf
 
 
 def acceptance_violations(trace, rule: str) -> list[float]:

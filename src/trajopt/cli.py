@@ -8,8 +8,9 @@ Subcommands
 Exit codes: 0 solved (converged or iteration budget exhausted), 1 bad
 configuration (a bad flag, value or config file), 2 stalled, 3 diverged;
 ``verify`` exits 4 when a check fails; its ``--scale``, the multiplier on
-each check's trial count, lies in (0, 1000].  The environment variable
-``TRAJOPT_LOG`` in {quiet, info, debug} controls logging verbosity.
+the random-instance checks' trial counts, lies in (0, 1000].  The
+environment variable ``TRAJOPT_LOG`` in {quiet, info, debug} controls
+logging verbosity.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
-import io
 import itertools
 import logging
 import math
@@ -29,9 +29,9 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import _testing, autodiff
+from . import _testing
 from .core import _scalar
-from .envs.build import DISCRETIZERS, ENV_DISCRETIZERS, ENV_KINDS, build_problem, env_discretizer
+from .envs.build import DISCRETIZERS, ENV_KINDS, build_problem, env_discretizer
 from .errors import ConfigError, DivergenceError, TrajoptError
 from .linesearch import STEP_RULES, LineSearchConfig, SolveTrace, StopCriteria, solve
 from .oracles import ORACLE_KINDS
@@ -126,6 +126,24 @@ def config_from_sources(args, file_text: str | None) -> RunConfig:
 # -- trace files --------------------------------------------------------------
 
 
+def _write_csv(path: str, header: list, rows: list, footer: str = ""):
+    """Atomic write of a CSV file via a temporary file in the target directory."""
+    directory = os.path.dirname(os.path.abspath(path)) or "."
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+            fh.write(footer)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 @dataclass
 class TraceFile:
     """CSV rows of one solve plus footer comments (status, seed)."""
@@ -135,24 +153,9 @@ class TraceFile:
     footer: dict
 
     def write(self, path: str):
-        """Atomic write via a temporary file in the target directory."""
-        directory = os.path.dirname(os.path.abspath(path)) or "."
-        os.makedirs(directory, exist_ok=True)
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(TRACE_HEADER)
-        writer.writerows(self.rows)
         footer = dict(self.footer, status=self.status)
-        buf.write("# " + " ".join(f"{k}={v}" for k, v in sorted(footer.items())) + "\n")
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", newline="") as fh:
-                fh.write(buf.getvalue())
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        _write_csv(path, TRACE_HEADER, self.rows,
+                   "# " + " ".join(f"{k}={v}" for k, v in sorted(footer.items())) + "\n")
 
     @classmethod
     def read(cls, path: str) -> "TraceFile":
@@ -312,11 +315,8 @@ def cmd_benchmark(args) -> int:
                              f"{rel:.6g}", f"{final.time_ms:.3f}"])
 
     summary_path = os.path.join(out_dir, "summary.csv")
-    with open(summary_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["env", "algo", "linesearch", "horizon", "status",
-                         "iterations", "final_cost", "rel_subopt", "time_ms"])
-        writer.writerows(summary_rows)
+    _write_csv(summary_path, ["env", "algo", "linesearch", "horizon", "status",
+                              "iterations", "final_cost", "rel_subopt", "time_ms"], summary_rows)
     print(f"wrote {len(summary_rows)} cells to {out_dir} (summary: {summary_path})")
     return EXIT_OK if any_ok else EXIT_CONFIG
 
@@ -334,71 +334,16 @@ def _read_config_file(path: str | None) -> str | None:
 # -- verify -------------------------------------------------------------------
 
 
-def _check_dense_oracles(trials: int, perturb: bool):
-    """Gradient/Gauss-Newton/Newton directions against dense assemblies."""
-    rng = np.random.default_rng(7)
-    return _testing.oracle_equivalence_error(rng, trials, 1e-3 if perturb else 0.0), 1e-8
-
-
-def _check_finite_differences(trials: int, perturb: bool):
-    """Env model derivatives against central finite differences."""
-    rng = np.random.default_rng(11)
-    worst = 0.0
-    for env, schemes in ENV_DISCRETIZERS.items():
-        for scheme in schemes:
-            problem = build_problem(env, 10, scheme)
-            f = problem.dynamics[0]
-            n_x = problem.n_x
-            for _ in range(trials):
-                z = _testing.env_interior_point(env, rng, problem)
-                joint = lambda zz: f(zz[:n_x], zz[n_x:])
-                jac = autodiff.jacobian(joint, z)
-                if perturb:
-                    jac = jac + 1e-3
-                fd = _testing.fd_jacobian(joint, z)
-                worst = max(worst, float(np.max(np.abs(jac - fd) / (1.0 + np.abs(fd)))))
-    return worst, 1e-6
-
-
-def _check_policy_scaling(trials: int, perturb: bool):
-    """Scaled-offset roll-outs on linear maps are exactly linear in gamma."""
-    rng = np.random.default_rng(13)
-    return _testing.policy_scaling_deviation(rng, trials, 1e-6 if perturb else 0.0), 1e-12
-
-
-def _check_step_acceptance(trials: int, perturb: bool):
-    """Accepted steps respect their acceptance inequalities, re-read from traces."""
-    worst = -math.inf
-    for rule in STEP_RULES:
-        cfg = RunConfig(env="pendulum", algo="gn", linesearch=rule, horizon=30,
-                        max_iters=25)
-        trace, _ = run_cell(cfg)
-        for violation in _testing.acceptance_violations(trace, rule):
-            worst = max(worst, violation + 1e-3 if perturb else violation)
-    return worst, 0.0
-
-
-def _check_stationarity(trials: int, perturb: bool):
-    """Hamiltonian residual equals the dense objective gradient max-norm."""
-    rng = np.random.default_rng(17)
-    return _testing.stationarity_gap(rng, trials, 1e-3 if perturb else 0.0), 1e-8
-
-
-def _check_curvature_fixture(trials: int, perturb: bool):
-    """Concave-stage instance: dense Hessian PD, Newton solves it in <= 3 steps."""
-    eig_min, residual, _ = _testing.concave_fixture()
-    if perturb:
-        eig_min -= 1e3
-    return (residual if eig_min > 0.0 else math.inf), 1e-9
-
-
+# name: (check, seed, default trials, self-test offset, tolerance); each check
+# in trajopt._testing maps (rng, trials, offset) to its worst error, and
+# step-acceptance and curvature-fixture run one fixed case whatever the trials
 VERIFY_CHECKS = {
-    "dense-oracles": (_check_dense_oracles, 10),
-    "finite-diff": (_check_finite_differences, 20),
-    "policy-scaling": (_check_policy_scaling, 10),
-    "step-acceptance": (_check_step_acceptance, 1),
-    "stationarity": (_check_stationarity, 10),
-    "curvature-fixture": (_check_curvature_fixture, 1),
+    "dense-oracles": (_testing.oracle_equivalence_error, 7, 10, 1e-3, 1e-8),
+    "finite-diff": (_testing.finite_difference_error, 11, 20, 1e-3, 1e-6),
+    "policy-scaling": (_testing.policy_scaling_deviation, 13, 10, 1e-6, 1e-12),
+    "step-acceptance": (_testing.worst_acceptance_violation, 0, 1, 1e-3, 0.0),
+    "stationarity": (_testing.stationarity_gap, 17, 10, 1e-3, 1e-8),
+    "curvature-fixture": (_testing.concave_fixture_residual, 0, 1, 1e3, 1e-9),
 }
 
 
@@ -409,10 +354,10 @@ def cmd_verify(args) -> int:
     names = [args.only] if args.only else list(VERIFY_CHECKS)
     all_ok = True
     for name in names:
-        fn, default_trials = VERIFY_CHECKS[name]
+        check, seed, default_trials, offset, tol = VERIFY_CHECKS[name]
         trials = max(1, int(default_trials * scale))
         start = time.perf_counter()
-        worst, tol = fn(trials, args.selftest_perturb)
+        worst = check(np.random.default_rng(seed), trials, offset if args.selftest_perturb else 0.0)
         ok = worst <= tol
         all_ok &= ok
         print(f"{name:18s} max_error={worst: .3e} tolerance={tol:.1e} "
@@ -459,7 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver = subs.add_parser("verify", help="run built-in correctness checks")
     ver.add_argument("--only", choices=VERIFY_CHECKS, help="run a single check")
     ver.add_argument("--scale", default=1.0,
-                     help="multiplier on per-check trial counts, in (0, 1000]")
+                     help="multiplier on the trial counts of the four random-instance checks,"
+                          " in (0, 1000]; step-acceptance and curvature-fixture run once")
     ver.add_argument("--selftest-perturb", action="store_true",
                      help="inject an error to confirm the harness detects failures")
     ver.set_defaults(fn=cmd_verify)

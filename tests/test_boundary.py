@@ -273,6 +273,7 @@ def test_returns_or_raises_a_package_error(entry, arg, data):
     (lambda: smoothness_bounds(math.nan, 1, 1, 1, 1, 3), ParameterError, "l_f_x"),
     (lambda: smoothness_bounds(1, 1, 1, 1, 1, True), ParameterError, "tau"),
     (lambda: smoothness_bounds(1e200, 1, 1, 1, 1, 3), ParameterError, "overflow"),
+    (lambda: smoothness_bounds(1.5, 1, 0, 0, 0, 10**12), ParameterError, "overflow"),
     (lambda: track_build([(0, 0), (1, 0)], True), ShapeError, "track width"),
     (lambda: TrajectoryProblem(PROBLEM.dynamics, PROBLEM.running_costs, PROBLEM.final_cost,
                                [1j, 0.0], 2, 1), ShapeError, "x0"),
@@ -307,7 +308,8 @@ def test_returns_or_raises_a_package_error(entry, arg, data):
      "order-1 dynamics"),
 ], ids=[
     "params-nan", "params-string", "bounds-nan", "bounds-bool-tau", "bounds-overflow",
-    "track-bool-width", "complex-x0", "complex-A", "string-p", "track-object", "unknown-env",
+    "bounds-overflow-long-horizon", "track-bool-width", "complex-x0", "complex-A", "string-p",
+    "track-object", "unknown-env",
     "cfg-object", "stop-object", "negative-gamma", "nan-residual-controls", "nan-sharpness",
     "nan-step-size", "string-horizon", "int-dynamics", "string-costs", "none-final-cost",
     "rollout-gains-shape", "rollout-seven-stages", "rollout-three-states",

@@ -1,5 +1,8 @@
 """Dense reference assemblies against finite differences and structure checks."""
 
+import sys
+import time
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from trajopt.dense import (
     smoothness_bounds,
     trajectory_jacobian,
 )
+from trajopt.envs.build import build_problem
 from trajopt.errors import DivergenceError, ParameterError, ShapeError
 from trajopt.oracles import forward, objective_value
 
@@ -119,6 +123,30 @@ def test_dense_references_meet_the_model_contract(model, dense):
     assert getattr(got.value, "t", None) == getattr(expected.value, "t", None) == t
 
 
+H = 5  # pendulum horizon of the count below
+
+
+@pytest.mark.parametrize("dense,calls", [
+    (trajectory_jacobian, 0), (dense_gradient, 0), (dense_costates, 0),
+    (dense_gauss_newton_matrix, H + 1), (dense_hessian, 2 * H + 1),
+], ids=lambda v: getattr(v, "__name__", str(v)))
+def test_dense_references_differentiate_at_the_orders_they_read(dense, calls, monkeypatch):
+    """Second derivatives only where a reference reads them: the h running and
+    the final cost Hessians for the Gauss-Newton matrix, and the h dynamics
+    Hessians as well for the objective Hessian."""
+    seen = []
+    real = autodiff.vector_hessian
+
+    def counted(f, z):
+        seen.append(sys._getframe(1).f_globals["__name__"])
+        return real(f, z)
+
+    monkeypatch.setattr(autodiff, "vector_hessian", counted)
+    problem = build_problem("pendulum", H)
+    dense(problem, np.zeros((H, problem.n_u)))
+    assert seen.count("trajopt.dense") == calls
+
+
 class TestSmoothnessBounds:
     def test_zero_state_sensitivity(self):
         l, L = smoothness_bounds(0.0, 2.0, 1.0, 1.0, 1.0, tau=4)
@@ -132,6 +160,11 @@ class TestSmoothnessBounds:
     def test_rejects_negative_constants(self):
         with pytest.raises(ParameterError):
             smoothness_bounds(-0.1, 1.0, 0.0, 0.0, 0.0, tau=2)
+
+    def test_long_horizon_takes_the_closed_form(self):
+        start = time.perf_counter()
+        assert smoothness_bounds(1.0, 1.0, 0.0, 0.0, 0.0, tau=10**12) == (1e12, 0.0)
+        assert time.perf_counter() - start < 1.0
 
     def test_trajectory_jacobian_norm_bounded_for_linear_instances(self, rng):
         for _ in range(5):

@@ -15,13 +15,15 @@ seed 0 or 1.  Its first hash covers, from the seeded controls
   ``c0_zero``, ``K``, ``k``, ``direction``) of each oracle kind at its
   default ridge, 1 and 100.
 
-Its second hash gates the line-search layer: one ``solve`` per
-backtracking factor in ``RHO_DECS``, oracle kind and step rule from the
-seeded controls, stopped after at most ``SOLVE_ITERS`` iterations.  It
-covers the status, the iteration count, every ``TraceRow`` field but
-``time_ms`` and the final controls.  At the default factor 0.5 every
+Its second hash gates the line-search layer: one ``solve`` per search
+setting in ``SEARCHES``, oracle kind and step rule from the seeded
+controls, stopped after at most ``SOLVE_ITERS`` iterations.  It covers the
+status, the iteration count, every ``TraceRow`` field but ``time_ms`` and
+the final controls.  At the default backtracking factor 0.5 every
 directional stepsize is a power of two, so the linearized kinds scale one
-unit roll-out; 0.3 makes their trials roll out one by one.
+unit roll-out; 0.3 makes their trials roll out one by one.  The third
+setting raises the smallest stepsize to 0.1, so searches stall, with and
+without a decrease, under both rules.
 
 Arrays enter as their shape, dtype and bytes, so two checkouts that print
 the same lines compute the same derivatives, oracle directions and
@@ -52,7 +54,7 @@ SEEDS = (0, 1)
 RIDGES = (None, 1.0, 100.0)  # None: the kind's start_nu
 ORDERS = ((1, 1), (1, 2), (2, 2))
 SOLVE_ITERS = 10
-RHO_DECS = (0.5, 0.3)
+SEARCHES = ({"rho_dec": 0.5}, {"rho_dec": 0.3}, {"rho_dec": 0.5, "gamma_min": 0.1})
 TRACKS = ("simple", "complex")
 
 
@@ -110,12 +112,12 @@ def cell_hash(problem, u) -> str:
 
 def solve_hash(problem, u) -> str:
     digest = hashlib.sha256()
-    for rho_dec, kind, rule in itertools.product(RHO_DECS, ORACLE_KINDS, STEP_RULES):
+    for search, kind, rule in itertools.product(SEARCHES, ORACLE_KINDS, STEP_RULES):
         try:
-            u_end, trace = solve(problem, u, kind, LineSearchConfig(rule=rule, rho_dec=rho_dec),
+            u_end, trace = solve(problem, u, kind, LineSearchConfig(rule=rule, **search),
                                  StopCriteria(max_iters=SOLVE_ITERS))
         except DivergenceError as err:
-            _feed(digest, f"rho_dec={rho_dec} {kind} {rule} DivergenceError: {err}")
+            _feed(digest, f"{search} {kind} {rule} DivergenceError: {err}")
             continue
         _feed(digest, (trace.status, trace.iterations))
         for row in trace.rows:

@@ -24,7 +24,7 @@ from .core import (
 from .dense import dense_gauss_newton_matrix, dense_gradient, dense_hessian
 from .envs.build import ENV_DISCRETIZERS, build_problem
 from .errors import DivergenceError
-from .linesearch import ACCEPT_TIE_RTOL, STEP_RULES, LineSearchConfig, SolveTrace, StopCriteria
+from .linesearch import ACCEPT_TIE_RTOL, STEP_RULES, LineSearchConfig, StopCriteria
 from .linesearch import solve, stationarity_residual
 from .oracles import _joint, forward, oracle, rollout, run_backward
 
@@ -368,7 +368,7 @@ def worst_acceptance_violation(rng, trials: int, offset: float = 0.0) -> float:
             _, trace = solve(problem, np.zeros((30, problem.n_u)), "gn",
                              LineSearchConfig(rule=rule), StopCriteria(max_iters=25))
         except DivergenceError as err:
-            trace = err.trace or SolveTrace()
+            trace = err.trace
         worst = max([worst, *(v + offset for v in acceptance_violations(trace, rule))])
     return worst
 

@@ -223,8 +223,7 @@ def run_cell(cfg: RunConfig) -> tuple[SolveTrace, dict]:
     try:
         _, trace = solve(problem, u0, cfg.algo, ls, stop)
     except DivergenceError as err:
-        trace = err.trace if err.trace is not None else SolveTrace(status="diverged")
-        trace.status = "diverged"
+        trace = err.trace
     log.info("finished: status=%s iterations=%d", trace.status, trace.iterations)
     return trace, footer
 
@@ -237,7 +236,7 @@ def cmd_solve(args) -> int:
     TraceFile.from_trace(trace, None, footer).write(out)
     final = f"final_cost={trace.rows[-1].cost:.9g}" if trace.rows else "no finite evaluation"
     print(f"{cfg.env}/{cfg.algo}/{cfg.linesearch} h={cfg.horizon}: "
-          f"status={trace.status} iterations={max(trace.iterations, 0)} {final} trace={out}")
+          f"status={trace.status} iterations={trace.iterations} {final} trace={out}")
     return _STATUS_EXIT[trace.status]
 
 

@@ -41,27 +41,16 @@ class UnsupportedPrimitiveError(TrajoptError, TypeError):
 
 
 class DivergenceError(NumericError):
-    """A forward roll produced a non-finite state.
+    """A forward pass produced a non-finite state, cost or derivative, or a model
+    raised an ``ArithmeticError``.
 
-    Carries the time index ``t`` of the step that diverged.
+    Carries the time index ``t`` of the step that diverged.  :func:`solve`
+    attaches its partial trace as ``trace`` before re-raising.
     """
 
     def __init__(self, t: int, message: str = ""):
         detail = message or f"non-finite value while stepping dynamics at t={t}"
         super().__init__(detail)
         self.t = t
-        # Optionally attached by the solver loop before re-raising.
         self.trace = None
 
-
-class StallError(TrajoptError):
-    """A line search exhausted its stepsizes without acceptance.
-
-    ``candidate`` holds the best tried iterate if it still decreased the
-    objective (the caller may keep it), else None.
-    """
-
-    def __init__(self, gamma: float, candidate=None):
-        super().__init__(f"line search stalled (last stepsize {gamma:.3e})")
-        self.gamma = gamma
-        self.candidate = candidate

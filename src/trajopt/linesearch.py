@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import TrajectoryProblem, _array, _scalar
-from .errors import DivergenceError, NumericError, ParameterError, StallError
+from .errors import DivergenceError, NumericError, ParameterError
 from .oracles import (
     ExpansionBundle,
     bundle_gradient,
@@ -127,20 +127,21 @@ class SolveTrace:
 
     @property
     def iterations(self) -> int:
-        return len(self.rows) - 1
+        """Accepted steps; 0 also for a trace whose first forward pass diverged."""
+        return max(len(self.rows) - 1, 0)
 
 
 def _backtrack(bundle: ExpansionBundle, j_current: float, gamma: float,
-               cfg: LineSearchConfig, trial) -> tuple[np.ndarray, float, float]:
+               cfg: LineSearchConfig, trial) -> tuple[np.ndarray | None, float, float]:
     """The trial loop both step rules share, from stepsize ``gamma`` down.
 
     ``trial(gamma)`` gives the control offset of stepsize gamma and the
     bound the objective decrease must meet, or None to reject the stepsize
-    outright.  Returns (candidate, gamma, bound) of the first accepted
-    trial; a roll-out or trial value that fails reads as a rejection.
-    Raises :class:`StallError` when gamma falls below the configured
-    minimum, carrying the best candidate if it still decreased the
-    objective.
+    outright; a roll-out or trial value that fails reads as a rejection.
+    Returns (candidate, gamma, bound) of the first accepted trial.  Once
+    gamma falls below the configured minimum the search has stalled: it
+    returns the best candidate if it still decreased the objective, else
+    None, with that gamma and bound NaN.
     """
     best, best_cost = None, math.inf
     while True:
@@ -162,7 +163,7 @@ def _backtrack(bundle: ExpansionBundle, j_current: float, gamma: float,
         gamma = (min(1.0 / cfg.nu_init, sys.float_info.max) if gamma == math.inf
                  else gamma * cfg.rho_dec)
         if gamma < cfg.gamma_min:
-            raise StallError(gamma, best if best_cost < j_current else None)
+            return (best if best_cost < j_current else None), gamma, math.nan
 
 
 def directional_search(
@@ -172,13 +173,13 @@ def directional_search(
     k: np.ndarray,
     c0_zero: float,
     cfg: LineSearchConfig,
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray | None, float, float]:
     """Backtracking on the scaled-offset policy family, starting at gamma = 1.
 
     The policies v_t = K[t] y_t + gamma k[t] roll out along the step map
     of oracle ``kind`` (see :func:`rollout`).  Accepts the first gamma with
-    J(u + v_gamma) <= J(u) + gamma * c0(0).  Returns the accepted point
-    and stepsize; raises :class:`StallError` as :func:`_backtrack` does.
+    J(u + v_gamma) <= J(u) + gamma * c0(0).  Returns (point, stepsize,
+    bound gamma * c0(0)), or a stall as :func:`_backtrack` does.
 
     On the linearized step maps the roll-out is linear in the offsets, so
     the unit policy (K, k) rolls out once and a trial takes gamma times
@@ -206,8 +207,7 @@ def directional_search(
             return gamma * unit, gamma * c0_zero
         return rollout(bundle, kind, K, gamma * k), gamma * c0_zero
 
-    candidate, gamma, _ = _backtrack(bundle, j_current, 1.0, cfg, trial)
-    return candidate, gamma
+    return _backtrack(bundle, j_current, 1.0, cfg, trial)
 
 
 def regularized_search(
@@ -215,22 +215,24 @@ def regularized_search(
     kind: str,
     gamma: float,
     cfg: LineSearchConfig,
-) -> tuple[np.ndarray, float, float]:
+) -> tuple[np.ndarray | None, float, float]:
     """Step selection through the ridge: each trial reruns the backward pass.
 
     From the first trial stepsize ``gamma`` down, the backward pass of
     oracle ``kind`` runs with ridge nu = 1/gamma and its policies roll out
     along the kind's maps; the trial is accepted when the objective
-    decrease is at least the swept model value c0(0).  Returns the accepted
-    point, stepsize and model value; raises :class:`StallError` as
-    :func:`_backtrack` does.  ``gamma`` may be +inf, the ridge 0.
+    decrease is at least the swept model value c0(0).  Returns (point,
+    stepsize, model value), or a stall as :func:`_backtrack` does.
+    ``gamma`` may be +inf, the ridge 0; a stepsize whose ridge lies outside
+    the kind's range (ridge 0 for gd, or the infinite ridge of a subnormal
+    stepsize) is a rejected trial.
     """
     _scalar(gamma, "gamma", 0.0, math.inf, ends="(]")
-    oracle_spec(kind)  # an unknown kind is named before any trial
+    spec = oracle_spec(kind)  # an unknown kind is named before any trial
 
     def trial(gamma):
         nu = 1.0 / gamma
-        if nu == math.inf:  # a subnormal stepsize has no finite ridge
+        if nu == math.inf or (nu == 0.0 and spec.o_h == 1):  # see OracleSpec.check_ridge
             return None
         result = run_backward(bundle, kind, nu)
         if result.feasible and result.c0_zero < 0.0:
@@ -280,8 +282,11 @@ def solve(
     Row 0 of the returned trace records the initial point; each further row
     one accepted step.  A row's cost exceeds the one before by at most the
     acceptance tie slack ``ACCEPT_TIE_RTOL * (1 + |J_prev|)``, so a step
-    near stationarity may raise it by round-off.  Divergence of an accepted
-    iterate re-raises with the partial trace attached.
+    near stationarity may raise it by round-off.  A search that stalls
+    with a decrease still takes its best candidate (a regularized row then
+    records NaN ridge and model value); one that stalls without a decrease
+    ends the solve, classified by the stationarity residual.  Divergence of
+    an accepted iterate re-raises with the partial trace attached.
     ``u0`` must be a finite (horizon, n_u) array, else :class:`ShapeError`.
     """
     spec = oracle_spec(kind)
@@ -312,31 +317,27 @@ def solve(
 
     for k in range(1, stop.max_iters + 1):
         t0 = time.perf_counter()
-        try:
-            if cfg.rule == "directional":
-                result, nu = _escalate_directional(bundle, kind, cfg)
-                if result is None:
-                    trace.status = _classify(residual, j_current)
-                    break
+        if cfg.rule == "directional":
+            result, nu = _escalate_directional(bundle, kind, cfg)
+            u_next = None
+            if result is not None:
                 c0 = result.c0_zero
-                u_next, gamma = directional_search(bundle, kind, result.K, result.k, c0, cfg)
+                u_next, gamma, _ = directional_search(bundle, kind, result.K, result.k, c0, cfg)
+        else:
+            # the stepsize warm-starts in units of the cost-slope norm
+            scale = bundle.cost_slope_norm()
+            if scale <= 0.0 or not math.isfinite(scale):
+                scale = 1.0
+            u_next, gamma, c0 = regularized_search(
+                bundle, kind, cfg.rho_inc * gamma_prev / scale, cfg
+            )
+            if math.isnan(c0):  # stalled: no trial passed, so no ridge to report
+                nu = math.nan
             else:
-                # the stepsize warm-starts in units of the cost-slope norm
-                scale = bundle.cost_slope_norm()
-                if scale <= 0.0 or not math.isfinite(scale):
-                    scale = 1.0
-                u_next, gamma, c0 = regularized_search(
-                    bundle, kind, cfg.rho_inc * gamma_prev / scale, cfg
-                )
-                gamma_prev = gamma * scale
-                nu = 1.0 / gamma
-        except StallError as stall:
-            if stall.candidate is None:
-                trace.status = _classify(residual, j_current)
-                break
-            u_next, gamma = stall.candidate, stall.gamma
-            if cfg.rule == "regularized":  # no trial passed: no ridge or model value to report
-                nu = c0 = math.nan
+                gamma_prev, nu = gamma * scale, 1.0 / gamma
+        if u_next is None:  # no descent model, or a stall without a decrease
+            trace.status = _classify(residual, j_current)
+            break
 
         bundle = expand(u_next)
         elapsed = time.perf_counter() - t0
@@ -355,8 +356,6 @@ def solve(
         if stop_small_cost or stop_small_step:
             trace.status = _classify(residual, j_current)
             break
-    else:
-        trace.status = "max-iters"
 
     return u, trace
 

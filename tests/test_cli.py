@@ -271,6 +271,7 @@ class TestTraceFileFormat:
         from trajopt.linesearch import SolveTrace
 
         empty = SolveTrace(rows=[], status="diverged")
+        assert empty.iterations == 0
         tf = TraceFile.from_trace(empty, None, {"seed": -1})
         path = tmp_path / "diverged.csv"
         tf.write(str(path))

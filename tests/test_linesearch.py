@@ -14,12 +14,13 @@ from trajopt.cli import initial_controls
 from trajopt.core import TrajectoryProblem, linear_dynamics
 from trajopt.dense import dense_gradient
 from trajopt.envs import build_problem
-from trajopt.errors import DivergenceError, NumericError, ParameterError, StallError
+from trajopt.errors import DivergenceError, NumericError, ParameterError
 from trajopt.linesearch import (
     ACCEPT_TIE_RTOL,
     STEP_RULES,
     LineSearchConfig,
     StopCriteria,
+    _classify,
     _escalate_directional,
     directional_search,
     regularized_search,
@@ -87,10 +88,10 @@ class TestDirectionalSearch:
         u = np.array([[1.0]])
         bundle = forward(problem, u, 1, 2)
         result = run_backward(bundle, "gn", 0.0)
-        u_next, gamma = directional_search(
+        u_next, gamma, bound = directional_search(
             bundle, "gn", result.K, result.k, result.c0_zero, LineSearchConfig()
         )
-        assert gamma == 1.0
+        assert gamma == 1.0 and bound == result.c0_zero
         assert u_next[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_rejects_non_descent_model_value(self):
@@ -100,15 +101,16 @@ class TestDirectionalSearch:
                                LineSearchConfig())
 
     def test_stall_on_pathological_objective(self):
-        # a direction that increases the objective stalls the search
+        # a direction that increases the objective stalls the search without a decrease
         problem = quadratic_scalar_problem()
         u = np.array([[1.0]])
         bundle = forward(problem, u, 1, 2)
         result = run_backward(bundle, "gn", 0.0)
-        with pytest.raises(StallError):
-            directional_search(
-                bundle, "gn", result.K, -result.k, result.c0_zero, LineSearchConfig()
-            )
+        cfg = LineSearchConfig()
+        candidate, gamma, bound = directional_search(
+            bundle, "gn", result.K, -result.k, result.c0_zero, cfg
+        )
+        assert candidate is None and gamma < cfg.gamma_min and math.isnan(bound)
 
     def test_accepted_step_satisfies_sufficient_decrease(self, rng):
         problem = random_smooth_problem(rng, 4, 2, 1)
@@ -116,7 +118,7 @@ class TestDirectionalSearch:
         bundle = forward(problem, u, 1, 2)
         result = run_backward(bundle, "gn", 0.5)
         j0 = objective_value(problem, u)
-        u_next, gamma = directional_search(
+        u_next, gamma, _ = directional_search(
             bundle, "gn", result.K, result.k, result.c0_zero, LineSearchConfig()
         )
         j1 = objective_value(problem, u_next)
@@ -177,8 +179,21 @@ class TestRegularizedSearch:
         """Its ridge 1/gamma overflows; the sweep would refuse it, the search rejects it."""
         problem = random_smooth_problem(rng, 3, 2, 1)
         bundle = forward(problem, rng.standard_normal((3, 1)), 1, 2)
-        with pytest.raises(StallError):
-            regularized_search(bundle, "gn", 5e-324, LineSearchConfig(rule="regularized"))
+        candidate, gamma, bound = regularized_search(bundle, "gn", 5e-324,
+                                                     LineSearchConfig(rule="regularized"))
+        assert candidate is None and gamma == 0.0 and math.isnan(bound)
+
+    def test_ridge_zero_is_a_rejected_trial_for_gd(self):
+        """gamma = inf is ridge 0, outside the gradient kind's range: the walk goes on
+        from 1 / nu_init, which overflows here to the largest float."""
+        problem = build_problem("pendulum", 20)
+        u = 0.01 * np.random.default_rng(0).standard_normal((20, 1))
+        cfg = LineSearchConfig(rule="regularized", nu_init=5e-324)
+        candidate, gamma, bound = regularized_search(forward(problem, u, 1, 1), "gd", math.inf, cfg)
+        assert candidate is not None and bound < 0.0
+        assert 1.0 < gamma < 1e3
+        _, trace = solve(problem, u, "gd", cfg, StopCriteria(max_iters=3))
+        assert trace.status == "max-iters" and trace.iterations == 3
 
 
 class TestSolve:
@@ -266,6 +281,36 @@ class TestSolve:
         assert seen == list(range(1, len(seen) + 1))
 
 
+class TestStalls:
+    @pytest.mark.parametrize("rule", STEP_RULES)
+    def test_solve_reads_both_stall_outcomes(self, rule, monkeypatch):
+        """At gamma_min = 0.1 the gd solve of a hash-grid cell stalls first with a
+        decrease, whose best candidate it takes, then without one, which ends it."""
+        problem = build_problem("bicycle-car", 30)
+        outcomes = []
+        search = getattr(trajopt.linesearch, f"{rule}_search")
+
+        def recorded(*args):
+            outcomes.append(search(*args))
+            return outcomes[-1]
+
+        monkeypatch.setattr(trajopt.linesearch, f"{rule}_search", recorded)
+        cfg = LineSearchConfig(rule=rule, gamma_min=0.1)
+        u, trace = solve(problem, initial_controls(problem, 0), "gd", cfg,
+                         StopCriteria(max_iters=10))
+        (carried, gamma, bound), (none, last_gamma, last_bound) = outcomes
+        assert math.isnan(bound) and math.isnan(last_bound)
+        assert none is None and gamma < cfg.gamma_min and last_gamma < cfg.gamma_min
+        np.testing.assert_array_equal(u, carried)
+        assert trace.iterations == 1
+        row = trace.rows[1]
+        assert row.stepsize == gamma
+        # no trial passed the regularized rule: no ridge or model value to report
+        assert math.isnan(row.regularization) == math.isnan(row.model_decrease) == (
+            rule == "regularized")
+        assert trace.status == _classify(row.residual, row.cost) == "stalled"
+
+
 class TestStationarityResidual:
     def test_zero_at_lq_minimizer(self, rng):
         problem, _ = random_lq_problem(rng, 4, 2, 2)
@@ -295,7 +340,7 @@ class TestStationarityResidual:
 def per_trial_search(bundle, kind, K, k, c0_zero, cfg):
     """The directional rule with one roll-out per trial, as the loop read before scaling.
 
-    Returns (candidate, gamma), or the :class:`StallError` it would raise.
+    Returns (candidate, gamma, bound) as :func:`directional_search` does.
     """
     problem, u = bundle.problem, bundle.u
     j_current = objective_value(problem, u)
@@ -307,34 +352,21 @@ def per_trial_search(bundle, kind, K, k, c0_zero, cfg):
         except (DivergenceError, NumericError):
             j_trial = math.inf
         if j_trial - j_current <= gamma * c0_zero + ACCEPT_TIE_RTOL * (1.0 + abs(j_current)):
-            return candidate, gamma
+            return candidate, gamma, gamma * c0_zero
         if j_trial < best_cost:
             best, best_cost = candidate, j_trial
         gamma *= cfg.rho_dec
         if gamma < cfg.gamma_min:
-            return StallError(gamma, best if best_cost < j_current else None)
-
-
-def search_outcome(search, *args):
-    """(candidate, gamma) of a search, or the StallError it raised."""
-    try:
-        return search(*args)
-    except StallError as stall:
-        return stall
+            return (best if best_cost < j_current else None), gamma, math.nan
 
 
 def assert_same_outcome(got, expected):
-    if isinstance(expected, StallError):
-        assert isinstance(got, StallError)
-        assert got.gamma == expected.gamma
-        if expected.candidate is None:
-            assert got.candidate is None
-        else:
-            np.testing.assert_array_equal(got.candidate, expected.candidate)
+    """Two (candidate, gamma, bound) triples agree bit for bit, a NaN bound with a NaN."""
+    if expected[0] is None:
+        assert got[0] is None
     else:
-        assert not isinstance(got, StallError)
         np.testing.assert_array_equal(got[0], expected[0])
-        assert got[1] == expected[1]
+    np.testing.assert_array_equal(got[1:], expected[1:])
 
 
 UNIT_CELLS = [("pendulum", 50), ("cartpole", 25), ("bicycle-car", 30)]
@@ -395,8 +427,7 @@ class TestUnitRollout:
         for scale in (1.0, 64.0, 1e4, -1.0):
             args = (bundle, kind, result.K, scale * result.k, result.c0_zero, cfg)
             with np.errstate(all="ignore"):
-                assert_same_outcome(search_outcome(directional_search, *args),
-                                    per_trial_search(*args))
+                assert_same_outcome(directional_search(*args), per_trial_search(*args))
 
     @pytest.mark.parametrize("rho_dec", [0.5, 0.3])
     def test_overflowing_unit_rollout_falls_back_per_trial(self, rho_dec, monkeypatch):
@@ -418,7 +449,7 @@ class TestUnitRollout:
         with np.errstate(over="ignore"):
             expected = per_trial_search(*args)
             rollouts = counting(monkeypatch, "rollout")
-            got = search_outcome(directional_search, *args)
+            got = directional_search(*args)
         assert_same_outcome(got, expected)
         assert got[1] == rho_dec
         assert rollouts[0] == 3  # the unit roll-out, then one per trial
@@ -427,7 +458,7 @@ class TestUnitRollout:
     def test_one_rollout_per_search_on_linear_maps(self, kind, monkeypatch):
         problem, u, bundle, result = descent_policies("cartpole", 25, kind)
         rollouts = counting(monkeypatch, "rollout")
-        _, gamma = directional_search(bundle, kind, result.K, 64.0 * result.k, result.c0_zero,
+        _, gamma, _ = directional_search(bundle, kind, result.K, 64.0 * result.k, result.c0_zero,
                                       LineSearchConfig())
         assert gamma < 1.0  # more than one trial
         assert rollouts[0] == 1
@@ -436,7 +467,7 @@ class TestUnitRollout:
     def test_one_rollout_per_trial_on_increment_maps(self, kind, monkeypatch):
         problem, u, bundle, result = descent_policies("cartpole", 25, kind)
         rollouts = counting(monkeypatch, "rollout")
-        _, gamma = directional_search(bundle, kind, result.K, 64.0 * result.k, result.c0_zero,
+        _, gamma, _ = directional_search(bundle, kind, result.K, 64.0 * result.k, result.c0_zero,
                                       LineSearchConfig())
         trials = round(-math.log2(gamma)) + 1  # gamma halves per rejected trial
         assert trials > 1

@@ -21,8 +21,10 @@ controls, stopped after at most ``SOLVE_ITERS`` iterations.  It covers the
 status, the iteration count, every ``TraceRow`` field but ``time_ms`` and
 the final controls.  At the default backtracking factor 0.5 every
 directional stepsize is a power of two, so the linearized kinds scale one
-unit roll-out; 0.3 makes their trials roll out one by one.  The third
-setting raises the smallest stepsize to 0.1, so searches stall, with and
+unit roll-out; 0.3 makes their trials roll out one by one.  Under the
+regularized rule the same two factors sweep ladders of 5 and 3 ridges as
+the lanes of one backward pass.  The third setting raises the smallest
+stepsize to 0.1, which cuts ladders short, and searches stall, with and
 without a decrease, under both rules.
 
 Arrays enter as their shape, dtype and bytes, so two checkouts that print

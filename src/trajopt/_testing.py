@@ -364,12 +364,14 @@ def worst_acceptance_violation(rng, trials: int, offset: float = 0.0) -> float:
     problem = build_problem("pendulum", 30)
     worst = -np.inf
     for rule in STEP_RULES:
+        cfg = LineSearchConfig(rule=rule)
         try:
-            _, trace = solve(problem, np.zeros((30, problem.n_u)), "gn",
-                             LineSearchConfig(rule=rule), StopCriteria(max_iters=25))
+            _, trace = solve(problem, np.zeros((30, problem.n_u)), "gn", cfg,
+                             StopCriteria(max_iters=25))
         except DivergenceError as err:
             trace = err.trace
-        worst = max([worst, *(v + offset for v in acceptance_violations(trace, rule))])
+        violations = acceptance_violations(trace, rule, cfg.gamma_min)
+        worst = max([worst, *(v + offset for v in violations)])
     return worst
 
 
@@ -393,13 +395,15 @@ def concave_fixture_residual(rng, trials: int, offset: float = 0.0) -> float:
     return residual if eig_min - offset > 0.0 else np.inf
 
 
-def acceptance_violations(trace, rule: str) -> list[float]:
-    """Per accepted step of a ``rule`` trace, the cost change minus its acceptance
-    bound and tie slack (> 0: violated).  Stall-carried rows, whose model value
-    is NaN, make no acceptance claim and are skipped."""
+def acceptance_violations(trace, rule: str, gamma_min: float) -> list[float]:
+    """Per accepted step of a ``rule`` trace solved with smallest stepsize
+    ``gamma_min``, the cost change minus its acceptance bound and tie slack
+    (> 0: violated).  Stall-carried rows make no acceptance claim and are
+    skipped: their stepsize lies below gamma_min, and a regularized one's
+    model value is NaN."""
     out = []
     for prev, row in zip(trace.rows, trace.rows[1:]):
-        if np.isnan(row.model_decrease):
+        if np.isnan(row.model_decrease) or row.stepsize < gamma_min:
             continue
         factor = row.stepsize if rule == "directional" else 1.0
         slack = ACCEPT_TIE_RTOL * (1.0 + abs(prev.cost))

@@ -8,17 +8,20 @@ one backward pass, scales their offsets by gamma and starts at gamma = 1;
 its bound is gamma times the model decrease (a sufficient-decrease test).
 On the linearized step maps its roll-out is linear in the offsets, so one
 unit roll-out per search, scaled by each power-of-two gamma, stands in for
-the trials' roll-outs bit for bit.  The regularized rule reruns the
-backward pass per trial with ridge 1/gamma; its bound is the swept model
-value itself.  :func:`solve` warm-starts the regularized stepsize across
-iterations and measures it in units of the cost-slope norm, which keeps
-acceptable raw stepsizes bounded as the iterates approach stationarity.
+the trials' roll-outs bit for bit.  A regularized trial takes its
+policies from the backward pass at ridge 1/gamma; its bound is the swept
+model value itself.  Those passes run as ladders: the stepsizes the
+backtracking would try next sweep as the lanes of one
+:func:`~trajopt.oracles.run_backward` call, and the trials read them in
+order, so every trial and acceptance is the one-sweep-per-trial loop's.
+:func:`solve` warm-starts the regularized stepsize across iterations and
+measures it in units of the cost-slope norm, which keeps acceptable raw
+stepsizes bounded as the iterates approach stationarity.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 import time
 from dataclasses import dataclass, field
 
@@ -67,6 +70,9 @@ NU_MAX = 1e40
 # The two step rules, in the order run grids iterate them.
 STEP_RULES = ("directional", "regularized")
 
+# The most stepsizes a regularized search sweeps as the lanes of one backward pass.
+LADDER_MAX = 8
+
 
 @dataclass(frozen=True)
 class LineSearchConfig:
@@ -85,6 +91,8 @@ class LineSearchConfig:
         _scalar(self.rho_inc, "rho_inc", 1.0)
         _scalar(self.gamma_min, "gamma_min", 0.0)
         _scalar(self.nu_init, "nu_init", 0.0)
+        if 1.0 / self.nu_init == math.inf:  # the stepsize of the first nonzero ridge rung
+            raise ParameterError(f"nu_init must have a finite reciprocal, got {self.nu_init!r}")
 
 
 @dataclass(frozen=True)
@@ -131,6 +139,13 @@ class SolveTrace:
         return max(len(self.rows) - 1, 0)
 
 
+def _next_gamma(gamma: float, cfg: LineSearchConfig) -> float:
+    """The stepsize tried after a rejected ``gamma``: gamma * rho_dec, except that
+    gamma = inf (ridge 0) would stay inf, so it goes on from the ridge ladder's first
+    nonzero rung, nu_init."""
+    return 1.0 / cfg.nu_init if gamma == math.inf else gamma * cfg.rho_dec
+
+
 def _backtrack(bundle: ExpansionBundle, j_current: float, gamma: float,
                cfg: LineSearchConfig, trial) -> tuple[np.ndarray | None, float, float]:
     """The trial loop both step rules share, from stepsize ``gamma`` down.
@@ -158,10 +173,7 @@ def _backtrack(bundle: ExpansionBundle, j_current: float, gamma: float,
                 return candidate, gamma, bound
             if j_trial < best_cost:
                 best, best_cost = candidate, j_trial
-        # a rejected gamma = inf (ridge 0) would stay inf: go on from the ridge
-        # ladder's first nonzero rung, nu_init
-        gamma = (min(1.0 / cfg.nu_init, sys.float_info.max) if gamma == math.inf
-                 else gamma * cfg.rho_dec)
+        gamma = _next_gamma(gamma, cfg)
         if gamma < cfg.gamma_min:
             return (best if best_cost < j_current else None), gamma, math.nan
 
@@ -216,7 +228,7 @@ def regularized_search(
     gamma: float,
     cfg: LineSearchConfig,
 ) -> tuple[np.ndarray | None, float, float]:
-    """Step selection through the ridge: each trial reruns the backward pass.
+    """Step selection through the ridge: a trial's policies come from the backward pass at 1/gamma.
 
     From the first trial stepsize ``gamma`` down, the backward pass of
     oracle ``kind`` runs with ridge nu = 1/gamma and its policies roll out
@@ -226,16 +238,33 @@ def regularized_search(
     ``gamma`` may be +inf, the ridge 0; a stepsize whose ridge lies outside
     the kind's range (ridge 0 for gd, or the infinite ridge of a subnormal
     stepsize) is a rejected trial.
+
+    A trial not yet swept sweeps a ladder: its stepsize and those the
+    backtracking tries after it, down to ``gamma_min``, as many as lie
+    between a warm start rho_inc times the last accepted stepsize and that
+    stepsize (at most :data:`LADDER_MAX`), as the lanes of one
+    :func:`run_backward` call.  Each lane is the one-ridge sweep bit for
+    bit, so the trials, their order and the result are the per-trial
+    sweep's.
     """
     _scalar(gamma, "gamma", 0.0, math.inf, ends="(]")
     spec = oracle_spec(kind)  # an unknown kind is named before any trial
+    # the rungs from a warm start rho_inc * gamma back down to gamma
+    size = min(LADDER_MAX, 1 + math.ceil(math.log(cfg.rho_inc) / -math.log(cfg.rho_dec)))
+    swept = {}  # stepsize -> its sweep, or None for a ridge out of the kind's range
 
     def trial(gamma):
-        nu = 1.0 / gamma
-        if nu == math.inf or (nu == 0.0 and spec.o_h == 1):  # see OracleSpec.check_ridge
-            return None
-        result = run_backward(bundle, kind, nu)
-        if result.feasible and result.c0_zero < 0.0:
+        if gamma not in swept:
+            rungs = [gamma]
+            while len(rungs) < size and (nxt := _next_gamma(rungs[-1], cfg)) >= cfg.gamma_min:
+                rungs.append(nxt)
+            swept.update(dict.fromkeys(rungs))
+            # a ridge out of the kind's range is not swept (see OracleSpec.check_ridge)
+            usable = [g for g in rungs if 1.0 / g < math.inf and (g < math.inf or spec.o_h == 2)]
+            if usable:
+                swept.update(zip(usable, run_backward(bundle, kind, [1.0 / g for g in usable])))
+        result = swept[gamma]
+        if result is not None and result.feasible and result.c0_zero < 0.0:
             return rollout(bundle, kind, result.K, result.k), result.c0_zero
         return None
 

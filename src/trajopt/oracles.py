@@ -11,18 +11,23 @@ and :func:`rollout`, the one roll-out, reads its map from there.
 The forward pass stores the stage matrices stacked over the stages
 (:class:`ExpansionBundle`).  :func:`run_backward` is the one public sweep:
 it checks the ridge once, then runs the kind's sweep on those raw arrays.
-The gradient sweep (``_backward_gd``) reads its offsets -grad J / nu from
-the bundle's adjoint recursion, the one the package runs; ``lbp`` is its
-stage written alone.  The quadratic sweep (``_backward_quadratic``) factors
-each stage's control Hessian once (``check_subproblem``) and reuses the
-factor in the closed-form stage (``lqbp``).  It adds the blocks of the
-packed curvature contraction (:func:`autodiff.hessian_blocks`): for Newton
-against the adjoints, one block of stages at a time, so no temporary spans
-the horizon; for DDP-Q against the cost-to-go slope, stage by stage.  The
-policies come out stacked as gains ``K`` (horizon, n_u, n_x) and offsets
-``k`` (horizon, n_u); :func:`rollout` takes them with the bundle and the
-kind, and its DDP maps difference the original dynamics against the
-states the bundle visited.
+Given a ladder of ridges it sweeps them as the lanes of one pass and
+returns a :class:`RidgeLadder` of per-ridge results, each the one-ridge
+sweep's bit for bit.  The gradient sweep (``_backward_gd``) reads its
+offsets -grad J / nu from the bundle's adjoint recursion, the one the
+package runs, once per ridge; ``lbp`` is its stage written alone.  The
+quadratic sweep (``_backward_quadratic``) factors each stage's control
+Hessian once (``check_subproblem``) and reuses the factor in the
+closed-form stage (``lqbp``); on a ladder both run once per stage over
+every lane, their products stacked over a leading lane axis.  It adds the
+blocks of the packed curvature contraction
+(:func:`autodiff.hessian_blocks`): for Newton against the adjoints, one
+block of stages at a time, so no temporary spans the horizon; for DDP-Q
+against the cost-to-go slope, stage by stage.  The policies come out
+stacked as gains ``K`` (horizon, n_u, n_x) and offsets ``k`` (horizon,
+n_u); :func:`rollout` takes them with the bundle and the kind, and its DDP
+maps difference the original dynamics against the states the bundle
+visited.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ __all__ = [
     "OracleSpec",
     "ExpansionBundle",
     "OracleDirection",
+    "RidgeLadder",
     "oracle_spec",
     "forward",
     "objective_value",
@@ -544,8 +550,19 @@ def check_subproblem(B, Q, q, J, j, j0: float):
     results bit for bit: the factor l = sqrt(a), rejected at a <= 0, and a
     solve ``(b * r) * r`` with r = 1/l, as OpenBLAS's triangular solves
     multiply by the reciprocal of the diagonal; ``(b / l) / l`` would not be.
+
+    Laned form, G stages at once: ``J`` (G, n_x, n_x), ``j`` (G, n_x, 1)
+    and ``j0`` (G,) stack G next cost-to-go functions, ``q`` is a column
+    (n_u, 1) and ``Q`` may stack G blocks.  Each lane is the 2-D call's
+    arithmetic, bit for bit, with ``m`` and ``Minv_m`` as (G, n_u, 1)
+    columns.  The tuple always returns: a failed lane's ``decrement``
+    reads NaN, and for n_u > 1 ``factor`` is a list of per-lane factors,
+    None where ``dpotrf`` failed.  Run it under ``np.errstate`` to silence
+    a failed lane's arithmetic.
     """
     M, m = Q + B.T @ J @ B, q + B.T @ j
+    if J.ndim == 3:
+        return _check_lanes(M, m, j0)
     if len(m) == 1:
         a = M.item()
         a = 0.5 * (a + a)
@@ -569,6 +586,53 @@ def check_subproblem(B, Q, q, J, j, j0: float):
     return factor, m, Minv_m, decrement
 
 
+def _check_lanes(M: np.ndarray, m: np.ndarray, j0: np.ndarray) -> tuple:
+    """:func:`check_subproblem` on G lanes, M (G, n_u, n_u) and m (G, n_u, 1), lane by lane.
+
+    A 1x1 lane runs the closed form on its own floats, a wider one its own
+    ``dpotrf``/``dpotrs`` calls; a lane that fails either test keeps a NaN
+    decrement.
+    """
+    lanes = len(m)
+    decrement = [math.nan] * lanes
+    if m.shape[1] == 1:
+        factor, Minv_m = [math.nan] * lanes, [math.nan] * lanes
+        for g, (a, slope) in enumerate(zip(M.ravel().tolist(), m.ravel().tolist())):
+            a = 0.5 * (a + a)
+            if a > 0.0:  # dpotrf's test; a NaN block would fail the descent test
+                factor[g] = math.sqrt(a)
+                r = 1.0 / factor[g]
+                Minv_m[g] = (slope * r) * r
+                decrement[g] = -0.5 * (slope * Minv_m[g])
+        factor, Minv_m = np.array(factor)[:, None, None], np.array(Minv_m)[:, None, None]
+    else:
+        dpotrf, dpotrs = _lapack()
+        factor, Minv_m = [], np.full(m.shape, np.nan)
+        for g, M_g in enumerate(_sym(M)):
+            f, info = dpotrf(M_g, lower=1, clean=0)
+            factor.append(None if info else f)
+            if not info:
+                Minv_m[g] = dpotrs(f, m[g], lower=1)[0]
+                decrement[g] = -0.5 * float(m[g, :, 0] @ Minv_m[g, :, 0])
+    for g, level in enumerate(j0.tolist()):
+        if not decrement[g] < DESCENT_STRICTNESS * (1.0 + abs(level)):
+            decrement[g] = math.nan
+    return factor, m, Minv_m, np.array(decrement)
+
+
+def _solve_lanes(factor, N: np.ndarray) -> np.ndarray:
+    """M^-1 N' per lane from a laned :func:`check_subproblem` factor, as :func:`lqbp` solves."""
+    if isinstance(factor, np.ndarray):  # the 1x1 closed form
+        r = 1.0 / factor
+        return (N.swapaxes(-1, -2) * r) * r
+    # each lane Fortran-ordered, as the 2-D solve returns it
+    Minv_NT = np.full(N.shape, np.nan).swapaxes(-1, -2)
+    for g, f in enumerate(factor):
+        if f is not None:
+            Minv_NT[g] = _lapack()[1](f, N[g].T, lower=1)[0]
+    return Minv_NT
+
+
 def lqbp(A, B, H, R, p, J, j, j0: float, checked) -> tuple:
     """Closed-form solution of one linear-quadratic Bellman stage.
 
@@ -577,12 +641,20 @@ def lqbp(A, B, H, R, p, J, j, j0: float, checked) -> tuple:
     0.5 y'Jy + j'y + j0; Q and q enter through ``checked``, the stage's
     :func:`check_subproblem` result.  Returns ``(J_t, j_t, j0_t, K, k)``:
     the cost-to-go at time t and the minimizing policy v = K y + k.
+
+    Laned form: ``J``, ``j``, ``j0`` and ``checked`` as the laned
+    :func:`check_subproblem` takes and gives them, ``p`` a column (n_x, 1),
+    and ``H`` and ``R`` shared or stacked over the G lanes.  Each output
+    gains the lane axis, ``j_t`` and ``k`` as columns, and each lane is the
+    2-D call's result bit for bit; a failed lane's outputs are not finite.
     """
     factor, m, Minv_m, decrement = checked
     AtJ = A.T @ J
     # Cross term between state and control of the stage-plus-to-go quadratic.
     N = R + AtJ @ B  # (n_x, n_u)
-    if len(m) == 1:
+    if J.ndim == 3:
+        Minv_NT = _solve_lanes(factor, N)
+    elif len(m) == 1:
         r = 1.0 / factor.item()
         Minv_NT = (N.T * r) * r
     else:
@@ -592,57 +664,119 @@ def lqbp(A, B, H, R, p, J, j, j0: float, checked) -> tuple:
     return J_t, j_t, j0 + decrement, -Minv_NT, -Minv_m
 
 
+class RidgeLadder(tuple):
+    """The :class:`OracleDirection` of each ridge of a ladder swept as one laned pass, in order."""
+
+    @property
+    def feasible(self) -> bool:
+        """Whether any lane is feasible."""
+        return any(lane.feasible for lane in self)
+
+
+def _failed_stage(t: int, K: np.ndarray, k: np.ndarray) -> int:
+    """The stage to name when stage t fails its check: an earlier overflow fails
+    later checks, so a stage swept before t whose policy overflowed names itself."""
+    late = _overflowed(K[t + 1:], k[t + 1:])
+    return t if late is None else t + 1 + late
+
+
 def _backward_quadratic(
-    bundle: ExpansionBundle, nu: float, contraction: str | None
-) -> OracleDirection:
-    """The Bellman sweep of every order-2-cost oracle (see :data:`ORACLES`)."""
+    bundle: ExpansionBundle, nu, contraction: str | None
+) -> OracleDirection | RidgeLadder:
+    """The Bellman sweep of every order-2-cost oracle (see :data:`ORACLES`).
+
+    ``nu`` is one ridge, or a 1-D array of G ridges swept at once as lanes:
+    a stage's cost-to-go and blocks then carry a leading lane axis and its
+    vectors are columns, so every product runs per lane on the 2-D operands
+    of the one-ridge sweep and each lane gives its result bit for bit.  A
+    lane that fails a check keeps its failed stage and is carried on
+    masked, and the pass ends once every lane has failed.
+    """
     if bundle.o_h != 2:
         raise ParameterError("quadratic backward passes need order-2 cost information")
     if contraction is not None and bundle.curvature is None:
         raise ParameterError("curvature contraction needs order-2 dynamics information")
     tau, n_x, n_u = bundle.horizon, bundle.problem.n_x, bundle.problem.n_u
     A, B, p, q = bundle.A, bundle.B, bundle.p, bundle.q
-    ridge = nu * np.eye(n_u)
-    # each K[t] Fortran-ordered, the layout of dpotrs's solves: with
-    # C-ordered rows the roll-out's K[t] @ y takes another BLAS path, and
-    # bicycle-car directions change in their last bits
-    K = np.empty((tau, n_x, n_u)).transpose(0, 2, 1)
-    k = np.empty((tau, n_u))
-
-    at_H, at_Q, at_R = autodiff.hessian_blocks(n_x, n_u)  # where the blocks sit in a packed fold
     J, j, j0 = bundle.final_quad, bundle.final_slope, 0.0
+    at_H, at_Q, at_R = autodiff.hessian_blocks(n_x, n_u)  # where the blocks sit in a packed fold
+    # each K[t] (of each lane) Fortran-ordered, the layout of dpotrs's
+    # solves: with C-ordered rows the roll-out's K[t] @ y takes another
+    # BLAS path, and bicycle-car directions change in their last bits
+    laned = isinstance(nu, np.ndarray)
+    if laned:  # a block's Q gains the lane axis after its stage axis
+        G = len(nu)
+        ridge, Q_all, at_Q_block = nu[:, None, None] * np.eye(n_u), bundle.Q[:, None], at_Q[None]
+        p, q = p[..., None], q[..., None]
+        J, j, j0 = np.repeat(J[None], G, 0), np.repeat(j[None, :, None], G, 0), np.zeros(G)
+        K, k = np.empty((tau, G, n_x, n_u)).swapaxes(-1, -2), np.empty((tau, G, n_u, 1))
+        failed = [None] * G
+    else:
+        ridge, Q_all, at_Q_block = nu * np.eye(n_u), bundle.Q, at_Q
+        K, k = np.empty((tau, n_x, n_u)).swapaxes(-1, -2), np.empty((tau, n_u))
+
     cap = _cap((n_x + n_u) * (n_x + n_u + 1) // 2)
     for lo in reversed(range(0, tau, cap)):  # one block's fold at a time, from the last
         hi = min(lo + cap, tau)
         # the ridge goes on before any curvature, (Q + nu I) + W_uu: the other
         # order moves the last bits of Newton directions at nu > 0
-        H, Q, R = bundle.H[lo:hi], bundle.Q[lo:hi] + ridge, bundle.R[lo:hi]
+        H, Q, R = bundle.H[lo:hi], Q_all[lo:hi] + ridge, bundle.R[lo:hi]
         if contraction == "adjoint":  # the adjoints are known before the sweep
             W = autodiff.contract_curvature(bundle.curvature[lo:hi], bundle.adjoints[lo:hi])
-            H, Q, R = (H + W.take(at_H, axis=-1), Q + W.take(at_Q, axis=-1),
+            H, Q, R = (H + W.take(at_H, axis=-1), Q + W.take(at_Q_block, axis=-1),
                        R + W.take(at_R, axis=-1))
         for t, H_t, Q_t, R_t in zip(range(hi - 1, lo - 1, -1), H[::-1], Q[::-1], R[::-1]):
             if contraction == "value-slope":  # the slope is only known here, stage by stage
-                w = autodiff.contract_curvature(bundle.curvature[t], j)
-                H_t, Q_t, R_t = H_t + w[at_H], Q_t + w[at_Q], R_t + w[at_R]
+                w = autodiff.contract_curvature(bundle.curvature[t], j[..., 0] if laned else j)
+                H_t, Q_t, R_t = (H_t + w.take(at_H, axis=-1), Q_t + w.take(at_Q, axis=-1),
+                                 R_t + w.take(at_R, axis=-1))
             checked = check_subproblem(B[t], Q_t, q[t], J, j, j0)
-            if checked is None:  # an earlier overflow fails later checks: name the overflow
-                late = _overflowed(K[t + 1:], k[t + 1:])
-                return _infeasible(t if late is None else t + 1 + late)
+            if laned:
+                for g, decrement in enumerate(checked[3].tolist()):
+                    if math.isnan(decrement) and failed[g] is None:
+                        failed[g] = _failed_stage(t, K[:, g], k[:, g, :, 0])
+                if None not in failed:
+                    return RidgeLadder(map(_infeasible, failed))
+            elif checked is None:
+                return _infeasible(_failed_stage(t, K, k))
             J, j, j0, K[t], k[t] = lqbp(A[t], B[t], H_t, R_t, p[t], J, j, j0, checked)
-    return _swept(K, k, j0)
+    if not laned:
+        return _swept(K, k, j0)
+    return _swept_lanes(K, k, j0, failed)
 
 
-def run_backward(bundle: ExpansionBundle, kind: str, nu: float) -> OracleDirection:
+def _swept_lanes(K: np.ndarray, k: np.ndarray, j0: np.ndarray, failed: list) -> RidgeLadder:
+    """A laned sweep's result: each lane as :func:`_swept` reads it, or the stage it failed at.
+
+    Kept out of the sweep: a generator there would make K, k and j0 cell
+    variables, one allocation each on every sweep, the one-ridge sweeps too.
+    """
+    return RidgeLadder(_swept(K[:, g], k[:, g, :, 0], float(j0[g])) if stage is None
+                       else _infeasible(stage) for g, stage in enumerate(failed))
+
+
+def run_backward(bundle: ExpansionBundle, kind: str, nu) -> OracleDirection | RidgeLadder:
     """The backward pass of one oracle kind, as :data:`ORACLES` describes it.
 
-    A ridge outside the kind's range (:meth:`OracleSpec.check_ridge`)
-    raises :class:`ParameterError`.
+    ``nu`` is one ridge, or a ladder: a non-empty list, tuple or 1-D array
+    of ridges, swept as the lanes of one pass.  A ladder returns a
+    :class:`RidgeLadder` holding, per ridge, what the one-ridge call gives,
+    bit for bit.  A ridge outside the kind's range
+    (:meth:`OracleSpec.check_ridge`) or an empty ladder raises
+    :class:`ParameterError`.
     """
     spec = oracle_spec(kind)
-    spec.check_ridge(nu)
+    ladder = isinstance(nu, (list, tuple)) or (isinstance(nu, np.ndarray) and nu.ndim == 1)
+    for ridge in nu if ladder else (nu,):
+        spec.check_ridge(ridge)
+    if ladder:
+        if len(nu) == 0:
+            raise ParameterError("nu, a ladder of ridges, is empty")
+        nu = np.array(nu, dtype=float)
     with np.errstate(all="ignore"):  # overflow ends as an infeasible result
         if spec.o_h == 1:  # linear cost models: gradient back-propagation
+            if ladder:  # map: a generator would make the bundle a cell on every call
+                return RidgeLadder(map(_backward_gd, [bundle] * len(nu), nu.tolist()))
             return _backward_gd(bundle, nu)
         return _backward_quadratic(bundle, nu, spec.contraction)
 
@@ -707,9 +841,11 @@ def oracle_step(bundle: ExpansionBundle, kind: str, nu: float) -> OracleDirectio
 
     The gradient oracle's constant policies make its roll-out a no-op, so
     it returns the stacked offsets directly.  An infeasible sweep returns
-    without a roll-out.
+    without a roll-out.  ``nu`` is one ridge, checked as
+    :meth:`OracleSpec.check_ridge` checks it.
     """
     spec = oracle_spec(kind)
+    spec.check_ridge(nu)
     result = run_backward(bundle, kind, nu)
     if not result.feasible:
         return result

@@ -204,7 +204,7 @@ def test_criterion_05_linesearch_contracts(bench):
     worst_violation = -math.inf
     steps = 0
     for run in bench.values():
-        violations = acceptance_violations(run.trace, run.rule)
+        violations = acceptance_violations(run.trace, run.rule, LineSearchConfig().gamma_min)
         worst_violation = max([worst_violation, *violations])
         steps += len(violations)
     assert worst_violation <= 0.0

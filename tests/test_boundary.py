@@ -141,6 +141,13 @@ def _validate(**kwargs):
 
 
 _BACKWARD = ({"bundle": BUNDLE, "kind": "gn", "nu": 0.0}, {"kind": NAMES, "nu": NUMBERS})
+# a ladder of ridges: a list, tuple or 1-D array of them, and other shapes
+LADDERS = st.one_of(
+    st.lists(NUMBERS, max_size=4),
+    st.lists(NUMBERS, max_size=4).map(tuple),
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, max_side=4),
+               elements=st.floats()),
+)
 
 # entry point -> (callable, valid arguments, strategy of each argument drawn)
 TABLE = {
@@ -207,6 +214,10 @@ TABLE = {
     ),
     "oracle_step": (oracle_step, *_BACKWARD),
     "run_backward": (run_backward, *_BACKWARD),
+    "run_backward ladder": (
+        run_backward, {"bundle": BUNDLE, "kind": "gn", "nu": [0.0, 1.0]},
+        {"kind": NAMES, "nu": st.one_of(LADDERS, NUMBERS)},
+    ),
     "solve": (
         solve, {"problem": PROBLEM, "u0": U, "kind": "gn", "stop": StopCriteria(max_iters=3)},
         {"u0": arrays(U.shape), "kind": NAMES, "cfg": OBJECTS, "stop": OBJECTS},
@@ -302,6 +313,7 @@ def test_returns_or_raises_a_package_error(entry, arg, data):
      r"\bK\b"),
     (lambda: rollout(BUNDLE_5, "ddp-lq", np.zeros((5, 2, 2)), np.zeros((5, 2))), ShapeError,
      r"\bK\b"),
+    (lambda: oracle_step(BUNDLE, "gn", [0.0, 1.0]), ParameterError, r"\bnu\b"),
     (lambda: rollout(object(), "gn", SWEEP.K, SWEEP.k), ParameterError, "bundle"),
     (lambda: rollout(BUNDLE, "newton", SWEEP.K, SWEEP.k), ParameterError, "oracle kind"),
     (lambda: rollout(forward(PROBLEM, U, 0, 0), "gn", SWEEP.K, SWEEP.k), ParameterError,
@@ -313,7 +325,8 @@ def test_returns_or_raises_a_package_error(entry, arg, data):
     "cfg-object", "stop-object", "negative-gamma", "nan-residual-controls", "nan-sharpness",
     "nan-step-size", "string-horizon", "int-dynamics", "string-costs", "none-final-cost",
     "rollout-gains-shape", "rollout-seven-stages", "rollout-three-states",
-    "rollout-two-controls", "rollout-non-bundle", "rollout-unknown-kind", "rollout-order-0-gn",
+    "rollout-two-controls", "oracle-step-ladder", "rollout-non-bundle",
+    "rollout-unknown-kind", "rollout-order-0-gn",
 ])
 def test_named_refusal(call, error, match):
     with pytest.raises(error, match=match):

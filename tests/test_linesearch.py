@@ -38,7 +38,7 @@ from trajopt.oracles import (
     run_backward,
 )
 
-from conftest import ENV_SCHEMES, random_lq_problem, random_smooth_problem
+from conftest import ENV_SCHEMES, acceptance_violations, random_lq_problem, random_smooth_problem
 
 
 def quadratic_scalar_problem():
@@ -59,7 +59,7 @@ class TestSettings:
         {"rho_dec": math.nan}, {"rho_dec": 1.0},
         {"rho_inc": math.nan}, {"rho_inc": math.inf}, {"rho_inc": 1.0},
         {"gamma_min": math.nan}, {"gamma_min": math.inf}, {"gamma_min": 0.0},
-        {"nu_init": math.nan}, {"nu_init": math.inf}, {"nu_init": -1.0},
+        {"nu_init": math.nan}, {"nu_init": math.inf}, {"nu_init": -1.0}, {"nu_init": 5e-324},
         {"rho_dec": "0.5"}, {"rho_inc": None}, {"gamma_min": 1e-12 + 0j}, {"gamma_min": True},
         {"nu_init": "1e-6"},
     ])
@@ -160,20 +160,29 @@ class TestRegularizedSearch:
         bundle = forward(problem, u, 1, 2)
         cfg = LineSearchConfig(rule="regularized")
         u_next, gamma_bar, _ = regularized_search(bundle, "gn", cfg.rho_inc * 1.0, cfg)
-        # independent scan over the same geometric stepsize grid
-        from trajopt.oracles import rollout
-
-        gamma = cfg.rho_inc * 1.0
-        while True:
-            result = run_backward(bundle, "gn", 1.0 / gamma)
-            if result.feasible and result.c0_zero < 0.0:
-                v = rollout(bundle, "gn", result.K, result.k)
-                j_trial = objective_value(problem, u + v)
-                if j_trial - bundle.cost <= result.c0_zero + 1e-12 * (1 + abs(bundle.cost)):
-                    break
-            gamma *= cfg.rho_dec
+        _, gamma, _ = per_ridge_search(bundle, "gn", cfg.rho_inc * 1.0, cfg)
         assert gamma_bar == pytest.approx(gamma)
         assert objective_value(problem, u_next) < bundle.cost
+
+    @pytest.mark.parametrize("setting", [{}, {"rho_dec": 0.3}, {"gamma_min": 0.1}])
+    @pytest.mark.parametrize("env,horizon,kind", [("cartpole", 25, "ddp-q"),
+                                                  ("bicycle-car", 30, "ddp-lq")])
+    def test_ladders_equal_the_per_ridge_scan(self, env, horizon, kind, setting):
+        """The laned search and a scan of one sweep per trial agree by bytes, along a
+        few accepted steps and from first stepsizes above, at and below the warm start."""
+        problem = build_problem(env, horizon)
+        cfg = LineSearchConfig(rule="regularized", **setting)
+        spec = oracle_spec(kind)
+        u = initial_controls(problem, 0)
+        for _ in range(4):
+            bundle = forward(problem, u, spec.o_f, spec.o_h)
+            warm = cfg.rho_inc / bundle.cost_slope_norm()
+            for gamma in (math.inf, 1e3 * warm, warm, 1e-3 * warm):
+                got = regularized_search(bundle, kind, gamma, cfg)
+                assert_same_outcome(got, per_ridge_search(bundle, kind, gamma, cfg))
+            if got[0] is None:
+                break
+            u = got[0]
 
     def test_subnormal_stepsize_is_a_rejected_trial(self, rng):
         """Its ridge 1/gamma overflows; the sweep would refuse it, the search rejects it."""
@@ -183,15 +192,20 @@ class TestRegularizedSearch:
                                                      LineSearchConfig(rule="regularized"))
         assert candidate is None and gamma == 0.0 and math.isnan(bound)
 
-    def test_ridge_zero_is_a_rejected_trial_for_gd(self):
-        """gamma = inf is ridge 0, outside the gradient kind's range: the walk goes on
-        from 1 / nu_init, which overflows here to the largest float."""
+    def test_ridge_zero_is_a_rejected_trial_for_gd(self, monkeypatch):
+        """gamma = inf is ridge 0, outside the gradient kind's range: it is not swept,
+        and the walk goes on from 1 / nu_init."""
         problem = build_problem("pendulum", 20)
         u = 0.01 * np.random.default_rng(0).standard_normal((20, 1))
-        cfg = LineSearchConfig(rule="regularized", nu_init=5e-324)
+        cfg = LineSearchConfig(rule="regularized", nu_init=2.0 ** -12)
+        seen = []
+        counting(monkeypatch, "run_backward", seen)
         candidate, gamma, bound = regularized_search(forward(problem, u, 1, 1), "gd", math.inf, cfg)
+        monkeypatch.undo()
         assert candidate is not None and bound < 0.0
         assert 1.0 < gamma < 1e3
+        ridges = [nu for args in seen for nu in args[2]]
+        assert ridges[0] == cfg.nu_init and 0.0 not in ridges
         _, trace = solve(problem, u, "gd", cfg, StopCriteria(max_iters=3))
         assert trace.status == "max-iters" and trace.iterations == 3
 
@@ -310,6 +324,17 @@ class TestStalls:
             rule == "regularized")
         assert trace.status == _classify(row.residual, row.cost) == "stalled"
 
+    def test_stall_carried_rows_make_no_acceptance_claim(self):
+        """A directional row carried from a stall keeps the sweep's model value, so
+        only its stepsize below gamma_min marks it."""
+        problem = build_problem("bicycle-car", 30)
+        cfg = LineSearchConfig(gamma_min=0.1)
+        _, trace = solve(problem, initial_controls(problem, 0), "gd", cfg,
+                         StopCriteria(max_iters=10))
+        row = trace.rows[1]
+        assert row.stepsize < cfg.gamma_min and not math.isnan(row.model_decrease)
+        assert acceptance_violations(trace, cfg.rule, cfg.gamma_min) == []
+
 
 class TestStationarityResidual:
     def test_zero_at_lq_minimizer(self, rng):
@@ -361,12 +386,35 @@ def per_trial_search(bundle, kind, K, k, c0_zero, cfg):
 
 
 def assert_same_outcome(got, expected):
-    """Two (candidate, gamma, bound) triples agree bit for bit, a NaN bound with a NaN."""
-    if expected[0] is None:
-        assert got[0] is None
-    else:
-        np.testing.assert_array_equal(got[0], expected[0])
-    np.testing.assert_array_equal(got[1:], expected[1:])
+    """Two (candidate, gamma, bound) triples agree by their bytes, a NaN bound with a NaN."""
+    as_bytes = lambda out: (None if out[0] is None else out[0].tobytes(),
+                            np.array(out[1:]).tobytes())
+    assert as_bytes(got) == as_bytes(expected)
+
+
+def per_ridge_search(bundle, kind, gamma, cfg):
+    """The regularized rule written as one backward pass per trial, an independent scan
+    of the same stepsizes.  Returns (candidate, gamma, bound) as the search does."""
+    problem, j_current = bundle.problem, bundle.cost
+    best, best_cost = None, math.inf
+    while True:
+        nu = 1.0 / gamma
+        if nu < math.inf and not (nu == 0.0 and kind == "gd"):
+            result = run_backward(bundle, kind, nu)
+            if result.feasible and result.c0_zero < 0.0:
+                try:
+                    candidate = bundle.u + rollout(bundle, kind, result.K, result.k)
+                    j_trial = objective_value(problem, candidate)
+                except NumericError:
+                    j_trial = math.inf
+                slack = ACCEPT_TIE_RTOL * (1.0 + abs(j_current))
+                if j_trial - j_current <= result.c0_zero + slack:
+                    return candidate, gamma, result.c0_zero
+                if j_trial < best_cost:
+                    best, best_cost = candidate, j_trial
+        gamma = 1.0 / cfg.nu_init if gamma == math.inf else gamma * cfg.rho_dec
+        if gamma < cfg.gamma_min:
+            return (best if best_cost < j_current else None), gamma, math.nan
 
 
 UNIT_CELLS = [("pendulum", 50), ("cartpole", 25), ("bicycle-car", 30)]

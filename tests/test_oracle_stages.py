@@ -1,4 +1,5 @@
-"""Bellman stage solutions, and one Gauss-Newton step as the exact LQ solve."""
+"""The Bellman stage functions of :mod:`trajopt.oracles` (``check_subproblem``,
+``lqbp``, ``lbp``), one and laned, and one Gauss-Newton step as the exact LQ solve."""
 
 import math
 
@@ -228,6 +229,67 @@ class TestClosedFormScalarBlock:
                 for g, w in zip(got, want):
                     assert np.asarray(g).tobytes() == np.asarray(w).tobytes(), (block, slope, cross)
                 assert j0_t == want[3]
+
+
+def lane_stack(stages):
+    """G stages' (Q, J, j, j0) in the laned form, q and p as columns of the shared stage 0."""
+    s = stages[0]
+    return dict(A=s["A"], B=s["B"], H=s["H"], R=s["R"], p=s["p"][:, None], q=s["q"][:, None],
+                Q=np.stack([t["Q"] for t in stages]), J=np.stack([t["J"] for t in stages]),
+                j=np.stack([t["j"] for t in stages])[..., None],
+                j0=np.array([t["j0"] for t in stages]))
+
+
+def assert_lanes_equal_one_stage_calls(stages):
+    """The laned check and stage give, lane by lane, the 2-D calls' results by bytes;
+    a lane the 2-D check rejects reads a NaN decrement.  Returns the lanes rejected."""
+    shared = {key: stages[0][key] for key in ("A", "B", "H", "R", "p", "q")}
+    lanes = lane_stack(stages)
+    rejected = []
+    with np.errstate(all="ignore"):
+        factor, m, Minv_m, decrement = check(lanes)
+        laned = solve_stage(lanes)
+        for g, stage in enumerate(stages):
+            one = {**stage, **shared}
+            want = check(one)
+            if want is None:
+                assert math.isnan(decrement[g]), g
+                rejected.append(g)
+                continue
+            got = (factor[g], m[g, :, 0], Minv_m[g, :, 0], decrement[g])
+            got += (laned[0][g], laned[1][g, :, 0], laned[2][g], laned[3][g], laned[4][g, :, 0])
+            want += solve_stage(one)
+            for a, b in zip(got, want):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), g
+            assert laned[3][g].flags.f_contiguous  # the layout the roll-out's K[t] @ y relies on
+    return rejected
+
+
+class TestLanes:
+    """G stages at once, sharing A, B, H, R, p and q: each lane is the 2-D call bit for bit."""
+
+    @pytest.mark.parametrize("n_u", [1, 2, 3])
+    @pytest.mark.parametrize("n_x", [1, 4])
+    def test_lanes_equal_one_stage_calls(self, rng, n_x, n_u):
+        base = random_stage(rng, n_x, n_u)
+        stages = []
+        for ridge in (0.0, 1e-3, 1.0, 100.0, -50.0):  # the last makes M indefinite
+            J = random_spd(rng, n_x)
+            stages.append({**base, "Q": base["Q"] + ridge * np.eye(n_u), "J": J,
+                           "j": rng.standard_normal(n_x), "j0": float(rng.standard_normal())})
+        assert assert_lanes_equal_one_stage_calls(stages) == [4]
+
+    def test_descent_test_rejects_its_own_lanes(self):
+        # M = 1 in every lane; a NaN slope or offset fails the descent test of its lane only
+        lanes = [scalar_stage(A=1, B=1, H=0, Q=1, R=0, p=0, q=0, J=0, j=j, j0=j0)
+                 for j, j0 in ((1, 0.0), (math.nan, 0.0), (1, math.nan), (1, math.inf))]
+        assert assert_lanes_equal_one_stage_calls(lanes) == [1, 2]
+
+    @pytest.mark.parametrize("block", EDGES)
+    def test_scalar_block_lanes_at_the_edges(self, block):
+        lanes = [scalar_stage(A=1, B=1, H=0, Q=block, R=2.0, p=0, q=slope, J=-0.0, j=-0.0, j0=0)
+                 for slope in EDGES]
+        assert_lanes_equal_one_stage_calls(lanes)
 
 
 class TestDynProg:

@@ -1004,6 +1004,104 @@ class TestSweepFailures:
         assert oracle(one_concave_stage_problem(None), np.zeros((5, 1)), kind, nu=0.0).feasible
 
 
+def staggered_concave_problem():
+    """x' = u with control weights -3, -2, -1 at stages 0, 1, 2 and control slope 1:
+    ridge nu fails the last-swept stage whose weight plus nu is not positive."""
+    return TrajectoryProblem(
+        dynamics=(linear_dynamics([[0.0]], [[1.0]]),) * 3,
+        running_costs=tuple(quadratic_cost([[0.0]], [[w]], [[0.0]], [0.0], [1.0])
+                            for w in (-3.0, -2.0, -1.0)),
+        final_cost=quadratic_state_cost([[0.0]], [0.0]),
+        x0=[0.0],
+        n_x=1,
+        n_u=1,
+    )
+
+
+def outcome(fn, *args):
+    """The bytes of an array result, or the type and text of a numeric error."""
+    try:
+        return fn(*args).tobytes()
+    except NumericError as err:
+        return type(err), str(err)
+
+
+def assert_ladder_equals_one_ridge_sweeps(bundle, kind, ridges):
+    """Each lane of the laned pass is the one-ridge sweep by bytes, and so is its roll-out.
+
+    Returns the lanes' failed stages.
+    """
+    ladder = run_backward(bundle, kind, ridges)
+    assert len(ladder) == len(ridges)
+    assert ladder.feasible == any(lane.feasible for lane in ladder)
+    for nu, lane in zip(ridges, ladder):
+        one = run_backward(bundle, kind, float(nu))
+        assert (lane.feasible, lane.failed_stage) == (one.feasible, one.failed_stage), nu
+        assert np.float64(lane.c0_zero).tobytes() == np.float64(one.c0_zero).tobytes(), nu
+        if one.feasible:
+            assert lane.K.tobytes() == one.K.tobytes() and lane.k.tobytes() == one.k.tobytes()
+            with np.errstate(all="ignore"):
+                assert (outcome(rollout, bundle, kind, lane.K, lane.k)
+                        == outcome(rollout, bundle, kind, one.K, one.k)), nu
+    return [lane.failed_stage for lane in ladder]
+
+
+LADDER = (0.0, 1e-6, 1e-3, 0.1, 1.0, 100.0)
+
+
+class TestRidgeLadder:
+    """A ladder of ridges runs as the lanes of one backward pass, each lane bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["gn", "ne", "ddp-lq", "ddp-q"])
+    @pytest.mark.parametrize("env", ["pendulum", "cartpole", "simple-car", "bicycle-car"])
+    def test_lanes_equal_one_ridge_sweeps(self, env, kind):
+        problem = build_problem(env, 30)
+        stages = []
+        for seed in (0, 1):
+            u = 0.3 * np.random.default_rng(seed).standard_normal((30, problem.n_u))
+            bundle = forward(problem, u, 2, 2)
+            stages += assert_ladder_equals_one_ridge_sweeps(bundle, kind, LADDER)
+            assert_ladder_equals_one_ridge_sweeps(bundle, kind, np.array([1e-3]))
+        assert None in stages  # a feasible lane
+
+    @pytest.mark.parametrize("kind", ["gn", "ne", "ddp-lq", "ddp-q"])
+    def test_lanes_fail_at_their_own_stages(self, kind):
+        bundle = forward(staggered_concave_problem(), np.zeros((3, 1)), 2, 2)
+        ridges = (0.5, 1.5, 2.5, 3.5)
+        assert assert_ladder_equals_one_ridge_sweeps(bundle, kind, ridges) == [2, 1, 0, None]
+        # every lane failed by stage 1: the pass ends there
+        assert assert_ladder_equals_one_ridge_sweeps(bundle, kind, (0.5, 1.5)) == [2, 1]
+
+    @pytest.mark.parametrize("kind", ["gn", "ne", "ddp-lq", "ddp-q"])
+    def test_an_overflowing_lane_names_its_stage(self, kind):
+        # stage 1's offset -q / nu overflows at the smallest ridge only
+        problem = TrajectoryProblem(
+            dynamics=(linear_dynamics([[0.0]], [[1.0]]),) * 2,
+            running_costs=(quadratic_cost([[0.0]], [[1.0]], [[0.0]], [0.0], [0.0]),
+                           quadratic_cost([[0.0]], [[0.0]], [[0.0]], [0.0], [1e150])),
+            final_cost=quadratic_state_cost([[0.0]], [0.0]),
+            x0=[0.0],
+            n_x=1,
+            n_u=1,
+        )
+        bundle = forward(problem, np.zeros((2, 1)), 2, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a masked lane must not warn
+            stages = assert_ladder_equals_one_ridge_sweeps(bundle, kind, [1e-200, 1.0])
+        assert stages == [1, None]
+
+    def test_gradient_kind_sweeps_each_ridge(self):
+        bundle = forward(build_problem("pendulum", 20), np.zeros((20, 1)), 1, 1)
+        assert assert_ladder_equals_one_ridge_sweeps(bundle, "gd", (1e-3, 1.0, 1e3)) == [None] * 3
+
+    @pytest.mark.parametrize("kind", ORACLE_KINDS)
+    @pytest.mark.parametrize("ridges", [[], [1.0, math.nan], [1.0, -1.0], [[1.0]], ["1"]])
+    def test_refuses_a_bad_ladder(self, kind, ridges):
+        bundle = forward(build_problem("pendulum", 5), np.zeros((5, 1)), 2, 2)
+        with pytest.raises(ParameterError, match=r"\bnu\b"):
+            run_backward(bundle, kind, ridges)
+
+
 class TestFactorOnce:
     @pytest.mark.parametrize("kind", ["gn", "ne", "ddp-lq", "ddp-q"])
     def test_one_cholesky_factorization_per_stage(self, kind, cholesky_spy):

@@ -29,8 +29,12 @@ without a decrease, under both rules.
 
 Arrays enter as their shape, dtype and bytes, so two checkouts that print
 the same lines compute the same derivatives, oracle directions and
-iterates bit for bit.  A forward pass, roll-out or solve that raises a
-numeric error enters as that error.
+iterates bit for bit.  A bundle's dynamics curvature enters over every
+pair, (horizon, n_x, m(m+1)/2): the pairs it stores at their positions
+``curvature_pairs`` and +0.0 in the others, so bundles that store fewer
+pairs hash as bundles that store them all.  A forward pass, oracle or
+solve that raises a numeric, shape or parameter error enters as the
+error's family and, where it names one, its stage ``t``, not its message.
 
 Usage: python scripts/oracle_hashes.py [env ...]   (default: every env; the
 track lines are always printed)
@@ -47,7 +51,7 @@ import numpy as np
 from trajopt.cli import initial_controls
 from trajopt.envs import bundled_track
 from trajopt.envs.build import ENV_DISCRETIZERS, ENV_KINDS, build_problem
-from trajopt.errors import DivergenceError
+from trajopt.errors import NumericError, ParameterError, ShapeError
 from trajopt.linesearch import STEP_RULES, LineSearchConfig, StopCriteria, solve
 from trajopt.oracles import ORACLE_KINDS, ORACLES, bundle_gradient, forward, oracle_step
 
@@ -58,6 +62,7 @@ ORDERS = ((1, 1), (1, 2), (2, 2))
 SOLVE_ITERS = 10
 SEARCHES = ({"rho_dec": 0.5}, {"rho_dec": 0.3}, {"rho_dec": 0.5, "gamma_min": 0.1})
 TRACKS = ("simple", "complex")
+FAMILIES = (NumericError, ShapeError, ParameterError)
 
 
 def _feed(digest, value) -> None:
@@ -78,6 +83,27 @@ def _feed_fields(digest, record, skip=()) -> None:
             _feed(digest, getattr(record, field.name))
 
 
+def _feed_bundle(digest, bundle) -> None:
+    """Every bundle field but the problem, the curvature over every pair."""
+    stored = getattr(bundle, "curvature_pairs", None)  # None: every pair is stored
+    for field in dataclasses.fields(bundle):
+        if field.name in ("problem", "curvature_pairs"):
+            continue
+        value = getattr(bundle, field.name)
+        if field.name == "curvature" and stored is not None:
+            m = bundle.problem.n_x + bundle.problem.n_u
+            value = np.zeros(value.shape[:2] + (m * (m + 1) // 2,))
+            value[..., stored] = bundle.curvature
+        digest.update(field.name.encode())
+        _feed(digest, value)
+
+
+def _error(err) -> str:
+    """A raised error as its family and, where it names one, its stage."""
+    family = next(cls for cls in FAMILIES if isinstance(err, cls))
+    return f"{family.__name__} t={getattr(err, 't', None)}"
+
+
 def track_hash(name: str) -> str:
     digest = hashlib.sha256()
     track = bundled_track(name)
@@ -92,10 +118,10 @@ def cell_hash(problem, u) -> str:
         for o_f, o_h in ORDERS:
             try:
                 bundles[o_f, o_h] = forward(problem, controls, o_f, o_h)
-            except ArithmeticError as err:
-                _feed(digest, f"forward({o_f}, {o_h}) {type(err).__name__}: {err}")
+            except FAMILIES as err:
+                _feed(digest, f"forward({o_f}, {o_h}) {_error(err)}")
                 continue
-            _feed_fields(digest, bundles[o_f, o_h], skip=("problem",))
+            _feed_bundle(digest, bundles[o_f, o_h])
             _feed(digest, bundle_gradient(bundles[o_f, o_h]))
         for kind in ORACLE_KINDS:
             spec = ORACLES[kind]
@@ -105,8 +131,8 @@ def cell_hash(problem, u) -> str:
             for nu in RIDGES:
                 try:
                     step = oracle_step(bundle, kind, spec.start_nu if nu is None else nu)
-                except ArithmeticError as err:
-                    _feed(digest, f"{kind} nu={nu} {type(err).__name__}: {err}")
+                except FAMILIES as err:
+                    _feed(digest, f"{kind} nu={nu} {_error(err)}")
                     continue
                 _feed_fields(digest, step)
     return digest.hexdigest()
@@ -118,8 +144,8 @@ def solve_hash(problem, u) -> str:
         try:
             u_end, trace = solve(problem, u, kind, LineSearchConfig(rule=rule, **search),
                                  StopCriteria(max_iters=SOLVE_ITERS))
-        except DivergenceError as err:
-            _feed(digest, f"{search} {kind} {rule} DivergenceError: {err}")
+        except FAMILIES as err:
+            _feed(digest, f"{search} {kind} {rule} {_error(err)}")
             continue
         _feed(digest, (trace.status, trace.iterations))
         for row in trace.rows:

@@ -23,7 +23,12 @@ every lane, their products stacked over a leading lane axis.  It adds the
 blocks of the packed curvature contraction
 (:func:`autodiff.hessian_blocks`): for Newton against the adjoints, one
 block of stages at a time, so no temporary spans the horizon; for DDP-Q
-against the cost-to-go slope, stage by stage.  The policies come out
+against the cost-to-go slope, stage by stage.  The forward pass traces
+every long run of the dynamics before its first second-order sweep and
+stores the curvature over only the pairs the traced blocks seeded
+(:attr:`ExpansionBundle.curvature_pairs`); both folds go through
+``_folded``, which widens the contraction to every pair, an unstored pair
+reading as a +0.0 column folds.  The policies come out
 stacked as gains ``K`` (horizon, n_u, n_x) and offsets ``k`` (horizon,
 n_u); :func:`rollout` takes them with the bundle and the kind, and its DDP
 maps difference the original dynamics against the states the bundle
@@ -138,12 +143,16 @@ class ExpansionBundle:
     and ``q`` (horizon, n_u) and the final slope; order-2 costs add the
     C-contiguous blocks ``H``, ``Q``, ``R`` (horizon, n_x, n_u) and the
     final Hessian, taken from the packed cost Hessians.  For order-2
-    dynamics ``curvature`` (horizon, n_x, m(m+1)/2), m = n_x + n_u, holds
-    each stage's per-output second derivatives in the joint point
-    (x_t, u_t), packed as :func:`autodiff.block_jacobian_curvature` packs
-    them; the backward sweep contracts a stage's rows against whatever
-    vector it needs.  :func:`rollout` steps along ``A`` and ``B``, or
-    along the original dynamics from ``xs`` and ``u``.
+    dynamics ``curvature`` (horizon, n_x, k) holds each stage's per-output
+    second derivatives in the joint point (x_t, u_t) along k pairs (i, j)
+    of its m = n_x + n_u inputs: the pairs some traced block of the
+    dynamics seeded, at the positions ``curvature_pairs`` in the pair
+    order of :func:`autodiff.block_jacobian_curvature`, or every pair,
+    k = m(m+1)/2, in that order when ``curvature_pairs`` is None (a run
+    seeded them all).  A pair that is not stored is +0.0 at every stage.
+    The backward sweep contracts a stage's rows against whatever vector it
+    needs.  :func:`rollout` steps along ``A`` and ``B``, or along the
+    original dynamics from ``xs`` and ``u``.
     """
 
     problem: TrajectoryProblem
@@ -162,6 +171,7 @@ class ExpansionBundle:
     final_slope: np.ndarray | None = None
     final_quad: np.ndarray | None = None
     curvature: np.ndarray | None = None
+    curvature_pairs: np.ndarray | None = None
 
     @property
     def horizon(self) -> int:
@@ -305,16 +315,32 @@ def _runs(fns):
         start = stop
 
 
-def _store(results, parts, start: int, stop: int, n: int) -> tuple:
+def _store(results, parts, start: int, stop: int, n: int, stored=None) -> tuple:
     """``results`` (allocated for n stages on first use) with ``parts`` in rows start..stop-1.
 
-    Passing a sweep's result straight in frees it before the next sweep.
+    ``stored``, pair positions, keeps only those columns of the second part,
+    a block's packed second derivatives.  Passing a sweep's result straight
+    in frees it before the next sweep.
     """
+    if stored is not None:
+        parts = parts[0], parts[1][..., stored]
     if results is None:
         results = tuple(np.empty((n,) + p.shape[1:]) for p in parts)
     for out, part in zip(results, parts):
         out[start:stop] = part
     return results
+
+
+def _every_pair(packed: np.ndarray, stored: np.ndarray, pairs: int, fill=0.0) -> np.ndarray:
+    """``packed``, columns over the pair positions ``stored``, widened to all ``pairs`` columns.
+
+    The other columns read ``fill``, a number or a column that broadcasts
+    against the rows.
+    """
+    full = np.empty(packed.shape[:-1] + (pairs,))
+    full[...] = fill
+    full[..., stored] = packed
+    return full
 
 
 def _traced_lanes(g, zs) -> tuple:
@@ -324,48 +350,104 @@ def _traced_lanes(g, zs) -> tuple:
         return autodiff.structural_lanes(g, zs)
 
 
-def _expand_traced(sweep, g, zs: np.ndarray, start: int, stop: int, results, n: int) -> tuple:
-    """The second-order sweeps of one run, each block seeding only its traced pairs.
+def _traced_run(g, zs: np.ndarray, start: int, stop: int) -> tuple | None:
+    """The blocks of one run and the pairs each seeds, traced before any of its sweeps.
 
     The run's pattern sizes its blocks; each block then seeds the pattern
     traced at its own points, since a branch may go another way there.
+    Returns ``((lo, hi, lanes), ...)``, or None when a trace fails: the run
+    then seeds every pair.
     """
-    lanes = _traced_lanes(g, zs[start:stop])
-    cap = _cap(zs.shape[1] + len(lanes), 3 * SLOT_BUDGET)
-    for lo in range(start, stop, cap):
-        hi = min(lo + cap, stop)
-        if hi - lo < stop - start:
-            lanes = _traced_lanes(g, zs[lo:hi])
-        results = _store(results, sweep(g, zs[lo:hi], lanes), lo, hi, n)
+    try:
+        lanes = _traced_lanes(g, zs[start:stop])
+        cap = _cap(zs.shape[1] + len(lanes), 3 * SLOT_BUDGET)
+        if cap >= stop - start:
+            return ((start, stop, lanes),)
+        return tuple([(lo, min(lo + cap, stop), _traced_lanes(g, zs[lo:min(lo + cap, stop)]))
+                      for lo in range(start, stop, cap)])
+    except ArithmeticError:
+        return None
+
+
+def _expand_traced(sweep, g, zs: np.ndarray, blocks: tuple, results, n: int, stored) -> tuple:
+    """The second-order sweeps of one run's :func:`_traced_run` ``blocks``, each seeding its traced pairs.
+
+    ``stored`` is :func:`_store`'s.
+    """
+    for lo, hi, lanes in blocks:
+        results = _store(results, sweep(g, zs[lo:hi], lanes), lo, hi, n, stored)
     return results
 
 
-def _expand(sweep, fns, zs: np.ndarray, n_x: int, order: int) -> tuple:
+def _short(m: int) -> int:
+    """The longest run whose second-order sweeps seed all m(m+1)/2 pairs of m inputs untraced."""
+    return 2 * _cap(m * (m + 1) // 2)
+
+
+def _traced_ahead(fns, zs: np.ndarray, n_x: int) -> tuple:
+    """Every run's traces, taken before the first sweep, and the pairs their blocks seed.
+
+    Returns ``(ahead, stored)``: ``ahead`` maps each run's (start, stop),
+    in stage order, to its :func:`_traced_run`, None for a run of at most
+    :func:`_short` stages; ``stored`` holds the positions of the pairs some
+    block seeds, or is None for every pair, as when a run seeds them all.
+    Both are None when no run is longer than :func:`_short`.
+    """
+    m = zs.shape[1]
+    short = _short(m)
+    if len(fns) <= short:
+        return None, None
+    ahead = {(start, stop): _traced_run(_joint(fns[start], n_x), zs, start, stop)
+             if stop - start > short else None for start, stop in _runs(fns)}
+    if None in ahead.values():
+        return ahead, None
+    seeded = sorted(set().union(*(lanes for blocks in ahead.values() for *_, lanes in blocks)))
+    if len(seeded) == m * (m + 1) // 2:
+        return ahead, None
+    stored = np.array(seeded, dtype=np.intp)
+    stored.flags.writeable = False
+    return ahead, stored
+
+
+def _expand(sweep, fns, zs: np.ndarray, n_x: int, order: int, ahead=None, stored=None) -> tuple:
     """Results of ``sweep`` of derivative ``order`` at every stage's point, stacked over the stages.
 
     A run of consecutive stages that share one callable is cut into blocks
     as :data:`SLOT_BUDGET` sizes them; ``sweep`` evaluates a block once on
     all of its points, and a block of one stage runs on plain floats.  A
     first-order sweep seeds the m inputs.  A second-order sweep seeds all
-    m(m+1)/2 pairs, unless its run is longer than twice SLOT_BUDGET //
-    (m(m+1)/2) stages: the run is then traced
-    (:func:`autodiff.structural_lanes`) and each block seeds only the pairs
-    traced at its own points, which gives the same results bit for bit.  A
-    trace or a traced sweep that fails sends its run back to full seeds, so
-    errors name the same stage.
+    m(m+1)/2 pairs, unless its run is longer than :func:`_short` stages:
+    the run is then traced (:func:`_traced_run`) and each block seeds only
+    the pairs traced at its own points, which gives the same results bit
+    for bit, and +0.0 in the pairs it does not seed.  A trace or a traced
+    sweep that fails sends its run back to full seeds, so errors name the
+    same stage.
+
+    ``ahead`` and ``stored`` are :func:`_traced_ahead`'s: the runs traced
+    before the first sweep, and the pair positions the second stack keeps.
+    Without them each run is traced just before its sweeps and the stack
+    keeps every pair.  A run that falls back to full seeds widens the
+    stack to every pair.
     """
     n, m = len(fns), zs.shape[1]
     pairs = m * (m + 1) // 2
     cap = _cap(m) if order == 1 else _cap(m + pairs, 3 * SLOT_BUDGET)
+    short = _short(m) if order == 2 else n  # a longer run seeds its traced pairs
     results = None
-    for start, stop in _runs(fns):
+    for start, stop in _runs(fns) if ahead is None else ahead:
         g = _joint(fns[start], n_x)
-        if order == 2 and stop - start > 2 * _cap(pairs):
+        if ahead is not None:
+            blocks = ahead[start, stop]  # None for a short run or a failed trace
+        else:
+            blocks = _traced_run(g, zs, start, stop) if stop - start > short else None
+        if blocks is not None:
             try:
-                results = _expand_traced(sweep, g, zs, start, stop, results, n)
+                results = _expand_traced(sweep, g, zs, blocks, results, n, stored)
                 continue
-            except ArithmeticError:
-                pass
+            except ArithmeticError:  # full seeds fill every pair's column
+                if stored is not None and results is not None:
+                    results = results[0], _every_pair(results[1], stored, pairs)
+                stored = None
         for lo in range(start, stop, cap):
             hi = min(lo + cap, stop)
             try:
@@ -405,10 +487,16 @@ def _expansions(problem: TrajectoryProblem, xs: np.ndarray, u: np.ndarray, o_f: 
         # A and B stay strided views: with contiguous copies the sweep's
         # matmuls take other BLAS paths, and the offsets and c0 of cart-pole
         # and bicycle-car sweeps change in their last bits
-        jac, *curvature = _expand(_SWEEPS[o_f], problem.dynamics, zs, n_x, o_f)
+        ahead, stored = _traced_ahead(problem.dynamics, zs, n_x) if o_f == 2 else (None, None)
+        jac, *curvature = _expand(_SWEEPS[o_f], problem.dynamics, zs, n_x, o_f, ahead, stored)
+        del ahead  # the traces are not held over the cost sweeps
         ok[:tau] = _finite_rows(jac, *curvature)
-        fields.update(A=jac[:, :, :n_x], B=jac[:, :, n_x:],
-                      curvature=curvature[0] if curvature else None)
+        fields.update(A=jac[:, :, :n_x], B=jac[:, :, n_x:])
+        if curvature:
+            (curvature,) = curvature  # widened to every pair if a run fell back to full seeds
+            if stored is not None and len(stored) < curvature.shape[-1]:
+                stored = None
+            fields.update(curvature=curvature, curvature_pairs=stored)
     if o_h:
         costs = problem.running_costs + (lambda x, _: problem.final_cost(x),)
         grad, *packed = _expand(_SWEEPS[o_h], costs, zs, n_x, o_h)
@@ -664,6 +752,26 @@ def lqbp(A, B, H, R, p, J, j, j0: float, checked) -> tuple:
     return J_t, j_t, j0 + decrement, -Minv_NT, -Minv_m
 
 
+def _folded(bundle: ExpansionBundle, stages, lam: np.ndarray) -> np.ndarray:
+    """The dynamics curvature of ``stages`` (a stage or a slice) folded against ``lam``, over every pair.
+
+    :func:`autodiff.contract_curvature` of the stored pairs, widened to all
+    m(m+1)/2.  A pair the bundle does not store is +0.0 at every stage, so
+    it reads the fold of a +0.0 column, 0.0 + sum_k lam_k * 0.0: +0.0, or
+    NaN where ``lam`` is not finite.  Folding the stored pairs alone keeps
+    the fold's temporaries at their width.
+    """
+    curvature, stored = bundle.curvature[stages], bundle.curvature_pairs
+    sums = autodiff.contract_curvature(curvature, lam)
+    if stored is None:
+        return sums
+    m = bundle.problem.n_x + bundle.problem.n_u
+    unstored = 0.0  # folded only where lam is not finite: the test costs less than the fold
+    if not np.isfinite(lam).all():
+        unstored = autodiff.contract_curvature(np.zeros((curvature.shape[-2], 1)), lam)
+    return _every_pair(sums, stored, m * (m + 1) // 2, unstored)
+
+
 class RidgeLadder(tuple):
     """The :class:`OracleDirection` of each ridge of a ladder swept as one laned pass, in order."""
 
@@ -722,12 +830,12 @@ def _backward_quadratic(
         # order moves the last bits of Newton directions at nu > 0
         H, Q, R = bundle.H[lo:hi], Q_all[lo:hi] + ridge, bundle.R[lo:hi]
         if contraction == "adjoint":  # the adjoints are known before the sweep
-            W = autodiff.contract_curvature(bundle.curvature[lo:hi], bundle.adjoints[lo:hi])
+            W = _folded(bundle, slice(lo, hi), bundle.adjoints[lo:hi])
             H, Q, R = (H + W.take(at_H, axis=-1), Q + W.take(at_Q_block, axis=-1),
                        R + W.take(at_R, axis=-1))
         for t, H_t, Q_t, R_t in zip(range(hi - 1, lo - 1, -1), H[::-1], Q[::-1], R[::-1]):
             if contraction == "value-slope":  # the slope is only known here, stage by stage
-                w = autodiff.contract_curvature(bundle.curvature[t], j[..., 0] if laned else j)
+                w = _folded(bundle, t, j[..., 0] if laned else j)
                 H_t, Q_t, R_t = (H_t + w.take(at_H, axis=-1), Q_t + w.take(at_Q, axis=-1),
                                  R_t + w.take(at_R, axis=-1))
             checked = check_subproblem(B[t], Q_t, q[t], J, j, j0)

@@ -191,6 +191,30 @@ def test_criterion_03_linear_horizon_complexity():
     )
 
 
+def test_criterion_03_car_memory():
+    """Criterion 3's memory bound on the bicycle car, whose 11 joint inputs
+    give 66 curvature pairs per output against the pendulum's 6."""
+    import gc
+
+    problem = build_problem("bicycle-car", 50, "rk4")
+    u = np.zeros((50, problem.n_u))
+    peaks = {}
+    for kind in ("gn", "ne", "ddp-q"):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            oracle(problem, u, kind)
+            _, peaks[kind] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peaks["ne"] <= 3.0 * peaks["gn"]
+    assert peaks["ddp-q"] <= 3.0 * peaks["gn"]
+    report(
+        "criterion 3 (bicycle car, h = 50)",
+        f"memory ne/gn={peaks['ne'] / peaks['gn']:.2f}, ddp-q/gn={peaks['ddp-q'] / peaks['gn']:.2f}",
+    )
+
+
 def test_criterion_04_policy_scaling(rng):
     """Offset-scaled roll-outs on linear maps are exactly linear in the stepsize."""
     worst = policy_scaling_deviation(rng, 20)

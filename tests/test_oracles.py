@@ -38,6 +38,7 @@ from trajopt.oracles import (
     ORACLES,
     SLOT_BUDGET,
     _expand,
+    _folded,
     bundle_gradient,
     check_subproblem,
     forward,
@@ -343,17 +344,70 @@ def assert_curvature_matches_per_stage(problem, u, rng):
     b2 = forward(problem, u, o_f=2, o_h=2)
     b1 = forward(problem, u, o_f=1, o_h=2)
     m = n_x + problem.n_u
-    assert b2.curvature.shape == (problem.horizon, n_x, m * (m + 1) // 2)
+    stored = m * (m + 1) // 2 if b2.curvature_pairs is None else len(b2.curvature_pairs)
+    assert b2.curvature.shape == (problem.horizon, n_x, stored)
     for t in range(problem.horizon):
         where = f"t={t}"
         _assert_same(b2.A[t], b1.A[t], where)
         _assert_same(b2.B[t], b1.B[t], where)
+    assert_folds_match_lambda_hessian(b2, rng)
+
+
+def assert_folds_match_lambda_hessian(bundle, rng):
+    """Each stage's curvature folded against a random vector, against per-stage lambda_hessian, bitwise."""
+    problem, n_x = bundle.problem, bundle.problem.n_x
+    m = n_x + problem.n_u
+    for t in range(problem.horizon):
         f = problem.dynamics[t]
-        z = np.concatenate([b2.xs[t], u[t]])
+        z = np.concatenate([bundle.xs[t], bundle.u[t]])
         lam = rng.standard_normal(n_x)
         expected = autodiff.lambda_hessian(lambda zz: f(zz[:n_x], zz[n_x:]), z, lam)
         packed = expected[np.triu_indices(m)]  # the documented pair order
-        _assert_same(autodiff.contract_curvature(b2.curvature[t], lam), packed, where)
+        _assert_same(_folded(bundle, t, lam), packed, f"t={t}")
+
+
+def every_pair(bundle):
+    """The bundle's curvature as a (horizon, n_x, m(m+1)/2) stack: +0.0 in the pairs it does not store."""
+    if bundle.curvature_pairs is None:
+        return bundle.curvature
+    m = bundle.problem.n_x + bundle.problem.n_u
+    full = np.zeros(bundle.curvature.shape[:2] + (m * (m + 1) // 2,))
+    full[..., bundle.curvature_pairs] = bundle.curvature
+    return full
+
+
+def seeded_union(problem, u):
+    """The pair positions the traced blocks of the problem's one dynamics run seed, traced here."""
+    n_x, horizon = problem.n_x, problem.horizon
+    [(length, cap, traced)] = block_caps(problem, problem.dynamics, u, 2)
+    assert traced and length == horizon
+    fn = problem.dynamics[0]
+    zs = np.hstack([forward(problem, u, 0, 0).xs[:-1], u])
+    seeded = set()
+    for lo in range(0, horizon, cap):
+        seeded |= set(autodiff.structural_lanes(lambda z: fn(z[:n_x], z[n_x:]), zs[lo:lo + cap]))
+    return sorted(seeded)
+
+
+def branching_problem(horizon=150):
+    """x0' = u0 and x1' = x0 x1 where some x0 > 0 in the block, else x0 u0.
+
+    The states x0 after the first are the controls of the step before, so
+    the controls choose where the branch goes: the pair (x0, x1) or
+    (x0, u0).  Where the sign of x0 is one over each block, a block takes
+    the branch each of its points takes alone.
+    """
+    def f(x, u):
+        return [u[0], x[0] * x[1] if autodiff.anywhere(x[0] > 0.0) else x[0] * u[0]]
+
+    return TrajectoryProblem(
+        dynamics=(f,) * horizon,
+        running_costs=(lambda x, u: 0.5 * u[0] * u[0] + 0.5 * x[1] * x[1],) * horizon,
+        final_cost=lambda x: 0.5 * x[1] * x[1],
+        x0=[1.0, 0.5],
+        n_x=2,
+        n_u=1,
+    )
 
 
 class TestStoredCurvature:
@@ -370,6 +424,96 @@ class TestStoredCurvature:
         # every stage has its own dynamics, so every block holds one stage
         problem = random_smooth_problem(rng, 7, 3, 2)
         assert_curvature_matches_per_stage(problem, rng.standard_normal((7, 2)) * 0.3, rng)
+
+    def test_traced_bundles_store_the_union_of_their_seeded_pairs(self):
+        # the pendulum seeds its three diagonal pairs only, at positions 0, 3 and 5
+        bundle = forward(build_problem("pendulum", 1000), np.zeros((1000, 1)), 2, 2)
+        assert bundle.curvature.shape == (1000, 2, 3)
+        assert bundle.curvature_pairs.tolist() == [0, 3, 5]
+        assert not bundle.curvature_pairs.flags.writeable
+        problem = build_problem("bicycle-car", 89, "euler")
+        u = 0.05 * np.random.default_rng(11).standard_normal((89, problem.n_u))
+        bundle = forward(problem, u, 2, 2)
+        expected = seeded_union(problem, u)
+        assert len(expected) < 66
+        assert bundle.curvature_pairs.tolist() == expected
+        assert bundle.curvature.shape == (89, 8, len(expected))
+
+    def test_untraced_bundles_store_every_pair(self):
+        # the swing-up's 25 cart-pole stages are too few to trace
+        problem = build_problem("cartpole", 25)
+        assert not block_caps(problem, problem.dynamics, np.zeros((25, 1)), 2)[0][2]
+        bundle = forward(problem, np.zeros((25, 1)), 2, 2)
+        assert bundle.curvature_pairs is None
+        assert bundle.curvature.shape == (25, 4, 15)
+        for o_f in (0, 1):
+            bundle = forward(problem, np.zeros((25, 1)), o_f, 2)
+            assert bundle.curvature is None and bundle.curvature_pairs is None
+
+    def test_a_block_branching_away_from_its_run_adds_its_pairs(self, rng):
+        # x0 > 0 up to stage 112: the run and its first block take x0 x1, the second block x0 u0
+        problem = branching_problem()
+        u = rng.uniform(0.8, 1.2, (150, 1))
+        u[112:] *= -1.0
+        caps = block_caps(problem, problem.dynamics, u, 2)
+        assert caps == [(150, 113, True)]
+        bundle = forward(problem, u, 2, 2)
+        assert bundle.curvature_pairs.tolist() == [0, 1, 2, 3, 5]  # all but (x1, u0)
+        assert np.all(bundle.curvature[:113, 1, 1] != 0.0)  # (x0, x1) in the first block
+        assert np.all(bundle.curvature[113:, 1, 2] != 0.0)  # (x0, u0) in the second
+        assert_folds_match_lambda_hessian(bundle, rng)
+        # widened, the stack is the full-width one each block's zero scatter gives
+        zs = np.hstack([bundle.xs[:-1], u])
+        full = _expand(autodiff.block_jacobian_curvature, problem.dynamics, zs, 2, 2)[1]
+        assert every_pair(bundle).tobytes() == full.tobytes()
+
+    def test_a_failed_traced_sweep_widens_the_stack(self, rng):
+        # the second run's sweeps fail on fewer than every pair, after the
+        # first run's sweeps stored the union's columns
+        def wide_only(x, u):
+            if type(x[0]) is autodiff.HyperDual and np.shape(x[0].h)[-1] < 6:
+                raise ZeroDivisionError("a traced sweep")
+            return [x[0] + u[0], x[0] * x[1]]
+
+        def plain(x, u):
+            return [x[0] + u[0], x[0] * x[1]]
+
+        problem = TrajectoryProblem(
+            dynamics=(plain,) * 100 + (wide_only,) * 100,
+            running_costs=(lambda x, u: 0.5 * u[0] * u[0],) * 200,
+            final_cost=lambda x: 0.5 * x[1] * x[1],
+            x0=[0.1, 0.5],
+            n_x=2,
+            n_u=1,
+        )
+        u = 0.01 * rng.standard_normal((200, 1))
+        bundle = forward(problem, u, 2, 2)
+        assert bundle.curvature_pairs is None and bundle.curvature.shape == (200, 2, 6)
+        zs = np.hstack([bundle.xs[:-1], u])
+        full = _expand(autodiff.block_jacobian_curvature, problem.dynamics, zs, 2, 2)[1]
+        assert bundle.curvature.tobytes() == full.tobytes()
+        traced = forward(shared_callables(problem, 100), u[:100], 2, 2)
+        assert traced.curvature_pairs.tolist() == [0, 1, 3, 5]
+        assert every_pair(traced).tobytes() == full[:100].tobytes()
+
+    # ne folds a block of stages against their adjoints, ddp-q one stage against
+    # its slope, or the slopes of a ladder's 4 lanes
+    @pytest.mark.parametrize("stages,shape", [(slice(10, 54), (44, 2)), (7, (2,)), (7, (4, 2))])
+    def test_an_unstored_pair_folds_as_a_zero_column(self, stages, shape, rng):
+        bundle = forward(build_problem("pendulum", 100), 0.1 * rng.standard_normal((100, 1)), 2, 2)
+        assert bundle.curvature_pairs.tolist() == [0, 3, 5]
+        full = every_pair(bundle)
+        for _ in range(3):
+            lam = rng.standard_normal(shape)
+            lam[..., 0] = -np.abs(lam[..., 0])  # a negative slope makes -0.0 products
+            got, today = _folded(bundle, stages, lam), autodiff.contract_curvature(full[stages], lam)
+            assert got.shape == today.shape and got.tobytes() == today.tobytes()
+            assert np.all(np.signbit(got[..., [1, 2, 4]]) == 0)
+            lam[..., 1] = math.inf
+            with np.errstate(invalid="ignore"):
+                got, today = _folded(bundle, stages, lam), autodiff.contract_curvature(full[stages], lam)
+            assert got.tobytes() == today.tobytes()
+            assert np.all(np.isnan(got[..., [1, 2, 4]]))
 
     @pytest.mark.parametrize("kind", ["ne", "ddp-q"])
     def test_solve_does_not_re_differentiate(self, kind, monkeypatch):
@@ -397,8 +541,14 @@ def full_seed_forward(problem, u, o_f, o_h, monkeypatch):
 
 
 def assert_same_bytes(new, ref):
+    """Every field of two bundles by bytes, ``new``'s curvature over every pair as ``ref`` stores it."""
+    assert ref.curvature_pairs is None
     for field in dataclasses.fields(ref):
         a, b = getattr(new, field.name), getattr(ref, field.name)
+        if field.name == "curvature_pairs":
+            continue
+        if field.name == "curvature" and a is not None:
+            a = every_pair(new)
         if isinstance(b, np.ndarray):
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), field.name
         elif field.name != "problem":
@@ -1174,9 +1324,10 @@ def per_stage_sweep(bundle, nu, kind="ne"):
     k = np.empty((tau, n_u))
     J, j, j0 = bundle.final_quad, bundle.final_slope, 0.0
     lam = bundle.final_slope
+    curvature = every_pair(bundle)
     with np.errstate(all="ignore"):
         for t in range(tau - 1, -1, -1):
-            w = autodiff.contract_curvature(bundle.curvature[t], lam if kind == "ne" else j)
+            w = autodiff.contract_curvature(curvature[t], lam if kind == "ne" else j)
             H = bundle.H[t] + w[at_H]
             Q = (bundle.Q[t] + nu * np.eye(n_u)) + w[at_Q]
             R = bundle.R[t] + w[at_R]

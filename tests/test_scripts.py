@@ -1,14 +1,19 @@
 """Smoke runs of the experiment drivers under scripts/."""
 
+import dataclasses
+import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from trajopt.envs import ENV_DISCRETIZERS
-from trajopt.oracles import ORACLE_KINDS
+from trajopt.envs import ENV_DISCRETIZERS, build_problem
+from trajopt.errors import DivergenceError, DomainError, ParameterError, ShapeError
+from trajopt.oracles import ORACLE_KINDS, forward
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -98,6 +103,37 @@ def test_compare_traces_ignores_only_time_ms(tmp_path):
     missing = _compare_traces(*dirs)
     assert missing.returncode == 1
     assert "only under" in missing.stdout
+
+
+def _oracle_hashes():
+    path = ROOT / "scripts" / "oracle_hashes.py"
+    spec = importlib.util.spec_from_file_location("oracle_hashes", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_oracle_hashes_reads_an_error_as_its_family_and_stage():
+    hashes = _oracle_hashes()
+    assert hashes._error(DivergenceError(3, "one wording")) == "NumericError t=3"
+    assert hashes._error(DivergenceError(3, "another")) == "NumericError t=3"
+    assert hashes._error(DomainError("log", -1.0)) == "NumericError t=None"
+    assert hashes._error(ShapeError("u")) == "ShapeError t=None"
+    assert hashes._error(ParameterError("nu")) == "ParameterError t=None"
+
+
+def test_oracle_hashes_feeds_the_curvature_over_every_pair():
+    hashes = _oracle_hashes()
+    bundle = forward(build_problem("pendulum", 100), np.zeros((100, 1)), 2, 2)
+    assert bundle.curvature_pairs.tolist() == [0, 3, 5]
+    full = np.zeros((100, 2, 6))
+    full[..., [0, 3, 5]] = bundle.curvature
+    digests = []
+    for b in (bundle, dataclasses.replace(bundle, curvature=full, curvature_pairs=None)):
+        digest = hashlib.sha256()
+        hashes._feed_bundle(digest, b)
+        digests.append(digest.hexdigest())
+    assert digests[0] == digests[1]
 
 
 def test_oracle_hashes_prints_two_hashes_per_cell():

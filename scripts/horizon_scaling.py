@@ -6,9 +6,12 @@ the pendulum).  Per horizon, the row gives the median wall time of the
 backward pass and roll-out, then the tracemalloc peak of one whole
 ``oracle`` call from zero controls (forward pass included, as perfbench's
 ``peak_kib`` measures it).  The per-step work and storage are constant,
-so both should grow linearly.  Acceptance criterion 3 bounds the ne and
-ddp-q peaks by 3x the gn peak; two last rows give those ratios per
-horizon.
+so both should grow linearly.  A kind whose sweep stops early at its
+start ridge, as the bicycle car's do from zero controls, prints the stage
+it stopped at (``stop@43``) in place of the time and the peak.
+Acceptance criterion 3 bounds the ne and ddp-q peaks by 3x the gn peak;
+two last rows give those ratios per horizon, ``-`` where a peak is
+missing.
 
 Usage: python scripts/horizon_scaling.py [--env pendulum] [--horizons 500,1000,2000] [--reps 10]
 """
@@ -59,6 +62,10 @@ def main():
         cells = []
         for tau in horizons:
             bundle = bundles[(tau, (spec.o_f, spec.o_h))]
+            result = oracle_step(bundle, kind, spec.start_nu)
+            if not result.feasible:  # an early exit is not a backward pass and roll-out
+                cells.append(f"{'stop@' + str(result.failed_stage):>21s}")
+                continue
             times = []
             for _ in range(args.reps):
                 t0 = time.perf_counter()
@@ -68,8 +75,9 @@ def main():
             cells.append(f"{statistics.median(times) * 1e3:8.1f}ms {peak:9.1f}KiB")
         print(f"{kind:8s}" + "  ".join(cells))
     for kind in ("ne", "ddp-q"):  # criterion 3: each at most 3
-        print(f"{kind + '/gn':8s}" + "  ".join(
-            f"{peaks[kind, tau] / peaks['gn', tau]:8.2f}" + " " * 13 for tau in horizons))
+        ratios = [f"{peaks[kind, tau] / peaks['gn', tau]:8.2f}"
+                  if {(kind, tau), ("gn", tau)} <= peaks.keys() else f"{'-':>8s}" for tau in horizons]
+        print(f"{kind + '/gn':8s}" + "  ".join(ratio + " " * 13 for ratio in ratios))
 
 
 if __name__ == "__main__":

@@ -259,8 +259,7 @@ def regularized_search(
             while len(rungs) < size and (nxt := _next_gamma(rungs[-1], cfg)) >= cfg.gamma_min:
                 rungs.append(nxt)
             swept.update(dict.fromkeys(rungs))
-            # a ridge out of the kind's range is not swept (see OracleSpec.check_ridge)
-            usable = [g for g in rungs if 1.0 / g < math.inf and (g < math.inf or spec.o_h == 2)]
+            usable = [g for g in rungs if spec._admits(1.0 / g)]
             if usable:
                 swept.update(zip(usable, run_backward(bundle, kind, [1.0 / g for g in usable])))
         result = swept[gamma]

@@ -23,9 +23,10 @@ every lane, their products stacked over a leading lane axis.  It adds the
 blocks of the packed curvature contraction
 (:func:`autodiff.hessian_blocks`): for Newton against the adjoints, one
 block of stages at a time, so no temporary spans the horizon; for DDP-Q
-against the cost-to-go slope, stage by stage.  The forward pass traces
-every long run of the dynamics before its first second-order sweep and
-stores the curvature over only the pairs the traced blocks seeded
+against the cost-to-go slope, stage by stage.  Each second-order
+expansion of the forward pass, of the dynamics as of the costs, traces
+every long run before its first sweep.  The dynamics curvature is stored
+over only the pairs the traced blocks seeded
 (:attr:`ExpansionBundle.curvature_pairs`); both folds go through
 ``_folded``, which widens the contraction to every pair, an unstored pair
 reading as a +0.0 column folds.  The policies come out
@@ -79,9 +80,15 @@ class OracleSpec:
     rolls_original: bool
     start_nu: float
 
+    def _admits(self, nu: float) -> bool:
+        """Whether the ridge nu is in range: 0 < nu < inf (linear costs) or 0 <= nu < inf."""
+        return 0.0 <= nu < math.inf and (nu > 0.0 or self.o_h == 2)
+
     def check_ridge(self, nu) -> None:
-        """:class:`ParameterError` unless 0 < nu < inf (linear costs) or 0 <= nu < inf."""
-        _scalar(nu, "nu", 0.0, ends="()" if self.o_h == 1 else "[)")
+        """:class:`ParameterError` unless nu is a real number the kind :meth:`_admits`."""
+        _scalar(nu, "nu", ends="[]")
+        if not self._admits(nu):
+            raise ParameterError(f"nu must be in [0, inf), or (0, inf) for linear costs, got {nu!r}")
 
 
 # The oracle kinds.  ``o_f`` and ``o_h`` are the forward-pass orders of the
@@ -369,80 +376,59 @@ def _traced_run(g, zs: np.ndarray, start: int, stop: int) -> tuple | None:
         return None
 
 
-def _expand_traced(sweep, g, zs: np.ndarray, blocks: tuple, results, n: int, stored) -> tuple:
-    """The second-order sweeps of one run's :func:`_traced_run` ``blocks``, each seeding its traced pairs.
-
-    ``stored`` is :func:`_store`'s.
-    """
-    for lo, hi, lanes in blocks:
-        results = _store(results, sweep(g, zs[lo:hi], lanes), lo, hi, n, stored)
-    return results
-
-
-def _short(m: int) -> int:
-    """The longest run whose second-order sweeps seed all m(m+1)/2 pairs of m inputs untraced."""
-    return 2 * _cap(m * (m + 1) // 2)
-
-
-def _traced_ahead(fns, zs: np.ndarray, n_x: int) -> tuple:
-    """Every run's traces, taken before the first sweep, and the pairs their blocks seed.
+def _traced_ahead(fns, zs: np.ndarray, n_x: int, order: int) -> tuple:
+    """The traces of every run of an ``order`` expansion, taken before any sweep, and their pairs.
 
     Returns ``(ahead, stored)``: ``ahead`` maps each run's (start, stop),
-    in stage order, to its :func:`_traced_run`, None for a run of at most
-    :func:`_short` stages; ``stored`` holds the positions of the pairs some
+    in stage order, to its :func:`_traced_run`, or to None for a run that
+    is not traced: a first-order run, or one whose untraced second-order
+    sweeps are cheap, at most two Newton fold blocks long (see
+    :data:`SLOT_BUDGET`).  ``stored`` holds the positions of the pairs some
     block seeds, or is None for every pair, as when a run seeds them all.
-    Both are None when no run is longer than :func:`_short`.
     """
-    m = zs.shape[1]
-    short = _short(m)
-    if len(fns) <= short:
-        return None, None
+    pairs = zs.shape[1] * (zs.shape[1] + 1) // 2
+    short = 2 * _cap(pairs) if order == 2 else len(fns)
     ahead = {(start, stop): _traced_run(_joint(fns[start], n_x), zs, start, stop)
              if stop - start > short else None for start, stop in _runs(fns)}
     if None in ahead.values():
         return ahead, None
     seeded = sorted(set().union(*(lanes for blocks in ahead.values() for *_, lanes in blocks)))
-    if len(seeded) == m * (m + 1) // 2:
+    if len(seeded) == pairs:
         return ahead, None
     stored = np.array(seeded, dtype=np.intp)
     stored.flags.writeable = False
     return ahead, stored
 
 
-def _expand(sweep, fns, zs: np.ndarray, n_x: int, order: int, ahead=None, stored=None) -> tuple:
-    """Results of ``sweep`` of derivative ``order`` at every stage's point, stacked over the stages.
+def _expand(sweep, fns, zs: np.ndarray, n_x: int, order: int) -> tuple:
+    """Results of ``sweep`` of derivative ``order`` at every stage's point, and the pairs they keep.
 
     A run of consecutive stages that share one callable is cut into blocks
     as :data:`SLOT_BUDGET` sizes them; ``sweep`` evaluates a block once on
     all of its points, and a block of one stage runs on plain floats.  A
     first-order sweep seeds the m inputs.  A second-order sweep seeds all
-    m(m+1)/2 pairs, unless its run is longer than :func:`_short` stages:
-    the run is then traced (:func:`_traced_run`) and each block seeds only
-    the pairs traced at its own points, which gives the same results bit
-    for bit, and +0.0 in the pairs it does not seed.  A trace or a traced
-    sweep that fails sends its run back to full seeds, so errors name the
-    same stage.
+    m(m+1)/2 pairs, unless its run is long: every run is then traced
+    (:func:`_traced_ahead`) before the first sweep, and each block seeds
+    only the pairs traced at its own points, which gives the same results
+    bit for bit, and +0.0 in the pairs it does not seed.  A trace or a
+    traced sweep that fails sends its run back to full seeds, so errors
+    name the same stage.
 
-    ``ahead`` and ``stored`` are :func:`_traced_ahead`'s: the runs traced
-    before the first sweep, and the pair positions the second stack keeps.
-    Without them each run is traced just before its sweeps and the stack
-    keeps every pair.  A run that falls back to full seeds widens the
-    stack to every pair.
+    Returns ``(stacks, stored)``: the results stacked over the stages, and
+    the pair positions the second stack keeps, or None for every pair.  A
+    run that falls back to full seeds widens the stack to every pair.
     """
     n, m = len(fns), zs.shape[1]
     pairs = m * (m + 1) // 2
     cap = _cap(m) if order == 1 else _cap(m + pairs, 3 * SLOT_BUDGET)
-    short = _short(m) if order == 2 else n  # a longer run seeds its traced pairs
+    ahead, stored = _traced_ahead(fns, zs, n_x, order)
     results = None
-    for start, stop in _runs(fns) if ahead is None else ahead:
+    for (start, stop), blocks in ahead.items():
         g = _joint(fns[start], n_x)
-        if ahead is not None:
-            blocks = ahead[start, stop]  # None for a short run or a failed trace
-        else:
-            blocks = _traced_run(g, zs, start, stop) if stop - start > short else None
         if blocks is not None:
             try:
-                results = _expand_traced(sweep, g, zs, blocks, results, n, stored)
+                for lo, hi, lanes in blocks:
+                    results = _store(results, sweep(g, zs[lo:hi], lanes), lo, hi, n, stored)
                 continue
             except ArithmeticError:  # full seeds fill every pair's column
                 if stored is not None and results is not None:
@@ -456,7 +442,7 @@ def _expand(sweep, fns, zs: np.ndarray, n_x: int, order: int, ahead=None, stored
                 raise DivergenceError(
                     lo, f"model differentiation failed in steps {lo}..{hi - 1}: {err}"
                 ) from err
-    return results
+    return results, stored
 
 
 def _finite_rows(*stacks: np.ndarray) -> np.ndarray:
@@ -487,19 +473,16 @@ def _expansions(problem: TrajectoryProblem, xs: np.ndarray, u: np.ndarray, o_f: 
         # A and B stay strided views: with contiguous copies the sweep's
         # matmuls take other BLAS paths, and the offsets and c0 of cart-pole
         # and bicycle-car sweeps change in their last bits
-        ahead, stored = _traced_ahead(problem.dynamics, zs, n_x) if o_f == 2 else (None, None)
-        jac, *curvature = _expand(_SWEEPS[o_f], problem.dynamics, zs, n_x, o_f, ahead, stored)
-        del ahead  # the traces are not held over the cost sweeps
+        (jac, *curvature), stored = _expand(_SWEEPS[o_f], problem.dynamics, zs, n_x, o_f)
         ok[:tau] = _finite_rows(jac, *curvature)
         fields.update(A=jac[:, :, :n_x], B=jac[:, :, n_x:])
         if curvature:
-            (curvature,) = curvature  # widened to every pair if a run fell back to full seeds
-            if stored is not None and len(stored) < curvature.shape[-1]:
-                stored = None
+            (curvature,) = curvature
             fields.update(curvature=curvature, curvature_pairs=stored)
     if o_h:
         costs = problem.running_costs + (lambda x, _: problem.final_cost(x),)
-        grad, *packed = _expand(_SWEEPS[o_h], costs, zs, n_x, o_h)
+        # the final cost is a one-stage run, which seeds every pair: no pair is dropped
+        (grad, *packed), _ = _expand(_SWEEPS[o_h], costs, zs, n_x, o_h)
         ok &= _finite_rows(grad, *packed)
         grad = grad[:, 0]
         fields.update(p=grad[:tau, :n_x], q=grad[:tau, n_x:], final_slope=grad[tau, :n_x])

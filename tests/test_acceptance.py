@@ -199,14 +199,19 @@ def test_criterion_03_car_memory():
     problem = build_problem("bicycle-car", 50, "rk4")
     u = np.zeros((50, problem.n_u))
     peaks = {}
+    # at the start ridge 0 the gn and ddp-q sweeps stop at stages 43 and 46;
+    # at ridge 1 every call sweeps and rolls out all 50 stages.  One call
+    # first loads scipy's LAPACK (used for n_u > 1), which no peak should hold.
+    oracle(problem, u, "gn")
     for kind in ("gn", "ne", "ddp-q"):
         gc.collect()
         tracemalloc.start()
         try:
-            oracle(problem, u, kind)
+            result = oracle(problem, u, kind, 1.0)
             _, peaks[kind] = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert result.feasible, kind
     assert peaks["ne"] <= 3.0 * peaks["gn"]
     assert peaks["ddp-q"] <= 3.0 * peaks["gn"]
     report(
@@ -235,7 +240,7 @@ def test_criterion_05_linesearch_contracts(bench):
 
     worst_identity = 0.0
     for run in bench.values():
-        if run.kind not in ("gn", "ne") or run.rule == "long":
+        if run.kind not in ("gn", "ne"):
             continue
         points = [np.zeros_like(run.u_final)] + run.iterates
         rows = run.trace.rows

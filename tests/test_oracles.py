@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from trajopt import autodiff
+from trajopt import autodiff, oracles
 from trajopt.core import (
     TrajectoryProblem,
     linear_dynamics,
@@ -464,7 +464,14 @@ class TestStoredCurvature:
         assert_folds_match_lambda_hessian(bundle, rng)
         # widened, the stack is the full-width one each block's zero scatter gives
         zs = np.hstack([bundle.xs[:-1], u])
-        full = _expand(autodiff.block_jacobian_curvature, problem.dynamics, zs, 2, 2)[1]
+        (_, packed), stored = _expand(autodiff.block_jacobian_curvature, problem.dynamics, zs, 2, 2)
+        assert stored.tolist() == [0, 1, 2, 3, 5]
+        assert packed.tobytes() == bundle.curvature.tobytes()
+        g = lambda z: problem.dynamics[0](z[:2], z[2:])
+        full = np.concatenate([
+            autodiff.block_jacobian_curvature(g, zs[lo:hi], autodiff.structural_lanes(g, zs[lo:hi]))[1]
+            for lo, hi in ((0, 113), (113, 150))
+        ])
         assert every_pair(bundle).tobytes() == full.tobytes()
 
     def test_a_failed_traced_sweep_widens_the_stack(self, rng):
@@ -490,7 +497,8 @@ class TestStoredCurvature:
         bundle = forward(problem, u, 2, 2)
         assert bundle.curvature_pairs is None and bundle.curvature.shape == (200, 2, 6)
         zs = np.hstack([bundle.xs[:-1], u])
-        full = _expand(autodiff.block_jacobian_curvature, problem.dynamics, zs, 2, 2)[1]
+        (_, full), stored = _expand(autodiff.block_jacobian_curvature, problem.dynamics, zs, 2, 2)
+        assert stored is None
         assert bundle.curvature.tobytes() == full.tobytes()
         traced = forward(shared_callables(problem, 100), u[:100], 2, 2)
         assert traced.curvature_pairs.tolist() == [0, 1, 3, 5]
@@ -637,7 +645,7 @@ class TestTracedExpansion:
         zs = rng.uniform(0.5, 1.5, (horizon, 3))
         zs[:, 0] *= -1.0
         zs[10, 0] = 1.0  # only the first block takes the z0 * z1 branch
-        got = _expand(autodiff.block_jacobian_curvature, (h,) * horizon, zs, 2, 2)
+        got, stored = _expand(autodiff.block_jacobian_curvature, (h,) * horizon, zs, 2, 2)
         g = lambda z: h(z[:2], z[2:])
         cap = 3 * SLOT_BUDGET // (3 + len(autodiff.structural_lanes(g, zs)))
         assert 2 * max(1, SLOT_BUDGET // 6) < horizon and horizon % cap != 0
@@ -645,10 +653,12 @@ class TestTracedExpansion:
             autodiff.block_jacobian_curvature(g, zs[lo:lo + cap])
             for lo in range(0, horizon, cap)
         ))]
-        packed = got[1]  # positions 1 and 2 are the pairs (0, 1) and (0, 2)
+        assert stored.tolist() == [0, 1, 2, 3, 5]  # all but (1, 2)
+        packed = got[1]  # columns 1 and 2 are the pairs (0, 1) and (0, 2)
         assert np.all(packed[:cap, 0, 1] != 0.0) and np.all(packed[cap:, 0, 2] != 0.0)
-        for a, b in zip(got, expected):
-            assert a.tobytes() == b.tobytes()
+        assert got[0].tobytes() == expected[0].tobytes()
+        assert packed.tobytes() == expected[1][..., stored].tobytes()
+        assert not np.any(expected[1][..., 4]) and not np.any(np.signbit(expected[1][..., 4]))
 
     def test_failed_run_trace_names_the_full_seed_block(self):
         # the run takes the log branch and fails at stage 180; full-seed
@@ -700,6 +710,54 @@ class TestTracedExpansion:
         with pytest.raises(DivergenceError) as err:
             forward(problem, u, 1, 2)
         assert untraced.value.t == err.value.t == 316
+
+
+class TestTraceSchedule:
+    """A second-order expansion takes every run's traces before its first sweep."""
+
+    def test_every_trace_comes_before_the_first_sweep(self, monkeypatch):
+        # cart-pole at h = 150: the dynamics run (0, 150) and the cost runs
+        # (0, 114) and (114, 150) are longer than the 34 stages from which a
+        # run is traced; the final cost's one-stage run is not traced
+        horizon = 150
+        problem = build_problem("cartpole", horizon)
+        u = 0.05 * np.random.default_rng(3).standard_normal((horizon, 1))
+        traced = [run[2] for fns in (problem.dynamics, problem.running_costs)
+                  for run in block_caps(problem, fns, u, 2)]
+        assert traced == [True, True, True]
+        events = []
+        trace, sweep = autodiff.structural_lanes, oracles._SWEEPS[2]
+
+        def recorded(g, zs, lanes=None):
+            stacks = sweep(g, zs, lanes)
+            events.append(("sweep", stacks[0].shape[1]))  # n_x outputs, or a cost's one
+            return stacks
+
+        monkeypatch.setattr(autodiff, "structural_lanes",
+                            lambda g, zs: events.append(("trace",)) or trace(g, zs))
+        monkeypatch.setattr(oracles, "_SWEEPS", (None, oracles._jacobian_sweep, recorded))
+        forward(problem, u, 2, 2)
+        phases = [event for event, _ in itertools.groupby(events)]
+        assert phases == [("trace",), ("sweep", 4), ("trace",), ("sweep", 1)]
+
+    @pytest.mark.parametrize("env,scheme", ENV_SCHEMES)
+    def test_expand_returns_the_pairs_its_stack_keeps(self, env, scheme):
+        # 89 stages of every env's dynamics are traced, the pendulum's from 89 on
+        horizon = 89
+        problem = build_problem(env, horizon, scheme)
+        u = 0.05 * np.random.default_rng(5).standard_normal((horizon, problem.n_u))
+        assert block_caps(problem, problem.dynamics, u, 2)[0][2]
+        bundle = forward(problem, u, 2, 2)
+        zs = np.hstack([bundle.xs, np.vstack([u, np.zeros((1, problem.n_u))])])
+        sweep = autodiff.block_jacobian_curvature
+        (_, curvature), stored = _expand(sweep, problem.dynamics, zs, problem.n_x, 2)
+        positions = lambda a: None if a is None else a.tolist()
+        assert positions(stored) == positions(bundle.curvature_pairs)
+        assert curvature.tobytes() == bundle.curvature.tobytes()
+        # the final cost is a one-stage run, which seeds every pair
+        costs = problem.running_costs + (lambda x, _: problem.final_cost(x),)
+        _, stored = _expand(sweep, costs, zs, problem.n_x, 2)
+        assert stored is None
 
 
 class TestControlValidation:

@@ -48,11 +48,16 @@ def test_horizon_scaling_prints_one_row_per_oracle_kind():
 
 
 def test_horizon_scaling_prints_the_criterion_3_ratios_of_an_env():
-    rows, ratios = _horizon_scaling("--env", "bicycle-car", "--horizons", "10")
+    rows, ratios = _horizon_scaling("--env", "pendulum", "--horizons", "10")
     peaks = {row[0]: _peaks(row)[0] for row in rows}
     assert [row[0] for row in ratios] == ["ne/gn", "ddp-q/gn"]
     for (label, ratio), kind in zip(ratios, ("ne", "ddp-q")):
         assert float(ratio) == pytest.approx(peaks[kind] / peaks["gn"], abs=0.01)
+    # from zero controls every bicycle-car sweep but gd's stops early at its
+    # start ridge: its row names the stage in place of a time and a peak
+    rows, ratios = _horizon_scaling("--env", "bicycle-car", "--horizons", "10")
+    assert [row[1:] for row in rows[1:]] == [["stop@7"], ["stop@8"], ["stop@7"], ["stop@8"]]
+    assert ratios == [["ne/gn", "-"], ["ddp-q/gn", "-"]]
 
 
 def _compare_traces(dir_a, dir_b):

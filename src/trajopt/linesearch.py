@@ -30,6 +30,7 @@ import numpy as np
 from .core import TrajectoryProblem, _array, _scalar
 from .errors import DivergenceError, NumericError, ParameterError
 from .oracles import (
+    _LAST_ROLL,
     ExpansionBundle,
     bundle_gradient,
     checked_controls,
@@ -205,7 +206,8 @@ def directional_search(
     _scalar(c0_zero, "c0_zero", -math.inf, 0.0, ends="[)")
     tau, n_u, n_x = bundle.horizon, bundle.problem.n_u, bundle.problem.n_x
     K, k = _array(K, "K", (tau, n_u, n_x), steps=True), _array(k, "k", (tau, n_u), steps=True)
-    # not bundle.cost: perfbench counts trials as objective_value calls less searches
+    # not bundle.cost: the call is kept for perfbench's trial count (objective_value
+    # calls less searches); inside a solve it returns the forward's roll, unevaluated
     j_current = objective_value(bundle.problem, bundle.u)
     unit = None
     if not spec.rolls_original:
@@ -316,6 +318,10 @@ def solve(
     ends the solve, classified by the stationarity residual.  Divergence of
     an accepted iterate re-raises with the partial trace attached.
     ``u0`` must be a finite (horizon, n_u) array, else :class:`ShapeError`.
+
+    Within a solve each control sequence is rolled once: the forward pass
+    on an accepted trial and the directional search's J(u) read back the
+    roll just made at the same controls (see :func:`oracles._roll`).
     """
     spec = oracle_spec(kind)
     cfg = LineSearchConfig() if cfg is None else cfg
@@ -334,58 +340,62 @@ def solve(
             err.trace = trace
             raise
 
-    t0 = time.perf_counter()
-    bundle = expand(u)
-    carry = time.perf_counter() - t0  # forward time attributed to the first iteration
-    j_current = bundle.cost
-    residual = _residual(bundle)
-    trace.rows.append(TraceRow(0, j_current, math.nan, math.nan, math.nan, residual, 0.0))
-    cum_ms = 0.0
-    gamma_prev = 1.0 / cfg.nu_init
-
-    for k in range(1, stop.max_iters + 1):
+    token = _LAST_ROLL.set([None])  # each control sequence rolls once per solve
+    try:
         t0 = time.perf_counter()
-        if cfg.rule == "directional":
-            result, nu = _escalate_directional(bundle, kind, cfg)
-            u_next = None
-            if result is not None:
-                c0 = result.c0_zero
-                u_next, gamma, _ = directional_search(bundle, kind, result.K, result.k, c0, cfg)
-        else:
-            # the stepsize warm-starts in units of the cost-slope norm
-            scale = bundle.cost_slope_norm()
-            if scale <= 0.0 or not math.isfinite(scale):
-                scale = 1.0
-            u_next, gamma, c0 = regularized_search(
-                bundle, kind, cfg.rho_inc * gamma_prev / scale, cfg
-            )
-            if math.isnan(c0):  # stalled: no trial passed, so no ridge to report
-                nu = math.nan
-            else:
-                gamma_prev, nu = gamma * scale, 1.0 / gamma
-        if u_next is None:  # no descent model, or a stall without a decrease
-            trace.status = _classify(residual, j_current)
-            break
-
-        bundle = expand(u_next)
-        elapsed = time.perf_counter() - t0
-        j_next = bundle.cost
+        bundle = expand(u)
+        carry = time.perf_counter() - t0  # forward time attributed to the first iteration
+        j_current = bundle.cost
         residual = _residual(bundle)
-        cum_ms += (carry + elapsed) * 1e3
-        carry = 0.0
-        trace.rows.append(TraceRow(k, j_next, gamma, nu, c0, residual, cum_ms))
-        if callback is not None:
-            callback(iteration=k, u=u_next, cost=j_next, stepsize=gamma,
-                     regularization=nu, model_decrease=c0, residual=residual)
+        trace.rows.append(TraceRow(0, j_current, math.nan, math.nan, math.nan, residual, 0.0))
+        cum_ms = 0.0
+        gamma_prev = 1.0 / cfg.nu_init
 
-        stop_small_cost = abs(j_current - j_next) <= stop.cost_rel_tol * (1.0 + abs(j_current))
-        stop_small_step = gamma < stop.min_step
-        u, j_current = u_next, j_next
-        if stop_small_cost or stop_small_step:
-            trace.status = _classify(residual, j_current)
-            break
+        for k in range(1, stop.max_iters + 1):
+            t0 = time.perf_counter()
+            if cfg.rule == "directional":
+                result, nu = _escalate_directional(bundle, kind, cfg)
+                u_next = None
+                if result is not None:
+                    c0 = result.c0_zero
+                    u_next, gamma, _ = directional_search(bundle, kind, result.K, result.k, c0, cfg)
+            else:
+                # the stepsize warm-starts in units of the cost-slope norm
+                scale = bundle.cost_slope_norm()
+                if scale <= 0.0 or not math.isfinite(scale):
+                    scale = 1.0
+                u_next, gamma, c0 = regularized_search(
+                    bundle, kind, cfg.rho_inc * gamma_prev / scale, cfg
+                )
+                if math.isnan(c0):  # stalled: no trial passed, so no ridge to report
+                    nu = math.nan
+                else:
+                    gamma_prev, nu = gamma * scale, 1.0 / gamma
+            if u_next is None:  # no descent model, or a stall without a decrease
+                trace.status = _classify(residual, j_current)
+                break
 
-    return u, trace
+            bundle = expand(u_next)
+            elapsed = time.perf_counter() - t0
+            j_next = bundle.cost
+            residual = _residual(bundle)
+            cum_ms += (carry + elapsed) * 1e3
+            carry = 0.0
+            trace.rows.append(TraceRow(k, j_next, gamma, nu, c0, residual, cum_ms))
+            if callback is not None:
+                callback(iteration=k, u=u_next, cost=j_next, stepsize=gamma,
+                         regularization=nu, model_decrease=c0, residual=residual)
+
+            stop_small_cost = abs(j_current - j_next) <= stop.cost_rel_tol * (1.0 + abs(j_current))
+            stop_small_step = gamma < stop.min_step
+            u, j_current = u_next, j_next
+            if stop_small_cost or stop_small_step:
+                trace.status = _classify(residual, j_current)
+                break
+
+        return u, trace
+    finally:
+        _LAST_ROLL.reset(token)
 
 
 def stationarity_residual(problem: TrajectoryProblem, u) -> float:

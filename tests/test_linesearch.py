@@ -1,5 +1,6 @@
 """Step acceptance rules, the solver loop, and the stationarity certificate."""
 
+import contextlib
 import dataclasses
 import math
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trajopt.linesearch
+import trajopt.oracles
 from trajopt import autodiff as ad
 from trajopt.cli import initial_controls
 from trajopt.core import TrajectoryProblem, linear_dynamics
@@ -38,7 +40,13 @@ from trajopt.oracles import (
     run_backward,
 )
 
-from conftest import ENV_SCHEMES, acceptance_violations, random_lq_problem, random_smooth_problem
+from conftest import (
+    ENV_SCHEMES,
+    acceptance_violations,
+    counted_problem,
+    random_lq_problem,
+    random_smooth_problem,
+)
 
 
 def quadratic_scalar_problem():
@@ -672,3 +680,119 @@ class TestTraceInvariants:
         rows = lambda t: np.array([dataclasses.astuple(r)[:-1] for r in t.rows])  # no time_ms
         assert again.status == trace.status
         assert rows(again).tobytes() == rows(trace).tobytes()
+
+
+@contextlib.contextmanager
+def roll_memo():
+    """The one-entry roll memo that ``solve`` opens, opened around a test's calls."""
+    token = trajopt.oracles._LAST_ROLL.set([None])
+    try:
+        yield
+    finally:
+        trajopt.oracles._LAST_ROLL.reset(token)
+
+
+class TestOneRollPerPoint:
+    """Within a solve each control sequence is rolled once; outside one every call rolls."""
+
+    @pytest.mark.parametrize("env, horizon, kind, rule", [
+        ("pendulum", 50, "ne", "directional"),
+        ("cartpole", 25, "ddp-q", "regularized"),
+    ])
+    def test_each_point_is_rolled_once_per_solve(self, monkeypatch, env, horizon, kind, rule):
+        """The start, then one roll per trial: the forward on the accepted trial and
+        the directional J(u) read back the roll just made."""
+        problem, counts = counted_problem(build_problem(env, horizon))
+        values = counting(monkeypatch, "objective_value")
+        searches = counting(monkeypatch, "directional_search")
+        forwards = counting(monkeypatch, "forward")
+        _, trace = solve(problem, initial_controls(problem, 1), kind, LineSearchConfig(rule=rule),
+                         StopCriteria(max_iters=10))
+        assert trace.iterations >= 2 and forwards[0] == trace.iterations + 1
+        trials = values[0] - (searches[0] if rule == "directional" else 0)
+        assert counts["cost", 0] == (1 + trials) * (horizon + 1)
+
+    def test_outside_a_solve_every_call_rolls(self):
+        horizon = 20
+        problem, counts = counted_problem(build_problem("pendulum", horizon))
+        u = initial_controls(problem, 2)
+        assert trajopt.oracles._LAST_ROLL.get() is None
+        for _ in range(2):
+            oracle(problem, u, "ne")
+            forward(problem, u, 1, 2)
+            objective_value(problem, u)
+        assert counts["cost", 0] == 6 * (horizon + 1)
+
+    def test_the_key_is_the_problem_and_the_bytes(self):
+        """Same problem and bytes read back; an in-place change, a zero of the other
+        sign or another problem rolls again."""
+        horizon = 20
+        problem, counts = counted_problem(build_problem("pendulum", horizon))
+        other, other_counts = counted_problem(build_problem("pendulum", horizon))
+        u = initial_controls(problem, 2)
+        u[3, 0] = 0.0
+        with roll_memo():
+            first = objective_value(problem, u)
+            assert objective_value(problem, u.copy()) == first
+            assert counts["cost", 0] == horizon + 1
+            flipped = u.copy()
+            flipped[3, 0] = -0.0
+            assert np.array_equal(flipped, u)
+            objective_value(problem, flipped)
+            assert counts["cost", 0] == 2 * (horizon + 1)
+            objective_value(problem, u)
+            assert counts["cost", 0] == 3 * (horizon + 1)
+            u[5, 0] += 0.25  # changed in place after its roll
+            moved = objective_value(problem, u)
+            assert counts["cost", 0] == 4 * (horizon + 1)
+            objective_value(other, u)
+            assert other_counts["cost", 0] == horizon + 1
+        assert moved == objective_value(problem, u) != first
+
+    def test_a_roll_that_raises_keeps_the_last_entry(self):
+        horizon = 20
+        problem, counts = counted_problem(build_problem("pendulum", horizon))
+        u = initial_controls(problem, 2)
+        with roll_memo():
+            xs = forward(problem, u, 0, 0).xs
+            bad = u.copy()
+            bad[4, 0] = math.inf
+            with pytest.raises(DivergenceError):
+                objective_value(problem, bad)
+            before = counts["cost", 0]
+            assert forward(problem, u, 0, 0).xs is xs
+            assert counts["cost", 0] == before
+
+    def test_a_diverging_solve_leaves_no_memo_open(self):
+        """The roll succeeds and is stored; the derivatives then overflow."""
+        problem = TrajectoryProblem(
+            dynamics=(lambda x, u: [1e10 * (1e300 * x[0]) + u[0]],),
+            running_costs=(lambda x, u: 0.0 * u[0],),
+            final_cost=lambda x: 0.5 * x[0] * x[0],
+            x0=[1e-300],
+            n_x=1,
+            n_u=1,
+        )
+        with pytest.raises(DivergenceError):
+            solve(problem, [[0.0]], "gn")
+        assert trajopt.oracles._LAST_ROLL.get() is None
+
+    def test_a_callback_that_rolls_evicts_and_changes_nothing(self, monkeypatch):
+        """Each roll in the callback evicts the entry, so the next directional J(u)
+        rolls again; every trace byte and the final controls stay the same."""
+        horizon = 50
+        problem, counts = counted_problem(build_problem("pendulum", horizon))
+        u0, cfg, stop = initial_controls(problem, 1), LineSearchConfig(), StopCriteria(max_iters=6)
+        u_plain, plain = solve(problem, u0, "ne", cfg, stop)
+        plain_rolls = counts["cost", 0]
+        counts.clear()
+        searches = counting(monkeypatch, "directional_search")
+        elsewhere = np.zeros_like(u0)
+        u_called, called = solve(problem, u0, "ne", cfg, stop,
+                                 callback=lambda **_: objective_value(problem, elsewhere))
+        extra = called.iterations + searches[0] - 1  # the callback's rolls and the J(u) misses
+        assert counts["cost", 0] == plain_rolls + extra * (horizon + 1)
+        rows = lambda t: np.array([dataclasses.astuple(r)[:-1] for r in t.rows])  # no time_ms
+        assert called.status == plain.status
+        assert rows(called).tobytes() == rows(plain).tobytes()
+        assert u_called.tobytes() == u_plain.tobytes()

@@ -10,6 +10,8 @@ import pytest
 from trajopt.envs import build_problem
 from trajopt.linesearch import LineSearchConfig, StopCriteria, solve
 
+from conftest import counted_problem
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -52,3 +54,19 @@ def test_every_layer_of_a_solve_is_traced(layers, kind, rule):
         assert tracer.calls[layer] > 0, layer
     searches = tracer.calls["linesearch.directional_search"]
     assert (searches > 0) == (rule == "directional")
+
+
+def test_the_trial_formula_counts_the_trial_rolls(layers):
+    """perfbench counts a directional solve's trials as objective_value calls less
+    searches; each is one roll, and the roll of the start is the only other one."""
+    horizon = 20
+    problem, counts = counted_problem(build_problem("pendulum", horizon))
+    u0 = 0.01 * np.random.default_rng(1).standard_normal((horizon, problem.n_u))
+    tracer = layers.LayerTracer(time.perf_counter)
+    with tracer:
+        _, trace = tracer.solve(solve, problem, u0, "ne", LineSearchConfig(),
+                                StopCriteria(max_iters=3))
+    assert trace.iterations >= 1
+    trials = tracer.calls["oracles.objective_value"] - tracer.calls["linesearch.directional_search"]
+    assert trials > 0
+    assert counts["cost", 0] == (1 + trials) * (horizon + 1)

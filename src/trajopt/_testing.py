@@ -136,7 +136,14 @@ def kkt_solve_lq(problem, data):
     return sol[tau * n_x : nz].reshape(tau, n_u)
 
 
-def random_smooth_problem(rng, tau, n_x, n_u, cost_curvature=1.0):
+def _dot(acc, w, z):
+    """``acc`` plus the dot product of ``w`` and ``z``, summed in order."""
+    for wi, zi in zip(w, z):
+        acc = acc + wi * zi
+    return acc
+
+
+def random_smooth_problem(rng, tau, n_x, n_u):
     """Random instance with polynomial/trig dynamics, smooth to all orders."""
     dyn, costs = [], []
     for _ in range(tau):
@@ -147,54 +154,30 @@ def random_smooth_problem(rng, tau, n_x, n_u, cost_curvature=1.0):
         phase = rng.uniform(-1.0, 1.0, n_x)
         bil = rng.standard_normal(n_x) * 0.2
 
-        def f(x, u, A=A.tolist(), B=B.tolist(), w=w.tolist(), amp=amp, phase=phase, bil=bil):
-            out = []
-            for i in range(len(A)):
-                acc = 0.0
-                for j, xj in enumerate(x):
-                    acc = acc + A[i][j] * xj
-                for kcol, uk in enumerate(u):
-                    acc = acc + B[i][kcol] * uk
-                arg = phase[i]
-                for j, zj in enumerate(list(x) + list(u)):
-                    arg = arg + w[i][j] * zj
-                acc = acc + amp[i] * ad.sin(arg) + bil[i] * x[0] * u[0]
-                out.append(acc)
-            return out
+        def f(x, u, lin=linear_dynamics(A, B), w=w.tolist(), amp=amp, phase=phase, bil=bil):
+            z = list(x) + list(u)
+            return [acc + amp[i] * ad.sin(_dot(phase[i], w[i], z)) + bil[i] * x[0] * u[0]
+                    for i, acc in enumerate(lin(x, u))]
 
-        hq = random_spd(rng, n_x + n_u, cost_curvature)
+        hq = random_spd(rng, n_x + n_u)
         hl = rng.standard_normal(n_x + n_u) * 0.5
         hamp = rng.standard_normal() * 0.2
         hw = rng.standard_normal(n_x + n_u) * 0.5
 
-        def h(x, u, hq=hq.tolist(), hl=hl, hamp=hamp, hw=hw):
+        def h(x, u, quad=quadratic_state_cost(hq, hl), hamp=hamp, hw=hw):
             z = list(x) + list(u)
-            acc = 0.0
-            arg = 0.0
-            for i, zi in enumerate(z):
-                acc = acc + hl[i] * zi
-                arg = arg + hw[i] * zi
-                for j, zj in enumerate(z):
-                    acc = acc + 0.5 * hq[i][j] * zi * zj
-            return acc + hamp * ad.cos(arg)
+            return quad(z) + hamp * ad.cos(_dot(0.0, hw, z))
 
         dyn.append(f)
         costs.append(h)
 
-    Hf = random_spd(rng, n_x, 1.0)
+    Hf = random_spd(rng, n_x)
     pf = rng.standard_normal(n_x) * 0.5
     famp = rng.standard_normal() * 0.2
     fw = rng.standard_normal(n_x) * 0.5
 
-    def final(x, Hf=Hf.tolist(), pf=pf, famp=famp, fw=fw):
-        acc = 0.0
-        arg = 0.0
-        for i, xi in enumerate(x):
-            acc = acc + pf[i] * xi
-            arg = arg + fw[i] * xi
-            for j, xj in enumerate(x):
-                acc = acc + 0.5 * Hf[i][j] * xi * xj
-        return acc + famp * ad.sin(arg)
+    def final(x, quad=quadratic_state_cost(Hf, pf), famp=famp, fw=fw):
+        return quad(x) + famp * ad.sin(_dot(0.0, fw, x))
 
     return TrajectoryProblem(
         dynamics=tuple(dyn),
@@ -206,8 +189,9 @@ def random_smooth_problem(rng, tau, n_x, n_u, cost_curvature=1.0):
     )
 
 
-def fd_jacobian(g, z, h=1e-5):
+def fd_jacobian(g, z):
     """Central finite-difference Jacobian, the independent derivative check."""
+    h = 1e-5
     z = np.asarray(z, dtype=float)
     out0 = np.atleast_1d(np.asarray(g(list(z)), dtype=float))
     jac = np.zeros((out0.size, z.size))
@@ -221,8 +205,9 @@ def fd_jacobian(g, z, h=1e-5):
     return jac
 
 
-def fd_hessian(g, z, h=1e-4):
+def fd_hessian(g, z):
     """Central finite-difference Hessian of a scalar function."""
+    h = 1e-4
     z = np.asarray(z, dtype=float)
     m = z.size
     hess = np.zeros((m, m))
@@ -250,21 +235,23 @@ def env_interior_point(env, rng, problem):
     return z
 
 
-def concave_stage_problem(a: float = 500.0, tau: int = 10, delta: float = 0.1):
-    """Integrator chain whose stage costs are concave in the control.
+def concave_stage_problem():
+    """Ten-stage integrator chain whose stage costs are concave in the control.
 
-    For a * delta^2 / 4 > 1 the overall objective is still strongly convex
-    in the stacked controls, so the exact second-order step solves it even
-    though every per-stage control curvature is negative.
+    With a = 500 and delta = 0.1, a * delta^2 / 4 > 1, so the overall
+    objective is still strongly convex in the stacked controls and the
+    exact second-order step solves it even though every per-stage control
+    curvature is negative.
     """
+    a, delta = 500.0, 0.1
     f = linear_dynamics([[1.0]], [[delta]])
 
     def running(x, u):
         return delta * (a * x[0] * x[0] - u[0] * u[0])
 
     return TrajectoryProblem(
-        dynamics=(f,) * tau,
-        running_costs=(running,) * tau,
+        dynamics=(f,) * 10,
+        running_costs=(running,) * 10,
         final_cost=lambda x: a * x[0] * x[0],
         x0=[0.0],
         n_x=1,

@@ -208,16 +208,8 @@ def quadratic_cost(H, Q, R, p, q):
 
 
 def quadratic_state_cost(H, p):
-    """Final cost 0.5 x'Hx + p'x as a generic-scalar callable."""
+    """Final cost 0.5 x'Hx + p'x: :func:`quadratic_cost` with empty control blocks."""
     p = _array(p, "p")
-    H, p = _sym(_array(H, "H", (p.size, p.size))).tolist(), p.tolist()
-
-    def h(x):
-        acc = 0.0
-        for i, xi in enumerate(x):
-            acc = acc + p[i] * xi
-            for jj, xj in enumerate(x):
-                acc = acc + 0.5 * H[i][jj] * xi * xj
-        return acc
-
-    return h
+    H = _array(H, "H", (p.size, p.size))
+    h = quadratic_cost(H, np.zeros((0, 0)), np.zeros((p.size, 0)), p, ())
+    return lambda x: h(x, ())

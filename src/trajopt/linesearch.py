@@ -322,6 +322,10 @@ def solve(
     Within a solve each control sequence is rolled once: the forward pass
     on an accepted trial and the directional search's J(u) read back the
     roll just made at the same controls (see :func:`oracles._roll`).
+
+    ``callback`` gets each accepted row's fields but ``time_ms`` as keywords,
+    and ``u``, a read-only view of the next search's base point: writing
+    into it raises ``ValueError``.  The returned controls stay writable.
     """
     spec = oracle_spec(kind)
     cfg = LineSearchConfig() if cfg is None else cfg
@@ -383,7 +387,9 @@ def solve(
             carry = 0.0
             trace.rows.append(TraceRow(k, j_next, gamma, nu, c0, residual, cum_ms))
             if callback is not None:
-                callback(iteration=k, u=u_next, cost=j_next, stepsize=gamma,
+                seen = u_next.view()  # the next search starts from u_next
+                seen.flags.writeable = False
+                callback(iteration=k, u=seen, cost=j_next, stepsize=gamma,
                          regularization=nu, model_decrease=c0, residual=residual)
 
             stop_small_cost = abs(j_current - j_next) <= stop.cost_rel_tol * (1.0 + abs(j_current))

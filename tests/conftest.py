@@ -1,9 +1,11 @@
-"""Shared fixtures and the model-counting wrapper; instance builders live in trajopt._testing."""
+"""Shared fixtures, the model-counting wrapper and the script loader; instance
+builders live in trajopt._testing."""
 
 from __future__ import annotations
 
 import collections
 import dataclasses
+import importlib.util
 import tempfile
 from pathlib import Path
 
@@ -101,3 +103,12 @@ def counted_problem(problem):
         final_cost=once(problem.final_cost, "cost"),
     )
     return problem, counts
+
+
+def load_script(name: str):
+    """``scripts/<name>.py`` of the repository as a module."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

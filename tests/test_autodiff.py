@@ -45,6 +45,16 @@ class TestHyperDualAlgebra:
         assert back.g[0] == pytest.approx(a.g[0])
         assert back.h[0] == pytest.approx(a.h[0])
 
+    def test_comparisons_and_powers_read_the_value(self):
+        x = hd(2.0, 1.0)
+        assert (x < 3.0, x <= 2.0, x >= 2.5, x > 1.0) == (True, True, False, True)
+        square = x ** 2
+        assert (square.value, square.g[0]) == (4.0, 4.0)
+
+    def test_a_negated_dual_negates_its_value_and_gradient(self):
+        d = -ad.Dual(2.0, np.array([1.0, -3.0]))
+        assert (d.value, d.g.tolist()) == (-2.0, [-1.0, 3.0])
+
     def test_float_coercion_is_rejected(self):
         with pytest.raises(UnsupportedPrimitiveError):
             math.sin(hd(1.0, 1.0))
@@ -368,6 +378,15 @@ class TestPrimitives:
         hess = ad.vector_hessian(fn, z)[0]
         fd_h = fd_hessian(lambda zz: fn(zz), z)
         np.testing.assert_allclose(hess, fd_h, rtol=1e-4, atol=1e-5)
+
+    def test_arctan2_of_two_float_zeros_raises_domain_error(self):
+        with pytest.raises(DomainError) as err:
+            ad.arctan2(0.0, 0.0)
+        assert err.value.primitive == "arctan2"
+
+    def test_power_refuses_a_hyper_dual_exponent(self):
+        with pytest.raises(UnsupportedPrimitiveError, match="constant exponents"):
+            ad.jacobian(lambda z: ad.power(2.0, z[0]), [1.0])
 
     def test_log_domain_error_names_primitive(self):
         with pytest.raises(DomainError) as err:

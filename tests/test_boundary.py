@@ -47,7 +47,7 @@ from trajopt import (
     trajectory_jacobian,
 )
 from trajopt import linesearch
-from trajopt.autodiff import smoothmax
+from trajopt.autodiff import block_jacobian, lambda_hessian, smoothmax
 from trajopt.cli import RunConfig
 from trajopt.dense import dense_costates
 from trajopt.oracles import bundle_gradient
@@ -60,6 +60,8 @@ from trajopt.envs import (
     SimpleCarParams,
     build_problem,
     euler_step,
+    rk4_step,
+    rk4_varying_step,
     track_build,
     track_eval,
     track_loads,
@@ -318,6 +320,16 @@ def test_returns_or_raises_a_package_error(entry, arg, data):
     (lambda: rollout(BUNDLE, "newton", SWEEP.K, SWEEP.k), ParameterError, "oracle kind"),
     (lambda: rollout(forward(PROBLEM, U, 0, 0), "gn", SWEEP.K, SWEEP.k), ParameterError,
      "order-1 dynamics"),
+    (lambda: run_backward(forward(PROBLEM, U, 1, 1), "gn", 0.0), ParameterError,
+     "order-2 cost"),
+    (lambda: track_build([(0.0, 0.0)], 0.5), ShapeError, "two"),
+    (lambda: rk4_step(lambda z, u: z, [1.0], [0.0], 0.0), ParameterError, "step size"),
+    (lambda: rk4_varying_step(lambda z, u: z, [1.0], [0.0, 0.0], 0.1), ParameterError,
+     "3 stacked control blocks"),
+    (lambda: block_jacobian(lambda z: z, np.zeros(3)), ParameterError, r"\(B, m\)"),
+    (lambda: lambda_hessian(lambda z: [z[0]], [1.0], [math.nan]), ParameterError, "finite"),
+    (lambda: lambda_hessian(lambda z: [z[0]], [1.0], [1.0, 2.0]), ParameterError,
+     "expected 1 outputs"),
 ], ids=[
     "params-nan", "params-string", "bounds-nan", "bounds-bool-tau", "bounds-overflow",
     "bounds-overflow-long-horizon", "track-bool-width", "complex-x0", "complex-A", "string-p",
@@ -326,7 +338,9 @@ def test_returns_or_raises_a_package_error(entry, arg, data):
     "nan-step-size", "string-horizon", "int-dynamics", "string-costs", "none-final-cost",
     "rollout-gains-shape", "rollout-seven-stages", "rollout-three-states",
     "rollout-two-controls", "oracle-step-ladder", "rollout-non-bundle",
-    "rollout-unknown-kind", "rollout-order-0-gn",
+    "rollout-unknown-kind", "rollout-order-0-gn", "backward-order-1-costs",
+    "track-one-waypoint", "rk4-zero-step", "rk4-varying-two-controls", "block-of-1d-points",
+    "nan-contraction", "contraction-size",
 ])
 def test_named_refusal(call, error, match):
     with pytest.raises(error, match=match):

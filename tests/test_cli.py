@@ -1,14 +1,13 @@
 """CLI surfaces: flags, config files, trace files, exit codes."""
 
 import csv
-import importlib.util
 import math
 import os
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from trajopt import cli
 from trajopt.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -20,20 +19,13 @@ from trajopt.cli import (
     parse_config,
 )
 from trajopt.envs import build_problem
-from trajopt.errors import ConfigError
+from trajopt.errors import ConfigError, TrajoptError
+
+from conftest import load_script
 
 
 def run_cli(*argv):
     return main(list(argv))
-
-
-def compare_traces():
-    """``scripts/compare_traces.py`` as a module."""
-    path = Path(__file__).resolve().parents[1] / "scripts" / "compare_traces.py"
-    spec = importlib.util.spec_from_file_location("compare_traces", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 class TestSolveCommand:
@@ -124,6 +116,14 @@ class TestConfigFiles:
         assert trace.footer["algo"] == "gn"
         assert trace.footer["env"] == "cartpole"
 
+    def test_a_line_without_equals_names_its_line(self):
+        with pytest.raises(ConfigError, match="line 2 is not key=value"):
+            parse_config("env=pendulum\nhorizon 25\n")
+
+    def test_an_unreadable_config_exits_one(self, tmp_path, capsys):
+        assert run_cli("solve", "--config", str(tmp_path / "missing.cfg")) == EXIT_CONFIG
+        assert "configuration error: config: cannot read" in capsys.readouterr().err
+
     def test_validation_names_the_field(self):
         with pytest.raises(ConfigError) as err:
             RunConfig(horizon=0).validate()
@@ -177,6 +177,26 @@ class TestBenchmarkCommand:
         code = run_cli("benchmark", "--env", ",", "--out", str(tmp_path / "bench"))
         assert code == EXIT_CONFIG
 
+    def test_a_cell_that_raises_gets_an_error_row(self, tmp_path, monkeypatch):
+        """The other cells still run and write; the summary row carries the message."""
+        real = cli.run_cell
+
+        def run_cell(cfg):
+            if cfg.algo == "gd":
+                raise TrajoptError("this cell failed")
+            return real(cfg)
+
+        monkeypatch.setattr(cli, "run_cell", run_cell)
+        out = tmp_path / "bench"
+        code = run_cli("benchmark", "--env", "pendulum", "--algo", "gn,gd", "--horizon", "10",
+                       "--max-iters", "5", "--out", str(out))
+        assert code == EXIT_OK
+        assert sorted(os.listdir(out)) == ["pendulum_gn_directional_h10.csv", "summary.csv"]
+        with open(out / "summary.csv") as fh:
+            rows = {row[1]: row for row in list(csv.reader(fh))[1:]}
+        assert rows["gd"][4:] == ["error", "", "", "", "this cell failed"]
+        assert rows["gn"][4] == "max-iters"
+
     def test_parallel_matches_serial(self, tmp_path):
         """Every CSV, summary.csv included, agrees field by field apart from time_ms."""
         serial, par = tmp_path / "s", tmp_path / "p"
@@ -185,7 +205,7 @@ class TestBenchmarkCommand:
         assert run_cli(*args, "--out", str(serial), "--parallel", "1") == EXIT_OK
         assert run_cli(*args, "--out", str(par), "--parallel", "2") == EXIT_OK
         assert len(list(serial.rglob("*.csv"))) == 9  # eight cells and the summary
-        assert compare_traces().first_difference(serial, par) is None
+        assert load_script("compare_traces").first_difference(serial, par) is None
 
 
 BAD_COMMAND_LINES = [
@@ -260,6 +280,13 @@ class TestTraceFileFormat:
         assert back.footer["seed"] == "-1"
         assert back.rows[1] == rows[1]
         assert math.isnan(back.rows[0][3])
+
+    def test_a_failed_replace_leaves_no_temporary_file(self, tmp_path):
+        taken = tmp_path / "taken"
+        taken.mkdir()  # os.replace cannot put a file over a directory
+        with pytest.raises(OSError):
+            TraceFile([], "converged", {}).write(str(taken))
+        assert [path.name for path in tmp_path.iterdir()] == ["taken"]
 
     def test_rejects_foreign_header(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -105,6 +105,9 @@ BROKEN = {
                            DivergenceError, 0),
     "sqrt-slope-at-0": (broken_model(0.0, cost=lambda x, u: autodiff.sqrt(x[0] * x[0]) + u[0]),
                         DivergenceError, 0),
+    "slope-overflow-at-a-finite-point": (
+        broken_model(0.0, dynamics=lambda x, u: [x[0] + 1e300 * (1e300 * u[0])]),
+        DivergenceError, 0),
 }
 DENSE = (dense_gradient, dense_hessian, trajectory_jacobian, dense_gauss_newton_matrix,
          dense_costates)

@@ -302,6 +302,43 @@ class TestSolve:
         )
         assert seen == list(range(1, len(seen) + 1))
 
+    def test_the_callback_reads_the_controls_and_cannot_move_them(self):
+        """The callback's controls are a read-only view of the next search's base
+        point: a write raises, and a read changes no trace byte."""
+        problem = build_problem("pendulum", 50)
+        u0, cfg, stop = initial_controls(problem, 1), LineSearchConfig(), StopCriteria(max_iters=4)
+        u_plain, plain = solve(problem, u0, "ne", cfg, stop)
+
+        def write(**kw):
+            kw["u"][:] = 0.0
+
+        with pytest.raises(ValueError):
+            solve(problem, u0, "ne", cfg, stop, callback=write)
+        seen = []
+        u_read, read = solve(problem, u0, "ne", cfg, stop,
+                             callback=lambda **kw: seen.append(kw["u"].sum()))
+        rows = lambda t: np.array([dataclasses.astuple(r)[:-1] for r in t.rows])  # no time_ms
+        assert len(seen) == read.iterations == plain.iterations
+        assert rows(read).tobytes() == rows(plain).tobytes()
+        assert u_read.tobytes() == u_plain.tobytes()
+        assert u_read.flags.writeable
+
+    def test_the_regularized_warm_start_takes_a_zero_slope_as_unit_scale(self):
+        """Zero slopes at rest: the cost-slope norm is 0, so the stepsize starts
+        unscaled, and the solve ends converged before any step."""
+        problem = TrajectoryProblem(
+            dynamics=(linear_dynamics([[1.0]], [[1.0]]),) * 3,
+            running_costs=(lambda x, u: x[0] * x[0] + u[0] * u[0],) * 3,
+            final_cost=lambda x: x[0] * x[0],
+            x0=[0.0],
+            n_x=1,
+            n_u=1,
+        )
+        bundle = forward(problem, np.zeros((3, 1)), 1, 2)
+        assert bundle.cost_slope_norm() == 0.0
+        _, trace = solve(problem, np.zeros((3, 1)), "gn", LineSearchConfig(rule="regularized"))
+        assert (trace.status, trace.iterations) == ("converged", 0)
+
 
 class TestStalls:
     @pytest.mark.parametrize("rule", STEP_RULES)

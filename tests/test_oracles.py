@@ -67,6 +67,13 @@ def tiny_problem():
 
 
 class TestForward:
+    def test_an_order_0_bundle_has_no_adjoints_or_cost_slopes(self):
+        bundle = forward(tiny_problem(), np.zeros((1, 1)), 0, 0)
+        with pytest.raises(ParameterError, match="order-1"):
+            bundle.adjoints
+        with pytest.raises(ParameterError, match="o_h=0"):
+            bundle.cost_slope_norm()
+
     def test_orders_do_not_change_the_cost(self, rng):
         problem = random_smooth_problem(rng, 4, 2, 1)
         u = rng.standard_normal((4, 1)) * 0.3
@@ -1210,6 +1217,20 @@ class TestSweepFailures:
         assert not step.feasible
         assert step.failed_stage == concave_at
         assert oracle(one_concave_stage_problem(None), np.zeros((5, 1)), kind, nu=0.0).feasible
+
+    @pytest.mark.parametrize("kind", ORACLE_KINDS)
+    def test_a_c0_overflow_with_finite_policies_names_stage_0(self, kind):
+        """q = 1e200 on one stage: its policy is finite, its c0 is not."""
+        problem = TrajectoryProblem(
+            dynamics=(linear_dynamics([[1.0]], [[1.0]]),),
+            running_costs=(quadratic_cost([[1.0]], [[1.0]], [[0.0]], [0.0], [1e200]),),
+            final_cost=quadratic_state_cost([[1.0]], [0.0]),
+            x0=[0.0],
+            n_x=1,
+            n_u=1,
+        )
+        step = oracle(problem, np.zeros((1, 1)), kind, nu=1.0)
+        assert (step.feasible, step.failed_stage, step.c0_zero) == (False, 0, np.inf)
 
 
 def staggered_concave_problem():

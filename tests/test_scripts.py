@@ -2,7 +2,6 @@
 
 import dataclasses
 import hashlib
-import importlib.util
 import os
 import subprocess
 import sys
@@ -14,6 +13,8 @@ import pytest
 from trajopt.envs import ENV_DISCRETIZERS, build_problem
 from trajopt.errors import DivergenceError, DomainError, ParameterError, ShapeError
 from trajopt.oracles import ORACLE_KINDS, forward
+
+from conftest import load_script
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -110,16 +111,8 @@ def test_compare_traces_ignores_only_time_ms(tmp_path):
     assert "only under" in missing.stdout
 
 
-def _oracle_hashes():
-    path = ROOT / "scripts" / "oracle_hashes.py"
-    spec = importlib.util.spec_from_file_location("oracle_hashes", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_oracle_hashes_reads_an_error_as_its_family_and_stage():
-    hashes = _oracle_hashes()
+    hashes = load_script("oracle_hashes")
     assert hashes._error(DivergenceError(3, "one wording")) == "NumericError t=3"
     assert hashes._error(DivergenceError(3, "another")) == "NumericError t=3"
     assert hashes._error(DomainError("log", -1.0)) == "NumericError t=None"
@@ -128,7 +121,7 @@ def test_oracle_hashes_reads_an_error_as_its_family_and_stage():
 
 
 def test_oracle_hashes_feeds_the_curvature_over_every_pair():
-    hashes = _oracle_hashes()
+    hashes = load_script("oracle_hashes")
     bundle = forward(build_problem("pendulum", 100), np.zeros((100, 1)), 2, 2)
     assert bundle.curvature_pairs.tolist() == [0, 3, 5]
     full = np.zeros((100, 2, 6))
